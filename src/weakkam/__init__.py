@@ -6,16 +6,16 @@ into a certified subaction, and verify the supporting geometric machinery
 (flow-box atlases, shadowing, weighted-action lower bounds).
 """
 
-from .models import (DomainEscapeError, HorizonError, HyperbolicityData,
-                     Observable, SuspensionFlow, VectorFieldSpec,
-                     birkhoff_integral, lie_derivative, periodic_orbits)
+from .models import (HorizonError, HyperbolicityData, Observable,
+                     SuspensionFlow, birkhoff_integral, lie_derivative,
+                     periodic_orbits)
 from .observables import (BUILTIN_FAMILIES, GluePotential,
                           coboundary_observable, constant_observable,
                           distance_squared_observable, grid_table_observable,
                           make_observable, smoothstep, smoothstep_prime)
 from .grid import Grid, GridFunction, UnreachableError, path_distance
 from .kernel import (ActionKernel, AlignmentError, KernelConnectivityError,
-                     apply_operator, build_kernel)
+                     build_kernel)
 from .laxoleinik import (DriftError, InconsistencyError, NonConvergenceError,
                          WeakKamSolution, cross_validated_ergodic_value,
                          ergodic_value, verify_apriori,
@@ -31,10 +31,10 @@ from .shadowing import (ConstantsTooWeakError, DiscretePseudoOrbit,
                         estimate_k_gamma, k_gamma_from_maps,
                         lattice_box_chains, pseudo_orbit_suite,
                         shadow_periodic)
-from .livsic import (FlowPseudoOrbit, LivsicConstants, PathSample,
-                     SegmentClassification, UncoveredStartError,
-                     check_factorization, classify_segment, compute_constants,
-                     decompose_path, factor_pseudo_orbit, generate_paths,
+from .livsic import (LivsicConstants, PathSample, SegmentClassification,
+                     UncoveredStartError, check_factorization,
+                     classify_segment, compute_constants, decompose_path,
+                     factor_pseudo_orbit, generate_paths,
                      livsic_lower_bound_scan, weighted_action)
 from .regularize import (BumpPair, CoverGapError, NotSubactionError,
                          RegularizerSpec, SubactionCertificate, default_cover,

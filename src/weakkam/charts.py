@@ -39,17 +39,12 @@ class NoIntersectionError(RuntimeError):
 
 @dataclass
 class FlowBox:
-    """One adapted flow box around a center point.
-
-    ``tilt`` optionally bends the Poincare section: the section is
-    { gamma(tilt(u), u) } instead of the flat t=0 slice (used to exercise the
-    return-time gradient bound).
-    """
+    """One adapted flow box around a center point; its Poincare section is
+    the flat t=0 slice."""
 
     model: SuspensionFlow
     center: np.ndarray
     tau: float
-    tilt: object = None
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -77,14 +72,6 @@ class FlowBox:
         start[..., 2] = self.center[2]
         return self.model.flow_map(start, t)
 
-    def time_coordinate(self, p):
-        """Signed chart time of p's nearest section crossing (branch in
-        (-roof/2, roof/2] shifted to the representative closest to 0)."""
-        p = np.asarray(p, dtype=float)
-        roof = self.model.roof
-        dt = p[..., 2] - self.center[2]
-        return dt - roof * np.round(dt / roof)
-
     def chart_inverse(self, p, branch="nearest"):
         """Chart coordinates (t, u) of p.
 
@@ -107,13 +94,6 @@ class FlowBox:
         u = db @ self.frame_inv.T
         return t, u
 
-    def section_gap(self, p):
-        """Signed distance (in chart time) of p from the section surface."""
-        t, u = self.chart_inverse(p)
-        if self.tilt is None:
-            return t, u
-        return t - self.tilt(u), u
-
 
 @dataclass
 class AtlasConstants:
@@ -131,7 +111,6 @@ class FlowBoxAtlas:
     tau: float
     rho: float
     eps: float
-    eps_as: float
     lip_gamma: float
     hyper: AtlasConstants
     covering_report: dict = field(default_factory=dict)
@@ -139,10 +118,6 @@ class FlowBoxAtlas:
     @property
     def n_gamma(self):
         return len(self.boxes)
-
-    def box_at(self, point):
-        """An on-demand flow box centered at an arbitrary manifold point."""
-        return FlowBox(self.model, np.asarray(point, dtype=float), self.tau)
 
     def _box(self, x):
         return self.boxes[x] if isinstance(x, (int, np.integer)) else x
@@ -271,7 +246,6 @@ def build_atlas(model: SuspensionFlow, tau, rho, eps, n_points=None,
                 boxes.append(FlowBox(model, center, tau))
     atlas = FlowBoxAtlas(model=model, boxes=boxes, tau=float(tau),
                          rho=float(rho), eps=float(eps),
-                         eps_as=float(eps / 2.0),
                          lip_gamma=_measure_lip_gamma(model, boxes[0]),
                          hyper=hyper)
     # Covering certification by sampling.
@@ -310,7 +284,7 @@ def return_time(atlas: FlowBoxAtlas, x, y, q, t_hint=None, tol_factor=1e-12):
         t_hint = float(t_hint)
     span = 0.45 * atlas.model.roof
     ts = t_hint + np.linspace(-span, span, 41)
-    gaps = np.array([float(box_y.section_gap(atlas.model.flow_map(z, t))[0])
+    gaps = np.array([float(box_y.chart_inverse(atlas.model.flow_map(z, t))[0])
                      for t in ts])
     hit = None
     for i in range(len(ts) - 1):
@@ -324,10 +298,10 @@ def return_time(atlas: FlowBoxAtlas, x, y, q, t_hint=None, tol_factor=1e-12):
     if hit is None:
         raise NoIntersectionError("no section crossing near the hinted time")
     a, b = hit
-    ga = float(box_y.section_gap(atlas.model.flow_map(z, a))[0])
+    ga = float(box_y.chart_inverse(atlas.model.flow_map(z, a))[0])
     while b - a > tol_factor * tau:
         mid = 0.5 * (a + b)
-        gm = float(box_y.section_gap(atlas.model.flow_map(z, mid))[0])
+        gm = float(box_y.chart_inverse(atlas.model.flow_map(z, mid))[0])
         if gm == 0.0:
             return mid
         if ga * gm < 0:

@@ -21,9 +21,8 @@ from .charts import affine_poincare, build_atlas
 from .config import ConfigError, RunConfig, load_config
 from .grid import Grid, GridFunction
 from .kernel import build_kernel
-from .laxoleinik import (ergodic_value, verify_apriori, weak_kam_solve)
+from .laxoleinik import ergodic_value, verify_apriori, weak_kam_solve
 from .livsic import compute_constants, livsic_lower_bound_scan
-from .observables import coboundary_observable
 from .regularize import default_cover, regularize_all, verify_subaction
 from .shadowing import k_gamma_from_maps, pseudo_orbit_suite
 
@@ -32,6 +31,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 FLOAT_FMT = "%.12g"
+
+# The explicit constants of constants.csv, in the order it lists them.
+CONSTANT_NAMES = ("a_star", "c1", "c2", "c3", "c4", "c_lambda_distortion",
+                  "delta_lambda", "diam_omega", "eps", "k_gamma", "lip_gamma",
+                  "lip_phi", "n_gamma", "tau")
 
 
 def _fmt(v):
@@ -65,23 +69,47 @@ def _build_common(cfg: RunConfig):
     return model, phi, grid, h
 
 
+def _solve_and_certify(cfg, model, phi, grid, h):
+    """Weak-KAM fixed point and its subaction certificate from one kernel.
+
+    The kernel is built at reference value 0, so the eigenvalue refinement
+    inside ``weak_kam_solve`` is the min-plus drift estimate of phi_bar:
+    ``sol.phi_bar`` is the ergodic value and ``sol.howard`` its report.
+    """
+    kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
+    sol = weak_kam_solve(kern, cfg.solve_tol, monotone_tol=cfg.monotone_tol)
+    cert = regularize_all(sol.u, default_cover(model), phi, sol.phi_bar,
+                          precheck=False)
+    return sol, cert
+
+
+def _constants(cfg, model, phi):
+    """Atlas and explicit constants; K_Gamma comes from the closed-form
+    Poincare map of the atlas's first box."""
+    atlas = build_atlas(model, cfg.tau, cfg.rho, cfg.eps)
+    kg = k_gamma_from_maps([affine_poincare(atlas, 0, 0)])
+    return atlas, compute_constants(atlas, phi, kg)
+
+
+def _write_constants(out, consts):
+    rows = [(k, getattr(consts, k)) for k in CONSTANT_NAMES]
+    write_csv(out / "constants.csv", ["name", "value"], rows)
+    return rows
+
+
 def cmd_solve(cfg: RunConfig):
     out = cfg.output_dir()
     model, phi, grid, h = _build_common(cfg)
     checks = {}
     v_orb, rep_orb = ergodic_value(model, phi, "periodic_orbits", max_period=4)
-    v_drift, rep_drift = ergodic_value(model, phi, "minplus_drift", grid=grid,
-                                       h=h, c=cfg.c,
-                                       reach_multiplier=cfg.reach_multiplier)
+    sol, cert = _solve_and_certify(cfg, model, phi, grid, h)
+    v_drift = sol.phi_bar
     write_csv(out / "ergodic.csv", ["method", "value"],
               [("periodic_orbits", v_orb), ("minplus_drift", v_drift)])
     gap = abs(v_orb - v_drift)
     scale = max(1.0, phi.sup_bound)
     checks["ergodic_agreement"] = bool(gap <= cfg.ergodic_tol * scale)
 
-    kern = build_kernel(grid, model, phi, cfg.c, v_drift, h,
-                        cfg.reach_multiplier)
-    sol = weak_kam_solve(kern, cfg.solve_tol, monotone_tol=cfg.monotone_tol)
     nodes = grid.node_points().reshape(-1, 3)
     dense = sol.u.dense().reshape(-1)
     write_csv(out / "solution.csv",
@@ -89,8 +117,6 @@ def cmd_solve(cfg: RunConfig):
               [(p[0], p[1], p[2], v) for p, v in zip(nodes, dense)])
     checks["weak_kam_residual"] = bool(sol.residual <= cfg.solve_tol)
 
-    cover = default_cover(model)
-    cert = regularize_all(sol.u, cover, phi, sol.phi_bar, precheck=False)
     write_csv(out / "certificate.csv", ["quantity", "value"],
               [("margin", cert.margin), ("slack", cert.slack),
                ("lip_u", cert.lip_u), ("lip_lie", cert.lip_lie),
@@ -99,31 +125,24 @@ def cmd_solve(cfg: RunConfig):
                ("n_region_nodes", cert.report["n_region_nodes"])])
     checks["certificate_margin"] = bool(cert.margin >= -cert.slack)
 
-    atlas = build_atlas(model, cfg.tau, cfg.rho, cfg.eps)
-    kg = k_gamma_from_maps([affine_poincare(atlas, 0, 0)])
-    consts = compute_constants(atlas, phi, kg)
-    write_csv(out / "constants.csv", ["name", "value"],
-              sorted((k, getattr(consts, k)) for k in
-                     ("c1", "c2", "c3", "c4", "a_star", "delta_lambda",
-                      "c_lambda_distortion", "k_gamma", "n_gamma",
-                      "lip_gamma", "diam_omega", "tau", "eps", "lip_phi")))
+    _write_constants(out, _constants(cfg, model, phi)[1])
 
     summary = {"command": "solve", "phi_bar": v_drift,
                "phi_bar_periodic": v_orb, "residual": sol.residual,
                "lipschitz": sol.lipschitz, "margin": cert.margin,
                "slack": cert.slack, "checks": checks,
                "n_orbits_enumerated": rep_orb["n_orbits"],
-               "howard_iterations": rep_drift["howard"]["iterations"]}
+               "howard_iterations": sol.howard["iterations"]}
     write_summary(out, summary)
     return EXIT_PASS if all(checks.values()) else EXIT_FAIL
 
 
-def _suite_semigroup(cfg, out):
+def _suite_semigroup(cfg, out, n_trials=100):
     model, phi, grid, h = _build_common(cfg)
     kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
     rng = np.random.default_rng(cfg.seed)
     rows, ok = [], True
-    for trial in range(100):
+    for trial in range(n_trials):
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         v = GridFunction(grid, u.values + np.abs(rng.standard_normal(grid.shape)))
         cshift = float(rng.standard_normal())
@@ -154,10 +173,8 @@ def _suite_apriori(cfg, out, n_pairs=200):
 
 
 def _suite_livsic(cfg, out, n_paths=200):
-    model, phi, grid, h = _build_common(cfg)
-    atlas = build_atlas(model, cfg.tau, cfg.rho, cfg.eps)
-    kg = k_gamma_from_maps([affine_poincare(atlas, 0, 0)])
-    consts = compute_constants(atlas, phi, kg)
+    model, phi, _, _ = _build_common(cfg)
+    atlas, consts = _constants(cfg, model, phi)
     flagged = None
     if cfg.c < consts.c1:
         flagged = ("bound not guaranteed: configured weight %.6g is below "
@@ -189,13 +206,7 @@ def _suite_shadowing(cfg, out, n_orbits=200):
 
 def _suite_subaction(cfg, out, n_samples=2000):
     model, phi, grid, h = _build_common(cfg)
-    v_drift, _ = ergodic_value(model, phi, "minplus_drift", grid=grid, h=h,
-                               c=cfg.c, reach_multiplier=cfg.reach_multiplier)
-    kern = build_kernel(grid, model, phi, cfg.c, v_drift, h,
-                        cfg.reach_multiplier)
-    sol = weak_kam_solve(kern, cfg.solve_tol, monotone_tol=cfg.monotone_tol)
-    cert = regularize_all(sol.u, default_cover(model), phi, sol.phi_bar,
-                          precheck=False)
+    sol, cert = _solve_and_certify(cfg, model, phi, grid, h)
     rep = verify_subaction(cert, phi, sol.phi_bar, n_samples, model=model,
                            seed=cfg.seed)
     write_csv(out / "subaction.csv", ["quantity", "value"],
@@ -211,13 +222,15 @@ SUITES = {"semigroup": _suite_semigroup, "apriori": _suite_apriori,
           "subaction": _suite_subaction}
 
 
-def cmd_verify(cfg: RunConfig, suite):
+def cmd_verify(cfg: RunConfig, suite, count=None):
+    """Run one suite; ``count`` overrides its sample count when given."""
     out = cfg.output_dir()
     if suite not in SUITES:
         print(f"error: unknown suite {suite!r}; choose from "
               f"{sorted(SUITES)}", file=sys.stderr)
         return EXIT_USAGE
-    ok, extra = SUITES[suite](cfg, out)
+    counts = () if count is None else (count,)
+    ok, extra = SUITES[suite](cfg, out, *counts)
     write_summary(out, {"command": "verify", "suite": suite,
                         "passed": bool(ok), **extra})
     if not ok:
@@ -251,14 +264,7 @@ def cmd_constants(cfg: RunConfig):
     out = cfg.output_dir()
     model = cfg.build_model()
     phi = cfg.build_observable(model)
-    atlas = build_atlas(model, cfg.tau, cfg.rho, cfg.eps)
-    kg = k_gamma_from_maps([affine_poincare(atlas, 0, 0)])
-    consts = compute_constants(atlas, phi, kg)
-    rows = sorted((k, getattr(consts, k)) for k in
-                  ("c1", "c2", "c3", "c4", "a_star", "delta_lambda",
-                   "c_lambda_distortion", "k_gamma", "n_gamma", "lip_gamma",
-                   "diam_omega", "tau", "eps", "lip_phi"))
-    write_csv(out / "constants.csv", ["name", "value"], rows)
+    rows = _write_constants(out, _constants(cfg, model, phi)[1])
     write_summary(out, {"command": "constants", "passed": True,
                         **{k: float(v) for k, v in rows}})
     return EXIT_PASS
@@ -275,8 +281,6 @@ def build_parser():
     p.add_argument("--tol", type=float, help="solver tolerance")
     p.add_argument("--seed", type=int)
     p.add_argument("--output", help="output directory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (inner operations are single-process)")
     p.add_argument("--observable", help="built-in observable family")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", help="run the full pipeline")
@@ -295,8 +299,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {"seed": args.seed, "output": args.output, "h": args.h,
-                 "c": args.c, "solve_tol": args.tol, "threads": args.threads,
-                 "family": args.observable}
+                 "c": args.c, "solve_tol": args.tol, "family": args.observable}
     if args.grid is not None:
         overrides["grid_shape"] = tuple(args.grid)
     try:
@@ -308,21 +311,7 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "verify":
-            if args.count is not None:
-                suite = args.suite
-                out = cfg.output_dir()
-                fn = SUITES[suite]
-                kw = {}
-                import inspect
-                params = inspect.signature(fn).parameters
-                extra_kw = [k for k in params if k not in ("cfg", "out")]
-                if extra_kw:
-                    kw[extra_kw[0]] = args.count
-                ok, extra = fn(cfg, out, **kw)
-                write_summary(out, {"command": "verify", "suite": suite,
-                                    "passed": bool(ok), **extra})
-                return EXIT_PASS if ok else EXIT_FAIL
-            return cmd_verify(cfg, args.suite)
+            return cmd_verify(cfg, args.suite, args.count)
         if args.command == "atlas":
             return cmd_atlas(cfg)
         if args.command == "shadow":

@@ -38,7 +38,6 @@ Schema (all keys optional; defaults shown):
     [run]
     seed = 0
     output =             ; output directory (default: cwd/weakkam-out)
-    threads = 1
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ class RunConfig:
     ergodic_tol: float = 1e-2
     seed: int = 0
     output: str = None
-    threads: int = 1
 
     def validate(self):
         if self.family not in BUILTIN_FAMILIES:
@@ -95,8 +93,6 @@ class RunConfig:
             raise ConfigError("grid resolutions must be at least 2")
         if self.grid_shape[0] != self.grid_shape[1]:
             raise ConfigError("suspension grids need n1 == n2")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         return self
 
     def build_model(self):
@@ -162,7 +158,6 @@ def load_config(path=None, overrides=None):
                            cfg.ergodic_tol)
     cfg.seed = _get(cp, "run", "seed", int, cfg.seed)
     cfg.output = _get(cp, "run", "output", str, cfg.output)
-    cfg.threads = _get(cp, "run", "threads", int, cfg.threads)
     for key, val in (overrides or {}).items():
         if val is not None:
             if not hasattr(cfg, key):

@@ -9,7 +9,7 @@ what makes one-step min-plus kernels expressible as pure index shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -241,9 +241,6 @@ class GridFunction:
     def copy(self):
         return GridFunction(self.grid, self.values.copy(), self.offset)
 
-    def with_values(self, values):
-        return GridFunction(self.grid, values, self.offset)
-
     def dense(self):
         """Values with the offset folded in."""
         return self.values + self.offset
@@ -329,13 +326,23 @@ class GridFunction:
     def __call__(self, points):
         return self.interpolate(points)
 
-    def discrete_lipschitz(self):
-        """Max difference quotient over the 26-neighborhood edge set."""
+    def discrete_lipschitz(self, mask=None):
+        """Max difference quotient over the 26-neighborhood edge set.
+
+        With a boolean ``mask`` of the grid's shape, only edges whose two
+        endpoints both lie inside the mask are priced.
+        """
         best = 0.0
         for off in _primitive_offsets(1):
             d = float(np.linalg.norm(self.grid.offset_displacement(off)))
             shifted = self.grid.gather_shift(self.values, off)
-            best = max(best, float(np.abs(self.values - shifted).max()) / d)
+            diff = np.abs(self.values - shifted)
+            if mask is not None:
+                both = mask & self.grid.gather_shift(mask, off)
+                if not both.any():
+                    continue
+                diff = diff[both]
+            best = max(best, float(diff.max()) / d)
         return best
 
     def sup_diff(self, other):

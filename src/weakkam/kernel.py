@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridFunction
-from .models import Observable, SuspensionFlow, VectorFieldSpec
+from .models import Observable, SuspensionFlow
 
 
 class KernelConnectivityError(RuntimeError):
@@ -248,8 +248,3 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
                         phi_bar=float(phi_bar), h=float(h), reach=float(reach),
                         offsets=offsets, devs=devs, flow_steps=int(round(k)),
                         phi_nodes=phi_nodes)
-
-
-def apply_operator(kernel: ActionKernel, u: GridFunction) -> GridFunction:
-    """Apply the discrete Lax-Oleinik operator once."""
-    return kernel.apply(u)

@@ -3,12 +3,12 @@ pairwise-action estimates, and integrated-subaction verification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, path_distance
-from .kernel import ActionKernel, apply_operator, build_kernel
+from .grid import Grid, GridFunction
+from .kernel import ActionKernel, build_kernel
 from .models import birkhoff_integral, periodic_orbits
 
 
@@ -38,6 +38,7 @@ class WeakKamSolution:
     lipschitz: float
     stage_a_sweeps: int
     eigenvalue_refinement: float
+    howard: dict = None
 
 
 def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
@@ -107,8 +108,12 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
     N_A push-forwards of 0, with N_A*h at least three diameters of travel
     time.  Stage B iterates the operator, which is then monotone nondecreasing
     up to rounding, until the sup-change drops below tol.
+
+    On a kernel built at reference value 0 the refined ``phi_bar`` is the
+    ergodic value itself; the policy-iteration report is kept in ``howard``
+    (None when ``refine_eigenvalue`` is off).
     """
-    refinement = 0.0
+    refinement, info = 0.0, None
     if refine_eigenvalue:
         g, _, info = kernel.solve_additive_eigenvalue()
         refinement = float(np.min(g)) / kernel.h
@@ -139,7 +144,6 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
     n_a = sweeps
     log = []
     u = v
-    scale = max(1.0, float(np.abs(kernel.phi_nodes).max()))
     drift_run = 0
     for it in range(max_iters):
         u1 = kernel.apply(u)
@@ -161,7 +165,7 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
             return WeakKamSolution(
                 u=u, c=kernel.c, residual=residual, phi_bar=kernel.phi_bar,
                 iteration_log=log, lipschitz=lip, stage_a_sweeps=n_a,
-                eigenvalue_refinement=refinement)
+                eigenvalue_refinement=refinement, howard=info)
     raise NonConvergenceError("weak-KAM iteration did not converge",
                               history=log)
 

@@ -13,7 +13,7 @@ concatenation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -370,14 +370,6 @@ def decompose_path(path: PathSample, atlas, phi, constants, phi_bar=0.0,
         cur = PathSample(cur.times + seg.exit_time, cur.points, path.model,
                          path.max_step)
     return blocks
-
-
-@dataclass
-class FlowPseudoOrbit:
-    path: PathSample
-    cutting_times: np.ndarray
-    cutting_points: list  # indices into the atlas
-    periodic: bool = False
 
 
 def factor_pseudo_orbit(cutting_points):

@@ -1,9 +1,7 @@
-"""Model flows: torus suspension of a hyperbolic automorphism and generic vector fields.
+"""Model flow: the torus suspension of a hyperbolic automorphism.
 
-Points live in R^{d+1}.  For the suspension model the coordinates are
-(x1, x2, s) on T^2 x [0, roof) with the gluing (x, roof) ~ (A x, 0); the flow
-is the unit translation in s.  Generic flows are integrated with a fixed-step
-RK4 scheme on a declared domain box.
+Points live in R^3 with coordinates (x1, x2, s) on T^2 x [0, roof) and the
+gluing (x, roof) ~ (A x, 0); the flow is the unit translation in s.
 """
 
 from __future__ import annotations
@@ -13,14 +11,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-
-
-class DomainEscapeError(RuntimeError):
-    """Raised when a trajectory leaves the declared (non-periodic) domain box."""
-
-    def __init__(self, message, exit_time=None):
-        super().__init__(message)
-        self.exit_time = exit_time
 
 
 class HorizonError(ValueError):
@@ -212,84 +202,6 @@ class SuspensionFlow:
                 float(self.distance(pts, ref[1]).max()))
         cap = float(np.sqrt(0.5 + (0.5 * self.roof) ** 2))
         return min(max(d, 0.0), cap) if d > 0 else cap
-
-
-@dataclass(frozen=True)
-class VectorFieldSpec:
-    """User-supplied vector field on a (partially periodic) box, RK4 fixed step."""
-
-    dimension: int
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    sup_norm_bound: float
-    lipschitz_bound: float
-    domain_box: np.ndarray = None  # (d+1, 2) lo/hi per axis
-    periodic: tuple = None  # per-axis periodicity flags
-    h_int: float = 1e-3
-    max_horizon: float = 64.0
-
-    def __post_init__(self):
-        d = self.dimension
-        box = self.domain_box
-        if box is None:
-            box = np.array([[0.0, 1.0]] * (d + 1))
-        object.__setattr__(self, "domain_box", np.asarray(box, dtype=float))
-        per = self.periodic
-        if per is None:
-            per = (True,) * (d + 1)
-        object.__setattr__(self, "periodic", tuple(bool(b) for b in per))
-
-    def velocity(self, x):
-        v = np.asarray(self.evaluate(np.asarray(x, dtype=float)), dtype=float)
-        if np.any(np.linalg.norm(v, axis=-1) == 0.0):
-            raise ValueError("vector field vanishes at a sampled point")
-        return v
-
-    def _wrap(self, x, t_now):
-        lo = self.domain_box[:, 0]
-        hi = self.domain_box[:, 1]
-        width = hi - lo
-        x = x.copy()
-        for ax, per in enumerate(self.periodic):
-            if per:
-                x[..., ax] = lo[ax] + np.mod(x[..., ax] - lo[ax], width[ax])
-            else:
-                if np.any(x[..., ax] < lo[ax]) or np.any(x[..., ax] > hi[ax]):
-                    raise DomainEscapeError(
-                        f"trajectory left the domain box on axis {ax}",
-                        exit_time=t_now)
-        return x
-
-    def flow_map(self, x, t):
-        """Fixed-step RK4 integration of the field, wrapping periodic axes."""
-        x = np.asarray(x, dtype=float)
-        t = float(t)
-        if abs(t) > self.max_horizon:
-            raise HorizonError(f"|t| exceeds max horizon {self.max_horizon}")
-        n = max(1, int(np.ceil(abs(t) / self.h_int)))
-        h = t / n
-        y = x.copy()
-        f = self.velocity
-        for k in range(n):
-            k1 = f(y)
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            y = self._wrap(y, (k + 1) * h)
-        return y
-
-    def difference(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        d = q - p
-        width = self.domain_box[:, 1] - self.domain_box[:, 0]
-        for ax, per in enumerate(self.periodic):
-            if per:
-                d[..., ax] -= width[ax] * np.round(d[..., ax] / width[ax])
-        return d
-
-    def distance(self, q, p):
-        return np.linalg.norm(self.difference(q, p), axis=-1)
 
 
 def lie_derivative(model, u, x, delta):

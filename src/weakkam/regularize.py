@@ -282,24 +282,6 @@ def lie_derivative_field(u, model, fd_step):
     return vals.reshape(u.grid.shape)
 
 
-def _masked_lipschitz(field, mask, grid):
-    """Discrete Lipschitz constant of ``field`` over neighbor pairs inside
-    ``mask`` (26-neighborhood, twisted wrap handled by the grid)."""
-    worst = 0.0
-    for off in [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
-                for c in (-1, 0, 1) if (a, b, c) != (0, 0, 0)]:
-        shifted = grid.gather_shift(field, off)
-        mshift = grid.gather_shift(mask.astype(np.float64), off) > 0.5
-        both = mask & mshift
-        if not both.any():
-            continue
-        d = np.linalg.norm([off[0] * grid.spacings[0],
-                            off[1] * grid.spacings[1],
-                            off[2] * grid.spacings[2]])
-        worst = max(worst, float(np.abs(field - shifted)[both].max()) / d)
-    return worst
-
-
 def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
                    fd_step=None, precheck=True, precheck_slack=None,
                    core_margin=None):
@@ -341,7 +323,7 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
     mask3 = mask.reshape(grid.shape)
     margins = (phi_nodes - phi_bar - lie)[mask3]
     lip_u = u.discrete_lipschitz()
-    lip_lie = _masked_lipschitz(lie, mask3, grid)
+    lip_lie = GridFunction(grid, lie).discrete_lipschitz(mask3)
     lip_phi = phi.lipschitz_constant
     if slack is None:
         # One term per error source: interpolation of the Lipschitz data over

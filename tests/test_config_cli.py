@@ -1,10 +1,13 @@
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
-from weakkam.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from weakkam.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, FLOAT_FMT, SUITES,
+                         main)
 from weakkam.config import ConfigError, RunConfig, load_config
+from weakkam.kernel import ActionKernel
 
 SMALL = ["--grid", "8", "8", "10"]
 
@@ -59,8 +62,6 @@ def test_load_config_errors(tmp_path):
 def test_runconfig_validation():
     with pytest.raises(ConfigError):
         RunConfig(grid_shape=(8, 10, 10)).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(threads=0).validate()
     with pytest.raises(ConfigError):
         RunConfig(c=-1.0).validate()
     with pytest.raises(ConfigError):
@@ -128,11 +129,40 @@ def test_cli_shadow(tmp_path):
     assert len(lines) == 11
 
 
-def test_cli_solve_small(tmp_path):
+def test_cli_solve_small(tmp_path, monkeypatch):
+    calls = []
+    howard = ActionKernel.solve_additive_eigenvalue
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.phi_bar)
+        return howard(self, *args, **kwargs)
+
+    monkeypatch.setattr(ActionKernel, "solve_additive_eigenvalue", counted)
     out = str(tmp_path / "o")
     assert main(["--output", out] + SMALL + ["solve"]) == EXIT_PASS
+    assert calls == [0.0]  # one eigen-solve, on the reference-0 kernel
     summary = json.loads((Path(out) / "summary.json").read_text())
     assert all(summary["checks"].values())
     for name in ("ergodic.csv", "solution.csv", "certificate.csv",
                  "constants.csv"):
         assert (Path(out) / name).exists()
+    with open(Path(out) / "ergodic.csv", newline="") as f:
+        ergodic = {r["method"]: r["value"] for r in csv.DictReader(f)}
+    assert ergodic["minplus_drift"] == FLOAT_FMT % summary["phi_bar"]
+
+
+def test_cli_verify_count_failure_reported(tmp_path, monkeypatch, capsys):
+    counts = []
+
+    def failing(cfg, out, n_paths=200):
+        counts.append(n_paths)
+        return False, {"n_paths": n_paths}
+
+    monkeypatch.setitem(SUITES, "livsic", failing)
+    out = str(tmp_path / "o")
+    code = main(["--output", out] + SMALL
+                + ["verify", "livsic", "--count", "5"])
+    assert code == EXIT_FAIL and counts == [5]
+    assert "verify livsic: property failure" in capsys.readouterr().err
+    summary = json.loads((Path(out) / "summary.json").read_text())
+    assert summary["passed"] is False and summary["n_paths"] == 5

@@ -122,6 +122,12 @@ def test_discrete_lipschitz_linear_field(small_grid):
     lip = u.discrete_lipschitz()
     # true gradient sup is 0.5*pi ~ 1.571; discrete estimate is close below
     assert 1.0 < lip <= 0.5 * np.pi + 1e-9
+    everywhere = np.ones(small_grid.shape, dtype=bool)
+    assert u.discrete_lipschitz(everywhere) == lip
+    # u varies only along s, so edges inside one s-layer all price 0
+    one_layer = np.zeros(small_grid.shape, dtype=bool)
+    one_layer[:, :, 3] = True
+    assert u.discrete_lipschitz(one_layer) == 0.0
 
 
 def test_path_distance_close_to_flat_metric():

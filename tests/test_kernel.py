@@ -150,11 +150,7 @@ def test_constant_observable_eigenvalue(model, small_grid):
 
 
 def test_generic_model_rejected(small_grid, cobound):
-    from weakkam import VectorFieldSpec
     phi, _ = cobound
-    field = VectorFieldSpec(dimension=1,
-                            evaluate=lambda p: np.ones_like(p),
-                            sup_norm_bound=2.0, lipschitz_bound=0.0)
     with pytest.raises(NotImplementedError):
-        build_kernel(small_grid, field, phi, 1.0, 0.0,
+        build_kernel(small_grid, object(), phi, 1.0, 0.0,
                      small_grid.spacings[2], 2.0)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from weakkam import (DomainEscapeError, HorizonError, SuspensionFlow,
-                     VectorFieldSpec, birkhoff_integral, lie_derivative,
-                     periodic_orbits)
+from weakkam import (HorizonError, SuspensionFlow, birkhoff_integral,
+                     lie_derivative, periodic_orbits)
 
 # Distinct minimal orbits per base period for the default base matrix:
 # fixed-point counts of A^n are 1, 5, 16, 45, 121, 320.
@@ -153,27 +152,3 @@ def test_lie_derivative_grid_spacing_guard(model, small_grid):
     u = GridFunction.zeros(small_grid)
     with pytest.raises(ValueError):
         lie_derivative(model, u, np.zeros(3), small_grid.max_spacing)
-
-
-def test_vector_field_rk4_circle():
-    # d/dt (x, y) = (-y, x): exact rotation; no domain wrap involved.
-    field = VectorFieldSpec(
-        dimension=1,
-        evaluate=lambda p: np.stack([-p[..., 1], p[..., 0]], axis=-1),
-        sup_norm_bound=1.0, lipschitz_bound=1.0,
-        domain_box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
-        periodic=(False, False), h_int=1e-3)
-    p = np.array([1.0, 0.0])
-    q = field.flow_map(p, np.pi / 2)
-    assert np.abs(q - np.array([0.0, 1.0])).max() < 1e-9
-
-
-def test_vector_field_domain_escape():
-    field = VectorFieldSpec(
-        dimension=1, evaluate=lambda p: np.ones_like(p),
-        sup_norm_bound=2.0, lipschitz_bound=0.0,
-        domain_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
-        periodic=(False, False))
-    with pytest.raises(DomainEscapeError) as ei:
-        field.flow_map(np.array([0.9, 0.9]), 1.0)
-    assert ei.value.exit_time is not None
