@@ -2,9 +2,15 @@
 
 The s-axis of a suspension grid wraps through the roof gluing
 (b, roof) ~ (A b, 0), so index shifts across that axis twist the base indices
-by a power of A.  ``Grid.gather_shift`` implements the twisted gather
-exactly (the base lattice is invariant under the integer matrix A), which is
-what makes one-step min-plus kernels expressible as pure index shifts.
+by a power of A.  Every twisted shift goes through one primitive, the
+``Halo``: the array is extended once along s by twisted slabs (layer k outside
+[0, ns) is layer k mod ns read through A^m, m = k // ns) and wrap-padded on
+the two base axes by the stencil radius.  The shift by any offset of the
+stencil is then a zero-copy slice of that one padded array, exact because the
+base lattice is invariant under the integer matrix A.  Min-plus sweeps,
+Howard's passes, discrete Lipschitz constants, the neighbour graph,
+``Grid.gather_shift`` and the interpolation corners all read their shifts from
+a halo.
 """
 
 from __future__ import annotations
@@ -32,6 +38,45 @@ def _primitive_offsets(radius):
                     continue
                 offs.append((a, b, c))
     return offs
+
+
+@dataclass(frozen=True)
+class Halo:
+    """Flat node index of every cell of a twisted halo.
+
+    ``index[r + x, r + y, k - k_lo]`` is the node read by base cell (x, y) of
+    s-layer k, for -r <= x < n1 + r, -r <= y < n2 + r, k_lo <= k < k_hi: the
+    base wraps periodically and a layer outside [0, ns) is layer k mod ns
+    seen through A^(k // ns).  ``pad`` copies an array into the halo once;
+    ``window(offset)`` is the slice of the padded copy that equals
+    ``Grid.gather_shift(arr, offset)``.
+    """
+
+    index: np.ndarray
+    r: int
+    k_lo: int
+    shape: tuple
+
+    def pad(self, arr):
+        """The halo of ``arr`` (one gather of the grid-shaped array)."""
+        return np.take(arr, self.index)
+
+    def sources(self, offsets):
+        """Flat node read by each node (flat order) under its own offset row."""
+        i, j, k = np.indices(self.shape).reshape(3, -1)
+        a, b, c = np.asarray(offsets, dtype=np.int64).T
+        return self.index[self.r - a + i, self.r - b + j, k - c - self.k_lo]
+
+    def window(self, offset):
+        """Slices of a padded array that shift it by the index triple."""
+        a, b, c = (int(v) for v in offset)
+        n1, n2, ns = self.shape
+        k0 = -c - self.k_lo
+        if max(abs(a), abs(b)) > self.r or not (
+                0 <= k0 <= self.index.shape[2] - ns):
+            raise ValueError(f"offset {offset} lies outside the halo")
+        return (slice(self.r - a, self.r - a + n1),
+                slice(self.r - b, self.r - b + n2), slice(k0, k0 + ns))
 
 
 @dataclass
@@ -62,7 +107,8 @@ class Grid:
                 [[self.twist[1, 1], -self.twist[0, 1]],
                  [-self.twist[1, 0], self.twist[0, 0]]], dtype=np.int64) * d
         self.spacings = tuple(L / n for L, n in zip(self.lengths, self.shape))
-        self._gather_cache = {}
+        self._base_cache = {}
+        self._halo_cache = {}
         self._graph_cache = {}
 
     @property
@@ -119,22 +165,47 @@ class Grid:
             M = T @ M
         return M
 
-    def _base_index_map(self, di, dj, m):
-        """Index arrays (I, J) with (I,J)[i,j] = A^m (i-di, j-dj) mod n."""
-        key = (int(di), int(dj), int(m))
-        hit = self._gather_cache.get(key)
+    def _base_index_map(self, m):
+        """Index arrays (I, J) with (I,J)[i,j] = A^m (i, j) mod n."""
+        hit = self._base_cache.get(m)
         if hit is not None:
             return hit
         n1, n2 = self.shape[0], self.shape[1]
-        i = np.arange(n1, dtype=np.int64)[:, None] - int(di)
-        j = np.arange(n2, dtype=np.int64)[None, :] - int(dj)
+        i = np.arange(n1, dtype=np.int64)[:, None]
+        j = np.arange(n2, dtype=np.int64)[None, :]
         M = self._twist_pow(m)
         I = np.mod(M[0, 0] * i + M[0, 1] * j, n1)
         J = np.mod(M[1, 0] * i + M[1, 1] * j, n2)
         I, J = np.broadcast_arrays(I, J)
         out = (np.ascontiguousarray(I), np.ascontiguousarray(J))
-        self._gather_cache[key] = out
+        self._base_cache[m] = out
         return out
+
+    def _halo(self, r, k_lo, k_hi):
+        """The Halo of base radius r over s-layers k_lo <= k < k_hi."""
+        r, k_lo, k_hi = int(r), int(k_lo), int(k_hi)
+        hit = self._halo_cache.get((r, k_lo, k_hi))
+        if hit is not None:
+            return hit
+        n1, n2, ns = self.shape
+        node_id = np.arange(self.n_nodes, dtype=np.int64).reshape(self.shape)
+        layers = []
+        for k in range(k_lo, k_hi):
+            m, k0 = divmod(k, ns)
+            I, J = self._base_index_map(m)
+            layers.append(node_id[I, J, k0])
+        ii = np.arange(-r, n1 + r) % n1
+        jj = np.arange(-r, n2 + r) % n2
+        hit = Halo(np.stack(layers, axis=-1)[np.ix_(ii, jj)], r, k_lo,
+                   self.shape)
+        self._halo_cache[(r, k_lo, k_hi)] = hit
+        return hit
+
+    def halo(self, offsets):
+        """The smallest Halo holding the shift by every index triple."""
+        offs = np.asarray(offsets, dtype=np.int64).reshape(-1, 3)
+        return self._halo(np.abs(offs[:, :2]).max(), -offs[:, 2].max(),
+                          self.shape[2] - offs[:, 2].min())
 
     def gather_shift(self, arr, offset):
         """Return S with S[q] = arr[node at (point(q) - offset_phys)].
@@ -142,22 +213,8 @@ class Grid:
         ``offset`` is an integer index triple; crossing the s-axis applies the
         twist to the base indices, exactly.
         """
-        di, dj, dk = (int(v) for v in offset)
-        n1, n2, ns = self.shape
-        out = np.empty_like(arr)
-        R = np.roll(arr, (di, dj), axis=(0, 1))
-        k = np.arange(ns)
-        ks = k - dk
-        m_arr = ks // ns
-        k0 = ks - m_arr * ns
-        for m in np.unique(m_arr):
-            sel = m_arr == m
-            if m == 0:
-                out[:, :, sel] = R[:, :, k0[sel]]
-            else:
-                I, J = self._base_index_map(di, dj, int(m))
-                out[:, :, sel] = arr[I, J][:, :, k0[sel]]
-        return out
+        h = self.halo([offset])
+        return np.take(arr, h.index[h.window(offset)])
 
     def offset_displacement(self, offset):
         """Physical (lifted) displacement vector of an index offset."""
@@ -168,16 +225,17 @@ class Grid:
         key = int(radius)
         if key in self._graph_cache:
             return self._graph_cache[key]
-        n1, n2, ns = self.shape
         N = self.n_nodes
         offs = _primitive_offsets(radius)
-        node_id = np.arange(N, dtype=np.int64).reshape(self.shape)
+        # target[q] = node reached from q by +off, the shift by -off of the
+        # node ids; the halo of the node ids is its own index.
+        halo = self.halo([[-v for v in off] for off in offs])
+        node_id = np.arange(N, dtype=np.int64)
         rows, cols, data = [], [], []
         for off in offs:
-            # target[q] = node reached from q by +off; reuse the gather with -off.
-            tgt = self.gather_shift(node_id, [-v for v in off])
+            tgt = halo.index[halo.window([-v for v in off])]
             w = float(np.linalg.norm(self.offset_displacement(off)))
-            rows.append(node_id.ravel())
+            rows.append(node_id)
             cols.append(tgt.ravel())
             data.append(np.full(N, w))
         g = sp.csr_matrix(
@@ -267,24 +325,10 @@ class GridFunction:
                             np.minimum(self.dense(), other.dense()), 0.0)
 
     def _padded(self):
-        v = self.values
-        n1, n2, ns = self.grid.shape
-        p = np.empty((n1 + 1, n2 + 1, ns + 1))
-        p[:n1, :n2, :ns] = v
-        p[n1, :n2, :ns] = v[0]
-        p[:n1, n2, :ns] = v[:, 0]
-        p[n1, n2, :ns] = v[0, 0]
-        # Roof plane: value at (b, roof) equals value at (A b, 0).
-        if self.grid.twist is None:
-            p[:, :, ns] = p[:, :, 0]
-        else:
-            I, J = self.grid._base_index_map(0, 0, 1)
-            roof = v[I, J, 0]
-            p[:n1, :n2, ns] = roof
-            p[n1, :n2, ns] = roof[0]
-            p[:n1, n2, ns] = roof[:, 0]
-            p[n1, n2, ns] = roof[0, 0]
-        return p
+        """Node values on the closed box: one more base row and column
+        (periodic) and the roof plane (glued to layer 0 through A)."""
+        halo = self.grid._halo(1, 0, self.grid.shape[2] + 1)
+        return halo.pad(self.values)[1:, 1:]
 
     def interpolate(self, points):
         """Multilinear interpolation; points are wrapped into the fundamental
@@ -332,13 +376,17 @@ class GridFunction:
         With a boolean ``mask`` of the grid's shape, only edges whose two
         endpoints both lie inside the mask are priced.
         """
+        offs = _primitive_offsets(1)
+        halo = self.grid.halo(offs)
+        shifted = halo.pad(self.values)
+        shifted_mask = None if mask is None else halo.pad(mask)
         best = 0.0
-        for off in _primitive_offsets(1):
+        for off in offs:
             d = float(np.linalg.norm(self.grid.offset_displacement(off)))
-            shifted = self.grid.gather_shift(self.values, off)
-            diff = np.abs(self.values - shifted)
+            win = halo.window(off)
+            diff = np.abs(self.values - shifted[win])
             if mask is not None:
-                both = mask & self.grid.gather_shift(mask, off)
+                both = mask & shifted_mask[win]
                 if not both.any():
                     continue
                 diff = diff[both]

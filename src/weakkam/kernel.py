@@ -7,8 +7,19 @@ A kernel entry prices the move p -> q over one time step h:
 where the difference is taken in the lifted (roof-glued) coordinates.  On a
 suspension grid with h an exact multiple of the s-spacing, the map q -> p is a
 pure index shift for every deviation offset, so applying the operator is a
-minimum of shifted copies of one base array.  No cost matrix is materialized;
-memory stays O(grid size) for any reach.
+minimum of shifted copies of one base array.  The array is copied once into a
+twisted halo (``grid.Halo``); each shift is a zero-copy window of it, folded
+into the running minimum in place.  No cost matrix is materialized; memory
+stays O(grid size) for any reach.
+
+Sweeps prune the stencil exactly.  With lo, hi the minimum and maximum of the
+shifted array B, only the prefix of the norm-sorted offsets with
+not (lo + C*dev > hi) is folded: a pruned candidate is
+fl(B[p] + C*dev) >= fl(lo + C*dev) > hi >= B[p0], the zero-deviation
+candidate, because rounding is monotone.  If B holds +-inf the test is false
+and nothing is pruned.  Offsets of equal norm are folded together, the
+minimum of their windows first and C*dev added once, exact for the same
+reason.  NaN input raises ``ValueError``.
 
 The observable is priced at the segment's earlier endpoint p.  This makes the
 one-step defect of the semigroup law second order in h (the two-step and
@@ -19,10 +30,11 @@ the flow), which is what the consistency tests measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, Halo
 from .models import Observable, SuspensionFlow
 
 
@@ -49,6 +61,17 @@ def _deviation_offsets(grid: Grid, reach):
     offsets = np.array([(a, b, c) for (_, a, b, c) in cand], dtype=np.int64)
     devs = np.array([d for (d, _, _, _) in cand])
     return offsets, devs
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One stencil's halo and windows; group g is offsets bounds[g]:bounds[g+1],
+    all of norm-price cdevs[g], and group 0 is the zero deviation alone."""
+
+    halo: Halo
+    windows: list
+    bounds: list
+    cdevs: np.ndarray
 
 
 @dataclass
@@ -84,28 +107,55 @@ class ActionKernel:
         tot[:, 2] += self.flow_steps
         return tot
 
+    @cached_property
+    def _hphi(self):
+        return self.h * (self.phi_nodes - self.phi_bar)
+
+    def _sweep(self, tots):
+        halo = self.grid.halo(tots)
+        # Runs of equal norm; devs[0] = 0 is the zero deviation alone.
+        bounds = np.concatenate([[0], np.flatnonzero(np.diff(self.devs)) + 1,
+                                 [self.n_offsets]])
+        return _Sweep(halo, [halo.window(t) for t in tots], bounds.tolist(),
+                      (self.c * self.devs)[bounds[:-1]])
+
+    @cached_property
+    def _forward(self):
+        return self._sweep(self._total_offsets())
+
+    @cached_property
+    def _reverse(self):
+        return self._sweep(-self._total_offsets())
+
+    @staticmethod
+    def _fold(B, sweep):
+        """min over the stencil of shift(B) + c*dev, pruned exactly."""
+        lo, hi = B.min(), B.max()
+        if np.isnan(lo):
+            raise ValueError("kernel input field holds NaN")
+        P = sweep.halo.pad(B)
+        win, bounds = sweep.windows, sweep.bounds
+        best = P[win[0]].copy()
+        tmp = np.empty_like(best)
+        n_groups = np.searchsorted(lo + sweep.cdevs, hi, side="right")
+        for g in range(1, n_groups):
+            np.copyto(tmp, P[win[bounds[g]]])
+            for w in win[bounds[g] + 1:bounds[g + 1]]:
+                np.minimum(tmp, P[w], out=tmp)
+            np.add(tmp, sweep.cdevs[g], out=tmp)
+            np.minimum(best, tmp, out=best)
+        return best
+
     def apply(self, u: GridFunction) -> GridFunction:
         """(T_h u)(q) = min_p u(p) + A_h(p,q); deterministic tie-breaking."""
         if u.grid is not self.grid and u.grid.shape != self.grid.shape:
             raise ValueError("grid mismatch")
-        B = u.values + self.h * (self.phi_nodes - self.phi_bar)
-        best = None
-        for tot, dev in zip(self._total_offsets(), self.devs):
-            cand = self.grid.gather_shift(B, tot)
-            if dev != 0.0:
-                cand += self.c * dev
-            best = cand if best is None else np.minimum(best, cand)
+        best = self._fold(u.values + self._hphi, self._forward)
         return GridFunction(self.grid, best, u.offset)
 
     def apply_reverse(self, w: GridFunction) -> GridFunction:
         """(T'_h w)(p) = min_q w(q) + A_h(p,q) (adjoint sweep, for A^t(., q))."""
-        best = None
-        for tot, dev in zip(self._total_offsets(), self.devs):
-            cand = self.grid.gather_shift(w.values, [-v for v in tot])
-            if dev != 0.0:
-                cand += self.c * dev
-            best = cand if best is None else np.minimum(best, cand)
-        best = best + self.h * (self.phi_nodes - self.phi_bar)
+        best = self._fold(w.values, self._reverse) + self._hphi
         return GridFunction(self.grid, best, w.offset)
 
     def row_min_bound_check(self):
@@ -160,55 +210,53 @@ class ActionKernel:
         """Exact per-step additive eigenvalue (min cycle mean) of the kernel
         graph, by multichain policy iteration.  Returns (gain array, bias
         GridFunction, info dict); for the strongly connected kernels built
-        here the optimal gain is constant and equals min_cycle mean cost."""
+        here the optimal gain is constant and equals min_cycle mean cost.
+
+        Both improvement passes fold the unpruned stencil through the
+        forward halo.  When the evaluated gain is exactly constant, every
+        shifted gain equals it, so the gain pass is skipped: nothing is
+        gain-improvable and every offset is gain-optimal."""
         grid = self.grid
         N = grid.n_nodes
-        node_id = np.arange(N, dtype=np.int64).reshape(grid.shape)
+        halo, win = self._forward.halo, self._forward.windows
         tots = self._total_offsets()
-        hphi = self.h * (self.phi_nodes - self.phi_bar)
-        # succ_flat[d] and edge cost arrays are produced per offset on demand.
-        succ_tabs = {}
-
-        def succ_of(d_idx):
-            if d_idx not in succ_tabs:
-                succ_tabs[d_idx] = grid.gather_shift(node_id, tots[d_idx]).ravel()
-            return succ_tabs[d_idx]
-
-        def cost_of(d_idx):
-            return (grid.gather_shift(hphi, tots[d_idx])
-                    + self.c * self.devs[d_idx]).ravel()
+        hphi = self._hphi
+        cdevs = self.c * self.devs
 
         policy = np.zeros(N, dtype=np.int64)  # start with flow-following (offset 0)
         # offset index 0 is the zero deviation (offsets are sorted by norm)
         scale = max(1.0, float(np.abs(hphi).max()))
         for it in range(max_iters):
-            succ = np.empty(N, dtype=np.int64)
-            cost = np.empty(N)
-            for d_idx in np.unique(policy):
-                sel = policy == d_idx
-                succ[sel] = succ_of(int(d_idx))[sel]
-                cost[sel] = cost_of(int(d_idx))[sel]
+            succ = halo.sources(tots[policy])
+            cost = hphi.reshape(-1)[succ] + cdevs[policy]
             g, v = self._policy_eval(succ, cost)
             g3 = g.reshape(grid.shape)
             v3 = v.reshape(grid.shape)
             # Phase 1: gain improvement; Phase 2: bias improvement among
             # gain-optimal offsets.
-            best_g = None
-            for d_idx in range(self.n_offsets):
-                cand = self.grid.gather_shift(g3, tots[d_idx]).ravel()
-                best_g = cand if best_g is None else np.minimum(best_g, cand)
-            improvable = best_g < g - tol * scale
-            best_w = np.full(N, np.inf)
-            best_d = policy.copy()
-            vb = v3 + hphi  # gather(v + hphi) prices cost + bias together
-            for d_idx in range(self.n_offsets):
-                gs = self.grid.gather_shift(g3, tots[d_idx]).ravel()
-                cand = (self.grid.gather_shift(vb, tots[d_idx]).ravel()
-                        + self.c * self.devs[d_idx])
-                cand = np.where(gs <= best_g + tol * scale, cand, np.inf)
+            flat_gain = g.max() == g.min()
+            if flat_gain:
+                improvable = np.zeros(N, dtype=bool)
+            else:
+                shifted_g = halo.pad(g3)
+                best_g = shifted_g[win[0]].copy()
+                for w in win[1:]:
+                    np.minimum(best_g, shifted_g[w], out=best_g)
+                improvable = best_g.ravel() < g - tol * scale
+                gain_cut = best_g + tol * scale
+            best_w = np.full(grid.shape, np.inf)
+            best_d = policy.reshape(grid.shape).copy()
+            cand = np.empty(grid.shape)
+            # gather(v + hphi) prices cost + bias together
+            shifted_vb = halo.pad(v3 + hphi)
+            for d_idx, w in enumerate(win):
+                np.add(shifted_vb[w], cdevs[d_idx], out=cand)
+                if not flat_gain:
+                    np.copyto(cand, np.inf, where=~(shifted_g[w] <= gain_cut))
                 take = cand < best_w - tol * scale
-                best_w = np.where(take, cand, best_w)
-                best_d = np.where(take, d_idx, best_d)
+                np.copyto(best_w, cand, where=take)
+                best_d[take] = d_idx
+            best_w, best_d = best_w.ravel(), best_d.ravel()
             cur_w = cost + v[succ]  # equals g + v under the evaluation equations
             change = improvable | (best_w < cur_w - 10 * tol * scale)
             if not change.any():
@@ -235,6 +283,9 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
         raise ValueError("kernel step h must be at most roof/10")
     if reach_multiplier < 2.0:
         raise ValueError("reach_multiplier must be >= 2")
+    if not c >= 0.0:
+        # Sweeps prune on c*dev being sorted like the norm-sorted offsets.
+        raise ValueError("action weight c must be non-negative")
     ds = grid.spacings[2]
     k = h / ds
     if abs(k - round(k)) > 1e-9:

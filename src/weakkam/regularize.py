@@ -134,9 +134,9 @@ class RegularizerSpec:
             & (np.abs(u).max(axis=-1) < 3 * self.eps)
         return t, u, inside
 
-    def in_core(self, points, margin=0.0):
-        """Mask of points inside D = (0,tau) x B(eps), shrunk by ``margin``."""
-        t, u, _ = self.chart_window(points)
+    def in_core(self, t, u, margin=0.0):
+        """Mask of chart points (t, u) inside D = (0,tau) x B(eps), shrunk by
+        ``margin``; (t, u) as returned by ``chart_window``."""
         return (t > margin) & (t < self.tau - margin) \
             & (np.abs(u).max(axis=-1) < self.eps - margin)
 
@@ -228,15 +228,19 @@ def check_integrated_subaction(u, model, phi, phi_bar, slack=None, n_orbits=64,
 
 
 def regularize_once(u: GridFunction, spec: RegularizerSpec, phi, phi_bar,
-                    check_precondition=True):
-    """One smoothing pass; output equals u exactly outside D''."""
+                    check_precondition=True, window=None):
+    """One smoothing pass; output equals u exactly outside D''.
+
+    ``window`` is ``spec.chart_window`` of the grid nodes, if the caller
+    already has it."""
     if check_precondition:
         check_integrated_subaction(u, spec.box.model, phi, phi_bar)
     t_nodes, q_nodes, ut, pht = _chart_tables(u, spec, phi, phi_bar)
     wt = _corrected_table(spec, t_nodes, ut, pht)
     grid = u.grid
-    nodes = grid.node_points().reshape(-1, 3)
-    t, uu, inside = spec.chart_window(nodes)
+    if window is None:
+        window = spec.chart_window(grid.node_points().reshape(-1, 3))
+    t, uu, inside = window
     idx = np.nonzero(inside)[0]
     if idx.size == 0:
         return u.copy()
@@ -296,23 +300,25 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
     if precheck:
         check_integrated_subaction(u0, model, phi, phi_bar,
                                    slack=precheck_slack)
-    u = u0
-    for spec in sorted(cover, key=lambda s: s.index):
-        u = regularize_once(u, spec, phi, phi_bar, check_precondition=False)
     nodes = grid.node_points().reshape(-1, 3)
     if core_margin is None:
         eps_min = min(s.eps for s in cover)
         tau_min = min(s.tau for s in cover)
         core_margin = min(grid.diagonal, eps_min / 2.0, tau_min / 4.0)
+    # Each box charts the nodes once; the pass and both core masks share it.
     mask = np.zeros(nodes.shape[0], dtype=bool)
-    for spec in cover:
-        mask |= spec.in_core(nodes, margin=core_margin)
+    uncovered_all = np.ones(nodes.shape[0], dtype=bool)
+    u = u0
+    for spec in sorted(cover, key=lambda s: s.index):
+        window = spec.chart_window(nodes)
+        u = regularize_once(u, spec, phi, phi_bar, check_precondition=False,
+                            window=window)
+        t, uu, _ = window
+        mask |= spec.in_core(t, uu, margin=core_margin)
+        uncovered_all &= ~spec.in_core(t, uu, margin=0.0)
     if not mask.any():
         raise CoverGapError("no grid node lies in any core box",
                             witness=nodes[0])
-    uncovered_all = ~np.zeros(nodes.shape[0], dtype=bool)
-    for spec in cover:
-        uncovered_all &= ~spec.in_core(nodes, margin=0.0)
     if uncovered_all.any():
         raise CoverGapError("cover misses grid nodes",
                             witness=nodes[np.nonzero(uncovered_all)[0][0]])

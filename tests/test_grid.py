@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from weakkam import Grid, GridFunction, path_distance
+from weakkam import (Grid, GridFunction, build_kernel, constant_observable,
+                     path_distance)
 
 
 def oracle_gather(grid, arr, offset):
@@ -65,6 +66,52 @@ def test_gather_shift_composes(model):
     one = grid.gather_shift(grid.gather_shift(arr, (0, 0, 2)), (0, 0, 3))
     two = grid.gather_shift(arr, (0, 0, 5))
     assert np.array_equal(one, two)
+
+
+def _stencil_offsets(model, grid, reach_multiplier):
+    phi = constant_observable(0.0)
+    kern = build_kernel(grid, model, phi, 1.0, 0.0, grid.spacings[2],
+                        reach_multiplier)
+    tots = kern._total_offsets()
+    return np.concatenate([tots, -tots])  # forward and reverse sweeps
+
+
+@pytest.mark.parametrize("reach_multiplier", [2.0, 3.0])
+def test_halo_windows_match_oracle_on_kernel_stencils(model, medium_grid,
+                                                      reach_multiplier):
+    offs = _stencil_offsets(model, medium_grid, reach_multiplier)
+    arr = np.random.default_rng(9).random(medium_grid.shape)
+    halo = medium_grid.halo(offs)
+    padded = halo.pad(arr)
+    # The twist acts on the lattice linearly, so the base shift commutes with
+    # it: each offset's oracle is the pure s-shift oracle rolled on the base.
+    by_dk = {dk: oracle_gather(medium_grid, arr, (0, 0, dk))
+             for dk in np.unique(offs[:, 2])}
+    for di, dj, dk in offs:
+        want = np.roll(by_dk[dk], (di, dj), axis=(0, 1))
+        assert np.array_equal(padded[halo.window((di, dj, dk))], want)
+    rng = np.random.default_rng(10)
+    for off in offs[rng.choice(len(offs), 12, replace=False)]:
+        assert np.array_equal(padded[halo.window(off)],
+                              oracle_gather(medium_grid, arr, off)), off
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+def test_halo_windows_across_several_roof_wraps(model, twisted):
+    ns = 4
+    grid = Grid((5, 5, ns), (1.0, 1.0, model.roof),
+                model.base_matrix if twisted else None)
+    offs = [(0, 0, 0), (1, -2, 2 * ns + 1), (-2, 0, -2 * ns), (0, 1, -3 * ns - 2),
+            (2, 2, 3 * ns)]
+    arr = np.random.default_rng(11).random(grid.shape)
+    halo = grid.halo(offs)
+    padded = halo.pad(arr)
+    for off in offs:
+        want = oracle_gather(grid, arr, off)
+        assert np.array_equal(padded[halo.window(off)], want), off
+        assert np.array_equal(grid.gather_shift(arr, off), want), off
+    with pytest.raises(ValueError):
+        halo.window((3, 0, 0))
 
 
 def test_nearest_index_roof_wrap(model, small_grid):

@@ -15,6 +15,9 @@ def test_build_kernel_guards(model, cobound, small_grid):
     with pytest.raises(ValueError):
         build_kernel(small_grid, model, phi, 1.0, 0.0,
                      small_grid.spacings[2], 1.5)
+    with pytest.raises(ValueError):
+        build_kernel(small_grid, model, phi, -1.0, 0.0,
+                     small_grid.spacings[2], 2.0)
 
 
 def _oracle_apply(kernel, u):
@@ -54,6 +57,92 @@ def test_apply_matches_entrywise_oracle(model, cobound):
     got = kern.apply(u)
     assert np.abs(got.values - _oracle_apply(kern, u)).max() < 1e-14
     assert got.offset == u.offset
+
+
+def _roll_gather(grid, arr, offset):
+    """Per-offset twisted gather by np.roll plus one base-index map per roof
+    crossing: the shift code sweeps used before the halo, kept as an oracle."""
+    di, dj, dk = (int(v) for v in offset)
+    n1, n2, ns = grid.shape
+    out = np.empty_like(arr)
+    R = np.roll(arr, (di, dj), axis=(0, 1))
+    ks = np.arange(ns) - dk
+    m_arr = ks // ns
+    k0 = ks - m_arr * ns
+    i = np.arange(n1)[:, None] - di
+    j = np.arange(n2)[None, :] - dj
+    for m in np.unique(m_arr):
+        sel = m_arr == m
+        if m == 0:
+            out[:, :, sel] = R[:, :, k0[sel]]
+        else:
+            M = grid._twist_pow(int(m))
+            I, J = np.broadcast_arrays(np.mod(M[0, 0] * i + M[0, 1] * j, n1),
+                                       np.mod(M[1, 0] * i + M[1, 1] * j, n2))
+            out[:, :, sel] = arr[I, J][:, :, k0[sel]]
+    return out
+
+
+def _loop_min(kernel, B, sign):
+    """Unpruned per-offset fold: min over offsets of shift(B) + c*dev."""
+    best = None
+    for tot, dev in zip(kernel._total_offsets(), kernel.devs):
+        cand = _roll_gather(kernel.grid, B, sign * tot)
+        if dev != 0.0:
+            cand += kernel.c * dev
+        best = cand if best is None else np.minimum(best, cand)
+    return best
+
+
+def _loop_apply(kernel, u):
+    hphi = kernel.h * (kernel.phi_nodes - kernel.phi_bar)
+    return _loop_min(kernel, u.values + hphi, 1)
+
+
+def _loop_apply_reverse(kernel, w):
+    hphi = kernel.h * (kernel.phi_nodes - kernel.phi_bar)
+    return _loop_min(kernel, w.values, -1) + hphi
+
+
+def _fields(kernel):
+    """Fields that prune to the flow step (random, zero, constant), keep part
+    of the stencil (wide: spread over half the largest c*dev) or all of it
+    (+inf entries)."""
+    shape = kernel.grid.shape
+    rng = np.random.default_rng(8)
+    delta = np.full(shape, np.inf)
+    delta[3, 5, 7] = 0.0
+    mixed = rng.normal(size=shape)
+    mixed[rng.random(shape) < 0.3] = np.inf
+    wide = rng.random(shape) * 0.5 * kernel.c * kernel.devs[-1]
+    return {"random": rng.random(shape), "zero": np.zeros(shape),
+            "constant": np.full(shape, 2.5), "wide": wide, "delta": delta,
+            "mixed": mixed}
+
+
+@pytest.mark.parametrize("reach_multiplier", [2.0, 3.0])
+def test_sweeps_match_per_offset_loop_bitwise(model, cobound, medium_grid,
+                                              reach_multiplier):
+    phi, _ = cobound
+    kern = build_kernel(medium_grid, model, phi, 4.0 * phi.lipschitz_constant,
+                        0.05, medium_grid.spacings[2], reach_multiplier)
+    for name, vals in _fields(kern).items():
+        u = GridFunction(medium_grid, vals, offset=0.25)
+        fwd, rev = kern.apply(u), kern.apply_reverse(u)
+        assert fwd.values.tobytes() == _loop_apply(kern, u).tobytes(), name
+        assert rev.values.tobytes() == _loop_apply_reverse(kern, u).tobytes(), \
+            name
+        assert fwd.offset == rev.offset == u.offset
+
+
+def test_sweeps_reject_nan(small_kernel):
+    vals = np.zeros(small_kernel.grid.shape)
+    vals[1, 2, 3] = np.nan
+    u = GridFunction(small_kernel.grid, vals)
+    with pytest.raises(ValueError, match="NaN"):
+        small_kernel.apply(u)
+    with pytest.raises(ValueError, match="NaN"):
+        small_kernel.apply_reverse(u)
 
 
 def test_additive_equivariance_is_bitwise(small_kernel):

@@ -93,6 +93,23 @@ def test_cover_gap_detected(model, cobound, medium_solution, cover):
         regularize_all(sol.u, cover[:10], phi, sol.phi_bar, precheck=False)
 
 
+def test_regularize_all_charts_each_box_once(model, cobound, medium_solution,
+                                             cover, monkeypatch):
+    phi, _ = cobound
+    sol, _ = medium_solution
+    calls = []
+    chart_window = RegularizerSpec.chart_window
+
+    def counted(spec, points):
+        calls.append(spec.index)
+        return chart_window(spec, points)
+
+    monkeypatch.setattr(RegularizerSpec, "chart_window", counted)
+    with pytest.raises(CoverGapError):
+        regularize_all(sol.u, cover[:10], phi, sol.phi_bar, precheck=False)
+    assert sorted(calls) == sorted(s.index for s in cover[:10])
+
+
 def test_precheck_rejects_non_subaction(model, cobound, medium_solution,
                                         cover):
     phi, _ = cobound
