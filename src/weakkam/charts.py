@@ -88,11 +88,12 @@ class FlowBox:
             t = dt - roof * (np.ceil(dt / roof) - 1.0)
         else:
             raise ValueError("branch must be 'nearest' or 'forward'")
-        q0 = self.model.flow_map(p, -t)
-        db = q0[..., :2] - self.center[:2]
-        db = db - np.round(db)
-        u = db @ self.frame_inv.T
-        return t, u
+        return t, self.transverse(p, t)
+
+    def transverse(self, p, t):
+        """Chart coordinate u of points p whose chart time is t."""
+        db = self.model.flow_map(p, -t)[..., :2] - self.center[:2]
+        return (db - np.round(db)) @ self.frame_inv.T
 
 
 @dataclass
@@ -284,21 +285,16 @@ def return_time(atlas: FlowBoxAtlas, x, y, q, t_hint=None, tol_factor=1e-12):
         t_hint = float(t_hint)
     span = 0.45 * atlas.model.roof
     ts = t_hint + np.linspace(-span, span, 41)
-    gaps = np.array([float(box_y.chart_inverse(atlas.model.flow_map(z, t))[0])
-                     for t in ts])
-    hit = None
+    gaps, _ = box_y.chart_inverse(atlas.model.flow_map(z, ts))
     for i in range(len(ts) - 1):
         if gaps[i] == 0.0:
-            hit = (ts[i], ts[i])
-            break
+            return ts[i]
         if gaps[i] * gaps[i + 1] < 0 and abs(gaps[i]) < tau / 2 \
                 and abs(gaps[i + 1]) < tau / 2:
-            hit = (ts[i], ts[i + 1])
             break
-    if hit is None:
+    else:
         raise NoIntersectionError("no section crossing near the hinted time")
-    a, b = hit
-    ga = float(box_y.chart_inverse(atlas.model.flow_map(z, a))[0])
+    a, b, ga = ts[i], ts[i + 1], gaps[i]
     while b - a > tol_factor * tau:
         mid = 0.5 * (a + b)
         gm = float(box_y.chart_inverse(atlas.model.flow_map(z, mid))[0])
@@ -369,15 +365,10 @@ def from_poincare(atlas: FlowBoxAtlas, x, y, strict=False, t_hint=None):
     def f(q):
         return poincare_map(atlas, x, y, q, strict=strict, t_hint=t_hint)
 
-    fd = 1e-7
-    f0 = f(np.zeros(2))
-    cols = []
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = fd
-        cols.append((f(e) - f(-e)) / (2 * fd))
-    A = np.column_stack(cols)
-    return LocalHyperbolicMap(f_map=f, linear_part=A, offset=f0, rho=atlas.rho)
+    hmap = LocalHyperbolicMap(f_map=f, linear_part=None,
+                              offset=f(np.zeros(2)), rho=atlas.rho)
+    hmap.linear_part = hmap.jacobian(np.zeros(2))
+    return hmap
 
 
 def affine_poincare(atlas: FlowBoxAtlas, x, y):

@@ -8,7 +8,10 @@ along the path and the L1 deviation of its velocity from the vector field:
 
 Paths are piecewise linear between time-stamped nodes; quadrature is
 composite midpoint per segment, so the action is exactly additive under
-concatenation.
+concatenation.  Every orbit leg and chart track of a path is one batched
+``flow_map`` call, the Birkhoff terms of a segment bound are signed
+``birkhoff_integral`` calls, and lifted points are wrapped back into the
+fundamental domain by ``model.flow_map(p, 0.0)``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import FlowBoxAtlas, poincare_map
-from .models import Observable, SuspensionFlow
+from .models import Observable, SuspensionFlow, birkhoff_integral
 
 
 class UncoveredStartError(RuntimeError):
@@ -59,7 +62,7 @@ class PathSample:
         dt = np.diff(self.times)
         delta = self.model.difference(self.points[1:], self.points[:-1])
         mids = self.points[:-1] + 0.5 * delta
-        mids = normalize_points(self.model, mids)
+        mids = self.model.flow_map(mids, 0.0)
         vel = delta / dt[:, None]
         return dt, mids, vel
 
@@ -69,7 +72,7 @@ class PathSample:
                         0, len(self.times) - 2))
         th = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
         delta = self.model.difference(self.points[k + 1], self.points[k])
-        return normalize_points(self.model, self.points[k] + th * delta)
+        return self.model.flow_map(self.points[k] + th * delta, 0.0)
 
     def restrict(self, t0, t1):
         """Sub-path on [t0, t1] with interpolated endpoints, re-based at 0."""
@@ -78,25 +81,6 @@ class PathSample:
         ps = np.vstack([self.point_at(t0)[None, :], self.points[inner],
                         self.point_at(t1)[None, :]])
         return PathSample(ts - t0, ps, self.model, self.max_step)
-
-
-def normalize_points(model: SuspensionFlow, p):
-    """Wrap lifted points into the fundamental domain (roof wrap twists base)."""
-    p = np.array(p, dtype=float)
-    shape = p.shape
-    q = p.reshape(-1, 3)
-    m = np.floor(q[:, 2] / model.roof).astype(np.int64)
-    for mv in np.unique(m):
-        if mv == 0:
-            continue
-        sel = m == mv
-        M = np.linalg.matrix_power(
-            model.base_matrix if mv > 0 else model.base_inverse,
-            abs(int(mv))).astype(float)
-        q[sel, :2] = q[sel, :2] @ M.T
-        q[sel, 2] -= mv * model.roof
-    q[:, :2] = np.mod(q[:, :2], 1.0)
-    return q.reshape(shape)
 
 
 def weighted_action(path: PathSample, phi: Observable, c, phi_bar):
@@ -156,20 +140,6 @@ def compute_constants(atlas: FlowBoxAtlas, phi: Observable, k_tilde):
                            diam_omega=diam, tau=tau, eps=eps, lip_phi=lp)
 
 
-def _signed_birkhoff(model, phi, phi_bar, start, t, step):
-    """int_0^t (phi - phi_bar) o f^s(start) ds, valid for either sign of t."""
-    if abs(t) < 1e-14:
-        return 0.0
-    n = max(1, int(np.ceil(abs(t) / step)))
-    h = t / n
-    p = model.flow_map(start, 0.5 * h)
-    total = float(np.asarray(phi(p), dtype=float)) - phi_bar
-    for _ in range(n - 1):
-        p = model.flow_map(p, h)
-        total += float(np.asarray(phi(p), dtype=float)) - phi_bar
-    return total * h
-
-
 @dataclass
 class SegmentClassification:
     kind: str  # pseudo | escaped | trapped
@@ -192,31 +162,17 @@ class SegmentClassification:
 
 
 def _track_chart_coords(box, path: PathSample):
-    """Unwrapped chart coordinates (t_k, u_k) of every path node."""
-    model = path.model
-    roof = model.roof
-    n = len(path.times)
-    ts = np.empty(n)
-    us = np.empty((n, 2))
-    t_prev = None
-    s_prev = None
-    for k in range(n):
-        p = path.points[k]
-        raw = p[2] - box.center[2]
-        if t_prev is None:
-            t = raw - roof * np.round(raw / roof)
-        else:
-            ds = p[2] - s_prev
-            ds -= roof * np.round(ds / roof)
-            t_expect = t_prev + ds
-            t = raw + roof * np.round((t_expect - raw) / roof)
-        q0 = model.flow_map(p, -t)
-        db = q0[:2] - box.center[:2]
-        db = db - np.round(db)
-        us[k] = db @ box.frame_inv.T
-        ts[k] = t
-        t_prev, s_prev = t, p[2]
-    return ts, us
+    """Unwrapped chart coordinates (t_k, u_k) of every path node: t_k follows
+    t_0 (the chart time nearest 0) by the wrapped s-steps of the path."""
+    roof = path.model.roof
+    s = path.points[:, 2]
+    raw = s - box.center[2]
+    ds = np.diff(s)
+    ds -= roof * np.round(ds / roof)
+    t0 = raw[0] - roof * np.round(raw[0] / roof)
+    expect = t0 + np.concatenate([[0.0], np.cumsum(ds)])
+    ts = raw + roof * np.round((expect - raw) / roof)
+    return ts, box.transverse(path.points, ts)
 
 
 def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
@@ -295,10 +251,10 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     # Return time from the section projection of z(0) to Sigma_y.
     zx = model.flow_map(z0, -r_x)
     t_ret = t_cross - path.times[0] - r_x + r_y  # exact for flat sections
-    phi_xy = _signed_birkhoff(model, phi, phi_bar, zx, t_ret, quad_step)
-    psi_x = _signed_birkhoff(model, phi, phi_bar, zx, r_x, quad_step)
     zy = model.flow_map(zT, -r_y)
-    psi_y = _signed_birkhoff(model, phi, phi_bar, zy, r_y, quad_step)
+    phi_xy, psi_x, psi_y = (
+        float(birkhoff_integral(model, phi, z, t, quad_step)) - phi_bar * t
+        for z, t in ((zx, t_ret), (zx, r_x), (zy, r_y)))
     fq = poincare_map(atlas, start_box, y_idx, q_x, strict=False,
                       t_hint=t_ret)
     rem_norm = float(np.abs(fq - q_y).max())
@@ -440,7 +396,7 @@ def _orbit_path(model, start, T, step, noise, rng, direction=1.0):
     pts = model.flow_map(np.asarray(start, dtype=float), direction * times)
     if noise > 0:
         pts = pts + noise * rng.standard_normal(pts.shape)
-        pts = normalize_points(model, pts)
+        pts = model.flow_map(pts, 0.0)
     return PathSample(times, pts, model, max_step=2 * step)
 
 
@@ -456,34 +412,33 @@ def _boundary_hugging_path(atlas, box, T, step, rng):
     u[:, 1 - side] = 1.9 * eps * np.sin(
         2 * np.pi * rng.random() + np.linspace(0, 2.5, n))
     tt = np.linspace(-eps, min(T - eps, atlas.tau * 0.95), n)
-    pts = np.array([box.chart_forward(tt[k], u[k]) for k in range(n)])
+    pts = box.chart_forward(tt, u)
     return PathSample(times, pts, model, max_step=2 * step)
+
+
+def _orbit_leg(model, p, t, leg, step, t_max=np.inf):
+    """(times, points) of the orbit of p over ``leg`` in equal steps <= step,
+    starting at path time t (excluded) and cut at the first time >= t_max."""
+    n = max(1, int(np.ceil(leg / step)))
+    dts = np.arange(1, n + 1) * (leg / n)
+    dts = dts[:np.searchsorted(t + dts, t_max) + 1]
+    return t + dts, model.flow_map(p, dts)
 
 
 def _splice_path(model, atlas, T, step, rng):
     """Concatenated orbit pieces with jumps <= eps/2 at the junctions."""
     eps = atlas.eps
-    times = [0.0]
     p = rng.random(3)
     p[2] *= model.roof
-    pts = [p.copy()]
-    t = 0.0
-    while t < T:
+    times, pts = [0.0], [p]
+    while times[-1] < T:
         leg = float(rng.uniform(0.5, 1.5) * atlas.tau)
-        n = max(1, int(np.ceil(leg / step)))
-        for k in range(n):
-            p = model.flow_map(p, leg / n)
-            t += leg / n
-            times.append(t)
-            pts.append(p.copy())
-            if t >= T:
-                break
+        ts, leg_pts = _orbit_leg(model, p, times[-1], leg, step, t_max=T)
         jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.5])
         # spread the jump over one step so the path stays continuous
-        p = normalize_points(model, p + jump)
-        t += step
-        times.append(t)
-        pts.append(p.copy())
+        p = model.flow_map(leg_pts[-1] + jump, 0.0)
+        times += [*ts, ts[-1] + step]
+        pts += [*leg_pts, p]
     return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
 
 
@@ -494,26 +449,17 @@ def _periodic_splice_path(model, atlas, rng, step):
     n_laps = int(rng.integers(2, 6))
     start = rng.random(3)
     start[2] *= model.roof * 0.5
-    times = [0.0]
-    pts = [start.copy()]
-    p = start.copy()
-    t = 0.0
+    times, pts = [0.0], [start]
+    p = start
     for lap in range(n_laps):
-        leg = model.roof
-        n = max(1, int(np.ceil(leg / step)))
-        for _ in range(n):
-            p = model.flow_map(p, leg / n)
-            t += leg / n
-            times.append(t)
-            pts.append(p.copy())
+        ts, leg_pts = _orbit_leg(model, p, times[-1], model.roof, step)
         if lap < n_laps - 1:
             jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.25])
-            p = normalize_points(model, p + jump)
+            p = model.flow_map(leg_pts[-1] + jump, 0.0)
         else:
-            p = start.copy()
-        t += step
-        times.append(t)
-        pts.append(p.copy())
+            p = start
+        times += [*ts, ts[-1] + step]
+        pts += [*leg_pts, p]
     return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
 
 

@@ -2,6 +2,9 @@
 
 Points live in R^3 with coordinates (x1, x2, s) on T^2 x [0, roof) and the
 gluing (x, roof) ~ (A x, 0); the flow is the unit translation in s.
+``SuspensionFlow.flow_map`` alone moves points along the flow and across the
+gluing (``flow_map(p, 0.0)`` is the roof wrap); ``birkhoff_integral`` is the
+signed, batched orbit quadrature built on it.
 """
 
 from __future__ import annotations
@@ -131,9 +134,15 @@ class SuspensionFlow:
         return b
 
     def flow_map(self, x, t):
-        """Time-t flow.  Exact up to rounding: translate s, apply A at crossings."""
+        """Time-t flow.  Exact up to rounding: translate s, apply A at crossings.
+
+        Broadcasts ``x`` (..., 3) against ``t``.  With t = 0 it is the roof
+        wrap: s goes into [0, roof) and the base through A^floor(s/roof) mod 1.
+        """
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x[..., 2]))):
+            raise ValueError("flow_map needs finite times and s coordinates")
         if np.any(np.abs(t) > self.max_horizon):
             raise HorizonError(f"|t| exceeds max horizon {self.max_horizon}")
         s_tot = x[..., 2] + t
@@ -291,19 +300,16 @@ def _base_orbit(A, pt):
 
 
 def birkhoff_integral(model, phi, x, t, quadrature_step):
-    """Composite-midpoint quadrature of phi along the orbit of x over [0, t].
+    """Composite-midpoint quadrature of int_0^t phi(f^s x) ds, for either sign
+    of t (negative t integrates backward; t = 0 gives 0).
 
-    ``x`` may be a single point or a batch (..., d+1); the orbit is advanced
-    incrementally so the step count is shared across the batch.
+    ``x`` may be a single point or a batch (..., d+1); all midpoint nodes of
+    every orbit are flowed in one ``flow_map`` call.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     x = np.asarray(x, dtype=float)
-    n = max(1, int(np.ceil(t / quadrature_step)))
+    n = max(1, int(np.ceil(abs(t) / quadrature_step)))
     h = t / n
-    p = model.flow_map(x, 0.5 * h)
-    total = np.asarray(phi(p), dtype=float).copy()
-    for _ in range(n - 1):
-        p = model.flow_map(p, h)
-        total += np.asarray(phi(p), dtype=float)
-    return total * h
+    nodes = model.flow_map(x[..., None, :], (np.arange(n) + 0.5) * h)
+    return np.sum(np.asarray(phi(nodes), dtype=float), axis=-1) * h

@@ -120,16 +120,12 @@ class RegularizerSpec:
         Each point has at most one section-time representative inside
         (-2 eps, tau + 2 eps) because the window is shorter than the roof.
         """
-        model = self.box.model
-        roof = model.roof
+        roof = self.box.model.roof
         p = np.asarray(points, dtype=float)
         t_lo = -2 * self.eps
         dt = p[..., 2] - self.box.center[2]
         t = dt - roof * np.floor((dt - t_lo) / roof)
-        q0 = model.flow_map(p, -t)
-        db = q0[..., :2] - self.box.center[:2]
-        db = db - np.round(db)
-        u = db @ self.box.frame_inv.T
+        u = self.box.transverse(p, t)
         inside = (t < self.tau + 2 * self.eps) \
             & (np.abs(u).max(axis=-1) < 3 * self.eps)
         return t, u, inside
@@ -390,7 +386,7 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
         times = np.linspace(0.0, T, n)
         start = rng.random(3)
         start[2] *= model.roof
-        ptsp = np.array([model.flow_map(start, t) for t in times])
+        ptsp = model.flow_map(start, times)
         noise = 10 ** rng.uniform(-4, -2)
         ptsp[:, :2] = np.mod(ptsp[:, :2] + noise * rng.standard_normal(
             (n, 2)), 1.0)

@@ -7,7 +7,7 @@ from weakkam import (PathSample, birkhoff_integral, check_factorization,
                      classify_segment, compute_constants, decompose_path,
                      factor_pseudo_orbit, generate_paths,
                      livsic_lower_bound_scan, weighted_action)
-from weakkam.livsic import normalize_points
+from weakkam import livsic
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def test_path_sample_validation(model):
 def test_normalize_points_roof_wrap(model):
     A = model.base_matrix.astype(float)
     p = np.array([0.2, 0.7, model.roof + 0.3])
-    q = normalize_points(model, p)
+    q = model.flow_map(p, 0.0)
     assert np.abs(q[:2] - np.mod(A @ p[:2], 1.0)).max() < 1e-12
     assert abs(q[2] - 0.3) < 1e-12
 
@@ -176,3 +176,158 @@ def test_periodic_splice_family_closes(model, atlas):
     paths = generate_paths(atlas, "periodic_splice", 4, seed=7)
     for path in paths:
         assert np.abs(path.points[-1] - path.points[0]).max() < 1e-12
+
+
+# Per-step oracles: the path builders as they were written before each leg
+# became one batched flow_map call (one call per node, time accumulated).
+
+
+def _oracle_normalize(model, p):
+    """Roof wrap done separately from flow_map: A^m on the base, s - m roof."""
+    q = np.array(p, dtype=float).reshape(-1, 3)
+    m = np.floor(q[:, 2] / model.roof).astype(np.int64)
+    for mv in np.unique(m):
+        if mv != 0:
+            sel = m == mv
+            M = np.linalg.matrix_power(
+                model.base_matrix if mv > 0 else model.base_inverse,
+                abs(int(mv))).astype(float)
+            q[sel, :2] = q[sel, :2] @ M.T
+            q[sel, 2] -= mv * model.roof
+    q[:, :2] = np.mod(q[:, :2], 1.0)
+    return q.reshape(np.shape(p))
+
+
+def _oracle_orbit_path(model, start, T, step, noise, rng, direction=1.0):
+    n = max(2, int(np.ceil(T / step)) + 1)
+    times = np.linspace(0.0, T, n)
+    pts = model.flow_map(np.asarray(start, dtype=float), direction * times)
+    if noise > 0:
+        pts = _oracle_normalize(
+            model, pts + noise * rng.standard_normal(pts.shape))
+    return PathSample(times, pts, model, max_step=2 * step)
+
+
+def _oracle_boundary_hugging_path(atlas, box, T, step, rng):
+    eps = atlas.eps
+    n = max(2, int(np.ceil(T / step)) + 1)
+    times = np.linspace(0.0, T, n)
+    u = np.empty((n, 2))
+    side = rng.integers(0, 2)
+    sgn = 1.0 if rng.random() < 0.5 else -1.0
+    u[:, side] = sgn * 1.9 * eps
+    u[:, 1 - side] = 1.9 * eps * np.sin(
+        2 * np.pi * rng.random() + np.linspace(0, 2.5, n))
+    tt = np.linspace(-eps, min(T - eps, atlas.tau * 0.95), n)
+    pts = np.array([box.chart_forward(tt[k], u[k]) for k in range(n)])
+    return PathSample(times, pts, atlas.model, max_step=2 * step)
+
+
+def _oracle_splice_path(model, atlas, T, step, rng):
+    eps = atlas.eps
+    times = [0.0]
+    p = rng.random(3)
+    p[2] *= model.roof
+    pts = [p.copy()]
+    t = 0.0
+    while t < T:
+        leg = float(rng.uniform(0.5, 1.5) * atlas.tau)
+        n = max(1, int(np.ceil(leg / step)))
+        for _ in range(n):
+            p = model.flow_map(p, leg / n)
+            t += leg / n
+            times.append(t)
+            pts.append(p.copy())
+            if t >= T:
+                break
+        jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.5])
+        p = _oracle_normalize(model, p + jump)
+        t += step
+        times.append(t)
+        pts.append(p.copy())
+    return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
+
+
+def _oracle_periodic_splice_path(model, atlas, rng, step):
+    eps = atlas.eps
+    n_laps = int(rng.integers(2, 6))
+    start = rng.random(3)
+    start[2] *= model.roof * 0.5
+    times = [0.0]
+    pts = [start.copy()]
+    p = start.copy()
+    t = 0.0
+    for lap in range(n_laps):
+        n = max(1, int(np.ceil(model.roof / step)))
+        for _ in range(n):
+            p = model.flow_map(p, model.roof / n)
+            t += model.roof / n
+            times.append(t)
+            pts.append(p.copy())
+        if lap < n_laps - 1:
+            jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.25])
+            p = _oracle_normalize(model, p + jump)
+        else:
+            p = start.copy()
+        t += step
+        times.append(t)
+        pts.append(p.copy())
+    return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
+
+
+def _oracle_track_chart_coords(box, path):
+    model = path.model
+    roof = model.roof
+    n = len(path.times)
+    ts = np.empty(n)
+    us = np.empty((n, 2))
+    t_prev = s_prev = None
+    for k in range(n):
+        p = path.points[k]
+        raw = p[2] - box.center[2]
+        if t_prev is None:
+            t = raw - roof * np.round(raw / roof)
+        else:
+            ds = p[2] - s_prev
+            ds -= roof * np.round(ds / roof)
+            t = raw + roof * np.round((t_prev + ds - raw) / roof)
+        db = model.flow_map(p, -t)[:2] - box.center[:2]
+        us[k] = (db - np.round(db)) @ box.frame_inv.T
+        ts[k] = t
+        t_prev, s_prev = t, p[2]
+    return ts, us
+
+
+FAMILIES = ("flow_following", "anti_flow", "boundary_hugging",
+            "pseudo_splice", "periodic_splice")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batched_path_builders_match_per_step_oracle(model, atlas, family,
+                                                     monkeypatch):
+    for seed in range(5):
+        new = generate_paths(atlas, family, 20, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(livsic, "_orbit_path", _oracle_orbit_path)
+            m.setattr(livsic, "_boundary_hugging_path",
+                      _oracle_boundary_hugging_path)
+            m.setattr(livsic, "_splice_path", _oracle_splice_path)
+            m.setattr(livsic, "_periodic_splice_path",
+                      _oracle_periodic_splice_path)
+            old = generate_paths(atlas, family, 20, seed=seed)
+        for a, b in zip(new, old, strict=True):
+            assert len(a.times) == len(b.times), (family, seed)
+            assert np.abs(a.times - b.times).max() < 1e-12
+            assert model.distance(a.points, b.points).max() < 1e-12
+
+
+def test_track_chart_coords_matches_per_node_loop(model, atlas):
+    rng = np.random.default_rng(11)
+    for family in FAMILIES:
+        for path in generate_paths(atlas, family, 4, seed=3):
+            for i in rng.integers(0, len(atlas.boxes), 3):
+                box = atlas.boxes[i]
+                ts, us = livsic._track_chart_coords(box, path)
+                ts0, us0 = _oracle_track_chart_coords(box, path)
+                assert np.abs(ts - ts0).max() < 1e-12
+                assert np.abs(us - us0).max() < 1e-12

@@ -127,6 +127,34 @@ def test_birkhoff_constant(model):
     assert abs(val - 2.5 * 1.7) < 1e-12
 
 
+def test_birkhoff_is_signed(model, cobound):
+    phi, _ = cobound
+    rng = np.random.default_rng(4)
+    x = rng.random((6, 3))
+    for t in (0.37, 1.7, 5.25):
+        back = birkhoff_integral(model, phi, x, -t, 0.01)
+        fwd = birkhoff_integral(model, phi, model.flow_map(x, -t), t, 0.01)
+        assert np.abs(back + fwd).max() < 1e-12
+    assert np.all(birkhoff_integral(model, phi, x, 0.0, 0.01) == 0.0)
+
+
+def test_non_finite_input_raises(model, cobound):
+    phi, _ = cobound
+    p = np.array([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError):
+        model.flow_map(p, np.nan)
+    for s in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            model.flow_map(np.array([0.1, 0.2, s]), 0.5)
+        with pytest.raises(ValueError):
+            birkhoff_integral(model, phi, np.array([0.1, 0.2, s]), 1.0, 0.1)
+    with pytest.raises(ValueError):
+        model.flow_map(np.tile(p, (4, 1)), np.array([0.1, 0.2, np.nan, 0.4]))
+    for t in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            birkhoff_integral(model, phi, p, t, 0.1)
+
+
 def test_birkhoff_coboundary_telescopes(model, cobound):
     phi, pot = cobound
     rng = np.random.default_rng(5)
