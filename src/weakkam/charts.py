@@ -92,7 +92,12 @@ class FlowBox:
 
     def transverse(self, p, t):
         """Chart coordinate u of points p whose chart time is t."""
-        db = self.model.flow_map(p, -t)[..., :2] - self.center[:2]
+        return self.section_u(self.model.flow_map(p, -t))
+
+    def section_u(self, x):
+        """Chart coordinate u of points x already flowed back to the section
+        (``transverse`` after its flow step)."""
+        db = x[..., :2] - self.center[:2]
         return (db - np.round(db)) @ self.frame_inv.T
 
 
@@ -289,8 +294,11 @@ def return_time(atlas: FlowBoxAtlas, x, y, q, t_hint=None, tol_factor=1e-12):
     for i in range(len(ts) - 1):
         if gaps[i] == 0.0:
             return ts[i]
+        # The nearest-branch gap also changes sign where it wraps at
+        # +-roof/2; only a true crossing moves it by less than roof/2.
         if gaps[i] * gaps[i + 1] < 0 and abs(gaps[i]) < tau / 2 \
-                and abs(gaps[i + 1]) < tau / 2:
+                and abs(gaps[i + 1]) < tau / 2 \
+                and abs(gaps[i + 1] - gaps[i]) < atlas.model.roof / 2:
             break
     else:
         raise NoIntersectionError("no section crossing near the hinted time")

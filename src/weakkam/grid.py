@@ -328,19 +328,18 @@ class GridFunction:
         """Node values on the closed box: one more base row and column
         (periodic) and the roof plane (glued to layer 0 through A)."""
         halo = self.grid._halo(1, 0, self.grid.shape[2] + 1)
-        return halo.pad(self.values)[1:, 1:]
+        return np.take(self.values, halo.index[1:, 1:])
 
-    def interpolate(self, points):
-        """Multilinear interpolation; points are wrapped into the fundamental
-        domain first (roof wrap applies the base twist)."""
-        p = np.asarray(points, dtype=float)
-        x = p.reshape(-1, 3).copy()
+    def _cells(self, points, strides):
+        """Cell of each point after wrapping it into the fundamental domain
+        (the roof wrap applies the base twist): the flat index, under
+        ``strides``, of the cell's lower corner and the fractional offsets
+        along the three axes."""
+        x = points.reshape(-1, 3).copy()
         ns_len = self.grid.lengths[2]
         if self.grid.twist is not None:
             m = np.floor(x[:, 2] / ns_len).astype(np.int64)
-            for mv in np.unique(m):
-                if mv == 0:
-                    continue
+            for mv in np.unique(m[m != 0]):
                 M = self.grid._twist_pow(int(mv)).astype(float)
                 sel = m == mv
                 x[sel, :2] = x[sel, :2] @ M.T
@@ -348,23 +347,32 @@ class GridFunction:
         x[:, 0] = np.mod(x[:, 0], self.grid.lengths[0])
         x[:, 1] = np.mod(x[:, 1], self.grid.lengths[1])
         x[:, 2] = np.mod(x[:, 2], ns_len)
+        corner, frac = 0, []
+        for ax, stride in enumerate(strides):
+            v = x[:, ax] / self.grid.spacings[ax]
+            i0 = np.clip(np.floor(v).astype(np.int64), 0,
+                         self.grid.shape[ax] - 1)
+            frac.append(v - i0)
+            corner = corner + stride * i0
+        return corner, frac
+
+    def interpolate(self, points):
+        """Multilinear interpolation; points are wrapped into the fundamental
+        domain first (roof wrap applies the base twist)."""
+        p = np.asarray(points, dtype=float)
         pad = self._padded()
-        f = np.empty(x.shape[0])
-        t = np.empty((x.shape[0], 3))
-        idx = np.empty((x.shape[0], 3), dtype=np.int64)
-        for ax in range(3):
-            u = x[:, ax] / self.grid.spacings[ax]
-            i0 = np.floor(u).astype(np.int64)
-            i0 = np.clip(i0, 0, self.grid.shape[ax] - 1)
-            idx[:, ax] = i0
-            t[:, ax] = u - i0
-        i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-        ti, tj, tk = t[:, 0], t[:, 1], t[:, 2]
-        f = np.zeros(x.shape[0])
+        # Corner (a, b, c) of a cell is pad.flat[corner + a*s0 + b*s1 + c]:
+        # one flat index per point, one gather per corner.
+        s1 = pad.shape[2]
+        s0 = pad.shape[1] * s1
+        corner, (ti, tj, tk) = self._cells(p, (s0, s1, 1))
+        pad = pad.ravel()
+        f = np.zeros(corner.shape[0])
         for (a, wa) in ((0, 1 - ti), (1, ti)):
             for (b, wb) in ((0, 1 - tj), (1, tj)):
+                wab = wa * wb
                 for (c, wc) in ((0, 1 - tk), (1, tk)):
-                    f += wa * wb * wc * pad[i + a, j + b, k + c]
+                    f += wab * wc * np.take(pad, corner + (a * s0 + b * s1 + c))
         return (f + self.offset).reshape(p.shape[:-1])
 
     def __call__(self, points):

@@ -111,11 +111,16 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
 
     On a kernel built at reference value 0 the refined ``phi_bar`` is the
     ergodic value itself; the policy-iteration report is kept in ``howard``
-    (None when ``refine_eigenvalue`` is off).
+    (None when ``refine_eigenvalue`` is off).  A policy iteration that does
+    not converge raises NonConvergenceError instead of refining.
     """
     refinement, info = 0.0, None
     if refine_eigenvalue:
         g, _, info = kernel.solve_additive_eigenvalue()
+        if not info["converged"]:
+            raise NonConvergenceError(
+                f"Howard policy iteration stopped after {info['iterations']} "
+                "iterations without converging", history=[])
         refinement = float(np.min(g)) / kernel.h
         if refinement != 0.0:
             kernel = kernel.with_phi_bar(kernel.phi_bar + refinement)

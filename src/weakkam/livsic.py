@@ -250,7 +250,7 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     r_y = float(r_y_arr)
     # Return time from the section projection of z(0) to Sigma_y.
     zx = model.flow_map(z0, -r_x)
-    t_ret = t_cross - path.times[0] - r_x + r_y  # exact for flat sections
+    t_ret = r_x + (t_cross - path.times[0]) - r_y  # exact for flat sections
     zy = model.flow_map(zT, -r_y)
     phi_xy, psi_x, psi_y = (
         float(birkhoff_integral(model, phi, z, t, quad_step)) - phi_bar * t

@@ -17,6 +17,7 @@ Lipschitz integrated subaction into one with a Lipschitz flow derivative.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,12 +121,22 @@ class RegularizerSpec:
         Each point has at most one section-time representative inside
         (-2 eps, tau + 2 eps) because the window is shorter than the roof.
         """
-        roof = self.box.model.roof
         p = np.asarray(points, dtype=float)
+        t = self._chart_time(p)
+        return self._window(t, self.box.model.flow_map(p, -t))
+
+    def _chart_time(self, p):
+        """Section-time representative of p in [-2 eps, roof - 2 eps); it
+        depends on the box only through its section level."""
+        roof = self.box.model.roof
         t_lo = -2 * self.eps
         dt = p[..., 2] - self.box.center[2]
-        t = dt - roof * np.floor((dt - t_lo) / roof)
-        u = self.box.transverse(p, t)
+        return dt - roof * np.floor((dt - t_lo) / roof)
+
+    def _window(self, t, back):
+        """``chart_window`` from the chart times t of the points and the
+        points flowed back by t to the section."""
+        u = self.box.section_u(back)
         inside = (t < self.tau + 2 * self.eps) \
             & (np.abs(u).max(axis=-1) < 3 * self.eps)
         return t, u, inside
@@ -160,20 +171,54 @@ class SubactionCertificate:
         return self.lip_lie / self.lip_phi
 
 
-def _chart_tables(u, spec: RegularizerSpec, phi, phi_bar):
-    """Pull u and phi back to the box chart grid; returns (t_nodes, q_nodes,
-    u_table, phi_table) with axes (t, q1, q2)."""
-    t_nodes = np.linspace(-2 * spec.eps, spec.tau + 2 * spec.eps, spec.n_t)
-    q_nodes = np.linspace(-3 * spec.eps, 3 * spec.eps, spec.n_q)
-    T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
-    U = np.stack([Q1, Q2], axis=-1)
-    pts = spec.box.chart_forward(T, U)
-    ut = np.asarray(u(pts), dtype=float)
-    pht = np.asarray(phi(pts), dtype=float) - phi_bar
-    return t_nodes, q_nodes, ut, pht
+def _level_key(spec):
+    """Boxes with equal keys share their node chart times and chart tables."""
+    return (float(spec.box.center[2]), spec.eps, spec.tau, spec.n_t,
+            spec.n_q)
 
 
-def _corrected_table(spec, t_nodes, ut, pht):
+class _Level:
+    """Chart geometry shared by boxes of one ``_level_key``.
+
+    A node's chart time depends only on the section level, so the nodes are
+    flowed back to the section once and each box only reads its u off the
+    flowed base.  Every point of row t of a chart table crosses the roof the
+    same number n of times, and A^n(c + w) = A^n c + A^n w (mod 1), so box
+    c's table is the reference table (centre (0, 0, s)) moved by A^n c; one
+    ``flow_map`` of the level's centres gives every shift.  The shifted
+    table equals ``chart_forward`` up to the last bits of the base.
+    """
+
+    def __init__(self, specs, nodes):
+        first = specs[0]
+        model = first.box.model
+        self.t = first._chart_time(nodes)
+        self.back = model.flow_map(nodes, -self.t)
+        self.t_nodes = np.linspace(-2 * first.eps, first.tau + 2 * first.eps,
+                                   first.n_t)
+        self.q_nodes = np.linspace(-3 * first.eps, 3 * first.eps, first.n_q)
+        T, Q1, Q2 = np.meshgrid(self.t_nodes, self.q_nodes, self.q_nodes,
+                                indexing="ij")
+        ref = FlowBox(model, np.array([0.0, 0.0, first.box.center[2]]),
+                      first.tau)
+        self.table = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
+        centers = np.array([spec.box.center for spec in specs])
+        self.shifts = model.flow_map(centers[:, None, :],
+                                     self.t_nodes)[..., :2]
+
+    def window(self, spec):
+        """``spec.chart_window`` of the nodes."""
+        return spec._window(self.t, self.back)
+
+    def chart_points(self, k):
+        """Box k's chart table gamma(t, q) over (t_nodes, q_nodes, q_nodes)."""
+        pts = self.table.copy()
+        pts[..., :2] = np.mod(
+            pts[..., :2] + self.shifts[k][:, None, None, :], 1.0)
+        return pts
+
+
+def _corrected_table(dt, beta, ut, pht):
     """The corrected function w on the chart table.
 
     Backward differences of u and left-rectangle cumulative sums share the
@@ -181,8 +226,6 @@ def _corrected_table(spec, t_nodes, ut, pht):
     u's increments; that is what preserves the integrated-subaction
     inequality at the discrete level.
     """
-    dt = t_nodes[1] - t_nodes[0]
-    beta = spec.bumps.beta(t_nodes)
     du = np.empty_like(ut)
     du[1:] = (ut[1:] - ut[:-1]) / dt
     du[0] = du[1]
@@ -223,30 +266,37 @@ def check_integrated_subaction(u, model, phi, phi_bar, slack=None, n_orbits=64,
     return report
 
 
-def regularize_once(u: GridFunction, spec: RegularizerSpec, phi, phi_bar,
-                    check_precondition=True, window=None):
-    """One smoothing pass; output equals u exactly outside D''.
-
-    ``window`` is ``spec.chart_window`` of the grid nodes, if the caller
-    already has it."""
-    if check_precondition:
-        check_integrated_subaction(u, spec.box.model, phi, phi_bar)
-    t_nodes, q_nodes, ut, pht = _chart_tables(u, spec, phi, phi_bar)
-    wt = _corrected_table(spec, t_nodes, ut, pht)
-    grid = u.grid
-    if window is None:
-        window = spec.chart_window(grid.node_points().reshape(-1, 3))
+def _smooth_box(u, spec, level, k, window, phi, phi_bar):
+    """One smoothing pass over box k of ``level`` with node window
+    ``window``; output equals u exactly outside D''."""
     t, uu, inside = window
     idx = np.nonzero(inside)[0]
     if idx.size == 0:
         return u.copy()
+    pts = level.chart_points(k)
+    ut = np.asarray(u(pts), dtype=float)
+    # phi enters w only through beta * phi~: skip the rows where beta = 0.
+    beta = spec.bumps.beta(level.t_nodes)
+    rows = beta > 0
+    pht = np.zeros_like(ut)
+    pht[rows] = np.asarray(phi(pts[rows]), dtype=float) - phi_bar
+    wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0], beta, ut, pht)
     a = spec.bumps.alpha(uu[idx])
-    w_vals = _interp_table(t_nodes, q_nodes, wt, t[idx], uu[idx])
+    w_vals = _interp_table(level.t_nodes, level.q_nodes, wt, t[idx], uu[idx])
     flat = u.values.reshape(-1).copy()
     dense_here = flat[idx] + u.offset
     new_dense = (1.0 - a) * dense_here + a * w_vals
     flat[idx] = new_dense - u.offset
-    return GridFunction(grid, flat.reshape(grid.shape), u.offset)
+    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
+
+
+def regularize_once(u: GridFunction, spec: RegularizerSpec, phi, phi_bar,
+                    check_precondition=True):
+    """One smoothing pass; output equals u exactly outside D''."""
+    if check_precondition:
+        check_integrated_subaction(u, spec.box.model, phi, phi_bar)
+    level = _Level([spec], u.grid.node_points().reshape(-1, 3))
+    return _smooth_box(u, spec, level, 0, level.window(spec), phi, phi_bar)
 
 
 def default_cover(model: SuspensionFlow, eps=0.1, tau=0.4, n_base=8,
@@ -293,6 +343,9 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
     """
     grid = u0.grid
     model = cover[0].box.model
+    if not (np.all(np.isfinite(u0.values)) and np.isfinite(u0.offset)
+            and np.isfinite(phi_bar)):
+        raise ValueError("u0 and phi_bar must be finite")
     if precheck:
         check_integrated_subaction(u0, model, phi, phi_bar,
                                    slack=precheck_slack)
@@ -301,17 +354,24 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
         eps_min = min(s.eps for s in cover)
         tau_min = min(s.tau for s in cover)
         core_margin = min(grid.diagonal, eps_min / 2.0, tau_min / 4.0)
-    # Each box charts the nodes once; the pass and both core masks share it.
+    # One level's geometry is alive at a time; each box's node window serves
+    # its pass and both core masks.
     mask = np.zeros(nodes.shape[0], dtype=bool)
     uncovered_all = np.ones(nodes.shape[0], dtype=bool)
     u = u0
-    for spec in sorted(cover, key=lambda s: s.index):
-        window = spec.chart_window(nodes)
-        u = regularize_once(u, spec, phi, phi_bar, check_precondition=False,
-                            window=window)
-        t, uu, _ = window
-        mask |= spec.in_core(t, uu, margin=core_margin)
-        uncovered_all &= ~spec.in_core(t, uu, margin=0.0)
+    ordered = sorted(cover, key=lambda s: s.index)
+    for _, group in itertools.groupby(ordered, key=_level_key):
+        specs = list(group)
+        level = _Level(specs, nodes)
+        for k, spec in enumerate(specs):
+            window = level.window(spec)
+            u = _smooth_box(u, spec, level, k, window, phi, phi_bar)
+            # Both cores lie inside the window: price its nodes only.
+            t, uu, inside = window
+            t, uu = t[inside], uu[inside]
+            mask[inside] |= spec.in_core(t, uu, margin=core_margin)
+            uncovered_all[inside] &= ~spec.in_core(t, uu, margin=0.0)
+        del level
     if not mask.any():
         raise CoverGapError("no grid node lies in any core box",
                             witness=nodes[0])

@@ -75,6 +75,17 @@ def test_return_time_matches_level_offset(model, atlas):
     assert abs(t - model.roof) < 1e-9
 
 
+@pytest.mark.parametrize("hint", [0.8, 0.9, 0.932, 1.0, 1.1])
+def test_return_time_skips_the_branch_wrap(model, atlas, hint):
+    # tau = roof here, so the nearest-branch gap wraps at +-tau/2 inside the
+    # scanned bracket; the returned time must be a true crossing of Sigma_0
+    box = atlas.boxes[0]
+    q = np.zeros(2)
+    t = return_time(atlas, 0, 0, q, t_hint=hint)
+    gap, _ = box.chart_inverse(model.flow_map(box.chart_forward(0.0, q), t))
+    assert abs(float(gap)) <= 1e-9
+
+
 def test_forward_admissibility_of_chained_pair(atlas):
     assert check_forward_admissible(atlas, *_chained_pair(atlas))
 

@@ -142,6 +142,63 @@ def test_interpolation_respects_roof_gluing(model, small_grid):
     assert np.abs(u(at_roof) - u(at_zero)).max() < 1e-10
 
 
+def _oracle_interpolate(u, points):
+    """The three-index interpolation: wrap, then index the padded array by
+    (i + a, j + b, k + c) for each of the eight corners."""
+    grid = u.grid
+    p = np.asarray(points, dtype=float)
+    x = p.reshape(-1, 3).copy()
+    ns_len = grid.lengths[2]
+    if grid.twist is not None:
+        m = np.floor(x[:, 2] / ns_len).astype(np.int64)
+        for mv in np.unique(m):
+            if mv == 0:
+                continue
+            M = grid._twist_pow(int(mv)).astype(float)
+            sel = m == mv
+            x[sel, :2] = x[sel, :2] @ M.T
+            x[sel, 2] -= mv * ns_len
+    x[:, 0] = np.mod(x[:, 0], grid.lengths[0])
+    x[:, 1] = np.mod(x[:, 1], grid.lengths[1])
+    x[:, 2] = np.mod(x[:, 2], ns_len)
+    pad = grid._halo(1, 0, grid.shape[2] + 1).pad(u.values)[1:, 1:]
+    t = np.empty((x.shape[0], 3))
+    idx = np.empty((x.shape[0], 3), dtype=np.int64)
+    for ax in range(3):
+        v = x[:, ax] / grid.spacings[ax]
+        i0 = np.clip(np.floor(v).astype(np.int64), 0, grid.shape[ax] - 1)
+        idx[:, ax] = i0
+        t[:, ax] = v - i0
+    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
+    ti, tj, tk = t[:, 0], t[:, 1], t[:, 2]
+    f = np.zeros(x.shape[0])
+    for (a, wa) in ((0, 1 - ti), (1, ti)):
+        for (b, wb) in ((0, 1 - tj), (1, tj)):
+            for (c, wc) in ((0, 1 - tk), (1, tk)):
+                f += wa * wb * wc * pad[i + a, j + b, k + c]
+    return (f + u.offset).reshape(p.shape[:-1])
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+def test_interpolation_matches_three_index_oracle(model, twisted):
+    grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
+                model.base_matrix if twisted else None)
+    rng = np.random.default_rng(11)
+    u = GridFunction(grid, rng.standard_normal(grid.shape), offset=0.3)
+    pts = rng.uniform(-2.0, 3.0, (4000, 3))
+    # s below 0, at and beyond the roof, across several wraps
+    pts[:1000, 2] = rng.uniform(0.0, model.roof, 1000)
+    pts[1000:1500, 2] = rng.uniform(-3.5, 0.0, 500) * model.roof
+    pts[1500:2000, 2] = rng.uniform(1.0, 4.5, 500) * model.roof
+    pts[2000:2010, 2] = model.roof * np.arange(-5, 5)
+    pts[2010:2020, :2] = rng.random((10, 2))
+    got = u(pts.reshape(40, 100, 3))
+    assert got.shape == (40, 100)
+    assert np.array_equal(got.reshape(-1), _oracle_interpolate(u, pts))
+    # every s already in [0, roof): no roof wrap at all
+    assert np.array_equal(u(pts[:1000]), _oracle_interpolate(u, pts[:1000]))
+
+
 def test_offset_arithmetic_is_exact(small_grid):
     rng = np.random.default_rng(5)
     u = GridFunction(small_grid, rng.random(small_grid.shape))

@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
 
-from weakkam import (DriftError, GridFunction, build_kernel,
+from weakkam import (ActionKernel, DriftError, GridFunction,
+                     NonConvergenceError, build_kernel,
                      constant_observable, cross_validated_ergodic_value,
                      distance_squared_observable, ergodic_value,
                      verify_apriori, verify_integrated_subaction,
                      weak_kam_solve)
+
+
+def test_weak_kam_solve_rejects_unconverged_howard(small_kernel,
+                                                  monkeypatch):
+    solve = ActionKernel.solve_additive_eigenvalue
+
+    def stalled(self, *args, **kwargs):
+        g, bias, info = solve(self, *args, **kwargs)
+        return g, bias, dict(info, converged=False)
+
+    monkeypatch.setattr(ActionKernel, "solve_additive_eigenvalue", stalled)
+    with pytest.raises(NonConvergenceError):
+        weak_kam_solve(small_kernel, 1e-8)
 
 
 def test_ergodic_value_constant_orbits(model):

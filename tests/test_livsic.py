@@ -91,6 +91,21 @@ def test_classify_flow_following_is_pseudo(model, atlas, cobound, constants):
     assert 0.0 < seg.exit_time < path.duration
 
 
+@pytest.mark.parametrize("r_x", [0.1, 0.2])
+def test_classify_pseudo_bound_off_the_section(model, atlas, cobound,
+                                               constants, r_x):
+    # a flow-following path starting at chart time r_x: the Poincare block
+    # is exact, so its lower bound equals the action up to quadrature
+    phi, _ = cobound
+    start = atlas.boxes[0].center + np.array([0.01, 0.01, r_x])
+    path = _flow_path(model, start, 2.0, n=200)
+    seg = classify_segment(path, atlas, phi, constants, start_box=0)
+    assert seg.kind == "pseudo"
+    assert abs(seg.r_x - r_x) < 1e-12
+    assert abs(seg.bound_margin) <= 1e-6
+    assert seg.remainder == 0.0
+
+
 def test_classify_anti_flow_escapes(model, atlas, cobound, constants):
     phi, _ = cobound
     start = atlas.boxes[0].center + np.array([0.01, 0.01, 0.0])

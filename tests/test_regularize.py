@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from weakkam import (BumpPair, CoverGapError, GridFunction, NotSubactionError,
-                     RegularizerSpec, default_cover, regularize_all,
-                     regularize_once, verify_subaction)
+                     RegularizerSpec, SuspensionFlow, default_cover,
+                     lie_derivative_field, regularize_all, regularize_once,
+                     verify_subaction)
 from weakkam.charts import FlowBox
-from weakkam.regularize import check_integrated_subaction
+from weakkam.regularize import (_interp_table, _Level, _level_key,
+                                check_integrated_subaction)
 
 
 @pytest.fixture(scope="module")
@@ -93,21 +97,120 @@ def test_cover_gap_detected(model, cobound, medium_solution, cover):
         regularize_all(sol.u, cover[:10], phi, sol.phi_bar, precheck=False)
 
 
-def test_regularize_all_charts_each_box_once(model, cobound, medium_solution,
-                                             cover, monkeypatch):
+def _oracle_regularize_once(u, spec, phi, phi_bar, window):
+    """The per-box pass: the box charts its own table with ``chart_forward``
+    and prices phi on every row."""
+    t_nodes = np.linspace(-2 * spec.eps, spec.tau + 2 * spec.eps, spec.n_t)
+    q_nodes = np.linspace(-3 * spec.eps, 3 * spec.eps, spec.n_q)
+    T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
+    pts = spec.box.chart_forward(T, np.stack([Q1, Q2], axis=-1))
+    ut = np.asarray(u(pts), dtype=float)
+    pht = np.asarray(phi(pts), dtype=float) - phi_bar
+    dt = t_nodes[1] - t_nodes[0]
+    beta = spec.bumps.beta(t_nodes)
+    du = np.empty_like(ut)
+    du[1:] = (ut[1:] - ut[:-1]) / dt
+    du[0] = du[1]
+    I = dt * np.cumsum(beta[:, None, None] * (pht - du), axis=0)
+    B = dt * np.cumsum(beta)
+    wt = ut + I - B[:, None, None] * (I[-1] / B[-1])[None]
+    t, uu, inside = window
+    idx = np.nonzero(inside)[0]
+    a = spec.bumps.alpha(uu[idx])
+    w_vals = _interp_table(t_nodes, q_nodes, wt, t[idx], uu[idx])
+    flat = u.values.reshape(-1).copy()
+    flat[idx] = (1.0 - a) * (flat[idx] + u.offset) + a * w_vals - u.offset
+    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
+
+
+def _oracle_regularize_all(u0, cover, phi, phi_bar):
+    """The per-box loop: every box charts the nodes and its table itself.
+    Returns (u, region mask, node margin)."""
+    grid = u0.grid
+    nodes = grid.node_points().reshape(-1, 3)
+    core_margin = min(grid.diagonal, min(s.eps for s in cover) / 2.0,
+                      min(s.tau for s in cover) / 4.0)
+    mask = np.zeros(nodes.shape[0], dtype=bool)
+    u = u0
+    for spec in sorted(cover, key=lambda s: s.index):
+        window = spec.chart_window(nodes)
+        u = _oracle_regularize_once(u, spec, phi, phi_bar, window)
+        mask |= spec.in_core(window[0], window[1], margin=core_margin)
+    mask = mask.reshape(grid.shape)
+    lie = lie_derivative_field(u, cover[0].box.model,
+                               min(s.fd_step for s in cover))
+    phi_nodes = np.asarray(phi(nodes), dtype=float).reshape(grid.shape)
+    return u, mask, float((phi_nodes - phi_bar - lie)[mask].min())
+
+
+def test_regularize_all_matches_per_box_oracle(cobound, medium_solution,
+                                               cover, certificate):
+    phi, _ = cobound
+    sol, _ = medium_solution
+    u, mask, margin = _oracle_regularize_all(sol.u, cover, phi, sol.phi_bar)
+    assert np.abs(certificate.u.dense() - u.dense()).max() <= 1e-14
+    assert np.array_equal(certificate.region_mask, mask)
+    assert abs(certificate.margin - margin) <= 1e-14
+
+
+def test_level_geometry_matches_each_box(medium_grid, cover):
+    nodes = medium_grid.node_points().reshape(-1, 3)
+    levels = [list(g) for _, g in itertools.groupby(cover, key=_level_key)]
+    assert [len(specs) for specs in levels] == [64] * 4
+    for specs in levels:
+        level = _Level(specs, nodes)
+        T, Q1, Q2 = np.meshgrid(level.t_nodes, level.q_nodes, level.q_nodes,
+                                indexing="ij")
+        U = np.stack([Q1, Q2], axis=-1)
+        for k, spec in enumerate(specs):
+            # the translated table: equal s, base equal up to the last bits
+            got = level.chart_points(k)
+            want = spec.box.chart_forward(T, U)
+            db = got[..., :2] - want[..., :2]
+            assert np.abs(db - np.round(db)).max() <= 1e-15
+            assert np.array_equal(got[..., 2], want[..., 2])
+            # the node window is bitwise the box's own
+            for a, b in zip(level.window(spec), spec.chart_window(nodes)):
+                assert np.array_equal(a, b)
+
+
+def test_regularize_all_flows_once_per_level(cobound, medium_solution, cover,
+                                             monkeypatch):
     phi, _ = cobound
     sol, _ = medium_solution
     calls = []
-    chart_window = RegularizerSpec.chart_window
+    flow_map = SuspensionFlow.flow_map
 
-    def counted(spec, points):
-        calls.append(spec.index)
-        return chart_window(spec, points)
+    def counted(model, x, t):
+        calls.append(np.shape(x))
+        return flow_map(model, x, t)
 
-    monkeypatch.setattr(RegularizerSpec, "chart_window", counted)
+    monkeypatch.setattr(SuspensionFlow, "flow_map", counted)
+    # 70 boxes over two levels: per level, one node backflow, one reference
+    # table and one flow of all its centres
     with pytest.raises(CoverGapError):
-        regularize_all(sol.u, cover[:10], phi, sol.phi_bar, precheck=False)
-    assert sorted(calls) == sorted(s.index for s in cover[:10])
+        regularize_all(sol.u, cover[:70], phi, sol.phi_bar, precheck=False)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("bad", ["nan_u", "inf_u", "inf_offset",
+                                 "nan_phi_bar"])
+def test_regularize_all_rejects_non_finite_input(cobound, medium_solution,
+                                                 cover, bad):
+    phi, _ = cobound
+    sol, _ = medium_solution
+    values, offset, phi_bar = sol.u.values.copy(), sol.u.offset, sol.phi_bar
+    if bad == "nan_u":
+        values[3, 4, 5] = np.nan
+    elif bad == "inf_u":
+        values[0, 0, 0] = np.inf
+    elif bad == "inf_offset":
+        offset = -np.inf
+    else:
+        phi_bar = np.nan
+    with pytest.raises(ValueError):
+        regularize_all(GridFunction(sol.u.grid, values, offset), cover, phi,
+                       phi_bar)
 
 
 def test_precheck_rejects_non_subaction(model, cobound, medium_solution,
