@@ -132,7 +132,8 @@ def cmd_solve(cfg: RunConfig):
                "lipschitz": sol.lipschitz, "margin": cert.margin,
                "slack": cert.slack, "checks": checks,
                "n_orbits_enumerated": rep_orb["n_orbits"],
-               "howard_iterations": sol.howard["iterations"]}
+               "howard_iterations": sol.howard["iterations"],
+               "howard_offsets_folded": sum(sol.howard["offsets_folded"])}
     write_summary(out, summary)
     return EXIT_PASS if all(checks.values()) else EXIT_FAIL
 

@@ -21,6 +21,15 @@ and nothing is pruned.  Offsets of equal norm are folded together, the
 minimum of their windows first and C*dev added once, exact for the same
 reason.  NaN input raises ``ValueError``.
 
+Howard policy iteration gives the exact additive eigenvalue.  Its policy
+evaluation loops over peel rounds and cycles of the policy graph, never over
+nodes.  Its bias pass stops before the first norm group with
+lo + C*dev > max(best_w), lo = min(v + h*phi): every later candidate is +inf
+(gain-masked) or fl(x + C*dev) >= fl(lo + C*dev) > best_w(q), which the
+strict improvement rule never takes, and best_w only falls as groups are
+folded.  While some node has no candidate, max(best_w) = inf and nothing is
+cut.  Policies, gains and biases are those of the unpruned pass, bitwise.
+
 The observable is priced at the segment's earlier endpoint p.  This makes the
 one-step defect of the semigroup law second order in h (the two-step and
 one-step compositions share every term except a single phi difference along
@@ -166,44 +175,83 @@ class ActionKernel:
 
     # -- Howard policy iteration (exact additive eigenvalue) ---------------
 
-    def _policy_eval(self, succ, cost):
-        """Gains and biases of the policy's functional graph succ: q -> p."""
+    @staticmethod
+    def _policy_eval(succ, cost):
+        """Gains and biases of the policy's functional graph succ: q -> p.
+
+        Each cycle's anchor is the node where a walk from the lowest node of
+        its basin enters it.  The gain is the cycle's cost summed from the
+        anchor, over its length; v is 0 at the anchor, v[succ] = v - (cost
+        - g) around the cycle, and v = cost - g + v[succ] off it.  Tree nodes
+        are peeled in rounds of in-degree 0 and solved in reverse peel order;
+        list ranking orders each cycle from its anchor.  Python loops run
+        over rounds and cycles, never over nodes.  Every array is node-sized:
+        numpy keeps freed buffers under 1 KiB for reuse, and per-round index
+        lists left ~100 KiB of them behind.
+        """
         N = succ.size
-        g = np.empty(N)
-        v = np.empty(N)
-        state = np.zeros(N, dtype=np.int8)  # 0 new, 1 on stack, 2 done
-        order_pos = np.full(N, -1, dtype=np.int64)
-        for start in range(N):
-            if state[start] != 0:
-                continue
-            stack = []
-            node = start
-            while state[node] == 0:
-                state[node] = 1
-                order_pos[node] = len(stack)
-                stack.append(node)
-                node = succ[node]
-            if state[node] == 1:
-                # Found a new cycle: stack[order_pos[node]:] is the cycle.
-                cyc = stack[order_pos[node]:]
-                gain = float(cost[cyc].sum()) / len(cyc)
-                anchor = cyc[0]
-                g[np.array(cyc)] = gain
-                v[anchor] = 0.0
-                cur = anchor
-                for _ in range(1, len(cyc)):
-                    nxt = succ[cur]
-                    v[nxt] = v[cur] - (cost[cur] - gain)
-                    cur = nxt
-                state[np.array(cyc)] = 2
-            # Unwind the rest of the stack (tree part hanging off the cycle,
-            # or off a previously finished component).
-            for qq in reversed(stack):
-                if state[qq] == 2:
-                    continue
-                g[qq] = g[succ[qq]]
-                v[qq] = cost[qq] - g[qq] + v[succ[qq]]
-                state[qq] = 2
+        node = np.arange(N)
+        # Peel: round r takes the nodes left with no predecessor left (level
+        # r); the nodes never taken lie on cycles (level -1).
+        deg = np.bincount(succ, minlength=N).astype(float)
+        level = np.full(N, -1)
+        leaf = deg == 0
+        n_rounds = 0
+        while leaf.any():
+            level[leaf] = n_rounds
+            deg[leaf] = -1.0
+            deg -= np.bincount(succ, weights=leaf, minlength=N)
+            leaf = deg == 0
+            n_rounds += 1
+        on = level < 0
+        n_on = np.count_nonzero(on)
+        # Min pointer doubling labels each cycle by its lowest node.
+        lab, jump, span = node.copy(), succ, 1
+        while span < n_on:
+            np.minimum(lab, lab[jump], out=lab)
+            jump, span = jump[jump], 2 * span
+        # entry[q]: the first cycle node on the walk from q.
+        entry = np.where(on, node, succ)
+        for _ in range(n_rounds.bit_length()):
+            entry = entry[entry]
+        basin = lab[entry]
+        reps = np.flatnonzero(on & (lab == node)).tolist()
+        anchor = np.zeros(N, dtype=bool)
+        for r in reps:
+            anchor[entry[np.argmax(basin == r)]] = True
+        # List ranking: dist[q] = steps from cycle node q to its anchor.
+        ring = on & ~anchor
+        dist = ring.astype(np.int64)
+        jump, span = np.where(ring, succ, node), 1
+        while span < n_on:
+            dist += dist[jump]
+            jump, span = jump[jump], 2 * span
+        # Slots: each cycle from its anchor, by label, then the tree nodes.
+        size = np.bincount(lab, weights=on, minlength=N).astype(np.int64)
+        start = np.cumsum(size) - size
+        length = np.where(on, size[lab], 1)
+        slot = np.where(on, start[lab] + (length - dist) % length,
+                        n_on + np.cumsum(~on) - 1)
+        order = np.empty(N, dtype=np.int64)
+        order[slot] = node
+        cost_o = cost[order]
+        g_o = np.zeros(N)
+        v_o = np.zeros(N)
+        cycles = [(int(start[r]), int(size[r])) for r in reps]
+        for c0, k in cycles:
+            g_o[c0:c0 + k] = float(cost_o[c0:c0 + k].sum()) / k
+        # v - (cost - g) summed as v + -(cost - g): the same rounding,
+        # signed zeros included.
+        steps = np.zeros(N)
+        np.negative(cost_o[:-1] - g_o[:-1], out=steps[1:])
+        for c0, k in cycles:
+            steps[c0] = 0.0
+            np.cumsum(steps[c0:c0 + k], out=v_o[c0:c0 + k])
+        g = g_o[slot[entry]]
+        v = v_o[slot]
+        w = cost - g
+        for r in range(n_rounds - 1, -1, -1):
+            np.copyto(v, w + v[succ], where=level == r)
         return g, v
 
     def solve_additive_eigenvalue(self, max_iters=200, tol=1e-13):
@@ -211,14 +259,22 @@ class ActionKernel:
         graph, by multichain policy iteration.  Returns (gain array, bias
         GridFunction, info dict); for the strongly connected kernels built
         here the optimal gain is constant and equals min_cycle mean cost.
+        ``info["offsets_folded"]`` lists the windows each bias pass folded.
 
-        Both improvement passes fold the unpruned stencil through the
-        forward halo.  When the evaluated gain is exactly constant, every
-        shifted gain equals it, so the gain pass is skipped: nothing is
-        gain-improvable and every offset is gain-optimal."""
+        Both improvement passes fold the stencil through the forward halo.
+        When the evaluated gain is exactly constant, every shifted gain
+        equals it, so the gain pass is skipped: nothing is gain-improvable
+        and every offset is gain-optimal.  The bias pass stops before the
+        first norm group with lo + C*dev > max(best_w), lo = min(v + hphi):
+        each later candidate is +inf (gain-masked) or fl(x + C*dev) >=
+        fl(lo + C*dev) > best_w(q) >= fl(best_w(q) - tol*scale), so the
+        strict improvement rule takes none of them, and best_w only falls
+        as groups are folded.  While some node has no candidate yet,
+        max(best_w) = inf and nothing is cut."""
         grid = self.grid
         N = grid.n_nodes
-        halo, win = self._forward.halo, self._forward.windows
+        sweep = self._forward
+        halo, win, bounds = sweep.halo, sweep.windows, sweep.bounds
         tots = self._total_offsets()
         hphi = self._hphi
         cdevs = self.c * self.devs
@@ -226,6 +282,7 @@ class ActionKernel:
         policy = np.zeros(N, dtype=np.int64)  # start with flow-following (offset 0)
         # offset index 0 is the zero deviation (offsets are sorted by norm)
         scale = max(1.0, float(np.abs(hphi).max()))
+        folded = []
         for it in range(max_iters):
             succ = halo.sources(tots[policy])
             cost = hphi.reshape(-1)[succ] + cdevs[policy]
@@ -245,27 +302,41 @@ class ActionKernel:
                 improvable = best_g.ravel() < g - tol * scale
                 gain_cut = best_g + tol * scale
             best_w = np.full(grid.shape, np.inf)
+            thr = np.full(grid.shape, np.inf)  # best_w - tol*scale
             best_d = policy.reshape(grid.shape).copy()
             cand = np.empty(grid.shape)
-            # gather(v + hphi) prices cost + bias together
+            take = np.empty(grid.shape, dtype=bool)
+            # gather(v + hphi) prices cost + bias together; the halo holds
+            # every node, so its minimum is min(v + hphi).
             shifted_vb = halo.pad(v3 + hphi)
-            for d_idx, w in enumerate(win):
-                np.add(shifted_vb[w], cdevs[d_idx], out=cand)
-                if not flat_gain:
-                    np.copyto(cand, np.inf, where=~(shifted_g[w] <= gain_cut))
-                take = cand < best_w - tol * scale
-                np.copyto(best_w, cand, where=take)
-                best_d[take] = d_idx
+            lo = shifted_vb.min()
+            n_folded = self.n_offsets
+            for grp, cdev in enumerate(sweep.cdevs):
+                if lo + cdev > best_w.max():
+                    n_folded = bounds[grp]
+                    break
+                for d_idx in range(bounds[grp], bounds[grp + 1]):
+                    w = win[d_idx]
+                    np.add(shifted_vb[w], cdevs[d_idx], out=cand)
+                    if not flat_gain:
+                        np.copyto(cand, np.inf,
+                                  where=~(shifted_g[w] <= gain_cut))
+                    np.less(cand, thr, out=take)
+                    if np.count_nonzero(take):
+                        np.copyto(best_w, cand, where=take)
+                        np.copyto(best_d, d_idx, where=take)
+                        np.subtract(cand, tol * scale, out=thr, where=take)
+            folded.append(n_folded)
             best_w, best_d = best_w.ravel(), best_d.ravel()
             cur_w = cost + v[succ]  # equals g + v under the evaluation equations
             change = improvable | (best_w < cur_w - 10 * tol * scale)
-            if not change.any():
-                info = {"iterations": it + 1, "converged": True,
-                        "gain_spread": float(g.max() - g.min())}
-                return g, GridFunction(grid, v3), info
+            converged = not change.any()
+            if converged:
+                break
             policy = np.where(change, best_d, policy)
-        info = {"iterations": max_iters, "converged": False,
-                "gain_spread": float(g.max() - g.min())}
+        info = {"iterations": it + 1, "converged": converged,
+                "gain_spread": float(g.max() - g.min()),
+                "offsets_folded": folded}
         return g, GridFunction(grid, v3), info
 
 
@@ -295,6 +366,8 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
     if offsets.shape[0] == 0:
         raise KernelConnectivityError("empty kernel row: reach too small")
     phi_nodes = np.asarray(phi(grid.node_points()), dtype=float)
+    if not np.isfinite(phi_nodes).all():
+        raise ValueError("observable is not finite at every grid node")
     return ActionKernel(grid=grid, model=model, phi=phi, c=float(c),
                         phi_bar=float(phi_bar), h=float(h), reach=float(reach),
                         offsets=offsets, devs=devs, flow_steps=int(round(k)),

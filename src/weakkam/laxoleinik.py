@@ -41,6 +41,16 @@ class WeakKamSolution:
     howard: dict = None
 
 
+def _converged_howard(kernel):
+    """Howard's gains and report; NonConvergenceError if it did not converge."""
+    g, _, info = kernel.solve_additive_eigenvalue()
+    if not info["converged"]:
+        raise NonConvergenceError(
+            f"Howard policy iteration stopped after {info['iterations']} "
+            "iterations without converging", history=[])
+    return g, info
+
+
 def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
                   grid=None, h=None, c=None, reach_multiplier=2.0):
     """Ergodic minimizing value of phi by one of two estimators.
@@ -48,7 +58,8 @@ def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
     ``periodic_orbits``: minimum Birkhoff average over enumerated periodic
     orbits of the suspension.  ``minplus_drift``: per-unit-time additive
     eigenvalue of a min-plus kernel built with reference value 0 (the drift
-    rate of unnormalized Lax-Oleinik iterates).
+    rate of unnormalized Lax-Oleinik iterates); a policy iteration that does
+    not converge raises NonConvergenceError.
     Returns (value, report dict).
     """
     if method == "periodic_orbits":
@@ -74,7 +85,7 @@ def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
         if c is None:
             c = 4.0 * max(1.0, phi.lipschitz_constant)
         kern = build_kernel(grid, model, phi, c, 0.0, h, reach_multiplier)
-        g, bias, info = kern.solve_additive_eigenvalue()
+        g, info = _converged_howard(kern)
         value = float(np.min(g)) / kern.h
         return value, {"method": method, "howard": info, "h": kern.h,
                        "c": float(c), "gain_spread": info["gain_spread"]}
@@ -116,11 +127,7 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
     """
     refinement, info = 0.0, None
     if refine_eigenvalue:
-        g, _, info = kernel.solve_additive_eigenvalue()
-        if not info["converged"]:
-            raise NonConvergenceError(
-                f"Howard policy iteration stopped after {info['iterations']} "
-                "iterations without converging", history=[])
+        g, info = _converged_howard(kernel)
         refinement = float(np.min(g)) / kernel.h
         if refinement != 0.0:
             kernel = kernel.with_phi_bar(kernel.phi_bar + refinement)

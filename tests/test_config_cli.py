@@ -130,12 +130,14 @@ def test_cli_shadow(tmp_path):
 
 
 def test_cli_solve_small(tmp_path, monkeypatch):
-    calls = []
+    calls, folded = [], []
     howard = ActionKernel.solve_additive_eigenvalue
 
     def counted(self, *args, **kwargs):
         calls.append(self.phi_bar)
-        return howard(self, *args, **kwargs)
+        g, bias, info = howard(self, *args, **kwargs)
+        folded.extend(info["offsets_folded"])
+        return g, bias, info
 
     monkeypatch.setattr(ActionKernel, "solve_additive_eigenvalue", counted)
     out = str(tmp_path / "o")
@@ -143,6 +145,7 @@ def test_cli_solve_small(tmp_path, monkeypatch):
     assert calls == [0.0]  # one eigen-solve, on the reference-0 kernel
     summary = json.loads((Path(out) / "summary.json").read_text())
     assert all(summary["checks"].values())
+    assert summary["howard_offsets_folded"] == sum(folded) > 0
     for name in ("ergodic.csv", "solution.csv", "certificate.csv",
                  "constants.csv"):
         assert (Path(out) / name).exists()

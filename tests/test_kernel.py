@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from weakkam import (AlignmentError, Grid, GridFunction, build_kernel,
-                     constant_observable)
+from weakkam import (ActionKernel, AlignmentError, Grid, GridFunction,
+                     Observable, build_kernel, constant_observable,
+                     distance_squared_observable)
 
 
 def test_build_kernel_guards(model, cobound, small_grid):
@@ -227,6 +228,190 @@ def test_howard_matches_karp_oracle(small_kernel):
                                         + float(g.min()) / small_kernel.h)
     tv = shifted.apply(bias)
     assert np.abs(tv.dense() - bias.dense()).max() < 1e-12
+
+
+def _oracle_policy_eval(succ, cost):
+    """Node-by-node reference: a depth-first walk from each unvisited node in
+    index order; a walk that closes a cycle anchors it at the entry node."""
+    N = succ.size
+    g = np.empty(N)
+    v = np.empty(N)
+    state = np.zeros(N, dtype=np.int8)  # 0 new, 1 on stack, 2 done
+    order_pos = np.full(N, -1, dtype=np.int64)
+    for start in range(N):
+        if state[start] != 0:
+            continue
+        stack = []
+        node = start
+        while state[node] == 0:
+            state[node] = 1
+            order_pos[node] = len(stack)
+            stack.append(node)
+            node = succ[node]
+        if state[node] == 1:
+            cyc = stack[order_pos[node]:]
+            gain = float(cost[cyc].sum()) / len(cyc)
+            anchor = cyc[0]
+            g[np.array(cyc)] = gain
+            v[anchor] = 0.0
+            cur = anchor
+            for _ in range(1, len(cyc)):
+                nxt = succ[cur]
+                v[nxt] = v[cur] - (cost[cur] - gain)
+                cur = nxt
+            state[np.array(cyc)] = 2
+        for qq in reversed(stack):
+            if state[qq] == 2:
+                continue
+            g[qq] = g[succ[qq]]
+            v[qq] = cost[qq] - g[qq] + v[succ[qq]]
+            state[qq] = 2
+    return g, v
+
+
+def _relabel(succ, perm):
+    """The same functional graph with node i renamed perm[i]."""
+    out = np.empty_like(succ)
+    out[perm] = perm[succ]
+    return out
+
+
+def _functional_graphs(rng, N=600):
+    perm = rng.permutation(N)
+    chain = np.minimum(np.arange(N) + 1, N - 1)  # one tail into a self-loop
+    tails = np.arange(N) + 1
+    tails[[N // 3 - 1, N // 2, N - 1]] = 0, 5, 0  # a cycle of N/3, two tails
+    small = np.arange(N) + 1
+    small[np.arange(N) % 5 == 4] -= 5  # 120 cycles of 5
+    trees = np.concatenate([rng.permutation(N // 2), [
+        rng.integers(0, k) for k in range(N // 2, N)]])  # trees into cycles
+    loops = rng.integers(0, N, N)
+    loops[rng.random(N) < 0.2] = -1
+    loops[loops < 0] = np.flatnonzero(loops < 0)
+    return {"identity": np.arange(N),
+            "one_cycle": _relabel(np.roll(np.arange(N), -1), perm),
+            "permutation": perm,
+            "small_cycles": _relabel(small, perm),
+            "long_tail": chain,
+            "tails": _relabel(tails, perm),
+            "trees": _relabel(trees, perm),
+            "self_loops": loops,
+            "random": rng.integers(0, N, N)}
+
+
+@pytest.mark.parametrize("name", ["identity", "one_cycle", "permutation",
+                                  "small_cycles", "long_tail", "tails",
+                                  "trees", "self_loops", "random"])
+def test_policy_eval_matches_node_loop_bitwise(name):
+    rng = np.random.default_rng(11)
+    succ = _functional_graphs(rng)[name].astype(np.int64)
+    for cost in (rng.normal(size=succ.size),
+                 np.round(rng.normal(size=succ.size), 1),
+                 np.zeros(succ.size)):
+        g, v = ActionKernel._policy_eval(succ, cost)
+        g0, v0 = _oracle_policy_eval(succ, cost)
+        assert g.tobytes() == g0.tobytes(), name
+        assert v.tobytes() == v0.tobytes(), name
+
+
+def _oracle_howard(kernel, max_iters=200, tol=1e-13):
+    """Howard with node-by-node evaluation and an unpruned bias pass over
+    every window, kept as the reference for the fast passes.  It records,
+    per iteration, the first norm group whose lo + C*dev exceeds max(best_w)
+    as the count of windows the cutoff should fold."""
+    grid = kernel.grid
+    N = grid.n_nodes
+    halo, win = kernel._forward.halo, kernel._forward.windows
+    tots = kernel._total_offsets()
+    hphi = kernel._hphi
+    cdevs = kernel.c * kernel.devs
+    starts = set(kernel._forward.bounds[:-1])
+    policy = np.zeros(N, dtype=np.int64)
+    scale = max(1.0, float(np.abs(hphi).max()))
+    folded = []
+    for it in range(max_iters):
+        succ = halo.sources(tots[policy])
+        cost = hphi.reshape(-1)[succ] + cdevs[policy]
+        g, v = _oracle_policy_eval(succ, cost)
+        g3 = g.reshape(grid.shape)
+        v3 = v.reshape(grid.shape)
+        flat_gain = g.max() == g.min()
+        if flat_gain:
+            improvable = np.zeros(N, dtype=bool)
+        else:
+            shifted_g = halo.pad(g3)
+            best_g = shifted_g[win[0]].copy()
+            for w in win[1:]:
+                np.minimum(best_g, shifted_g[w], out=best_g)
+            improvable = best_g.ravel() < g - tol * scale
+            gain_cut = best_g + tol * scale
+        best_w = np.full(grid.shape, np.inf)
+        best_d = policy.reshape(grid.shape).copy()
+        cand = np.empty(grid.shape)
+        shifted_vb = halo.pad(v3 + hphi)
+        lo, n_folded = (v3 + hphi).min(), None
+        for d_idx, w in enumerate(win):
+            if (n_folded is None and d_idx in starts
+                    and lo + cdevs[d_idx] > best_w.max()):
+                n_folded = d_idx
+            np.add(shifted_vb[w], cdevs[d_idx], out=cand)
+            if not flat_gain:
+                np.copyto(cand, np.inf, where=~(shifted_g[w] <= gain_cut))
+            take = cand < best_w - tol * scale
+            np.copyto(best_w, cand, where=take)
+            best_d[take] = d_idx
+        folded.append(kernel.n_offsets if n_folded is None else n_folded)
+        best_w, best_d = best_w.ravel(), best_d.ravel()
+        cur_w = cost + v[succ]
+        change = improvable | (best_w < cur_w - 10 * tol * scale)
+        if not change.any():
+            return g, v3, {"iterations": it + 1, "converged": True,
+                           "gain_spread": float(g.max() - g.min()),
+                           "offsets_folded": folded}
+        policy = np.where(change, best_d, policy)
+    return g, v3, {"iterations": max_iters, "converged": False,
+                   "gain_spread": float(g.max() - g.min()),
+                   "offsets_folded": folded}
+
+
+@pytest.fixture(scope="module")
+def howard_kernels(model, small_grid, small_kernel):
+    """Non-flat gain (coboundary), flat gain over 24 iterations (dist2), and
+    C = 0 with phi = 0, where every lo + C*dev equals max(best_w)."""
+    def build(phi, c):
+        return build_kernel(small_grid, model, phi, c, 0.0,
+                            small_grid.spacings[2], 2.0)
+    return {"coboundary": small_kernel,
+            "dist2": build(distance_squared_observable(model), 4.0),
+            "constant_c0": build(constant_observable(0.0), 0.0)}
+
+
+@pytest.mark.parametrize("which", ["coboundary", "dist2", "constant_c0"])
+def test_howard_matches_loop_oracle_bitwise(which, howard_kernels):
+    kern = howard_kernels[which]
+    g, bias, info = kern.solve_additive_eigenvalue()
+    g0, v0, info0 = _oracle_howard(kern)
+    assert g.tobytes() == g0.tobytes()
+    assert bias.values.tobytes() == v0.tobytes()
+    assert info == info0
+    if which == "dist2":  # flat gain, many iterations: the cutoff prunes
+        assert info["gain_spread"] == 0.0 and info["iterations"] > 10
+        assert sum(info["offsets_folded"]) < (kern.n_offsets
+                                              * info["iterations"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_kernel_rejects_non_finite_phi(model, small_grid, bad):
+    dist2 = distance_squared_observable(model)
+
+    def ev(p):
+        return np.where(p[..., 0] < 0.25, bad, dist2(p))
+
+    phi = Observable(evaluate=ev, lipschitz_constant=dist2.lipschitz_constant,
+                     sup_bound=dist2.sup_bound)
+    with pytest.raises(ValueError, match="finite"):
+        build_kernel(small_grid, model, phi, 4.0, 0.0,
+                     small_grid.spacings[2], 2.0)
 
 
 def test_constant_observable_eigenvalue(model, small_grid):

@@ -22,6 +22,20 @@ def test_weak_kam_solve_rejects_unconverged_howard(small_kernel,
         weak_kam_solve(small_kernel, 1e-8)
 
 
+def test_ergodic_value_rejects_unconverged_howard(model, small_grid,
+                                                 monkeypatch):
+    solve = ActionKernel.solve_additive_eigenvalue
+
+    def stalled(self, *args, **kwargs):
+        g, bias, info = solve(self, *args, **kwargs)
+        return g, bias, dict(info, converged=False)
+
+    monkeypatch.setattr(ActionKernel, "solve_additive_eigenvalue", stalled)
+    with pytest.raises(NonConvergenceError):
+        ergodic_value(model, constant_observable(2.5), "minplus_drift",
+                      grid=small_grid, h=small_grid.spacings[2], c=3.0)
+
+
 def test_ergodic_value_constant_orbits(model):
     phi = constant_observable(2.5)
     v, rep = ergodic_value(model, phi, "periodic_orbits", max_period=3)
