@@ -51,11 +51,6 @@ class FlowBox:
         self.frame = self.model.eigen_frame
         self.frame_inv = self.model.eigen_frame_inv
 
-    def adapted_norm(self, v):
-        """Max-norm of chart vectors: scalars (t), pairs (u), or triples (t,u)."""
-        v = np.asarray(v, dtype=float)
-        return np.abs(v).max(axis=-1) if v.shape[-1:] != () else abs(v)
-
     def embed(self, u):
         """Base-fiber embedding iota: chart u -> base point (mod 1)."""
         u = np.asarray(u, dtype=float)
@@ -354,29 +349,22 @@ class LocalHyperbolicMap:
     linear_part: np.ndarray
     offset: np.ndarray  # f(0)
     rho: float
+    affine: bool = False  # f(q) = offset + linear_part q exactly
 
     def __call__(self, q):
         return self.f_map(np.asarray(q, dtype=float))
 
-    def jacobian(self, q, fd=1e-7):
-        q = np.asarray(q, dtype=float)
-        cols = []
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = fd
-            cols.append((self.f_map(q + e) - self.f_map(q - e)) / (2 * fd))
-        return np.column_stack(cols)
-
 
 def from_poincare(atlas: FlowBoxAtlas, x, y, strict=False, t_hint=None):
-    """LocalHyperbolicMap wrapping the (x, y) Poincare map."""
+    """The (x, y) Poincare map; its linear part is a central difference."""
     def f(q):
         return poincare_map(atlas, x, y, q, strict=strict, t_hint=t_hint)
 
-    hmap = LocalHyperbolicMap(f_map=f, linear_part=None,
-                              offset=f(np.zeros(2)), rho=atlas.rho)
-    hmap.linear_part = hmap.jacobian(np.zeros(2))
-    return hmap
+    z = np.zeros(2)
+    linear = np.column_stack([(f(z + e) - f(z - e)) / 2e-7
+                              for e in 1e-7 * np.eye(2)])
+    return LocalHyperbolicMap(f_map=f, linear_part=linear, offset=f(z),
+                              rho=atlas.rho)
 
 
 def affine_poincare(atlas: FlowBoxAtlas, x, y):
@@ -405,7 +393,7 @@ def affine_poincare(atlas: FlowBoxAtlas, x, y):
         return offset + np.asarray(q, dtype=float) @ linear.T
 
     return LocalHyperbolicMap(f_map=f, linear_part=linear, offset=offset,
-                              rho=atlas.rho)
+                              rho=atlas.rho, affine=True)
 
 
 @dataclass

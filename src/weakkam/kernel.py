@@ -262,13 +262,15 @@ class ActionKernel:
         ``info["offsets_folded"]`` lists the windows each bias pass folded.
 
         Both improvement passes fold the stencil through the forward halo.
-        When the evaluated gain is exactly constant, every shifted gain
-        equals it, so the gain pass is skipped: nothing is gain-improvable
-        and every offset is gain-optimal.  The bias pass stops before the
-        first norm group with lo + C*dev > max(best_w), lo = min(v + hphi):
-        each later candidate is +inf (gain-masked) or fl(x + C*dev) >=
-        fl(lo + C*dev) > best_w(q) >= fl(best_w(q) - tol*scale), so the
-        strict improvement rule takes none of them, and best_w only falls
+        With t = tol*scale, the gain pass is skipped when g.min() >=
+        fl(g.max() - t) and g.max() <= fl(g.min() + t): shifted gains and
+        best_g lie in [g.min(), g.max()], so by monotone rounding no node is
+        improvable, fl(g - t) <= fl(g.max() - t) <= best_g, and no offset is
+        masked, shifted_g <= fl(g.min() + t) <= fl(best_g + t).  The bias
+        pass stops before the first norm group with lo + C*dev > max(best_w),
+        lo = min(v + hphi): each later candidate is +inf (gain-masked) or
+        fl(x + C*dev) >= fl(lo + C*dev) > best_w(q) >= fl(best_w(q) - t), so
+        the strict improvement rule takes none of them, and best_w only falls
         as groups are folded.  While some node has no candidate yet,
         max(best_w) = inf and nothing is cut."""
         grid = self.grid
@@ -282,6 +284,7 @@ class ActionKernel:
         policy = np.zeros(N, dtype=np.int64)  # start with flow-following (offset 0)
         # offset index 0 is the zero deviation (offsets are sorted by norm)
         scale = max(1.0, float(np.abs(hphi).max()))
+        t = tol * scale
         folded = []
         for it in range(max_iters):
             succ = halo.sources(tots[policy])
@@ -291,7 +294,7 @@ class ActionKernel:
             v3 = v.reshape(grid.shape)
             # Phase 1: gain improvement; Phase 2: bias improvement among
             # gain-optimal offsets.
-            flat_gain = g.max() == g.min()
+            flat_gain = g.min() >= g.max() - t and g.max() <= g.min() + t
             if flat_gain:
                 improvable = np.zeros(N, dtype=bool)
             else:
@@ -299,10 +302,10 @@ class ActionKernel:
                 best_g = shifted_g[win[0]].copy()
                 for w in win[1:]:
                     np.minimum(best_g, shifted_g[w], out=best_g)
-                improvable = best_g.ravel() < g - tol * scale
-                gain_cut = best_g + tol * scale
+                improvable = best_g.ravel() < g - t
+                gain_cut = best_g + t
             best_w = np.full(grid.shape, np.inf)
-            thr = np.full(grid.shape, np.inf)  # best_w - tol*scale
+            thr = np.full(grid.shape, np.inf)  # best_w - t
             best_d = policy.reshape(grid.shape).copy()
             cand = np.empty(grid.shape)
             take = np.empty(grid.shape, dtype=bool)
@@ -325,7 +328,7 @@ class ActionKernel:
                     if np.count_nonzero(take):
                         np.copyto(best_w, cand, where=take)
                         np.copyto(best_d, d_idx, where=take)
-                        np.subtract(cand, tol * scale, out=thr, where=take)
+                        np.subtract(cand, t, out=thr, where=take)
             folded.append(n_folded)
             best_w, best_d = best_w.ravel(), best_d.ravel()
             cur_w = cost + v[succ]  # equals g + v under the evaluation equations

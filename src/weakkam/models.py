@@ -244,8 +244,8 @@ def periodic_orbits(model, max_period):
     seen = set()
     orbits = []
     for n in range(1, max_period + 1):
-        M = _int_mat_pow(A, n)
-        M = [[M[0][0] - 1, M[0][1]], [M[1][0], M[1][1] - 1]]
+        M = (np.linalg.matrix_power(np.array(A, dtype=object), n)
+             - np.eye(2, dtype=object)).tolist()  # exact integers
         det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
         if det == 0:
             continue
@@ -272,16 +272,6 @@ def periodic_orbits(model, max_period):
                                        per * model.roof))
     orbits.sort(key=lambda o: (o[1], o[0][0], o[0][1]))
     return orbits
-
-
-def _int_mat_pow(A, n):
-    M = [[1, 0], [0, 1]]
-    for _ in range(n):
-        M = [[M[0][0] * A[0][0] + M[0][1] * A[1][0],
-              M[0][0] * A[0][1] + M[0][1] * A[1][1]],
-             [M[1][0] * A[0][0] + M[1][1] * A[1][0],
-              M[1][0] * A[0][1] + M[1][1] * A[1][1]]]
-    return M
 
 
 def _base_orbit(A, pt):

@@ -1,16 +1,23 @@
 """Periodic shadowing through chains of local hyperbolic Poincare maps.
 
-Given a periodic pseudo-orbit (q_i) with q_{i+1} approximately f_i(q_i), a
-true periodic orbit (p_i) of the chain is found by Newton iteration on the
-cyclic system p_{i+1} - f_i(p_i) = 0, and the summed correction is certified
-against K * sum of the per-step errors.
+A true periodic orbit (p_i) near a periodic pseudo-orbit (q_i) solves
+f_i(p_i) = p_{i+1}, and the summed correction is certified against K * sum of
+the per-step errors.  Orbits sharing a box sequence are solved together: one
+einsum evaluates the system on their (m, n, 2) points and each Newton step is
+one solve with J = blockdiag(linear parts) - (cyclic shift), exact for
+:func:`~weakkam.charts.affine_poincare`; for a map that is not affine (called
+point by point) it makes a chord iteration, which no pipeline runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import block_diag
+
+from .charts import affine_poincare
 
 
 class ConstantsTooWeakError(ValueError):
@@ -27,6 +34,25 @@ class EscapeError(RuntimeError):
     pass
 
 
+def _chain_map(maps):
+    """(stacked linear parts, P (m, n, 2) -> f_i(p_i)) of a chain of maps."""
+    L = np.stack([m.linear_part for m in maps]).astype(float)
+    if not all(m.affine for m in maps):
+        return L, lambda P: np.array([[f(q) for f, q in zip(maps, r)]
+                                      for r in P])
+    off = np.stack([m.offset for m in maps]).astype(float)
+    return L, lambda P: off + np.einsum("nij,mnj->mni", L, P)
+
+
+def _ball_errors(Q, FQ, rho):
+    """{row: message} for orbits with a point or an image outside B(rho/2)."""
+    img = np.abs(FQ).max(axis=2) > rho / 2 + 1e-9
+    pts = np.abs(Q).max(axis=(1, 2)) > rho / 2 + 1e-12
+    return {j: "pseudo-orbit points must stay in B(rho/2)" if pts[j] else
+            f"image of point {np.argmax(img[j])} leaves B(rho/2)"
+            for j in np.flatnonzero(pts | img.any(axis=1))}
+
+
 @dataclass
 class DiscretePseudoOrbit:
     """Cyclic chain: q_i in box i, f_i maps box i coordinates to box i+1."""
@@ -40,26 +66,15 @@ class DiscretePseudoOrbit:
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be (N, 2)")
 
-    @property
-    def n(self):
-        return self.points.shape[0]
-
     def step_errors(self, maps):
-        errs = np.empty(self.n)
-        for i in range(self.n):
-            fq = maps[i](self.points[i])
-            errs[i] = np.abs(fq - self.points[(i + 1) % self.n]).max()
-        return errs
+        fq = _chain_map(maps)[1](self.points[None])[0]
+        return np.abs(fq - np.roll(self.points, -1, axis=0)).max(axis=1)
 
     def validate(self, maps):
-        if np.abs(self.points).max() > self.rho / 2 + 1e-12:
-            raise ValueError("pseudo-orbit points must stay in B(rho/2)")
-        for i in range(self.n):
-            fq = maps[i](self.points[i])
-            if np.abs(fq).max() > self.rho / 2 + 1e-9:
-                raise ValueError(
-                    f"image of point {i} leaves B(rho/2) "
-                    f"(norm {np.abs(fq).max():.3e})")
+        Q = self.points[None]
+        errors = _ball_errors(Q, _chain_map(maps)[1](Q), self.rho)
+        if errors:
+            raise ValueError(errors[0])
 
 
 @dataclass
@@ -82,33 +97,21 @@ def lattice_box_chains(atlas, max_len=50):
     up to ``max_len`` closes a periodic chain.  Returns a list of
     (box_index_cycle, period).
     """
-    model = atlas.model
-    A = model.base_matrix
-    level0 = [(i, box) for i, box in enumerate(atlas.boxes)
-              if abs(box.center[2]) < 1e-12]
+    A = atlas.model.base_matrix
+    level0 = [(i, b.center) for i, b in enumerate(atlas.boxes)
+              if abs(b.center[2]) < 1e-12]
     # The level-0 centers form an m x m integer lattice scaled by 1/m.
     m = int(round(np.sqrt(len(level0))))
-    centers = {}
-    for idx, box in level0:
-        key = (int(round(box.center[0] * m)) % m,
-               int(round(box.center[1] * m)) % m)
-        centers[key] = idx
-    chains = []
-    seen = set()
-    for start, idx in centers.items():
-        if idx in seen:
-            continue
+    centers = {(int(round(c[0] * m)) % m, int(round(c[1] * m)) % m): i
+               for i, c in level0}
+    chains, seen = [], set()
+    for cur in centers:
         cyc = []
-        cur = start
-        while True:
-            j = centers[cur]
-            cyc.append(j)
-            seen.add(j)
-            cur = ((A[0, 0] * cur[0] + A[0, 1] * cur[1]) % m,
-                   (A[1, 0] * cur[0] + A[1, 1] * cur[1]) % m)
-            if cur == start:
-                break
-        if len(cyc) <= max_len:
+        while centers[cur] not in seen:
+            seen.add(centers[cur])
+            cyc.append(centers[cur])
+            cur = tuple(int(v) for v in A @ cur % m)
+        if 0 < len(cyc) <= max_len:
             chains.append((cyc, len(cyc)))
     return chains
 
@@ -118,41 +121,41 @@ def pseudo_orbit_suite(atlas, n_orbits, seed=0, noise_range=(1e-6, 1e-2),
     """Randomized periodic pseudo-orbits through lattice box chains.
 
     Each pseudo-orbit is the exact periodic orbit of its affine Poincare chain
-    (the origin, since chain offsets vanish) plus uniform noise.  Returns a
-    list of per-orbit result dicts from :func:`shadow_periodic`.
-    """
-    from .charts import affine_poincare
-
+    (the origin, since chain offsets vanish) plus uniform noise.  All orbits
+    are drawn first, then shadowed one box sequence at a time.  Returns one
+    result dict per orbit, in draw order; ``chain`` numbers its box sequence.
+    Raises the error of the lowest-numbered failing orbit, naming it."""
     rng = np.random.default_rng(seed)
     chains = lattice_box_chains(atlas, max_len=max_len)
     if not chains:
         raise ValueError("atlas has no level-0 lattice chains")
-    map_cache = {}
-    results = []
-    for _ in range(n_orbits):
+    groups = {}
+    for k in range(n_orbits):
         cyc, period = chains[rng.integers(0, len(chains))]
         reps = int(rng.integers(1, max(2, max_len // period + 1)))
-        boxes = (cyc * reps)[: period * reps]
-        if len(boxes) < 2:
-            boxes = boxes * 2
-        maps = []
-        for i in range(len(boxes)):
-            key = (boxes[i], boxes[(i + 1) % len(boxes)])
-            if key not in map_cache:
-                map_cache[key] = affine_poincare(atlas, key[0], key[1])
-            maps.append(map_cache[key])
+        boxes = cyc * max(reps, 2 // period)  # at least two steps
         noise = 10 ** rng.uniform(np.log10(noise_range[0]),
                                   np.log10(noise_range[1]))
         pts = rng.uniform(-noise, noise, (len(boxes), 2))
-        orbit = DiscretePseudoOrbit(points=pts, box_indices=boxes,
-                                    rho=atlas.rho)
-        res = shadow_periodic(orbit, maps, tol=tol)
-        results.append({"length": len(boxes), "noise": float(noise),
-                        "distance_sum": res.distance_sum,
-                        "error_sum": res.error_sum, "k_gamma": res.k_gamma,
-                        "max_residual": float(res.residuals.max()),
-                        "newton_iterations": res.newton_iterations,
-                        "passed": res.passed})
+        groups.setdefault(tuple(boxes), []).append((k, float(noise), pts))
+    pair_map = lru_cache(None)(lambda x, y: affine_poincare(atlas, x, y))
+    results = [None] * n_orbits
+    for chain, (boxes, members) in enumerate(groups.items()):
+        maps = [pair_map(*key) for key in zip(boxes, boxes[1:] + boxes[:1])]
+        ids, noises, pts = zip(*members)
+        solved = _shadow_chain(np.stack(pts), maps, atlas.rho, tol)
+        for k, noise, res in zip(ids, noises, solved):
+            results[k] = res if isinstance(res, Exception) else {
+                "length": len(boxes), "noise": noise,
+                "distance_sum": res.distance_sum, "error_sum": res.error_sum,
+                "k_gamma": res.k_gamma,
+                "max_residual": float(res.residuals.max()),
+                "newton_iterations": res.newton_iterations,
+                "passed": res.passed, "chain": chain}
+    for k, res in enumerate(results):
+        if isinstance(res, Exception):
+            res.args = (f"orbit {k}: {res}",)
+            raise res
     return results
 
 
@@ -168,67 +171,85 @@ def estimate_k_gamma(sigma_u, sigma_s, eta=0.0):
 
 def k_gamma_from_maps(maps):
     """estimate_k_gamma from the certified bounds of a chain of maps."""
-    sigma_u = min(abs(float(m.linear_part[0, 0])) for m in maps)
-    sigma_s = max(abs(float(m.linear_part[1, 1])) for m in maps)
-    eta = max(max(abs(float(m.linear_part[0, 1])),
-                  abs(float(m.linear_part[1, 0]))) for m in maps)
-    return estimate_k_gamma(sigma_u, sigma_s, eta)
+    L = np.abs(np.stack([m.linear_part for m in maps]).astype(float))
+    return estimate_k_gamma(float(L[:, 0, 0].min()), float(L[:, 1, 1].max()),
+                            float(max(L[:, 0, 1].max(), L[:, 1, 0].max())))
 
 
 def shadow_periodic(orbit: DiscretePseudoOrbit, maps, tol=1e-10,
                     k_gamma=None, max_iters=25):
     """Newton solve of the cyclic system; certifies the summed-error bound.
 
-    The cyclic block-bidiagonal linearization is solved densely (the chains
-    here are short).  Raises on divergence or on escape from B(rho).
-    """
-    n = orbit.n
+    The one-orbit case of the chain solve: at most ``max_iters`` steps, the
+    residual checked after each; ``newton_iterations`` counts residual
+    evaluations.  Raises on divergence or on escape from B(rho)."""
+    res = _shadow_chain(orbit.points[None], maps, orbit.rho, tol, k_gamma,
+                        max_iters)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _shadow_chain(Q, maps, rho, tol, k_gamma=None, max_iters=25):
+    """Shadow the pseudo-orbits Q (m, n, 2) of one chain of maps together.
+
+    Returns, per orbit, its ShadowingResult or the error it raises alone:
+    points or images outside B(rho/2) (ValueError); five non-halving
+    residuals, a singular system or ``max_iters`` steps without convergence
+    (NewtonDivergenceError, with its residual history); an iterate outside
+    B(rho) (EscapeError).  A failed orbit leaves the active set."""
+    m, n, _ = Q.shape
     if len(maps) != n:
         raise ValueError("need one map per step")
-    orbit.validate(maps)
-    if k_gamma is None:
-        k_gamma = k_gamma_from_maps(maps)
-    p = orbit.points.copy()
-    history = []
-    stall = 0
-    it = 0
-    for it in range(max_iters):
-        F = np.empty((n, 2))
-        for i in range(n):
-            F[i] = maps[i](p[i]) - p[(i + 1) % n]
-        res = float(np.abs(F).max())
-        history.append(res)
-        if res < tol:
+    L, f = _chain_map(maps)
+    FQ = f(Q)
+    out = {j: ValueError(msg) for j, msg in _ball_errors(Q, FQ, rho).items()}
+    try:
+        k_gamma = float(k_gamma_from_maps(maps) if k_gamma is None
+                        else k_gamma)
+    except ConstantsTooWeakError as e:
+        return [out.get(j, e) for j in range(m)]
+    errs = np.abs(FQ - np.roll(Q, -1, axis=1)).max(axis=2).sum(axis=1)
+    J = block_diag(*L) - np.kron(np.roll(np.eye(n), 1, axis=1), np.eye(2))
+    P, resid, iters = Q.copy(), np.zeros((m, n)), np.zeros(m, dtype=int)
+    hist, stall = np.full((max_iters + 1, m), np.nan), np.zeros(m, dtype=int)
+    act = np.setdiff1d(np.arange(m), list(out))
+
+    def diverged(rows, msg):
+        out.update((j, NewtonDivergenceError(msg, hist[:it + 1, j].tolist()))
+                   for j in rows)
+
+    for it in range(max_iters + 1):
+        F = f(P[act]) - np.roll(P[act], -1, axis=1)
+        step_res = np.abs(F).max(axis=2)
+        res = step_res.max(axis=1)
+        hist[it, act] = res
+        done = res < tol
+        resid[act[done]], iters[act[done]] = step_res[done], it + 1
+        if it:
+            stall[act] = np.where(res > 0.5 * hist[it - 1, act],
+                                  stall[act] + 1, 0)
+        diverged(act[~done & (stall[act] >= 5)],
+                 "Newton residual stopped halving")
+        keep = ~done & (stall[act] < 5)
+        act, F = act[keep], F[keep]
+        if it == max_iters:
+            diverged(act, "max Newton iterations reached")
+        if it == max_iters or not act.size:
             break
-        if len(history) >= 2 and res > 0.5 * history[-2]:
-            stall += 1
-            if stall >= 5:
-                raise NewtonDivergenceError(
-                    "Newton residual stopped halving", history)
-        else:
-            stall = 0
-        J = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            Df = maps[i].jacobian(p[i])
-            J[2 * i:2 * i + 2, 2 * i:2 * i + 2] = Df
-            j = (i + 1) % n
-            J[2 * i:2 * i + 2, 2 * j:2 * j + 2] -= np.eye(2)
         try:
-            step = np.linalg.solve(J, -F.ravel())
+            step = np.linalg.solve(J, -F.reshape(act.size, 2 * n).T)
         except np.linalg.LinAlgError as e:
-            raise NewtonDivergenceError(f"singular linearization: {e}", history)
-        p = p + step.reshape(n, 2)
-        if np.abs(p).max() > orbit.rho:
-            raise EscapeError("Newton iterate escaped B(rho)")
-    else:
-        res = history[-1]
-        if res >= tol:
-            raise NewtonDivergenceError("max Newton iterations reached", history)
-    residuals = np.array([np.abs(maps[i](p[i]) - p[(i + 1) % n]).max()
-                          for i in range(n)])
-    dist = float(np.abs(orbit.points - p).max(axis=1).sum())
-    errs = float(orbit.step_errors(maps).sum())
-    return ShadowingResult(orbit=p, residuals=residuals, distance_sum=dist,
-                           error_sum=errs, k_gamma=float(k_gamma),
-                           passed=bool(dist <= k_gamma * errs + 1e-14),
-                           newton_iterations=it + 1)
+            diverged(act, f"singular linearization: {e}")
+            break
+        P[act] = P[act] + step.T.reshape(act.size, n, 2)
+        escaped = np.abs(P[act]).max(axis=(1, 2)) > rho
+        out.update((j, EscapeError("Newton iterate escaped B(rho)"))
+                   for j in act[escaped])
+        act = act[~escaped]
+    dist = np.abs(Q - P).max(axis=2).sum(axis=1)
+    return [out[j] if j in out else ShadowingResult(
+        orbit=P[j], residuals=resid[j], distance_sum=float(dist[j]),
+        error_sum=float(errs[j]), k_gamma=k_gamma,
+        passed=bool(dist[j] <= k_gamma * errs[j] + 1e-14),
+        newton_iterations=int(iters[j])) for j in range(m)]

@@ -127,6 +127,12 @@ def test_cli_shadow(tmp_path):
     assert main(["--output", out, "shadow", "--count", "10"]) == EXIT_PASS
     lines = (Path(out) / "shadowing.csv").read_text().strip().splitlines()
     assert len(lines) == 11
+    assert lines[0] == ("length,noise,distance_sum,error_sum,k_gamma,"
+                        "max_residual,newton_iterations,passed")
+    summary = json.loads((Path(out) / "summary.json").read_text())
+    assert summary["newton_iterations"] == sum(
+        int(line.split(",")[6]) for line in lines[1:])
+    assert 1 <= summary["chains"] <= 10
 
 
 def test_cli_solve_small(tmp_path, monkeypatch):

@@ -315,10 +315,11 @@ def test_policy_eval_matches_node_loop_bitwise(name):
 
 
 def _oracle_howard(kernel, max_iters=200, tol=1e-13):
-    """Howard with node-by-node evaluation and an unpruned bias pass over
-    every window, kept as the reference for the fast passes.  It records,
-    per iteration, the first norm group whose lo + C*dev exceeds max(best_w)
-    as the count of windows the cutoff should fold."""
+    """Howard with node-by-node evaluation, a gain pass on every iteration
+    and an unpruned bias pass over every window, kept as the reference for
+    the fast passes.  It records, per iteration, the first norm group whose
+    lo + C*dev exceeds max(best_w) as the count of windows the cutoff should
+    fold, and returns the successor array of every evaluated policy."""
     grid = kernel.grid
     N = grid.n_nodes
     halo, win = kernel._forward.halo, kernel._forward.windows
@@ -328,23 +329,20 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
     starts = set(kernel._forward.bounds[:-1])
     policy = np.zeros(N, dtype=np.int64)
     scale = max(1.0, float(np.abs(hphi).max()))
-    folded = []
+    folded, succs = [], []
     for it in range(max_iters):
         succ = halo.sources(tots[policy])
+        succs.append(succ)
         cost = hphi.reshape(-1)[succ] + cdevs[policy]
         g, v = _oracle_policy_eval(succ, cost)
         g3 = g.reshape(grid.shape)
         v3 = v.reshape(grid.shape)
-        flat_gain = g.max() == g.min()
-        if flat_gain:
-            improvable = np.zeros(N, dtype=bool)
-        else:
-            shifted_g = halo.pad(g3)
-            best_g = shifted_g[win[0]].copy()
-            for w in win[1:]:
-                np.minimum(best_g, shifted_g[w], out=best_g)
-            improvable = best_g.ravel() < g - tol * scale
-            gain_cut = best_g + tol * scale
+        shifted_g = halo.pad(g3)
+        best_g = shifted_g[win[0]].copy()
+        for w in win[1:]:
+            np.minimum(best_g, shifted_g[w], out=best_g)
+        improvable = best_g.ravel() < g - tol * scale
+        gain_cut = best_g + tol * scale
         best_w = np.full(grid.shape, np.inf)
         best_d = policy.reshape(grid.shape).copy()
         cand = np.empty(grid.shape)
@@ -355,8 +353,7 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
                     and lo + cdevs[d_idx] > best_w.max()):
                 n_folded = d_idx
             np.add(shifted_vb[w], cdevs[d_idx], out=cand)
-            if not flat_gain:
-                np.copyto(cand, np.inf, where=~(shifted_g[w] <= gain_cut))
+            np.copyto(cand, np.inf, where=~(shifted_g[w] <= gain_cut))
             take = cand < best_w - tol * scale
             np.copyto(best_w, cand, where=take)
             best_d[take] = d_idx
@@ -367,11 +364,11 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
         if not change.any():
             return g, v3, {"iterations": it + 1, "converged": True,
                            "gain_spread": float(g.max() - g.min()),
-                           "offsets_folded": folded}
+                           "offsets_folded": folded}, succs
         policy = np.where(change, best_d, policy)
     return g, v3, {"iterations": max_iters, "converged": False,
                    "gain_spread": float(g.max() - g.min()),
-                   "offsets_folded": folded}
+                   "offsets_folded": folded}, succs
 
 
 @pytest.fixture(scope="module")
@@ -386,11 +383,43 @@ def howard_kernels(model, small_grid, small_kernel):
             "constant_c0": build(constant_observable(0.0), 0.0)}
 
 
+@pytest.mark.parametrize("family", ["coboundary", "dist2"])
+def test_howard_gain_skip_is_exact(family, model, cobound, medium_grid,
+                                   monkeypatch):
+    """At 16x16x10 and C = 4 the coboundary gain spreads by ~4e-18, inside
+    tol*scale, so the gain pass is skipped although the gain is not exactly
+    flat; dist2's gain is flat.  Policies, gains and biases match the pass
+    that is never skipped, bit for bit."""
+    phi = cobound[0] if family == "coboundary" else \
+        distance_squared_observable(model)
+    kern = build_kernel(medium_grid, model, phi, 4.0, 0.0,
+                        medium_grid.spacings[2], 2.0)
+    succs = []
+    evaluate = ActionKernel._policy_eval
+
+    def recorded(succ, cost):
+        succs.append(succ.copy())
+        return evaluate(succ, cost)
+
+    monkeypatch.setattr(ActionKernel, "_policy_eval", staticmethod(recorded))
+    g, bias, info = kern.solve_additive_eigenvalue()
+    g0, v0, info0, succs0 = _oracle_howard(kern)
+    assert g.tobytes() == g0.tobytes()
+    assert bias.values.tobytes() == v0.tobytes()
+    assert info == info0
+    assert len(succs) == len(succs0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(succs, succs0))
+    scale = max(1.0, float(np.abs(kern._hphi).max()))
+    assert info["gain_spread"] <= 1e-13 * scale
+    if family == "coboundary":
+        assert info["gain_spread"] > 0.0
+
+
 @pytest.mark.parametrize("which", ["coboundary", "dist2", "constant_c0"])
 def test_howard_matches_loop_oracle_bitwise(which, howard_kernels):
     kern = howard_kernels[which]
     g, bias, info = kern.solve_additive_eigenvalue()
-    g0, v0, info0 = _oracle_howard(kern)
+    g0, v0, info0, _ = _oracle_howard(kern)
     assert g.tobytes() == g0.tobytes()
     assert bias.values.tobytes() == v0.tobytes()
     assert info == info0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam import (ConstantsTooWeakError, DiscretePseudoOrbit, EscapeError,
+                     LocalHyperbolicMap, NewtonDivergenceError,
                      affine_poincare, estimate_k_gamma, k_gamma_from_maps,
                      lattice_box_chains, pseudo_orbit_suite, shadow_periodic)
 
@@ -78,3 +79,158 @@ def test_suite_all_pass(atlas):
     assert all(r["passed"] for r in results)
     assert max(r["max_residual"] for r in results) < 1e-10
     assert {r["length"] for r in results} != {1}  # several chain lengths used
+
+
+def _draws(atlas, n_orbits, seed, noise_range=(1e-6, 1e-2), max_len=50):
+    """The suite's pseudo-orbits, (boxes, noise, points), in its rng order."""
+    rng = np.random.default_rng(seed)
+    chains = lattice_box_chains(atlas, max_len=max_len)
+    for _ in range(n_orbits):
+        cyc, period = chains[rng.integers(0, len(chains))]
+        reps = int(rng.integers(1, max(2, max_len // period + 1)))
+        boxes = (cyc * reps)[: period * reps]
+        if len(boxes) < 2:
+            boxes = boxes * 2
+        noise = 10 ** rng.uniform(np.log10(noise_range[0]),
+                                  np.log10(noise_range[1]))
+        yield boxes, float(noise), rng.uniform(-noise, noise, (len(boxes), 2))
+
+
+def _fd_jacobian(hmap, q, fd=1e-7):
+    cols = []
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = fd
+        cols.append((hmap(q + e) - hmap(q - e)) / (2 * fd))
+    return np.column_stack(cols)
+
+
+def _oracle_shadow(points, maps, rho, tol=1e-10, max_iters=25):
+    """Per-step, per-orbit Newton with finite-difference Jacobians: the
+    reference for the chain solver.  Returns the suite's result dict."""
+    n = len(points)
+    assert np.abs(points).max() <= rho / 2 + 1e-12
+    assert all(np.abs(maps[i](points[i])).max() <= rho / 2 + 1e-9
+               for i in range(n))
+    k_gamma = k_gamma_from_maps(maps)
+    p = points.copy()
+    for it in range(max_iters):
+        F = np.array([maps[i](p[i]) - p[(i + 1) % n] for i in range(n)])
+        if np.abs(F).max() < tol:
+            break
+        J = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            J[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _fd_jacobian(maps[i], p[i])
+            j = (i + 1) % n
+            J[2 * i:2 * i + 2, 2 * j:2 * j + 2] -= np.eye(2)
+        p = p + np.linalg.solve(J, -F.ravel()).reshape(n, 2)
+        assert np.abs(p).max() <= rho
+    else:
+        raise AssertionError("oracle did not converge")
+    residuals = np.array([np.abs(maps[i](p[i]) - p[(i + 1) % n]).max()
+                          for i in range(n)])
+    errs = np.array([np.abs(maps[i](points[i]) - points[(i + 1) % n]).max()
+                     for i in range(n)])
+    dist = float(np.abs(points - p).max(axis=1).sum())
+    return {"distance_sum": dist, "error_sum": float(errs.sum()),
+            "k_gamma": float(k_gamma), "max_residual": float(residuals.max()),
+            "newton_iterations": it + 1,
+            "passed": bool(dist <= k_gamma * float(errs.sum()) + 1e-14)}
+
+
+def test_suite_matches_finite_difference_oracle(atlas):
+    results = pseudo_orbit_suite(atlas, 200, seed=11)
+    maps = {}
+    for r, (boxes, noise, pts) in zip(results, _draws(atlas, 200, 11)):
+        chain = [maps.setdefault(key, affine_poincare(atlas, *key))
+                 for key in zip(boxes, boxes[1:] + boxes[:1])]
+        ref = _oracle_shadow(pts, chain, atlas.rho)
+        assert (r["length"], r["noise"]) == (len(boxes), noise)
+        for key in ("error_sum", "k_gamma", "newton_iterations", "passed"):
+            assert r[key] == ref[key], key
+        assert abs(r["distance_sum"] - ref["distance_sum"]) \
+            <= 1e-10 * ref["distance_sum"]
+        assert r["max_residual"] <= ref["max_residual"]
+    assert len({r["chain"] for r in results}) > 1
+
+
+def test_last_newton_step_is_checked(atlas):
+    """One exact step lands on the orbit, so max_iters=1 is enough."""
+    cyc, maps = _chain_maps(atlas)
+    pts = np.random.default_rng(1).uniform(-1e-3, 1e-3, (len(cyc), 2))
+    orbit = DiscretePseudoOrbit(points=pts, box_indices=cyc, rho=atlas.rho)
+    res = shadow_periodic(orbit, maps, max_iters=1)
+    assert res.passed and res.residuals.max() < 1e-15
+    assert res.newton_iterations == 2
+    with pytest.raises(NewtonDivergenceError, match="max Newton") as err:
+        shadow_periodic(orbit, maps, max_iters=0)
+    assert len(err.value.history) == 1
+
+
+def _hand_map(rho, linear, offset=(0.0, 0.0), true_linear=None):
+    """f(q) = offset + true_linear q, declaring ``linear`` as its linear
+    part; affine only when the two agree."""
+    true_linear = np.asarray(linear if true_linear is None else true_linear,
+                             dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    return LocalHyperbolicMap(
+        f_map=lambda q: offset + np.asarray(q, dtype=float) @ true_linear.T,
+        linear_part=np.asarray(linear, dtype=float), offset=offset, rho=rho,
+        affine=np.array_equal(true_linear, linear))
+
+
+# (map factory, error, message, k_gamma) for each failure path:
+#  escape: the orbit of q -> (1.2 q0 + 0.1, q1 / 2) is at q0 = -0.5;
+#  stall: the chord iteration with linear part 2 for a slope of 3 flips the
+#    mean error's sign without shrinking it;
+#  singular: the identity chain has a singular cyclic system;
+#  weak: an unstable rate of 1 gives no shadowing constant;
+#  outside: an offset of 0.2 puts every image outside B(rho/2).
+FAILURES = {
+    "escape": (lambda rho: _hand_map(rho, np.diag([1.2, 0.5]), (0.1, 0.0)),
+               EscapeError, "escaped", None),
+    "stall": (lambda rho: _hand_map(rho, np.diag([2.0, 0.5]),
+                                    true_linear=np.diag([3.0, 0.5])),
+              NewtonDivergenceError, "stopped halving", None),
+    "singular": (lambda rho: _hand_map(rho, np.eye(2)),
+                 NewtonDivergenceError, "singular", 1.0),
+    "weak": (lambda rho: _hand_map(rho, np.diag([1.0, 0.5])),
+             ConstantsTooWeakError, "too weak", None),
+    "outside": (lambda rho: _hand_map(rho, np.diag([2.0, 0.5]), (0.2, 0.0)),
+                ValueError, "image of point 0 leaves", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_shadow_periodic_failure_paths(case, atlas):
+    make, error, message, k_gamma = FAILURES[case]
+    pts = np.random.default_rng(2).uniform(-1e-2, 1e-2, (3, 2))
+    orbit = DiscretePseudoOrbit(points=pts, box_indices=[0, 1, 2],
+                                rho=atlas.rho)
+    with pytest.raises(error, match=message) as err:
+        shadow_periodic(orbit, [make(atlas.rho)] * 3, k_gamma=k_gamma)
+    if case == "stall":  # five residuals in a row above half the last
+        hist = err.value.history
+        assert all(b > 0.5 * a for a, b in zip(hist[-6:], hist[-5:]))
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_suite_error_names_the_first_failing_orbit(case, atlas, monkeypatch):
+    import weakkam.shadowing
+
+    make, error, message, k_gamma = FAILURES[case]
+    bad_chain = max(lattice_box_chains(atlas), key=lambda c: c[1])[0]
+    real = weakkam.shadowing.affine_poincare
+
+    def patched(atlas, x, y):
+        return make(atlas.rho) if x in bad_chain else real(atlas, x, y)
+
+    monkeypatch.setattr(weakkam.shadowing, "affine_poincare", patched)
+    if k_gamma is not None:
+        monkeypatch.setattr(weakkam.shadowing, "k_gamma_from_maps",
+                            lambda maps: k_gamma)
+    first = next(k for k, (boxes, _, _) in enumerate(_draws(atlas, 60, 4))
+                 if boxes[0] in bad_chain)
+    assert first > 0
+    with pytest.raises(error, match=f"^orbit {first}: .*{message}"):
+        pseudo_orbit_suite(atlas, 60, seed=4)
