@@ -57,15 +57,17 @@ class FlowBox:
         b = self.center[:2] + u @ self.frame.T
         return np.mod(b, 1.0)
 
+    def section_point(self, u):
+        """The embedded section point of chart coordinate u (t = 0)."""
+        b = self.embed(u)
+        out = np.empty(b.shape[:-1] + (3,))
+        out[..., :2] = b
+        out[..., 2] = self.center[2]
+        return out
+
     def chart_forward(self, t, u):
         """gamma(t, u) = f^t of the embedded section point."""
-        u = np.asarray(u, dtype=float)
-        t = np.asarray(t, dtype=float)
-        b = self.embed(u)
-        start = np.empty(np.broadcast_shapes(b[..., 0].shape, t.shape) + (3,))
-        start[..., :2] = b
-        start[..., 2] = self.center[2]
-        return self.model.flow_map(start, t)
+        return self.model.flow_map(self.section_point(u), t)
 
     def chart_inverse(self, p, branch="nearest"):
         """Chart coordinates (t, u) of p.

@@ -58,8 +58,10 @@ class Halo:
     shape: tuple
 
     def pad(self, arr):
-        """The halo of ``arr`` (one gather of the grid-shaped array)."""
-        return np.take(arr, self.index)
+        """The halo of ``arr`` (one gather of the grid-shaped array).  Axes
+        after the first three are batch axes, carried along: a stack of
+        fields is padded at once and every window slices all of it."""
+        return np.take(arr.reshape((-1,) + arr.shape[3:]), self.index, axis=0)
 
     def sources(self, offsets):
         """Flat node read by each node (flat order) under its own offset row."""
@@ -221,33 +223,37 @@ class Grid:
         return np.array([o * h for o, h in zip(offset, self.spacings)])
 
     def neighbor_graph(self, radius=1):
-        """Symmetric sparse graph over nodes with primitive-offset edges."""
+        """Sparse graph over nodes, built straight into CSR: row q holds the
+        node reached from q by each primitive offset, weighted by its norm.
+        Offsets that reach one node (small grids wrap) stay parallel edges,
+        of which Dijkstra takes the minimum; nothing is summed."""
         key = int(radius)
         if key in self._graph_cache:
             return self._graph_cache[key]
         N = self.n_nodes
         offs = _primitive_offsets(radius)
+        k = len(offs)
         # target[q] = node reached from q by +off, the shift by -off of the
         # node ids; the halo of the node ids is its own index.
         halo = self.halo([[-v for v in off] for off in offs])
-        node_id = np.arange(N, dtype=np.int64)
-        rows, cols, data = [], [], []
-        for off in offs:
-            tgt = halo.index[halo.window([-v for v in off])]
-            w = float(np.linalg.norm(self.offset_displacement(off)))
-            rows.append(node_id)
-            cols.append(tgt.ravel())
-            data.append(np.full(N, w))
-        g = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N))
+        idx = np.int32 if N * k < 2 ** 31 else np.int64
+        cols = np.empty((N, k), dtype=idx)
+        for j, off in enumerate(offs):
+            cols[:, j] = halo.index[halo.window([-v for v in off])].ravel()
+        w = [float(np.linalg.norm(self.offset_displacement(off)))
+             for off in offs]
+        g = sp.csr_matrix((np.tile(w, N), cols.ravel(),
+                           np.arange(0, N * k + 1, k, dtype=idx)),
+                          shape=(N, N))
         self._graph_cache[key] = g
         return g
 
-    def path_distance_field(self, source_index, radius=1):
-        """Graph distances from one node to all nodes (flattened order)."""
+    def path_distance_field(self, sources, radius=1):
+        """Graph distances from each source node to all nodes: one row per
+        source, nodes in flattened order, from one Dijkstra call."""
         g = self.neighbor_graph(radius)
-        src = np.ravel_multi_index(tuple(source_index), self.shape)
+        src = np.ravel_multi_index(np.asarray(sources).reshape(-1, 3).T,
+                                   self.shape)
         return dijkstra(g, indices=src, directed=False)
 
 
@@ -260,7 +266,7 @@ def path_distance(p, q, grid: Grid, radius=2):
     """
     ip = grid.nearest_index(np.asarray(p))
     iq = grid.nearest_index(np.asarray(q))
-    d = grid.path_distance_field(ip, radius=radius)
+    d = grid.path_distance_field([ip], radius=radius)[0]
     val = d[np.ravel_multi_index(iq, grid.shape)]
     if not np.isfinite(val):
         raise UnreachableError("points are graph-disconnected")

@@ -155,15 +155,28 @@ class ActionKernel:
             np.minimum(best, tmp, out=best)
         return best
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        """(T_h u)(q) = min_p u(p) + A_h(p,q); deterministic tie-breaking."""
+    def _stack_hphi(self, stack):
+        if stack.ndim != 4 or stack.shape[:3] != self.grid.shape:
+            raise ValueError("a field stack has shape grid.shape + (m,)")
+        return self._hphi[..., None]
+
+    def apply(self, u):
+        """(T_h u)(q) = min_p u(p) + A_h(p,q); deterministic tie-breaking.
+        An array of shape grid.shape + (m,) is m fields, swept at once
+        through the same windows and returned as an array."""
+        if isinstance(u, np.ndarray):
+            return self._fold(u + self._stack_hphi(u), self._forward)
         if u.grid is not self.grid and u.grid.shape != self.grid.shape:
             raise ValueError("grid mismatch")
         best = self._fold(u.values + self._hphi, self._forward)
         return GridFunction(self.grid, best, u.offset)
 
-    def apply_reverse(self, w: GridFunction) -> GridFunction:
-        """(T'_h w)(p) = min_q w(q) + A_h(p,q) (adjoint sweep, for A^t(., q))."""
+    def apply_reverse(self, w):
+        """(T'_h w)(p) = min_q w(q) + A_h(p,q) (adjoint sweep, for A^t(., q));
+        ``w`` is a GridFunction or a stack, as in ``apply``."""
+        if isinstance(w, np.ndarray):
+            hphi = self._stack_hphi(w)
+            return self._fold(w, self._reverse) + hphi
         best = self._fold(w.values, self._reverse) + self._hphi
         return GridFunction(self.grid, best, w.offset)
 

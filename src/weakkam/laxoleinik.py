@@ -182,24 +182,18 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
                               history=log)
 
 
-def action_field_from(kernel: ActionKernel, source_index, n_steps):
-    """A^{n h}(p, .) as a grid array, from n min-plus sweeps of a delta at p."""
-    vals = np.full(kernel.grid.shape, np.inf)
-    vals[tuple(source_index)] = 0.0
-    u = GridFunction(kernel.grid, vals)
+def action_fields(kernel: ActionKernel, indices, n_steps, reverse=False):
+    """A^{n h}(p, .) for each node index p, or A^{n h}(., q) for each q with
+    ``reverse``: n sweeps of a stack of delta fields, shape grid.shape + (m,).
+    The batch axis trails, so every window is still three slices and each
+    field is folded bitwise as it would be alone."""
+    idx = np.asarray(indices).reshape(-1, 3)
+    vals = np.full(kernel.grid.shape + (len(idx),), np.inf)
+    vals[idx[:, 0], idx[:, 1], idx[:, 2], np.arange(len(idx))] = 0.0
+    sweep = kernel.apply_reverse if reverse else kernel.apply
     for _ in range(n_steps):
-        u = kernel.apply(u)
-    return u.values
-
-
-def action_field_to(kernel: ActionKernel, target_index, n_steps):
-    """A^{n h}(., q) via the reverse sweep."""
-    vals = np.full(kernel.grid.shape, np.inf)
-    vals[tuple(target_index)] = 0.0
-    w = GridFunction(kernel.grid, vals)
-    for _ in range(n_steps):
-        w = kernel.apply_reverse(w)
-    return w.values
+        vals = sweep(vals)
+    return vals
 
 
 def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
@@ -232,31 +226,30 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
 
     sources = [rand_index() for _ in range(n_sources)]
     targets = [rand_index() for _ in range(n_sources)]
-    fields_from = {p: action_field_from(kern, p, n_steps) for p in sources}
-    fields_to = {q: action_field_to(kern, q, n_steps) for q in targets}
-    dist_from = {p: grid.path_distance_field(p, radius=graph_radius)
-                 .reshape(shape) for p in sources}
-    dist_to = {q: grid.path_distance_field(q, radius=graph_radius)
-               .reshape(shape) for q in targets}
+    fields_from = action_fields(kern, sources, n_steps)
+    fields_to = action_fields(kern, targets, n_steps, reverse=True)
+    # Graph distances in the fields' layout: sources, then targets.
+    dist = grid.path_distance_field(sources + targets, graph_radius).T
+    dist = dist.reshape(shape + (2 * n_sources,))
 
     violations = []
     worst = {"item1": -np.inf, "item2": -np.inf, "item3": -np.inf}
     checked = 0
     while checked < n_pairs:
-        p = sources[int(rng.integers(0, n_sources))]
-        q0 = targets[int(rng.integers(0, n_sources))]
+        i = int(rng.integers(0, n_sources))
+        j = int(rng.integers(0, n_sources))
+        p, q0 = sources[i], targets[j]
         q = rand_index()
-        A_pq = fields_from[p][q]
-        A_pq0 = fields_from[p][q0]
-        A_q0 = fields_to[q0]
-        d_pq = dist_from[p][q]
+        A_pq = fields_from[q + (i,)]
+        A_pq0 = fields_from[q0 + (i,)]
+        d_pq = dist[q + (i,)]
         # item 1
         m1 = abs(A_pq - c * d_pq) - (envelope + slack)
         # item 2: vary the target between q and q0 for the same source p
-        m2 = abs(A_pq - A_pq0) - (c * dist_to[q0][q] + slack)
+        m2 = abs(A_pq - A_pq0) - (c * dist[q + (n_sources + j,)] + slack)
         # item 3: vary the source between p and a fresh p~ for target q0
         p2 = rand_index()
-        m3 = abs(A_pq0 - A_q0[p2]) - (c * dist_from[p][p2] + slack)
+        m3 = abs(A_pq0 - fields_to[p2 + (j,)]) - (c * dist[p2 + (i,)] + slack)
         for name, m, tup in (("item1", m1, (p, q)), ("item2", m2, (p, q, q0)),
                              ("item3", m3, (p, p2, q0))):
             worst[name] = max(worst[name], float(m))

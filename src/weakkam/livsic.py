@@ -8,15 +8,18 @@ along the path and the L1 deviation of its velocity from the vector field:
 
 Paths are piecewise linear between time-stamped nodes; quadrature is
 composite midpoint per segment, so the action is exactly additive under
-concatenation.  Every orbit leg and chart track of a path is one batched
-``flow_map`` call, the Birkhoff terms of a segment bound are signed
-``birkhoff_integral`` calls, and lifted points are wrapped back into the
-fundamental domain by ``model.flow_map(p, 0.0)``.
+concatenation.  ``generate_paths`` makes every draw of a family first, then
+flows all its paths in a few batched ``flow_map`` calls; actions are priced
+over runs of concatenated paths, each bitwise as if priced alone.  The
+Birkhoff terms of a segment bound are signed ``birkhoff_integral`` calls, and
+lifted points are wrapped back into the fundamental domain by
+``model.flow_map(p, 0.0)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,15 +60,6 @@ class PathSample:
     def duration(self):
         return float(self.times[-1] - self.times[0])
 
-    def segment_data(self):
-        """(dt, midpoints, velocities) per segment, lifted across the gluing."""
-        dt = np.diff(self.times)
-        delta = self.model.difference(self.points[1:], self.points[:-1])
-        mids = self.points[:-1] + 0.5 * delta
-        mids = self.model.flow_map(mids, 0.0)
-        vel = delta / dt[:, None]
-        return dt, mids, vel
-
     def point_at(self, t):
         """Linear interpolation in lifted coordinates."""
         k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1,
@@ -83,16 +77,46 @@ class PathSample:
         return PathSample(ts - t0, ps, self.model, self.max_step)
 
 
-def weighted_action(path: PathSample, phi: Observable, c, phi_bar):
-    """Composite-midpoint quadrature of the weighted action."""
+# Segments per priced run.  A whole scan family at once (~35k segments) held
+# 6.8 MB of temporaries, one path 0.04 MB; runs of this size stay under 1 MB.
+_SEGMENT_BUDGET = 4096
+
+
+def _path_actions(paths, phi, c, phi_bar):
+    """Weighted action of each path, priced in runs of whole paths of at
+    most ``_SEGMENT_BUDGET`` segments (a longer path is a run of its own).
+
+    All consecutive node pairs of a run are priced at once: one
+    ``difference``, midpoint ``flow_map``, ``phi`` and norm; the pair joining
+    two paths is never summed.  Each action is ``np.sum`` over its path's
+    contiguous slice, bitwise the action of the path priced alone.
+    """
     if c < 0:
         raise ValueError("weight must be nonnegative")
-    dt, mids, vel = path.segment_data()
-    model = path.model
-    v_field = model.velocity(mids)
-    dev = np.linalg.norm(v_field - vel, axis=-1)
-    vals = np.asarray(phi(mids), dtype=float) - phi_bar
-    return float(np.sum(dt * (vals + c * dev)))
+    seg = [len(p.times) - 1 for p in paths]
+    out, i = [], 0
+    while i < len(paths):
+        j = i + 1
+        while j < len(paths) and sum(seg[i:j + 1]) <= _SEGMENT_BUDGET:
+            j += 1
+        run, model = paths[i:j], paths[i].model
+        pts = np.concatenate([p.points for p in run])
+        dt = np.diff(np.concatenate([p.times for p in run]))
+        delta = model.difference(pts[1:], pts[:-1])
+        mids = model.flow_map(pts[:-1] + 0.5 * delta, 0.0)
+        dev = np.linalg.norm(model.velocity(mids) - delta / dt[:, None],
+                             axis=-1)
+        terms = dt * (np.asarray(phi(mids), dtype=float) - phi_bar + c * dev)
+        ends = np.cumsum([len(p.times) for p in run])
+        out += [np.sum(terms[b - len(p.times):b - 1])
+                for p, b in zip(run, ends)]
+        i = j
+    return np.array(out)
+
+
+def weighted_action(path: PathSample, phi: Observable, c, phi_bar):
+    """Composite-midpoint quadrature of the weighted action."""
+    return float(_path_actions([path], phi, c, phi_bar)[0])
 
 
 @dataclass(frozen=True)
@@ -195,18 +219,10 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     c_used = constants.c1 if c is None else float(c)
     ts, us = _track_chart_coords(box, path)
     unorm = np.abs(us).max(axis=1)
-    exit_k = None
-    boundary = None
-    for k in range(1, len(ts)):
-        if ts[k] >= tau:
-            exit_k, boundary = k, "plus"
-            break
-        if ts[k] <= -2 * eps or unorm[k] >= 2 * eps:
-            exit_k, boundary = k, "minus"
-            break
-    if exit_k is None:
-        sub = path
-        action = weighted_action(sub, phi, c_used, phi_bar)
+    crossed = (ts >= tau) | (ts <= -2 * eps) | (unorm >= 2 * eps)
+    crossed[0] = False
+    if not crossed.any():
+        action = weighted_action(path, phi, c_used, phi_bar)
         lb = -8.0 * constants.tau * (1 + constants.tau) * constants.lip_phi \
             * constants.lip_gamma * (1 + constants.diam_omega)
         return SegmentClassification(
@@ -214,6 +230,8 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
             or isinstance(start_box, (int, np.integer)) else -1,
             exit_time=float(path.times[-1]), action=action, lower_bound=lb,
             bound_margin=action - lb)
+    exit_k = int(np.argmax(crossed))
+    boundary = "plus" if ts[exit_k] >= tau else "minus"
     # Linear interpolation of the crossing inside segment (k-1, k).
     if boundary == "plus":
         th = (tau - ts[exit_k - 1]) / (ts[exit_k] - ts[exit_k - 1])
@@ -387,24 +405,27 @@ def check_factorization(cutting_points, indices):
 
 
 # ---------------------------------------------------------------------------
-# Adversarial path families for the lower-bound scan.
+# Adversarial path families for the lower-bound scan.  Every draw of a family
+# is made first, path by path, in one fixed order; no draw depends on a
+# flowed point.  The points are then flowed in a few batched calls.
 
 
-def _orbit_path(model, start, T, step, noise, rng, direction=1.0):
+def _draw_orbit(atlas, rng, T, start, step, direction):
+    """flow_following / anti_flow, the noisy orbit of ``start``: (times,
+    start per node, flow time per node, noise per node)."""
     n = max(2, int(np.ceil(T / step)) + 1)
     times = np.linspace(0.0, T, n)
-    pts = model.flow_map(np.asarray(start, dtype=float), direction * times)
-    if noise > 0:
-        pts = pts + noise * rng.standard_normal(pts.shape)
-        pts = model.flow_map(pts, 0.0)
-    return PathSample(times, pts, model, max_step=2 * step)
+    noise = 10 ** rng.uniform(-4, -2)
+    return (times, np.broadcast_to(start, (n, 3)), direction * times,
+            noise * rng.standard_normal((n, 3)))
 
 
-def _boundary_hugging_path(atlas, box, T, step, rng):
-    model = atlas.model
+def _draw_boundary(atlas, rng, T, start, step):
+    """boundary_hugging, a chart track at 1.9 eps from one side wall: as for
+    the orbits, with section points as starts and no noise."""
     eps = atlas.eps
     n = max(2, int(np.ceil(T / step)) + 1)
-    times = np.linspace(0.0, T, n)
+    box = atlas.boxes[rng.integers(0, len(atlas.boxes))]
     u = np.empty((n, 2))
     side = rng.integers(0, 2)
     sgn = 1.0 if rng.random() < 0.5 else -1.0
@@ -412,87 +433,117 @@ def _boundary_hugging_path(atlas, box, T, step, rng):
     u[:, 1 - side] = 1.9 * eps * np.sin(
         2 * np.pi * rng.random() + np.linspace(0, 2.5, n))
     tt = np.linspace(-eps, min(T - eps, atlas.tau * 0.95), n)
-    pts = box.chart_forward(tt, u)
-    return PathSample(times, pts, model, max_step=2 * step)
+    return np.linspace(0.0, T, n), box.section_point(u), tt, None
 
 
-def _orbit_leg(model, p, t, leg, step, t_max=np.inf):
-    """(times, points) of the orbit of p over ``leg`` in equal steps <= step,
-    starting at path time t (excluded) and cut at the first time >= t_max."""
+def _flow_tracks(model, draws):
+    """One flow_map over every node's (start, flow time), one for the noise."""
+    times, starts, dts, noise = zip(*draws)
+    pts = model.flow_map(np.concatenate(starts), np.concatenate(dts))
+    if noise[0] is not None:
+        pts = model.flow_map(pts + np.concatenate(noise), 0.0)
+    return times, np.split(pts, np.cumsum([len(t) for t in times])[:-1])
+
+
+def _add_leg(times, legs, leg, step, jump, t_max=np.inf):
+    """Append an orbit leg of length ``leg`` in equal steps <= step, cut at
+    the first time >= t_max: its flow times and jump go to ``legs``, its
+    path times and the landing node one step later to ``times``."""
+    t = times[-1]
     n = max(1, int(np.ceil(leg / step)))
     dts = np.arange(1, n + 1) * (leg / n)
     dts = dts[:np.searchsorted(t + dts, t_max) + 1]
-    return t + dts, model.flow_map(p, dts)
+    legs.append((dts, jump))
+    times += [*(t + dts), t + dts[-1] + step]
 
 
-def _splice_path(model, atlas, T, step, rng):
-    """Concatenated orbit pieces with jumps <= eps/2 at the junctions."""
+def _draw_splice(atlas, rng, T, start, step):
+    """pseudo_splice, orbit legs of 0.5-1.5 tau, each followed by a jump
+    <= eps/2 spread over one step, until the path reaches T:
+    (times, start, [(flow times, jump) per leg])."""
     eps = atlas.eps
     p = rng.random(3)
-    p[2] *= model.roof
-    times, pts = [0.0], [p]
+    p[2] *= atlas.model.roof
+    times, legs = [0.0], []
     while times[-1] < T:
         leg = float(rng.uniform(0.5, 1.5) * atlas.tau)
-        ts, leg_pts = _orbit_leg(model, p, times[-1], leg, step, t_max=T)
         jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.5])
-        # spread the jump over one step so the path stays continuous
-        p = model.flow_map(leg_pts[-1] + jump, 0.0)
-        times += [*ts, ts[-1] + step]
-        pts += [*leg_pts, p]
-    return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
+        _add_leg(times, legs, leg, step, jump, t_max=T)
+    return np.array(times), p, legs
 
 
-def _periodic_splice_path(model, atlas, rng, step):
-    """Closed path: orbit pieces with small jumps at roof crossings, spliced
-    shut at the end (z(T) = z(0) exactly)."""
-    eps = atlas.eps
+def _draw_periodic(atlas, rng, T, start, step):
+    """periodic_splice, 2-5 laps of one roof each with small jumps between
+    laps, spliced shut at the end (z(T) = z(0) exactly): as for
+    pseudo_splice, with jump None on the last lap."""
+    eps, roof = atlas.eps, atlas.model.roof
     n_laps = int(rng.integers(2, 6))
-    start = rng.random(3)
-    start[2] *= model.roof * 0.5
-    times, pts = [0.0], [start]
-    p = start
-    for lap in range(n_laps):
-        ts, leg_pts = _orbit_leg(model, p, times[-1], model.roof, step)
-        if lap < n_laps - 1:
-            jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.25])
-            p = model.flow_map(leg_pts[-1] + jump, 0.0)
-        else:
-            p = start
-        times += [*ts, ts[-1] + step]
-        pts += [*leg_pts, p]
-    return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
+    p = rng.random(3)
+    p[2] *= roof * 0.5
+    times, legs = [0.0], []
+    for _ in range(n_laps - 1):
+        _add_leg(times, legs, roof, step,
+                 rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.25]))
+    _add_leg(times, legs, roof, step, None)
+    return np.array(times), p, legs
+
+
+def _flow_splices(model, draws):
+    """Leg j of a path starts where its leg j - 1 ended and jumped, so legs
+    are flowed one leg index at a time across all paths: one flow_map for
+    the legs and one for the jumps.  A leg with no jump closes its path on
+    the start point."""
+    first = np.array([d[1] for d in draws])
+    p = first.copy()
+    pieces = [[d[1][None]] for d in draws]
+    for j in range(max(len(d[2]) for d in draws)):
+        live = [i for i, d in enumerate(draws) if len(d[2]) > j]
+        dts, jumps = zip(*(draws[i][2][j] for i in live))
+        sizes = [len(x) for x in dts]
+        legs = np.split(model.flow_map(np.repeat(p[live], sizes, axis=0),
+                                       np.concatenate(dts)),
+                        np.cumsum(sizes)[:-1])
+        shut = np.array([x is None for x in jumps])
+        jumped = model.flow_map(
+            np.array([leg[-1] for leg in legs])
+            + [np.zeros(3) if x is None else x for x in jumps], 0.0)
+        p[live] = np.where(shut[:, None], first[live], jumped)
+        for i, leg in zip(live, legs):
+            pieces[i] += [leg, p[i:i + 1].copy()]
+    return [d[0] for d in draws], [np.concatenate(x) for x in pieces]
+
+
+_FAMILIES = {
+    "flow_following": (partial(_draw_orbit, direction=1.0), _flow_tracks),
+    "anti_flow": (partial(_draw_orbit, direction=-1.0), _flow_tracks),
+    "boundary_hugging": (_draw_boundary, _flow_tracks),
+    "pseudo_splice": (_draw_splice, _flow_splices),
+    "periodic_splice": (_draw_periodic, _flow_splices),
+}
 
 
 def generate_paths(atlas: FlowBoxAtlas, family, n_paths, seed=0, step=None):
-    """Seeded adversarial path generator; family in
-    {flow_following, anti_flow, boundary_hugging, pseudo_splice,
-    periodic_splice}."""
+    """Seeded adversarial paths of one family: flow_following, anti_flow,
+    boundary_hugging, pseudo_splice or periodic_splice.  Per path the draws
+    are T, a start point (unused by the splices, which draw their own) and
+    the family's own, in that order; then all paths are flowed."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown path family {family!r}")
+    draw, flow = _FAMILIES[family]
     rng = np.random.default_rng(seed)
     model = atlas.model
     if step is None:
         step = atlas.tau / 40.0
-    out = []
+    draws = []
     for _ in range(n_paths):
         T = float(rng.uniform(1.0, 6.0) * atlas.tau)
         start = rng.random(3)
         start[2] *= model.roof
-        if family == "flow_following":
-            out.append(_orbit_path(model, start, T, step,
-                                   noise=10 ** rng.uniform(-4, -2), rng=rng))
-        elif family == "anti_flow":
-            out.append(_orbit_path(model, start, T, step,
-                                   noise=10 ** rng.uniform(-4, -2), rng=rng,
-                                   direction=-1.0))
-        elif family == "boundary_hugging":
-            box = atlas.boxes[rng.integers(0, len(atlas.boxes))]
-            out.append(_boundary_hugging_path(atlas, box, T, step, rng))
-        elif family == "pseudo_splice":
-            out.append(_splice_path(model, atlas, T, step, rng))
-        elif family == "periodic_splice":
-            out.append(_periodic_splice_path(model, atlas, rng, step))
-        else:
-            raise ValueError(f"unknown path family {family!r}")
-    return out
+        draws.append(draw(atlas, rng, T, start, step))
+    if not draws:
+        return []
+    return [PathSample(t, p, model, max_step=2 * step)
+            for t, p in zip(*flow(model, draws))]
 
 
 def livsic_lower_bound_scan(atlas, phi, constants: LivsicConstants,
@@ -508,11 +559,12 @@ def livsic_lower_bound_scan(atlas, phi, constants: LivsicConstants,
     count = 0
     for fam_i, fam in enumerate(families):
         paths = generate_paths(atlas, fam, per_family, seed=seed + fam_i)
-        for path in paths:
-            a = weighted_action(path, phi, constants.c4, phi_bar)
-            count += 1
-            if a < worst:
-                worst, worst_case = a, {"family": fam, "duration": path.duration}
+        actions = _path_actions(paths, phi, constants.c4, phi_bar)
+        count += len(paths)
+        k = int(np.argmin(actions))
+        if actions[k] < worst:
+            worst = actions[k]
+            worst_case = {"family": fam, "duration": paths[k].duration}
     return {"n_paths": count, "min_action": float(worst),
             "floor": float(floor), "margin": float(worst - floor),
             "worst_case": worst_case, "passed": bool(worst >= floor)}

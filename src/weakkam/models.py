@@ -105,10 +105,6 @@ class SuspensionFlow:
             lambda_s=-lam_u, lambda_u=lam_u, c_hyp=1.0, du=1, ds=1))
 
     @property
-    def dimension(self):
-        return 3
-
-    @property
     def sup_norm_bound(self):
         return 1.0  # V = d/ds, unit speed
 

@@ -411,7 +411,7 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
     evaluates the weighted action with C = Lip(u) on random sampled paths and
     compares against -2 inf_c ||u - c||_inf.
     """
-    from .livsic import PathSample, weighted_action
+    from .livsic import PathSample, _flow_tracks, _path_actions
 
     rng = np.random.default_rng(seed)
     u = cert.u
@@ -439,20 +439,22 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
     dense = u.dense()
     half_osc = 0.5 * float(dense.max() - dense.min())
     c_path = max(cert.lip_u, 1e-9)
-    path_worst = np.inf
+    # Every path is drawn first, then all are flowed in one call; the noise
+    # moves the base only, so its wrap is the base's mod 1.
+    draws = []
     for _ in range(n_paths):
         T = float(rng.uniform(0.5, 3.0))
         n = max(2, int(np.ceil(T / path_step)) + 1)
         times = np.linspace(0.0, T, n)
         start = rng.random(3)
         start[2] *= model.roof
-        ptsp = model.flow_map(start, times)
-        noise = 10 ** rng.uniform(-4, -2)
-        ptsp[:, :2] = np.mod(ptsp[:, :2] + noise * rng.standard_normal(
-            (n, 2)), 1.0)
-        path = PathSample(times, ptsp, model, max_step=2 * path_step)
-        a = weighted_action(path, phi, c_path, phi_bar)
-        path_worst = min(path_worst, a)
+        noise = np.zeros((n, 3))
+        noise[:, :2] = 10 ** rng.uniform(-4, -2) * rng.standard_normal((n, 2))
+        draws.append((times, np.broadcast_to(start, (n, 3)), times, noise))
+    paths = [PathSample(t, p, model, max_step=2 * path_step)
+             for t, p in zip(*_flow_tracks(model, draws))] if draws else []
+    path_worst = np.min(_path_actions(paths, phi, c_path, phi_bar),
+                        initial=np.inf)
     path_floor = -2.0 * half_osc
     passed = len(witnesses) == 0 and path_worst >= path_floor - cert.slack
     return {"n_samples": int(n_samples), "worst_margin": worst,

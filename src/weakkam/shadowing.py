@@ -66,10 +66,6 @@ class DiscretePseudoOrbit:
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be (N, 2)")
 
-    def step_errors(self, maps):
-        fq = _chain_map(maps)[1](self.points[None])[0]
-        return np.abs(fq - np.roll(self.points, -1, axis=0)).max(axis=1)
-
     def validate(self, maps):
         Q = self.points[None]
         errors = _ball_errors(Q, _chain_map(maps)[1](Q), self.rho)

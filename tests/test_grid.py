@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from weakkam import (Grid, GridFunction, build_kernel, constant_observable,
                      path_distance)
+from weakkam.grid import _primitive_offsets
 
 
 def oracle_gather(grid, arr, offset):
@@ -251,3 +254,53 @@ def test_path_distance_close_to_flat_metric():
 def test_grid_function_shape_guard(small_grid):
     with pytest.raises(ValueError):
         GridFunction(small_grid, np.zeros((2, 2, 2)))
+
+
+def _oracle_coo_graph(grid, radius):
+    """The neighbour graph as it was built before: one COO triple per edge,
+    then CSR, which sums the weights of repeated (row, col) pairs."""
+    N = grid.n_nodes
+    node_id = np.arange(N).reshape(grid.shape)
+    rows, cols, data = [], [], []
+    for off in _primitive_offsets(radius):
+        rows.append(node_id.ravel())
+        cols.append(grid.gather_shift(node_id, [-v for v in off]).ravel())
+        w = float(np.linalg.norm(grid.offset_displacement(off)))
+        data.append(np.full(N, w))
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N))
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 10), (16, 16, 10)])
+def test_multi_source_distances_match_single_source_calls(model, shape):
+    grid = Grid(shape, (1.0, 1.0, model.roof), model.base_matrix)
+    rng = np.random.default_rng(3)
+    sources = [tuple(int(rng.integers(0, n)) for n in shape)
+               for _ in range(6)]
+    dist = grid.path_distance_field(sources, radius=2)
+    assert dist.shape == (6, grid.n_nodes)
+    coo = _oracle_coo_graph(grid, 2)
+    for row, src in zip(dist, sources):
+        flat = np.ravel_multi_index(src, shape)
+        one = dijkstra(grid.neighbor_graph(2), indices=flat, directed=False)
+        assert np.array_equal(row, one)
+        assert np.array_equal(
+            row, dijkstra(coo, indices=flat, directed=False))
+
+
+def test_neighbor_graph_keeps_parallel_edges(model):
+    # At 4x4x5 with radius 2, offsets such as (2, 0, 0) and (-2, 0, 0) reach
+    # the same node; summing such parallel edges made weights that are no
+    # offset's norm and distances longer than one edge.
+    grid = Grid((4, 4, 5), (1.0, 1.0, model.roof), model.base_matrix)
+    offs = _primitive_offsets(2)
+    norms = [float(np.linalg.norm(grid.offset_displacement(o))) for o in offs]
+    g = grid.neighbor_graph(2)
+    assert g.nnz == grid.n_nodes * len(offs)
+    assert set(g.data.tolist()) <= set(norms)
+    node_id = np.arange(grid.n_nodes).reshape(grid.shape)
+    dist = grid.path_distance_field(np.argwhere(node_id >= 0), radius=2)
+    for off, w in zip(offs, norms):
+        tgt = grid.gather_shift(node_id, [-v for v in off]).ravel()
+        assert (dist[node_id.ravel(), tgt] <= w).all(), off

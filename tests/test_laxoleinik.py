@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from weakkam import (ActionKernel, DriftError, GridFunction,
+from weakkam import (ActionKernel, DriftError, Grid, GridFunction,
                      NonConvergenceError, build_kernel,
                      constant_observable, cross_validated_ergodic_value,
                      distance_squared_observable, ergodic_value,
                      verify_apriori, verify_integrated_subaction,
                      weak_kam_solve)
+from weakkam.laxoleinik import action_fields
 
 
 def test_weak_kam_solve_rejects_unconverged_howard(small_kernel,
@@ -137,3 +138,50 @@ def test_verify_integrated_subaction_detects_violation(model, cobound,
     rep = verify_integrated_subaction(bad, model, phi, sol.phi_bar, 64, 4.0,
                                       seed=3, slack=0.1)
     assert not rep["passed"]
+
+
+# One field at a time: the fields of ``action_fields`` as they were computed
+# before they were stacked.
+
+
+def _oracle_action_field_from(kernel, source_index, n_steps):
+    vals = np.full(kernel.grid.shape, np.inf)
+    vals[tuple(source_index)] = 0.0
+    u = GridFunction(kernel.grid, vals)
+    for _ in range(n_steps):
+        u = kernel.apply(u)
+    return u.values
+
+
+def _oracle_action_field_to(kernel, target_index, n_steps):
+    vals = np.full(kernel.grid.shape, np.inf)
+    vals[tuple(target_index)] = 0.0
+    w = GridFunction(kernel.grid, vals)
+    for _ in range(n_steps):
+        w = kernel.apply_reverse(w)
+    return w.values
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 10), (16, 16, 10)])
+def test_action_fields_stack_matches_one_field_at_a_time(model, cobound,
+                                                          shape):
+    phi, _ = cobound
+    grid = Grid(shape, (1.0, 1.0, model.roof), model.base_matrix)
+    c = 4.0 * max(1.0, phi.lipschitz_constant)
+    kern = build_kernel(grid, model, phi, c, 0.0, grid.spacings[2], 3.0)
+    rng = np.random.default_rng(5)
+    nodes = [tuple(int(rng.integers(0, n)) for n in shape) for _ in range(5)]
+    nodes.append(nodes[0])  # a repeated node is its own field
+    for reverse, oracle in ((False, _oracle_action_field_from),
+                            (True, _oracle_action_field_to)):
+        stack = action_fields(kern, nodes, 3, reverse=reverse)
+        assert stack.shape == shape + (len(nodes),)
+        for i, p in enumerate(nodes):
+            assert np.array_equal(stack[..., i], oracle(kern, p, 3))
+
+
+def test_kernel_sweeps_reject_misshapen_stacks(small_kernel):
+    with pytest.raises(ValueError):
+        small_kernel.apply(np.zeros(small_kernel.grid.shape))
+    with pytest.raises(ValueError):
+        small_kernel.apply_reverse(np.zeros((4, 4, 4, 2)))

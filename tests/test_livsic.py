@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,8 +194,117 @@ def test_periodic_splice_family_closes(model, atlas):
         assert np.abs(path.points[-1] - path.points[0]).max() < 1e-12
 
 
-# Per-step oracles: the path builders as they were written before each leg
-# became one batched flow_map call (one call per node, time accumulated).
+# Oracles.  ``_oracle_generate`` is the one-path-at-a-time generator loop;
+# it takes the path builders of one of two earlier versions: per path, one
+# batched flow_map per orbit leg (``PER_PATH``, the builders the batched
+# families must match bitwise), and per step, one flow_map per node with the
+# time accumulated (``PER_STEP``, matched within rounding).
+
+
+def _oracle_generate(atlas, family, n_paths, seed, builders):
+    rng = np.random.default_rng(seed)
+    model = atlas.model
+    step = atlas.tau / 40.0
+    out = []
+    for _ in range(n_paths):
+        T = float(rng.uniform(1.0, 6.0) * atlas.tau)
+        start = rng.random(3)
+        start[2] *= model.roof
+        if family in ("flow_following", "anti_flow"):
+            direction = 1.0 if family == "flow_following" else -1.0
+            out.append(builders.orbit(
+                model, start, T, step, noise=10 ** rng.uniform(-4, -2),
+                rng=rng, direction=direction))
+        elif family == "boundary_hugging":
+            box = atlas.boxes[rng.integers(0, len(atlas.boxes))]
+            out.append(builders.boundary(atlas, box, T, step, rng))
+        elif family == "pseudo_splice":
+            out.append(builders.splice(model, atlas, T, step, rng))
+        else:
+            out.append(builders.periodic(model, atlas, rng, step))
+    return out
+
+
+def _per_path_orbit(model, start, T, step, noise, rng, direction=1.0):
+    n = max(2, int(np.ceil(T / step)) + 1)
+    times = np.linspace(0.0, T, n)
+    pts = model.flow_map(np.asarray(start, dtype=float), direction * times)
+    if noise > 0:
+        pts = pts + noise * rng.standard_normal(pts.shape)
+        pts = model.flow_map(pts, 0.0)
+    return PathSample(times, pts, model, max_step=2 * step)
+
+
+def _per_path_boundary(atlas, box, T, step, rng):
+    eps = atlas.eps
+    n = max(2, int(np.ceil(T / step)) + 1)
+    times = np.linspace(0.0, T, n)
+    u = np.empty((n, 2))
+    side = rng.integers(0, 2)
+    sgn = 1.0 if rng.random() < 0.5 else -1.0
+    u[:, side] = sgn * 1.9 * eps
+    u[:, 1 - side] = 1.9 * eps * np.sin(
+        2 * np.pi * rng.random() + np.linspace(0, 2.5, n))
+    tt = np.linspace(-eps, min(T - eps, atlas.tau * 0.95), n)
+    pts = box.chart_forward(tt, u)
+    return PathSample(times, pts, atlas.model, max_step=2 * step)
+
+
+def _per_path_leg(model, p, t, leg, step, t_max=np.inf):
+    n = max(1, int(np.ceil(leg / step)))
+    dts = np.arange(1, n + 1) * (leg / n)
+    dts = dts[:np.searchsorted(t + dts, t_max) + 1]
+    return t + dts, model.flow_map(p, dts)
+
+
+def _per_path_splice(model, atlas, T, step, rng):
+    eps = atlas.eps
+    p = rng.random(3)
+    p[2] *= model.roof
+    times, pts = [0.0], [p]
+    while times[-1] < T:
+        leg = float(rng.uniform(0.5, 1.5) * atlas.tau)
+        ts, leg_pts = _per_path_leg(model, p, times[-1], leg, step, t_max=T)
+        jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.5])
+        p = model.flow_map(leg_pts[-1] + jump, 0.0)
+        times += [*ts, ts[-1] + step]
+        pts += [*leg_pts, p]
+    return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
+
+
+def _per_path_periodic(model, atlas, rng, step):
+    eps = atlas.eps
+    n_laps = int(rng.integers(2, 6))
+    start = rng.random(3)
+    start[2] *= model.roof * 0.5
+    times, pts = [0.0], [start]
+    p = start
+    for lap in range(n_laps):
+        ts, leg_pts = _per_path_leg(model, p, times[-1], model.roof, step)
+        if lap < n_laps - 1:
+            jump = rng.uniform(-eps / 2, eps / 2, 3) * np.array([1, 1, 0.25])
+            p = model.flow_map(leg_pts[-1] + jump, 0.0)
+        else:
+            p = start
+        times += [*ts, ts[-1] + step]
+        pts += [*leg_pts, p]
+    return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
+
+
+PER_PATH = SimpleNamespace(orbit=_per_path_orbit, boundary=_per_path_boundary,
+                           splice=_per_path_splice,
+                           periodic=_per_path_periodic)
+
+
+def _oracle_weighted_action(path, phi, c, phi_bar):
+    """The action of one path, priced alone."""
+    model = path.model
+    dt = np.diff(path.times)
+    delta = model.difference(path.points[1:], path.points[:-1])
+    mids = model.flow_map(path.points[:-1] + 0.5 * delta, 0.0)
+    dev = np.linalg.norm(model.velocity(mids) - delta / dt[:, None], axis=-1)
+    vals = np.asarray(phi(mids), dtype=float) - phi_bar
+    return float(np.sum(dt * (vals + c * dev)))
 
 
 def _oracle_normalize(model, p):
@@ -213,7 +323,7 @@ def _oracle_normalize(model, p):
     return q.reshape(np.shape(p))
 
 
-def _oracle_orbit_path(model, start, T, step, noise, rng, direction=1.0):
+def _per_step_orbit(model, start, T, step, noise, rng, direction=1.0):
     n = max(2, int(np.ceil(T / step)) + 1)
     times = np.linspace(0.0, T, n)
     pts = model.flow_map(np.asarray(start, dtype=float), direction * times)
@@ -223,7 +333,7 @@ def _oracle_orbit_path(model, start, T, step, noise, rng, direction=1.0):
     return PathSample(times, pts, model, max_step=2 * step)
 
 
-def _oracle_boundary_hugging_path(atlas, box, T, step, rng):
+def _per_step_boundary(atlas, box, T, step, rng):
     eps = atlas.eps
     n = max(2, int(np.ceil(T / step)) + 1)
     times = np.linspace(0.0, T, n)
@@ -238,7 +348,7 @@ def _oracle_boundary_hugging_path(atlas, box, T, step, rng):
     return PathSample(times, pts, atlas.model, max_step=2 * step)
 
 
-def _oracle_splice_path(model, atlas, T, step, rng):
+def _per_step_splice(model, atlas, T, step, rng):
     eps = atlas.eps
     times = [0.0]
     p = rng.random(3)
@@ -263,7 +373,7 @@ def _oracle_splice_path(model, atlas, T, step, rng):
     return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
 
 
-def _oracle_periodic_splice_path(model, atlas, rng, step):
+def _per_step_periodic(model, atlas, rng, step):
     eps = atlas.eps
     n_laps = int(rng.integers(2, 6))
     start = rng.random(3)
@@ -288,6 +398,11 @@ def _oracle_periodic_splice_path(model, atlas, rng, step):
         times.append(t)
         pts.append(p.copy())
     return PathSample(np.array(times), np.array(pts), model, max_step=2 * step)
+
+
+PER_STEP = SimpleNamespace(orbit=_per_step_orbit, boundary=_per_step_boundary,
+                           splice=_per_step_splice,
+                           periodic=_per_step_periodic)
 
 
 def _oracle_track_chart_coords(box, path):
@@ -318,22 +433,57 @@ FAMILIES = ("flow_following", "anti_flow", "boundary_hugging",
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_batched_path_builders_match_per_step_oracle(model, atlas, family,
-                                                     monkeypatch):
+def test_batched_path_builders_match_per_step_oracle(model, atlas, family):
     for seed in range(5):
         new = generate_paths(atlas, family, 20, seed=seed)
-        with monkeypatch.context() as m:
-            m.setattr(livsic, "_orbit_path", _oracle_orbit_path)
-            m.setattr(livsic, "_boundary_hugging_path",
-                      _oracle_boundary_hugging_path)
-            m.setattr(livsic, "_splice_path", _oracle_splice_path)
-            m.setattr(livsic, "_periodic_splice_path",
-                      _oracle_periodic_splice_path)
-            old = generate_paths(atlas, family, 20, seed=seed)
+        old = _oracle_generate(atlas, family, 20, seed, PER_STEP)
         for a, b in zip(new, old, strict=True):
             assert len(a.times) == len(b.times), (family, seed)
             assert np.abs(a.times - b.times).max() < 1e-12
             assert model.distance(a.points, b.points).max() < 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_paths_bitwise_matches_per_path_oracle(atlas, family):
+    for seed in (0, 1):
+        new = generate_paths(atlas, family, 30, seed=seed)
+        old = _oracle_generate(atlas, family, 30, seed, PER_PATH)
+        for a, b in zip(new, old, strict=True):
+            assert np.array_equal(a.times, b.times), (family, seed)
+            assert np.array_equal(a.points, b.points), (family, seed)
+
+
+def test_scan_actions_bitwise_match_per_path_pricing(atlas, cobound,
+                                                     constants):
+    phi, _ = cobound
+    families = ("flow_following", "anti_flow", "boundary_hugging",
+                "pseudo_splice")
+    rep = livsic_lower_bound_scan(atlas, phi, constants, n_paths=200,
+                                  seed=4, families=families)
+    worst = np.inf
+    for fam_i, family in enumerate(families):
+        paths = generate_paths(atlas, family, 50, seed=4 + fam_i)
+        acts = livsic._path_actions(paths, phi, constants.c4, 0.0)
+        old = [_oracle_weighted_action(p, phi, constants.c4, 0.0)
+               for p in paths]
+        assert acts.tolist() == old, family
+        worst = min(worst, *old)
+    assert rep["min_action"] == worst and rep["n_paths"] == 200
+
+
+def test_runs_of_paths_price_each_path_whole(model, atlas, cobound,
+                                             monkeypatch):
+    phi, _ = cobound
+    paths = generate_paths(atlas, "pseudo_splice", 12, seed=9)
+    long = _flow_path(model, [0.3, 0.6, 0.1], 30.0,
+                      n=livsic._SEGMENT_BUDGET + 500)
+    paths = paths[:5] + [long] + paths[5:]
+    old = [_oracle_weighted_action(p, phi, 2.5, 0.1) for p in paths]
+    assert livsic._path_actions(paths, phi, 2.5, 0.1).tolist() == old
+    # Runs of a few paths each, and paths longer than a whole run.
+    monkeypatch.setattr(livsic, "_SEGMENT_BUDGET", 300)
+    assert livsic._path_actions(paths, phi, 2.5, 0.1).tolist() == old
+    assert [weighted_action(p, phi, 2.5, 0.1) for p in paths] == old
 
 
 def test_track_chart_coords_matches_per_node_loop(model, atlas):
