@@ -22,10 +22,9 @@ from .laxoleinik import (DriftError, InconsistencyError, NonConvergenceError,
                          verify_integrated_subaction, weak_kam_solve)
 from .charts import (AdmissibilityError, AtlasConstants, CoveringError,
                      FlowBox, FlowBoxAtlas, LocalHyperbolicMap,
-                     NoIntersectionError, affine_poincare, build_atlas,
-                     certify_hyperbolic, check_constants,
-                     check_forward_admissible, default_hyper_constants,
-                     from_poincare, poincare_map, return_time)
+                     affine_poincare, build_atlas, certify_hyperbolic,
+                     check_constants, check_forward_admissible,
+                     default_hyper_constants, poincare_map, return_time)
 from .shadowing import (ConstantsTooWeakError, DiscretePseudoOrbit,
                         EscapeError, NewtonDivergenceError, ShadowingResult,
                         estimate_k_gamma, k_gamma_from_maps,

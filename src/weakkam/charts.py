@@ -33,10 +33,6 @@ class AdmissibilityError(RuntimeError):
         self.condition = condition
 
 
-class NoIntersectionError(RuntimeError):
-    pass
-
-
 @dataclass
 class FlowBox:
     """One adapted flow box around a center point; its Poincare section is
@@ -271,45 +267,20 @@ def build_atlas(model: SuspensionFlow, tau, rho, eps, n_points=None,
     return atlas
 
 
-def return_time(atlas: FlowBoxAtlas, x, y, q, t_hint=None, tol_factor=1e-12):
-    """Local return time: the t near t_hint with f^t(gamma_x(0,q)) on Sigma_y.
+def return_time(atlas: FlowBoxAtlas, x, y, t_hint=None):
+    """Return time from Sigma_x to Sigma_y, the same for every section point.
 
-    Bracketing scans integrator-sized steps around the hint, then bisection to
-    tol_factor * tau.  Default hint is the forward time-offset of y's center
-    in x's chart.
+    Both sections are flat slices of a constant-roof suspension, so the
+    crossings of Sigma_y are exactly t* + m roof, where t* in (0, roof] is the
+    forward offset of y's level from x's.  Returns the crossing nearest
+    ``t_hint`` (default t* itself).
     """
-    box_x = atlas._box(x)
-    box_y = atlas._box(y)
-    z = box_x.chart_forward(0.0, np.asarray(q, dtype=float))
-    tau = atlas.tau
+    roof = atlas.model.roof
+    dt = atlas._box(y).center[2] - atlas._box(x).center[2]
+    t_star = float(dt - roof * (np.ceil(dt / roof) - 1.0))
     if t_hint is None:
-        t_hint, _ = box_x.chart_inverse(box_y.center, branch="forward")
-        t_hint = float(t_hint)
-    span = 0.45 * atlas.model.roof
-    ts = t_hint + np.linspace(-span, span, 41)
-    gaps, _ = box_y.chart_inverse(atlas.model.flow_map(z, ts))
-    for i in range(len(ts) - 1):
-        if gaps[i] == 0.0:
-            return ts[i]
-        # The nearest-branch gap also changes sign where it wraps at
-        # +-roof/2; only a true crossing moves it by less than roof/2.
-        if gaps[i] * gaps[i + 1] < 0 and abs(gaps[i]) < tau / 2 \
-                and abs(gaps[i + 1]) < tau / 2 \
-                and abs(gaps[i + 1] - gaps[i]) < atlas.model.roof / 2:
-            break
-    else:
-        raise NoIntersectionError("no section crossing near the hinted time")
-    a, b, ga = ts[i], ts[i + 1], gaps[i]
-    while b - a > tol_factor * tau:
-        mid = 0.5 * (a + b)
-        gm = float(box_y.chart_inverse(atlas.model.flow_map(z, mid))[0])
-        if gm == 0.0:
-            return mid
-        if ga * gm < 0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    return 0.5 * (a + b)
+        return t_star
+    return t_star + roof * float(np.round((t_hint - t_star) / roof))
 
 
 def check_forward_admissible(atlas: FlowBoxAtlas, x, y):
@@ -322,25 +293,19 @@ def check_forward_admissible(atlas: FlowBoxAtlas, x, y):
             f"y not within rho of time-tau slice (t0={float(t0):.4f})")
     if not (float(np.abs(u0).max()) < atlas.rho):
         raise AdmissibilityError("y outside B_x(rho) transversally")
-    f0 = poincare_map(atlas, x, y, np.zeros(2), strict=False)
+    f0 = poincare_map(atlas, x, y, np.zeros(2))
     if not (float(np.abs(f0).max()) <= atlas.hyper.eps_rho + 1e-12):
         raise AdmissibilityError(
             f"f_xy(0) outside B_y(eps(rho)) (norm {float(np.abs(f0).max()):.3e})")
     return True
 
 
-def poincare_map(atlas: FlowBoxAtlas, x, y, q, strict=True, t_hint=None):
+def poincare_map(atlas: FlowBoxAtlas, x, y, q, t_hint=None):
     """f_{x,y}(q): follow the flow from gamma_x(0, q) to Sigma_y, in y-chart
-    coordinates.  ``strict`` enforces forward admissibility first."""
-    if strict:
-        check_forward_admissible(atlas, x, y)
-    box_x = atlas._box(x)
-    box_y = atlas._box(y)
-    q = np.asarray(q, dtype=float)
-    t = return_time(atlas, x, y, q, t_hint=t_hint)
-    w = atlas.model.flow_map(box_x.chart_forward(0.0, q), t)
-    _, u = box_y.chart_inverse(w)
-    return u
+    coordinates; the return time is ``return_time(atlas, x, y, t_hint)``."""
+    t = return_time(atlas, x, y, t_hint)
+    w = atlas._box(x).chart_forward(t, np.asarray(q, dtype=float))
+    return atlas._box(y).chart_inverse(w)[1]
 
 
 @dataclass
@@ -357,18 +322,6 @@ class LocalHyperbolicMap:
         return self.f_map(np.asarray(q, dtype=float))
 
 
-def from_poincare(atlas: FlowBoxAtlas, x, y, strict=False, t_hint=None):
-    """The (x, y) Poincare map; its linear part is a central difference."""
-    def f(q):
-        return poincare_map(atlas, x, y, q, strict=strict, t_hint=t_hint)
-
-    z = np.zeros(2)
-    linear = np.column_stack([(f(z + e) - f(z - e)) / 2e-7
-                              for e in 1e-7 * np.eye(2)])
-    return LocalHyperbolicMap(f_map=f, linear_part=linear, offset=f(z),
-                              rho=atlas.rho)
-
-
 def affine_poincare(atlas: FlowBoxAtlas, x, y):
     """Closed-form Poincare map for flat sections on a constant-roof suspension.
 
@@ -380,8 +333,7 @@ def affine_poincare(atlas: FlowBoxAtlas, x, y):
     box_x = atlas._box(x)
     box_y = atlas._box(y)
     roof = model.roof
-    dt = box_y.center[2] - box_x.center[2]
-    t_star = dt - roof * (np.ceil(dt / roof) - 1.0)  # forward branch in (0, roof]
+    t_star = return_time(atlas, x, y)
     k = int(round((box_x.center[2] + t_star - box_y.center[2]) / roof))
     lam = model.unstable_eigenvalue
     linear = np.diag([lam ** k, lam ** (-k)])

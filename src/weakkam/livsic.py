@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import FlowBoxAtlas, poincare_map
+from .charts import FlowBoxAtlas, poincare_map, return_time
 from .models import Observable, SuspensionFlow, birkhoff_integral
 
 
@@ -207,7 +207,10 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     The path is followed in the chart of its starting box until it first
     crosses the trap-box boundary (t = tau forward, or t = -2 eps / side walls
     backward).  Returns a SegmentClassification whose ``exit_time`` tells the
-    caller where the next segment starts.
+    caller where the next segment starts.  A forward ("pseudo") exit lands in
+    some box y; its Poincare block is priced over the closed-form return time
+    from Sigma_x to Sigma_y nearest tau - r_y, with remainder
+    |f_xy(q_x) - q_y|.
     """
     eps, tau = atlas.eps, atlas.tau
     model = path.model
@@ -266,15 +269,16 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     r_x, q_x = ts[0], us[0]
     r_y_arr, q_y = box_y.chart_inverse(zT)
     r_y = float(r_y_arr)
-    # Return time from the section projection of z(0) to Sigma_y.
+    # The path leaves x's chart at chart time tau and sits at y-chart time
+    # r_y, so the flow time from Sigma_x to Sigma_y is the crossing nearest
+    # tau - r_y (path times are not flow times on chart tracks).
+    t_ret = return_time(atlas, start_box, y_idx, t_hint=tau - r_y)
     zx = model.flow_map(z0, -r_x)
-    t_ret = r_x + (t_cross - path.times[0]) - r_y  # exact for flat sections
     zy = model.flow_map(zT, -r_y)
     phi_xy, psi_x, psi_y = (
         float(birkhoff_integral(model, phi, z, t, quad_step)) - phi_bar * t
         for z, t in ((zx, t_ret), (zx, r_x), (zy, r_y)))
-    fq = poincare_map(atlas, start_box, y_idx, q_x, strict=False,
-                      t_hint=t_ret)
+    fq = poincare_map(atlas, start_box, y_idx, q_x, t_hint=t_ret)
     rem_norm = float(np.abs(fq - q_y).max())
     rem = c_used / (np.sqrt(8.0) * constants.lip_gamma ** 3) * rem_norm
     lb = phi_xy + psi_y - psi_x + rem

@@ -1,11 +1,91 @@
 import numpy as np
 import pytest
 
-from weakkam import (AdmissibilityError, affine_poincare, build_atlas,
-                     certify_hyperbolic, check_constants,
-                     check_forward_admissible, default_hyper_constants,
-                     from_poincare, poincare_map, return_time)
+from weakkam import (AdmissibilityError, affine_poincare, certify_hyperbolic,
+                     check_constants, check_forward_admissible, poincare_map,
+                     return_time)
 from weakkam.charts import ConstantConsistencyError, LocalHyperbolicMap
+
+
+# Oracles: the numerical return time and Poincare map that the closed form
+# replaced.  The return time scans 41 flow times around the hint for a sign
+# change of the y-chart time, then bisects; it returns None when the scan
+# brackets no crossing.
+def _oracle_return_time(atlas, x, y, q, t_hint=None, tol_factor=1e-12):
+    box_x = atlas._box(x)
+    box_y = atlas._box(y)
+    z = box_x.chart_forward(0.0, np.asarray(q, dtype=float))
+    tau = atlas.tau
+    if t_hint is None:
+        t_hint, _ = box_x.chart_inverse(box_y.center, branch="forward")
+        t_hint = float(t_hint)
+    span = 0.45 * atlas.model.roof
+    ts = t_hint + np.linspace(-span, span, 41)
+    gaps, _ = box_y.chart_inverse(atlas.model.flow_map(z, ts))
+    for i in range(len(ts) - 1):
+        if gaps[i] == 0.0:
+            return ts[i]
+        # The nearest-branch gap also changes sign where it wraps at
+        # +-roof/2; only a true crossing moves it by less than roof/2.
+        if gaps[i] * gaps[i + 1] < 0 and abs(gaps[i]) < tau / 2 \
+                and abs(gaps[i + 1]) < tau / 2 \
+                and abs(gaps[i + 1] - gaps[i]) < atlas.model.roof / 2:
+            break
+    else:
+        return None
+    a, b, ga = ts[i], ts[i + 1], gaps[i]
+    while b - a > tol_factor * tau:
+        mid = 0.5 * (a + b)
+        gm = float(box_y.chart_inverse(atlas.model.flow_map(z, mid))[0])
+        if gm == 0.0:
+            return mid
+        if ga * gm < 0:
+            b = mid
+        else:
+            a, ga = mid, gm
+    return 0.5 * (a + b)
+
+
+def _oracle_image(atlas, x, y, q, t):
+    """y-chart coordinate of gamma_x(0, q) flowed for time t."""
+    w = atlas.model.flow_map(atlas._box(x).chart_forward(0.0, q), t)
+    return atlas._box(y).chart_inverse(w)[1]
+
+
+def _oracle_poincare_map(atlas, x, y, q, t_hint=None):
+    q = np.asarray(q, dtype=float)
+    return _oracle_image(atlas, x, y, q,
+                         _oracle_return_time(atlas, x, y, q, t_hint=t_hint))
+
+
+def _oracle_linear_part(atlas, x, y):
+    """Central-difference linear part of the oracle map at q = 0; each
+    difference is taken modulo the base lattice, as the chart wraps."""
+    model = atlas.model
+    cols = []
+    for e in 1e-7 * np.eye(2):
+        d = (_oracle_poincare_map(atlas, x, y, e)
+             - _oracle_poincare_map(atlas, x, y, -e)) @ model.eigen_frame.T
+        cols.append((d - np.round(d)) @ model.eigen_frame_inv.T / 2e-7)
+    return np.column_stack(cols)
+
+
+def _random_cases(atlas, n, seed):
+    """(x, y, q, t_hint) draws over all box pairs and hints within a roof."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        x, y = (int(i) for i in rng.integers(0, atlas.n_gamma, 2))
+        q = rng.uniform(-atlas.rho, atlas.rho, 2)
+        hint = float(return_time(atlas, x, y)
+                     + rng.uniform(-1.0, 1.0) * atlas.model.roof)
+        yield x, y, q, hint
+
+
+def _torus_gap(model, u, v):
+    """Distance of two chart coordinates modulo the base lattice (a chart
+    that is not injective picks the minimal-norm representative)."""
+    d = (u - v) @ model.eigen_frame.T
+    return float(np.abs(d - np.round(d)).max())
 
 
 def _chained_pair(atlas):
@@ -71,43 +151,106 @@ def test_chart_roundtrip(atlas):
 def test_return_time_matches_level_offset(model, atlas):
     x, y = _chained_pair(atlas)
     # same s-level: the forward return time is exactly one roof crossing
-    t = return_time(atlas, x, y, np.array([0.01, -0.02]))
-    assert abs(t - model.roof) < 1e-9
+    assert return_time(atlas, x, y) == model.roof
+    assert return_time(atlas, x, y, t_hint=2.4 * model.roof) == 2 * model.roof
+    # level k of 8 lies k/8 roof ahead of level 0, and 1 - k/8 behind it
+    lvl = atlas.boxes[0].center[2]
+    for i, box in enumerate(atlas.boxes):
+        dt = (box.center[2] - lvl) % model.roof
+        assert abs(return_time(atlas, x, i) - (dt or model.roof)) < 1e-15
+        assert abs(return_time(atlas, i, x) - (model.roof - dt)) < 1e-15
 
 
 @pytest.mark.parametrize("hint", [0.8, 0.9, 0.932, 1.0, 1.1])
 def test_return_time_skips_the_branch_wrap(model, atlas, hint):
     # tau = roof here, so the nearest-branch gap wraps at +-tau/2 inside the
-    # scanned bracket; the returned time must be a true crossing of Sigma_0
+    # oracle's scanned bracket; the returned time must be a true crossing of
+    # Sigma_0, and the oracle must find the same one
     box = atlas.boxes[0]
     q = np.zeros(2)
-    t = return_time(atlas, 0, 0, q, t_hint=hint)
+    t = return_time(atlas, 0, 0, t_hint=hint)
     gap, _ = box.chart_inverse(model.flow_map(box.chart_forward(0.0, q), t))
     assert abs(float(gap)) <= 1e-9
+    assert abs(t - _oracle_return_time(atlas, 0, 0, q, t_hint=hint)) <= 1e-9
+
+
+def test_closed_form_matches_bisection_oracle(atlas):
+    found = 0
+    for x, y, q, hint in _random_cases(atlas, 120, seed=3):
+        t_ref = _oracle_return_time(atlas, x, y, q, t_hint=hint)
+        if t_ref is None:
+            continue
+        found += 1
+        t = return_time(atlas, x, y, t_hint=hint)
+        assert abs(t - t_ref) <= 1e-9
+        # bitwise the oracle's flow-then-chart at the closed-form time; the
+        # bisected time differs by rounding, which moves the map by ~1 ulp
+        f = poincare_map(atlas, x, y, q, t_hint=hint)
+        assert np.array_equal(f, _oracle_image(atlas, x, y, q, t))
+        assert np.abs(f - _oracle_image(atlas, x, y, q, t_ref)).max() <= 1e-15
+    assert found >= 100
 
 
 def test_forward_admissibility_of_chained_pair(atlas):
     assert check_forward_admissible(atlas, *_chained_pair(atlas))
 
 
-def test_poincare_strict_rejects_random_pair(atlas):
-    # two far-apart level-0 boxes are not an admissible time-tau pair
-    x, y = _chained_pair(atlas)
-    with pytest.raises(AdmissibilityError):
-        poincare_map(atlas, x, x, np.zeros(2), strict=True)
+def _admissibility_failure(atlas, x, y):
+    with pytest.raises(AdmissibilityError) as err:
+        check_forward_admissible(atlas, x, y)
+    return err.value.condition
+
+
+def test_forward_admissible_rejects_time_offset(atlas):
+    # y one level (roof/8) ahead of x: t0 = 0.125 is far from tau = 1
+    x, _ = _chained_pair(atlas)
+    cx = atlas.boxes[x].center
+    y = next(i for i, b in enumerate(atlas.boxes)
+             if np.allclose(b.center[:2], cx[:2])
+             and abs(b.center[2] - cx[2] - atlas.model.roof / 8) < 1e-12)
+    assert _admissibility_failure(atlas, x, y).startswith(
+        "y not within rho of time-tau slice")
+
+
+def test_forward_admissible_rejects_transverse_offset(atlas):
+    # same level, so t0 = roof = tau, but y's center is far off in the chart
+    x, _ = _chained_pair(atlas)
+    cx = atlas.boxes[x].center
+    y = next(i for i, b in enumerate(atlas.boxes)
+             if abs(b.center[2] - cx[2]) < 1e-12
+             and float(np.abs(atlas.boxes[x].chart_inverse(b.center)[1])
+                       .max()) >= atlas.rho)
+    assert (_admissibility_failure(atlas, x, y)
+            == "y outside B_x(rho) transversally")
+
+
+def test_forward_admissible_rejects_poincare_offset(atlas):
+    # x -> x passes both slice tests (t0 = tau, u0 = 0), but one roof maps
+    # x's center by the base automorphism, far from x's own center
+    x, _ = _chained_pair(atlas)
+    assert _admissibility_failure(atlas, x, x).startswith(
+        "f_xy(0) outside B_y(eps(rho))")
 
 
 def test_affine_poincare_matches_bisection(model, atlas):
     x, y = _chained_pair(atlas)
     aff = affine_poincare(atlas, x, y)
-    num = from_poincare(atlas, x, y)
     lam = model.unstable_eigenvalue
     assert np.abs(aff.linear_part - np.diag([lam, 1 / lam])).max() < 1e-12
     assert np.abs(aff.offset).max() < 1e-12  # lattice-aligned pair
     rng = np.random.default_rng(2)
     for q in rng.uniform(-atlas.rho / 2, atlas.rho / 2, (10, 2)):
-        assert np.abs(aff(q) - num(q)).max() < 1e-8
-    assert np.abs(num.linear_part - aff.linear_part).max() < 1e-6
+        assert np.abs(aff(q) - _oracle_poincare_map(atlas, x, y, q)).max() \
+            < 1e-8
+    assert np.abs(_oracle_linear_part(atlas, x, y)
+                  - aff.linear_part).max() < 1e-6
+    # off-lattice pairs at other levels: offset and linear part too
+    for x, y, q, _ in _random_cases(atlas, 8, seed=4):
+        aff = affine_poincare(atlas, x, y)
+        assert _torus_gap(model, aff(q),
+                          _oracle_poincare_map(atlas, x, y, q)) < 1e-8
+        assert np.abs(_oracle_linear_part(atlas, x, y)
+                      - aff.linear_part).max() < 1e-6
 
 
 def test_certify_hyperbolic_passes_for_chain_map(model, atlas):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from weakkam import (PathSample, birkhoff_integral, check_factorization,
-                     classify_segment, compute_constants, decompose_path,
+                     classify_segment, compute_constants, constant_observable,
+                     decompose_path,
                      factor_pseudo_orbit, generate_paths,
                      livsic_lower_bound_scan, weighted_action)
 from weakkam import livsic
@@ -138,6 +139,24 @@ def test_decompose_path_blocks_partition(model, atlas, cobound, constants):
         assert abs(blocks[-1].t_end - path.times[-1]) < 1e-6
         for a, b in zip(blocks, blocks[1:]):
             assert abs(a.t_end - b.t_start) < 1e-9
+
+
+def test_decompose_chart_tracks(atlas, constants):
+    # chart tracks move through the chart at their own pace, so path time is
+    # not flow time; on these paths a return time hinted by path time falls
+    # halfway between two section crossings.  With phi = 1, phi_xy is the
+    # return time itself: the crossing nearest tau - r_y.
+    one = constant_observable(1.0)
+    paths = generate_paths(atlas, "boundary_hugging", 100, seed=4)
+    for i in (39, 43, 80, 81, 93):
+        blocks = decompose_path(paths[i], atlas, one, constants)
+        assert abs(blocks[0].t_start - paths[i].times[0]) < 1e-9
+        assert abs(blocks[-1].t_end - paths[i].times[-1]) < 1e-6
+        pseudo = [s for b in blocks for s in b.segments if s.kind == "pseudo"]
+        assert pseudo
+        for seg in pseudo:
+            assert abs(seg.phi_xy - (atlas.tau - seg.r_y)) \
+                <= atlas.model.roof / 2 + 1e-9
 
 
 def _oracle_factorization(xs):
