@@ -11,6 +11,7 @@ eigenframe coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,8 +90,9 @@ class FlowBox:
 
     def section_u(self, x):
         """Chart coordinate u of points x already flowed back to the section
-        (``transverse`` after its flow step)."""
-        db = x[..., :2] - self.center[:2]
+        (``transverse`` after its flow step).  A box built on a stack of
+        centres (..., 3) gives each point's u against its own centre."""
+        db = x[..., :2] - self.center[..., :2]
         return (db - np.round(db)) @ self.frame_inv.T
 
 
@@ -124,19 +126,33 @@ class FlowBoxAtlas:
     def diam_omega(self):
         return self.model.diameter()
 
+    @cached_property
+    def _levels(self):
+        """Section levels of the boxes (ascending), each box's level, and
+        one box on the stack of all centres."""
+        centers = np.array([box.center for box in self.boxes])
+        s, level = np.unique(centers[:, 2], return_inverse=True)
+        return s, level, FlowBox(self.model, centers, self.tau)
+
     def nearest_center(self, p, max_adapted=None):
         """Index of the atlas center whose U_x(eps) chart puts p closest, or
-        None if no center is within ``max_adapted`` (default eps)."""
+        None if no center is within ``max_adapted`` (default eps).
+
+        A point's 'nearest' chart time depends on a box only through its
+        section level, so p is flowed back once per level; ties go to the
+        first box.
+        """
         cap = self.eps if max_adapted is None else max_adapted
-        best, best_idx = np.inf, None
-        for i, box in enumerate(self.boxes):
-            t, u = box.chart_inverse(p)
-            d = max(abs(float(t)), float(np.abs(u).max()))
-            if d < best:
-                best, best_idx = d, i
-        if best_idx is None or best >= cap:
-            return None
-        return best_idx
+        p = np.asarray(p, dtype=float)
+        s, level, stacked = self._levels
+        roof = self.model.roof
+        dt = p[2] - s
+        t = dt - roof * np.round(dt / roof)
+        back = self.model.flow_map(p, -t)[level]
+        u = stacked.section_u(back)
+        d = np.maximum(np.abs(t)[level], np.abs(u).max(axis=1))
+        best = int(np.argmin(d))
+        return best if d[best] < cap else None
 
     def contains_in_u(self, x, p, eps=None):
         """Is p inside U_x(eps) = gamma_x((-eps, eps) x B(eps))?"""

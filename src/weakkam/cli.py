@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -75,12 +76,17 @@ def _solve_and_certify(cfg, model, phi, grid, h):
     The kernel is built at reference value 0, so the eigenvalue refinement
     inside ``weak_kam_solve`` is the min-plus drift estimate of phi_bar:
     ``sol.phi_bar`` is the ergodic value and ``sol.howard`` its report.
+    Also returns the wall seconds of the two stages.
     """
     kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
+    t0 = time.perf_counter()
     sol = weak_kam_solve(kern, cfg.solve_tol, monotone_tol=cfg.monotone_tol)
+    t1 = time.perf_counter()
     cert = regularize_all(sol.u, default_cover(model), phi, sol.phi_bar,
                           precheck=False)
-    return sol, cert
+    timings = {"weak_kam_solve": t1 - t0,
+               "regularize_all": time.perf_counter() - t1}
+    return sol, cert, timings
 
 
 def _constants(cfg, model, phi):
@@ -102,7 +108,7 @@ def cmd_solve(cfg: RunConfig):
     model, phi, grid, h = _build_common(cfg)
     checks = {}
     v_orb, rep_orb = ergodic_value(model, phi, "periodic_orbits", max_period=4)
-    sol, cert = _solve_and_certify(cfg, model, phi, grid, h)
+    sol, cert, timings = _solve_and_certify(cfg, model, phi, grid, h)
     v_drift = sol.phi_bar
     write_csv(out / "ergodic.csv", ["method", "value"],
               [("periodic_orbits", v_orb), ("minplus_drift", v_drift)])
@@ -133,7 +139,13 @@ def cmd_solve(cfg: RunConfig):
                "slack": cert.slack, "checks": checks,
                "n_orbits_enumerated": rep_orb["n_orbits"],
                "howard_iterations": sol.howard["iterations"],
-               "howard_offsets_folded": sum(sol.howard["offsets_folded"])}
+               "howard_offsets_folded": sum(sol.howard["offsets_folded"]),
+               "stage_a_sweeps": sol.stage_a_sweeps,
+               "stage_b_sweeps": len(sol.iteration_log),
+               "stage_a_saturated": sol.stage_a_saturated,
+               "table_columns_priced": cert.report["table_columns_priced"],
+               "table_columns": cert.report["table_columns"],
+               "timings": timings}
     write_summary(out, summary)
     return EXIT_PASS if all(checks.values()) else EXIT_FAIL
 
@@ -205,7 +217,7 @@ def _suite_shadowing(cfg, out, n_orbits=200):
 
 def _suite_subaction(cfg, out, n_samples=2000):
     model, phi, grid, h = _build_common(cfg)
-    sol, cert = _solve_and_certify(cfg, model, phi, grid, h)
+    sol, cert, _ = _solve_and_certify(cfg, model, phi, grid, h)
     rep = verify_subaction(cert, phi, sol.phi_bar, n_samples, model=model,
                            seed=cfg.seed)
     write_csv(out / "subaction.csv", ["quantity", "value"],

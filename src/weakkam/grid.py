@@ -273,6 +273,28 @@ def path_distance(p, q, grid: Grid, radius=2):
     return float(val)
 
 
+def trilinear(values, cells):
+    """Trilinear interpolation of a 3-axis array from the cells of its query
+    points: ``cells`` holds, per axis, the index of each point's lower
+    corner and its fraction, all broadcasting against each other.  Corner
+    (a, b, c) is gathered once through one flat index, and the corners are
+    summed in that fixed order, so one point gives the same bits however its
+    cells were found."""
+    (i, ti), (j, tj), (k, tk) = cells
+    s1 = values.shape[2]
+    s0 = values.shape[1] * s1
+    corner = s0 * i + s1 * j + k
+    flat = values.ravel()
+    f = np.zeros(np.broadcast_shapes(corner.shape, np.shape(ti),
+                                     np.shape(tj), np.shape(tk)))
+    for (a, wa) in ((0, 1 - ti), (1, ti)):
+        for (b, wb) in ((0, 1 - tj), (1, tj)):
+            wab = wa * wb
+            for (c, wc) in ((0, 1 - tk), (1, tk)):
+                f += wab * wc * np.take(flat, corner + (a * s0 + b * s1 + c))
+    return f
+
+
 class GridFunction:
     """Scalar field on a Grid with multilinear interpolation.
 
@@ -336,50 +358,75 @@ class GridFunction:
         halo = self.grid._halo(1, 0, self.grid.shape[2] + 1)
         return np.take(self.values, halo.index[1:, 1:])
 
-    def _cells(self, points, strides):
-        """Cell of each point after wrapping it into the fundamental domain
-        (the roof wrap applies the base twist): the flat index, under
-        ``strides``, of the cell's lower corner and the fractional offsets
-        along the three axes."""
+    def _roof_wraps(self, s):
+        """How many times the roof wrap carries each s-coordinate across the
+        gluing (0 everywhere on an untwisted grid, whose base it leaves)."""
+        if self.grid.twist is None:
+            return np.zeros(np.shape(s), dtype=np.int64)
+        return np.floor(np.asarray(s) / self.grid.lengths[2]).astype(np.int64)
+
+    def _wrap(self, points):
+        """Points moved into the fundamental domain, shape (n, 3); the roof
+        wrap applies the base twist."""
         x = points.reshape(-1, 3).copy()
         ns_len = self.grid.lengths[2]
-        if self.grid.twist is not None:
-            m = np.floor(x[:, 2] / ns_len).astype(np.int64)
-            for mv in np.unique(m[m != 0]):
-                M = self.grid._twist_pow(int(mv)).astype(float)
-                sel = m == mv
-                x[sel, :2] = x[sel, :2] @ M.T
-                x[sel, 2] -= mv * ns_len
+        m = self._roof_wraps(x[:, 2])
+        for mv in np.unique(m[m != 0]):
+            M = self.grid._twist_pow(int(mv)).astype(float)
+            sel = m == mv
+            x[sel, :2] = x[sel, :2] @ M.T
+            x[sel, 2] -= mv * ns_len
         x[:, 0] = np.mod(x[:, 0], self.grid.lengths[0])
         x[:, 1] = np.mod(x[:, 1], self.grid.lengths[1])
         x[:, 2] = np.mod(x[:, 2], ns_len)
-        corner, frac = 0, []
-        for ax, stride in enumerate(strides):
-            v = x[:, ax] / self.grid.spacings[ax]
-            i0 = np.clip(np.floor(v).astype(np.int64), 0,
-                         self.grid.shape[ax] - 1)
-            frac.append(v - i0)
-            corner = corner + stride * i0
-        return corner, frac
+        return x
+
+    def _cell(self, x, ax):
+        """Lower-corner index along axis ``ax`` of wrapped coordinates x, and
+        the fractional offset from it."""
+        v = x / self.grid.spacings[ax]
+        i0 = np.clip(np.floor(v).astype(np.int64), 0, self.grid.shape[ax] - 1)
+        return i0, v - i0
 
     def interpolate(self, points):
         """Multilinear interpolation; points are wrapped into the fundamental
         domain first (roof wrap applies the base twist)."""
         p = np.asarray(points, dtype=float)
-        pad = self._padded()
-        # Corner (a, b, c) of a cell is pad.flat[corner + a*s0 + b*s1 + c]:
-        # one flat index per point, one gather per corner.
-        s1 = pad.shape[2]
-        s0 = pad.shape[1] * s1
-        corner, (ti, tj, tk) = self._cells(p, (s0, s1, 1))
-        pad = pad.ravel()
-        f = np.zeros(corner.shape[0])
-        for (a, wa) in ((0, 1 - ti), (1, ti)):
-            for (b, wb) in ((0, 1 - tj), (1, tj)):
-                wab = wa * wb
-                for (c, wc) in ((0, 1 - tk), (1, tk)):
-                    f += wab * wc * np.take(pad, corner + (a * s0 + b * s1 + c))
+        x = self._wrap(p)
+        f = trilinear(self._padded(), [self._cell(x[:, ax], ax)
+                                       for ax in range(3)])
         return (f + self.offset).reshape(p.shape[:-1])
+
+    def interpolate_lines(self, s, base, run):
+        """``interpolate`` along flow lines: out[r, c] is the value at the
+        point with base ``base[run[r], c]`` and s-coordinate ``s[r]``, where
+        c runs over the middle axes of ``base``, shape (runs, ..., 2).
+
+        Rows of one run share their base points (the lines cross no roof
+        inside a run), so each base cell and its weights are found once per
+        run and only the s-cell varies by row; the result is bitwise that of
+        ``interpolate`` at every point.
+        """
+        s = np.asarray(s, dtype=float)
+        base = np.asarray(base, dtype=float)
+        cols = base.shape[1:-1]
+        rows = np.zeros(s.shape + (3,))
+        rows[:, 2] = s
+        k = self._cell(self._wrap(rows)[:, 2], 2)
+        # A row's base cell follows its run and the twist of its own wrap:
+        # one group per stretch of rows on which neither changes.
+        m = self._roof_wraps(s)
+        new_group = np.r_[False, (np.diff(run) != 0) | (np.diff(m) != 0)]
+        group = np.cumsum(new_group)
+        first = np.flatnonzero(np.r_[True, new_group[1:]])
+        pts = np.empty((first.size,) + cols + (3,))
+        pts[..., :2] = base[np.asarray(run)[first]]
+        pts[..., 2] = s[first].reshape((-1,) + (1,) * len(cols))
+        x = self._wrap(pts)
+        cells = [tuple(v.reshape(pts.shape[:-1])[group]
+                       for v in self._cell(x[:, ax], ax)) for ax in range(2)]
+        cells.append(tuple(v.reshape((-1,) + (1,) * len(cols)) for v in k))
+        return trilinear(self._padded(), cells) + self.offset
 
     def __call__(self, points):
         return self.interpolate(points)

@@ -37,6 +37,7 @@ class WeakKamSolution:
     iteration_log: list
     lipschitz: float
     stage_a_sweeps: int
+    stage_a_saturated: bool  # False: Stage A stopped at max_iters, not stalled
     eigenvalue_refinement: float
     howard: dict = None
 
@@ -177,6 +178,7 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
             return WeakKamSolution(
                 u=u, c=kernel.c, residual=residual, phi_bar=kernel.phi_bar,
                 iteration_log=log, lipschitz=lip, stage_a_sweeps=n_a,
+                stage_a_saturated=stall >= stall_window,
                 eigenvalue_refinement=refinement, howard=info)
     raise NonConvergenceError("weak-KAM iteration did not converge",
                               history=log)

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import FlowBox
-from .grid import GridFunction
+from .grid import GridFunction, trilinear
 from .laxoleinik import verify_integrated_subaction
 from .models import SuspensionFlow
-from .observables import smoothstep
+from .observables import smoothstep, smoothstep_prime
 
 
 class NotSubactionError(RuntimeError):
@@ -63,9 +63,14 @@ class BumpPair:
         fall = 1.0 - smoothstep((t - self.tau) / self.eps)
         return rise * fall
 
-    def beta_prime(self, t, fd=1e-7):
-        return (self.beta(np.asarray(t) + fd) - self.beta(np.asarray(t) - fd)) \
-            / (2 * fd)
+    def beta_prime(self, t):
+        """beta' = rise' fall + rise fall', in closed form."""
+        t = np.asarray(t, dtype=float)
+        x_rise = (t + self.eps) / self.eps
+        x_fall = (t - self.tau) / self.eps
+        rise, fall = smoothstep(x_rise), 1.0 - smoothstep(x_fall)
+        return (smoothstep_prime(x_rise) * fall
+                - rise * smoothstep_prime(x_fall)) / self.eps
 
     def check(self, n_samples=200, seed=0):
         """Sampled support/plateau invariants; beta' integrates to zero."""
@@ -187,6 +192,10 @@ class _Level:
     c's table is the reference table (centre (0, 0, s)) moved by A^n c; one
     ``flow_map`` of the level's centres gives every shift.  The shifted
     table equals ``chart_forward`` up to the last bits of the base.
+
+    A column of a table is one flow line.  Its base point is constant
+    between roof crossings, and a crossing shows as a drop in the table's s
+    column, so the rows split into runs that share every column's base.
     """
 
     def __init__(self, specs, nodes):
@@ -205,16 +214,27 @@ class _Level:
         centers = np.array([spec.box.center for spec in specs])
         self.shifts = model.flow_map(centers[:, None, :],
                                      self.t_nodes)[..., :2]
+        self.s = self.table[:, 0, 0, 2]
+        self.run = np.concatenate([[0], np.cumsum(np.diff(self.s) < 0)])
+        self.run_start = np.flatnonzero(np.diff(self.run, prepend=-1))
 
     def window(self, spec):
         """``spec.chart_window`` of the nodes."""
         return spec._window(self.t, self.back)
 
-    def chart_points(self, k):
-        """Box k's chart table gamma(t, q) over (t_nodes, q_nodes, q_nodes)."""
-        pts = self.table.copy()
-        pts[..., :2] = np.mod(
-            pts[..., :2] + self.shifts[k][:, None, None, :], 1.0)
+    def base(self, k, cols):
+        """Box k's chart-table base points on each run, over the columns
+        ``cols`` (a pair of q-index slices): shape (runs, q1, q2, 2)."""
+        r = self.run_start
+        return np.mod(self.table[r][:, cols[0], cols[1], :2]
+                      + self.shifts[k][r][:, None, None, :], 1.0)
+
+    def points(self, base, rows):
+        """Chart-table points of the rows selected by the mask ``rows``, from
+        the run base points ``base`` of ``self.base``."""
+        pts = np.empty((int(rows.sum()),) + base.shape[1:-1] + (3,))
+        pts[..., :2] = base[self.run[rows]]
+        pts[..., 2] = self.s[rows][:, None, None]
         return pts
 
 
@@ -224,7 +244,8 @@ def _corrected_table(dt, beta, ut, pht):
     Backward differences of u and left-rectangle cumulative sums share the
     same step, so partial sums of beta*(phi~ - du) telescope exactly against
     u's increments; that is what preserves the integrated-subaction
-    inequality at the discrete level.
+    inequality at the discrete level.  Every operation runs along t, so each
+    column of w depends only on the same column of u and phi~.
     """
     du = np.empty_like(ut)
     du[1:] = (ut[1:] - ut[:-1]) / dt
@@ -236,24 +257,13 @@ def _corrected_table(dt, beta, ut, pht):
     return ut + I - B[:, None, None] * mean_q[None]
 
 
-def _interp_table(t_nodes, q_nodes, table, t, u):
-    """Trilinear interpolation of a chart table at (t, u) queries."""
-    def ax(nodes, x):
-        step = nodes[1] - nodes[0]
-        f = np.clip((np.asarray(x) - nodes[0]) / step, 0, len(nodes) - 1 - 1e-12)
-        i = f.astype(np.int64)
-        return i, f - i
-    i0, f0 = ax(t_nodes, t)
-    i1, f1 = ax(q_nodes, u[..., 0])
-    i2, f2 = ax(q_nodes, u[..., 1])
-    out = 0.0
-    for d0 in (0, 1):
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                w = (f0 if d0 else 1 - f0) * (f1 if d1 else 1 - f1) \
-                    * (f2 if d2 else 1 - f2)
-                out = out + w * table[i0 + d0, i1 + d1, i2 + d2]
-    return out
+def _table_cell(nodes, x):
+    """Lower-corner index of chart coordinates x on a uniform table axis,
+    and the fractional offset from it."""
+    step = nodes[1] - nodes[0]
+    f = np.clip((np.asarray(x) - nodes[0]) / step, 0, len(nodes) - 1 - 1e-12)
+    i = f.astype(np.int64)
+    return i, f - i
 
 
 def check_integrated_subaction(u, model, phi, phi_bar, slack=None, n_orbits=64,
@@ -268,26 +278,44 @@ def check_integrated_subaction(u, model, phi, phi_bar, slack=None, n_orbits=64,
 
 def _smooth_box(u, spec, level, k, window, phi, phi_bar):
     """One smoothing pass over box k of ``level`` with node window
-    ``window``; output equals u exactly outside D''."""
+    ``window``; output equals u exactly outside D''.  Returns the new u and
+    the number of table columns priced.
+
+    alpha vanishes at most window nodes, and there the pass writes
+    (1 - 0) u + 0 * w.  w is column-local, so only the columns around the
+    nodes with alpha > 0 are priced: u once per run of each flow line, phi
+    on the rows where beta > 0.
+    """
     t, uu, inside = window
     idx = np.nonzero(inside)[0]
     if idx.size == 0:
-        return u.copy()
-    pts = level.chart_points(k)
-    ut = np.asarray(u(pts), dtype=float)
-    # phi enters w only through beta * phi~: skip the rows where beta = 0.
-    beta = spec.bumps.beta(level.t_nodes)
-    rows = beta > 0
-    pht = np.zeros_like(ut)
-    pht[rows] = np.asarray(phi(pts[rows]), dtype=float) - phi_bar
-    wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0], beta, ut, pht)
+        return u.copy(), 0
     a = spec.bumps.alpha(uu[idx])
-    w_vals = _interp_table(level.t_nodes, level.q_nodes, wt, t[idx], uu[idx])
+    live = a > 0
+    w_vals = np.zeros(idx.size)
+    n_cols = 0
+    if live.any():
+        cells = [_table_cell(level.t_nodes, t[idx[live]])] + [
+            _table_cell(level.q_nodes, uu[idx[live], ax]) for ax in (0, 1)]
+        cols = tuple(slice(i.min(), i.max() + 2) for i, _ in cells[1:])
+        base = level.base(k, cols)
+        ut = u.interpolate_lines(level.s, base, level.run)
+        # phi enters w only through beta * phi~: skip the rows where beta = 0.
+        beta = spec.bumps.beta(level.t_nodes)
+        rows = beta > 0
+        pht = np.zeros_like(ut)
+        pht[rows] = np.asarray(phi(level.points(base, rows)),
+                               dtype=float) - phi_bar
+        wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0], beta, ut,
+                              pht)
+        cells[1:] = [(i - c.start, f) for (i, f), c in zip(cells[1:], cols)]
+        w_vals[live] = trilinear(wt, cells)
+        n_cols = ut.shape[1] * ut.shape[2]
     flat = u.values.reshape(-1).copy()
     dense_here = flat[idx] + u.offset
     new_dense = (1.0 - a) * dense_here + a * w_vals
     flat[idx] = new_dense - u.offset
-    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
+    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset), n_cols
 
 
 def regularize_once(u: GridFunction, spec: RegularizerSpec, phi, phi_bar,
@@ -296,7 +324,7 @@ def regularize_once(u: GridFunction, spec: RegularizerSpec, phi, phi_bar,
     if check_precondition:
         check_integrated_subaction(u, spec.box.model, phi, phi_bar)
     level = _Level([spec], u.grid.node_points().reshape(-1, 3))
-    return _smooth_box(u, spec, level, 0, level.window(spec), phi, phi_bar)
+    return _smooth_box(u, spec, level, 0, level.window(spec), phi, phi_bar)[0]
 
 
 def default_cover(model: SuspensionFlow, eps=0.1, tau=0.4, n_base=8,
@@ -359,13 +387,15 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
     mask = np.zeros(nodes.shape[0], dtype=bool)
     uncovered_all = np.ones(nodes.shape[0], dtype=bool)
     u = u0
+    n_cols = 0
     ordered = sorted(cover, key=lambda s: s.index)
     for _, group in itertools.groupby(ordered, key=_level_key):
         specs = list(group)
         level = _Level(specs, nodes)
         for k, spec in enumerate(specs):
             window = level.window(spec)
-            u = _smooth_box(u, spec, level, k, window, phi, phi_bar)
+            u, cols = _smooth_box(u, spec, level, k, window, phi, phi_bar)
+            n_cols += cols
             # Both cores lie inside the window: price its nodes only.
             t, uu, inside = window
             t, uu = t[inside], uu[inside]
@@ -398,6 +428,8 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
         lip_phi=lip_phi, slack=float(slack), phi_bar=float(phi_bar),
         fd_step=float(fd_step),
         report={"n_boxes": len(cover), "n_region_nodes": int(mask.sum()),
+                "table_columns_priced": n_cols,
+                "table_columns": sum(s.n_q ** 2 for s in cover),
                 "worst_node_margin": float(margins.min()),
                 "median_node_margin": float(np.median(margins))})
 

@@ -202,6 +202,64 @@ def test_interpolation_matches_three_index_oracle(model, twisted):
     assert np.array_equal(u(pts[:1000]), _oracle_interpolate(u, pts[:1000]))
 
 
+def _flow_lines(model, base, s0, times):
+    """Columns of section points (base, s0) flowed by each time, as a chart
+    table holds them: (rows, columns, 3), the runs of rows between roof
+    crossings (a drop in s) and each run's base points."""
+    pts = np.concatenate([base, np.full((len(base), 1), s0)], axis=1)
+    table = model.flow_map(pts[None], np.asarray(times)[:, None])
+    s = table[:, 0, 2]
+    run = np.concatenate([[0], np.cumsum(np.diff(s) < 0)])
+    start = np.flatnonzero(np.diff(run, prepend=-1))
+    return table, s, run, table[start][..., :2]
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+@pytest.mark.parametrize("case", ["crossing", "s_zero", "below_roof"])
+def test_interpolate_lines_matches_interpolate_bitwise(model, twisted, case):
+    grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
+                model.base_matrix if twisted else None)
+    rng = np.random.default_rng(12)
+    u = GridFunction(grid, rng.standard_normal(grid.shape), offset=0.3)
+    base = rng.random((50, 2))
+    base[:5] = 0.0  # lines through grid nodes
+    below = np.nextafter(model.roof, 0.0)
+    s0, times = {
+        # 48 rows over 0.8 roof: one crossing, mid-run
+        "crossing": (0.7, np.linspace(-0.2, 0.6, 48)),
+        # a row lands on s = 0 exactly, right after the crossing
+        "s_zero": (0.5, 0.0625 * np.arange(-4, 12)),
+        # the first rows sit just below the roof, then cross it
+        "below_roof": (below, np.r_[0.0, 0.0, 2e-16, 0.01 * np.arange(1, 9)]),
+    }[case]
+    table, s, run, lines = _flow_lines(model, base, s0, times)
+    assert run[-1] == 1  # every case crosses the roof once
+    if case == "s_zero":
+        assert np.any(s == 0.0)
+    if case == "below_roof":
+        assert s[0] == below
+    got = u.interpolate_lines(s, lines, run)
+    want = u.interpolate(table)
+    assert got.shape == want.shape == table.shape[:2]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_interpolate_lines_wraps_each_row(model):
+    # Raw s outside [0, roof) inside one run: the rows' wraps differ, and
+    # each row's base goes through its own twist, as ``interpolate`` does.
+    grid = Grid((8, 8, 10), (1.0, 1.0, model.roof), model.base_matrix)
+    rng = np.random.default_rng(13)
+    u = GridFunction(grid, rng.standard_normal(grid.shape))
+    lines = rng.random((2, 3, 4, 2))
+    s = np.array([-0.3, 0.2, 0.95, 1.05, 2.4, 0.1, 0.7])
+    run = np.array([0, 0, 0, 0, 0, 1, 1])
+    pts = np.empty((7, 3, 4, 3))
+    pts[..., :2] = lines[run]
+    pts[..., 2] = s[:, None, None]
+    assert u.interpolate_lines(s, lines, run).tobytes() \
+        == u.interpolate(pts).tobytes()
+
+
 def test_offset_arithmetic_is_exact(small_grid):
     rng = np.random.default_rng(5)
     u = GridFunction(small_grid, rng.random(small_grid.shape))

@@ -103,6 +103,17 @@ def test_weak_kam_solution_properties(medium_solution):
     assert sol.stage_a_sweeps >= 1
 
 
+def test_stage_a_saturation_is_reported(small_kernel):
+    # on this kernel Stage A stalls after 71 sweeps; a cap of 60 stops it
+    # first, and Stage B still converges from there
+    capped = weak_kam_solve(small_kernel, 1e-8, max_iters=60)
+    assert capped.stage_a_sweeps == 60
+    assert capped.stage_a_saturated is False
+    full = weak_kam_solve(small_kernel, 1e-8)
+    assert full.stage_a_saturated is True
+    assert 60 < full.stage_a_sweeps < 3000
+
+
 def test_weak_kam_drift_error_without_refinement(model, small_grid):
     phi = constant_observable(-2.5)
     kern = build_kernel(small_grid, model, phi, 3.0, 0.0,

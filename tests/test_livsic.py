@@ -10,6 +10,7 @@ from weakkam import (PathSample, birkhoff_integral, check_factorization,
                      factor_pseudo_orbit, generate_paths,
                      livsic_lower_bound_scan, weighted_action)
 from weakkam import livsic
+from weakkam.charts import FlowBoxAtlas
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,48 @@ def test_decompose_chart_tracks(atlas, constants):
         for seg in pseudo:
             assert abs(seg.phi_xy - (atlas.tau - seg.r_y)) \
                 <= atlas.model.roof / 2 + 1e-9
+
+
+def _nearest_center_loop(atlas, p):
+    """The per-box scan: one ``chart_inverse`` per box, the first minimum
+    of max(|t|, |u|) wins.  Returns (distance, index)."""
+    best, best_idx = np.inf, None
+    for i, box in enumerate(atlas.boxes):
+        t, u = box.chart_inverse(p)
+        d = max(abs(float(t)), float(np.abs(u).max()))
+        if d < best:
+            best, best_idx = d, i
+    return best, best_idx
+
+
+def test_nearest_center_matches_per_box_loop(atlas, cobound, constants,
+                                             monkeypatch):
+    phi, _ = cobound
+    rng = np.random.default_rng(21)
+    pts = rng.random((60, 3))
+    pts[:, 2] *= atlas.model.roof
+    centres = [box.center for box in atlas.boxes[::37]]
+    # the points decompose_path asks about
+    asked = []
+    batched = FlowBoxAtlas.nearest_center
+
+    def record(self, p, max_adapted=None):
+        asked.append(np.array(p, dtype=float))
+        return batched(self, p, max_adapted)
+
+    monkeypatch.setattr(FlowBoxAtlas, "nearest_center", record)
+    for path in generate_paths(atlas, "pseudo_splice", 4, seed=3):
+        decompose_path(path, atlas, phi, constants)
+    monkeypatch.undo()
+    assert len(asked) > 10
+    n_none = 0
+    for p in list(pts) + centres + asked:
+        best, idx = _nearest_center_loop(atlas, p)
+        for cap in (None, atlas.eps, np.inf, atlas.eps / 8):
+            want = idx if best < (atlas.eps if cap is None else cap) else None
+            assert atlas.nearest_center(p, max_adapted=cap) == want
+            n_none += want is None
+    assert n_none > 0
 
 
 def _oracle_factorization(xs):
