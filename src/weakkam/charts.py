@@ -18,6 +18,14 @@ import numpy as np
 from .models import SuspensionFlow
 
 
+def adapted_norm(q):
+    """Adapted norm of chart coordinates q (..., 2): the max-norm in the
+    eigenframe, as one exact elementwise maximum (NaN propagates) rather than
+    a reduction over a length-2 axis."""
+    q = np.asarray(q, dtype=float)
+    return np.maximum(np.abs(q[..., 0]), np.abs(q[..., 1]))
+
+
 class ConstantConsistencyError(ValueError):
     pass
 
@@ -150,7 +158,7 @@ class FlowBoxAtlas:
         t = dt - roof * np.round(dt / roof)
         back = self.model.flow_map(p, -t)[level]
         u = stacked.section_u(back)
-        d = np.maximum(np.abs(t)[level], np.abs(u).max(axis=1))
+        d = np.maximum(np.abs(t)[level], adapted_norm(u))
         best = int(np.argmin(d))
         return best if d[best] < cap else None
 
@@ -159,7 +167,7 @@ class FlowBoxAtlas:
         eps = self.eps if eps is None else eps
         box = self._box(x)
         t, u = box.chart_inverse(p)
-        return bool(abs(float(t)) < eps and float(np.abs(u).max()) < eps)
+        return bool(abs(float(t)) < eps and float(adapted_norm(u)) < eps)
 
 
 def default_hyper_constants(model: SuspensionFlow, tau, rho):
@@ -219,7 +227,7 @@ def _measure_lip_gamma(model, box: FlowBox, n_samples=400, seed=0):
         keep = (moved[:, 2] >= 0) & (moved[:, 2] < model.roof)
         t2, u2 = box.chart_inverse(moved[keep])
         dt = np.abs(t2 - t[keep])
-        duu = np.abs(u2 - u[keep]).max(axis=1)
+        duu = adapted_norm(u2 - u[keep])
         adapted = np.maximum(dt, duu)
         # Exclude branch flips (wrapped representatives).
         good = adapted < 0.5
@@ -267,20 +275,37 @@ def build_atlas(model: SuspensionFlow, tau, rho, eps, n_points=None,
     rng = np.random.default_rng(seed)
     pts = rng.random((n_cover_samples, 3))
     pts[:, 2] *= model.roof
-    uncovered = np.ones(n_cover_samples, dtype=bool)
-    for box in boxes:
-        if not uncovered.any():
-            break
-        t, u = box.chart_inverse(pts[uncovered])
-        inside = (np.abs(t) < eps) & (np.abs(u).max(axis=1) < eps)
-        idx = np.nonzero(uncovered)[0]
-        uncovered[idx[inside]] = False
+    uncovered = _uncovered(atlas, pts)
     if uncovered.any():
         w = pts[np.nonzero(uncovered)[0][0]]
         raise CoveringError("atlas does not cover the manifold", witness=w)
     atlas.covering_report = {"n_samples": n_cover_samples, "uncovered": 0,
                              "n_boxes": len(boxes)}
     return atlas
+
+
+def _uncovered(atlas: FlowBoxAtlas, pts):
+    """Mask of the points p (n, 3) in no box's U_x(eps).
+
+    A point's nearest chart time depends on a box only through its section
+    level, so per level the still-uncovered points with |t| < eps are flowed
+    back once and then tested against that level's centres one at a time.
+    """
+    s, level, _ = atlas._levels
+    roof, eps = atlas.model.roof, atlas.eps
+    uncovered = np.ones(len(pts), dtype=bool)
+    for lev, s0 in enumerate(s):
+        dt = pts[:, 2] - s0
+        t = dt - roof * np.round(dt / roof)
+        idx = np.flatnonzero(uncovered & (np.abs(t) < eps))
+        back = atlas.model.flow_map(pts[idx], -t[idx])
+        for b in np.flatnonzero(level == lev):
+            if idx.size == 0:
+                break
+            inside = adapted_norm(atlas.boxes[b].section_u(back)) < eps
+            uncovered[idx[inside]] = False
+            idx, back = idx[~inside], back[~inside]
+    return uncovered
 
 
 def return_time(atlas: FlowBoxAtlas, x, y, t_hint=None):

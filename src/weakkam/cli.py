@@ -107,8 +107,11 @@ def cmd_solve(cfg: RunConfig):
     out = cfg.output_dir()
     model, phi, grid, h = _build_common(cfg)
     checks = {}
+    t0 = time.perf_counter()
     v_orb, rep_orb = ergodic_value(model, phi, "periodic_orbits", max_period=4)
+    t_ergodic = time.perf_counter() - t0
     sol, cert, timings = _solve_and_certify(cfg, model, phi, grid, h)
+    timings["ergodic_value"] = t_ergodic
     v_drift = sol.phi_bar
     write_csv(out / "ergodic.csv", ["method", "value"],
               [("periodic_orbits", v_orb), ("minplus_drift", v_drift)])
@@ -131,7 +134,10 @@ def cmd_solve(cfg: RunConfig):
                ("n_region_nodes", cert.report["n_region_nodes"])])
     checks["certificate_margin"] = bool(cert.margin >= -cert.slack)
 
-    _write_constants(out, _constants(cfg, model, phi)[1])
+    t0 = time.perf_counter()
+    consts = _constants(cfg, model, phi)[1]
+    timings["constants"] = time.perf_counter() - t0
+    _write_constants(out, consts)
 
     summary = {"command": "solve", "phi_bar": v_drift,
                "phi_bar_periodic": v_orb, "residual": sol.residual,

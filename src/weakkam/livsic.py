@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import FlowBoxAtlas, poincare_map, return_time
+from .charts import FlowBoxAtlas, adapted_norm, poincare_map, return_time
 from .models import Observable, SuspensionFlow, birkhoff_integral
 
 
@@ -221,7 +221,7 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     box = atlas._box(start_box)
     c_used = constants.c1 if c is None else float(c)
     ts, us = _track_chart_coords(box, path)
-    unorm = np.abs(us).max(axis=1)
+    unorm = adapted_norm(us)
     crossed = (ts >= tau) | (ts <= -2 * eps) | (unorm >= 2 * eps)
     crossed[0] = False
     if not crossed.any():

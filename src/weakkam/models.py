@@ -10,8 +10,7 @@ signed, batched orbit quadrature built on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,15 +40,34 @@ class HyperbolicityData:
 
 @dataclass(frozen=True)
 class Observable:
-    """Scalar Lipschitz observable.  ``evaluate`` must accept (..., d+1) arrays."""
+    """Scalar Lipschitz observable.  ``evaluate`` must accept (..., d+1) arrays.
+
+    ``lines``, when given, computes ``along_lines`` from a family's own
+    structure; it must equal the pointwise default bitwise.
+    """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     lipschitz_constant: float
     sup_bound: float
     name: str = "observable"
+    lines: Optional[Callable] = None
 
     def __call__(self, points):
         return self.evaluate(np.asarray(points, dtype=float))
+
+    def along_lines(self, s, base, run):
+        """The observable along flow lines, with the contract of
+        ``GridFunction.interpolate_lines``: out[r, c] is its value at the
+        point with base ``base[run[r], c]`` and s-coordinate ``s[r]``, where
+        c runs over the middle axes of ``base``, shape (runs, ..., 2)."""
+        s = np.asarray(s, dtype=float)
+        base = np.asarray(base, dtype=float)
+        if self.lines is not None:
+            return self.lines(s, base, run)
+        pts = np.empty(s.shape + base.shape[1:-1] + (3,))
+        pts[..., :2] = base[run]
+        pts[..., 2] = s.reshape((-1,) + (1,) * (base.ndim - 2))
+        return self(pts)
 
 
 @dataclass(frozen=True)
@@ -229,60 +247,60 @@ def lie_derivative(model, u, x, delta):
 def periodic_orbits(model, max_period):
     """All periodic orbits of the suspension with base period <= max_period.
 
-    Solves (A^n - I) x = 0 (mod 1) exactly over the rationals and groups the
-    fixed points of A^n into orbits of the base map.  Returns a list of
-    (base_point, flow_period) with each orbit reported once through a point of
-    minimal period.
+    The fixed points of A^n are x = adj(M) k / det(M) with M = A^n - I and k
+    integer, so every one is an integer numerator over d = |det M|, and the
+    base map acts on numerators as n -> A n (mod d).  Returns a list of
+    (base_point, flow_period) with each orbit reported once through its
+    least point.
     """
     if max_period > 12:
         raise ValueError("max_period capped at 12 (orbit count grows like lambda^n)")
     A = [[int(v) for v in row] for row in model.base_matrix]
-    seen = set()
     orbits = []
     for n in range(1, max_period + 1):
         M = (np.linalg.matrix_power(np.array(A, dtype=object), n)
              - np.eye(2, dtype=object)).tolist()  # exact integers
-        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        if det == 0:
-            continue
-        inv = [[Fraction(M[1][1], det), Fraction(-M[0][1], det)],
-               [Fraction(-M[1][0], det), Fraction(M[0][0], det)]]
-        # Integer points of M([0,1)^2) give all solutions x = M^{-1} k in [0,1)^2.
-        corners = [(0, 0), (M[0][0], M[1][0]), (M[0][1], M[1][1]),
-                   (M[0][0] + M[0][1], M[1][0] + M[1][1])]
-        k1s = range(min(c[0] for c in corners) - 1, max(c[0] for c in corners) + 2)
-        k2s = range(min(c[1] for c in corners) - 1, max(c[1] for c in corners) + 2)
-        for k1 in k1s:
-            for k2 in k2s:
-                x1 = inv[0][0] * k1 + inv[0][1] * k2
-                x2 = inv[1][0] * k1 + inv[1][1] * k2
-                if 0 <= x1 < 1 and 0 <= x2 < 1:
-                    pt = (x1, x2)
-                    if pt in seen:
-                        continue
-                    orbit, per = _base_orbit(A, pt)
-                    seen.update(orbit)
-                    if per <= max_period:
-                        rep = min(orbit)
-                        orbits.append((np.array([float(rep[0]), float(rep[1])]),
-                                       per * model.roof))
+        # nonzero: a hyperbolic A^n has no eigenvalue 1
+        d = abs(M[0][0] * M[1][1] - M[0][1] * M[1][0])
+        # The numerators form the subgroup of (Z/d)^2 spanned by the columns
+        # of adj(M): x = M^{-1} k (mod 1) over every integer k.
+        gens = ((M[1][1] % d, -M[1][0] % d), (-M[0][1] % d, M[0][0] % d))
+        group, todo = {(0, 0)}, [(0, 0)]
+        while todo:
+            p = todo.pop()
+            for g in gens:
+                q = ((p[0] + g[0]) % d, (p[1] + g[1]) % d)
+                if q not in group:
+                    group.add(q)
+                    todo.append(q)
+        # An orbit of period m < n was reported at m; keep period n only.
+        seen = set()
+        for pt in group:  # any order: each orbit's sort key below is unique
+            if pt in seen:
+                continue
+            orbit = _base_orbit(A, pt, d)
+            seen.update(orbit)
+            if len(orbit) == n:
+                rep = min(orbit)
+                orbits.append((np.array([rep[0] / d, rep[1] / d]),
+                               n * model.roof))
     orbits.sort(key=lambda o: (o[1], o[0][0], o[0][1]))
     return orbits
 
 
-def _base_orbit(A, pt):
-    """Exact orbit of a rational point under x -> Ax mod 1."""
+def _base_orbit(A, pt, d):
+    """Orbit of the point pt / d under x -> Ax mod 1, as numerators over d."""
     orbit = [pt]
     cur = pt
     while True:
-        cur = ((A[0][0] * cur[0] + A[0][1] * cur[1]) % 1,
-               (A[1][0] * cur[0] + A[1][1] * cur[1]) % 1)
+        cur = ((A[0][0] * cur[0] + A[0][1] * cur[1]) % d,
+               (A[1][0] * cur[0] + A[1][1] * cur[1]) % d)
         if cur == pt:
             break
         orbit.append(cur)
         if len(orbit) > 4096:
-            raise RuntimeError("orbit closure not found (non-rational point?)")
-    return orbit, len(orbit)
+            raise RuntimeError("orbit closure not found")
+    return orbit
 
 
 def birkhoff_integral(model, phi, x, t, quadrature_step):

@@ -29,6 +29,8 @@ def smoothstep_prime(x):
 def constant_observable(c):
     return Observable(
         evaluate=lambda p: np.full(np.asarray(p)[..., 0].shape, float(c)),
+        lines=lambda s, base, run: np.full(s.shape + base.shape[1:-1],
+                                           float(c)),
         lipschitz_constant=0.0,
         sup_bound=abs(float(c)),
         name=f"constant[{c}]",
@@ -89,6 +91,15 @@ class GluePotential:
         PAb = self.base_potential(b @ A.T)
         return smoothstep_prime(s) / self.model.roof * (PAb - Pb)
 
+    def flow_derivative_lines(self, s, base, run):
+        """``flow_derivative`` along flow lines (``Observable.along_lines``):
+        the jump P(Ab) - P(b) once per run base, the smoothstep factor once
+        per row, multiplied in ``flow_derivative``'s order."""
+        A = self.model.base_matrix.astype(float)
+        jump = self.base_potential(base @ A.T) - self.base_potential(base)
+        rate = smoothstep_prime(s / self.model.roof) / self.model.roof
+        return rate.reshape((-1,) + (1,) * (base.ndim - 2)) * jump[run]
+
     def lipschitz_estimate(self, n_samples=20000, seed=0):
         """Sampled Lipschitz bound of u0 (gradient sup, with 10% headroom)."""
         rng = np.random.default_rng(seed)
@@ -119,6 +130,7 @@ def coboundary_observable(model: SuspensionFlow, coeffs=None):
     quot = np.abs(pot.flow_derivative(q) - vals) / np.linalg.norm(q - p, axis=1)
     obs = Observable(
         evaluate=pot.flow_derivative,
+        lines=pot.flow_derivative_lines,
         lipschitz_constant=1.2 * float(quot.max()),
         sup_bound=1.05 * float(np.abs(vals).max()),
         name="coboundary",
@@ -141,7 +153,8 @@ def distance_squared_observable(model: SuspensionFlow, base_point=(0.0, 0.0)):
         return (d ** 2).sum(axis=-1)
 
     # |grad| <= 2 * max torus distance = sqrt(2); headroom for corners of the cell.
-    return Observable(evaluate=ev, lipschitz_constant=float(np.sqrt(2.0)),
+    return Observable(evaluate=ev, lines=lambda s, base, run: ev(base)[run],
+                      lipschitz_constant=float(np.sqrt(2.0)),
                       sup_bound=0.5, name="dist2_fixed_orbit")
 
 
@@ -149,7 +162,8 @@ def grid_table_observable(gridfun, lipschitz=None, name="grid_table"):
     """Observable backed by a tabulated grid function (interpolated)."""
     lip = lipschitz if lipschitz is not None else gridfun.discrete_lipschitz()
     sup = float(np.abs(gridfun.values).max() + abs(gridfun.offset))
-    return Observable(evaluate=gridfun, lipschitz_constant=float(lip),
+    return Observable(evaluate=gridfun, lines=gridfun.interpolate_lines,
+                      lipschitz_constant=float(lip),
                       sup_bound=sup, name=name)
 
 

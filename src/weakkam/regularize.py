@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import FlowBox
+from .charts import FlowBox, adapted_norm
 from .grid import GridFunction, trilinear
 from .laxoleinik import verify_integrated_subaction
 from .models import SuspensionFlow
@@ -54,7 +54,7 @@ class BumpPair:
     tau: float
 
     def alpha(self, q):
-        r = np.abs(np.asarray(q, dtype=float)).max(axis=-1)
+        r = adapted_norm(q)
         return 1.0 - smoothstep((r - self.eps) / self.eps)
 
     def beta(self, t):
@@ -143,14 +143,14 @@ class RegularizerSpec:
         points flowed back by t to the section."""
         u = self.box.section_u(back)
         inside = (t < self.tau + 2 * self.eps) \
-            & (np.abs(u).max(axis=-1) < 3 * self.eps)
+            & (adapted_norm(u) < 3 * self.eps)
         return t, u, inside
 
     def in_core(self, t, u, margin=0.0):
         """Mask of chart points (t, u) inside D = (0,tau) x B(eps), shrunk by
         ``margin``; (t, u) as returned by ``chart_window``."""
         return (t > margin) & (t < self.tau - margin) \
-            & (np.abs(u).max(axis=-1) < self.eps - margin)
+            & (adapted_norm(u) < self.eps - margin)
 
 
 @dataclass
@@ -229,14 +229,6 @@ class _Level:
         return np.mod(self.table[r][:, cols[0], cols[1], :2]
                       + self.shifts[k][r][:, None, None, :], 1.0)
 
-    def points(self, base, rows):
-        """Chart-table points of the rows selected by the mask ``rows``, from
-        the run base points ``base`` of ``self.base``."""
-        pts = np.empty((int(rows.sum()),) + base.shape[1:-1] + (3,))
-        pts[..., :2] = base[self.run[rows]]
-        pts[..., 2] = self.s[rows][:, None, None]
-        return pts
-
 
 def _corrected_table(dt, beta, ut, pht):
     """The corrected function w on the chart table.
@@ -283,8 +275,8 @@ def _smooth_box(u, spec, level, k, window, phi, phi_bar):
 
     alpha vanishes at most window nodes, and there the pass writes
     (1 - 0) u + 0 * w.  w is column-local, so only the columns around the
-    nodes with alpha > 0 are priced: u once per run of each flow line, phi
-    on the rows where beta > 0.
+    nodes with alpha > 0 are priced, u and phi both along the flow lines
+    (once per run base), phi on the rows where beta > 0 only.
     """
     t, uu, inside = window
     idx = np.nonzero(inside)[0]
@@ -304,8 +296,9 @@ def _smooth_box(u, spec, level, k, window, phi, phi_bar):
         beta = spec.bumps.beta(level.t_nodes)
         rows = beta > 0
         pht = np.zeros_like(ut)
-        pht[rows] = np.asarray(phi(level.points(base, rows)),
-                               dtype=float) - phi_bar
+        pht[rows] = np.asarray(
+            phi.along_lines(level.s[rows], base, level.run[rows]),
+            dtype=float) - phi_bar
         wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0], beta, ut,
                               pht)
         cells[1:] = [(i - c.start, f) for (i, f), c in zip(cells[1:], cols)]

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import block_diag
 
-from .charts import affine_poincare
+from .charts import adapted_norm, affine_poincare
 
 
 class ConstantsTooWeakError(ValueError):
@@ -46,7 +46,7 @@ def _chain_map(maps):
 
 def _ball_errors(Q, FQ, rho):
     """{row: message} for orbits with a point or an image outside B(rho/2)."""
-    img = np.abs(FQ).max(axis=2) > rho / 2 + 1e-9
+    img = adapted_norm(FQ) > rho / 2 + 1e-9
     pts = np.abs(Q).max(axis=(1, 2)) > rho / 2 + 1e-12
     return {j: "pseudo-orbit points must stay in B(rho/2)" if pts[j] else
             f"image of point {np.argmax(img[j])} leaves B(rho/2)"
@@ -205,7 +205,7 @@ def _shadow_chain(Q, maps, rho, tol, k_gamma=None, max_iters=25):
                         else k_gamma)
     except ConstantsTooWeakError as e:
         return [out.get(j, e) for j in range(m)]
-    errs = np.abs(FQ - np.roll(Q, -1, axis=1)).max(axis=2).sum(axis=1)
+    errs = adapted_norm(FQ - np.roll(Q, -1, axis=1)).sum(axis=1)
     J = block_diag(*L) - np.kron(np.roll(np.eye(n), 1, axis=1), np.eye(2))
     P, resid, iters = Q.copy(), np.zeros((m, n)), np.zeros(m, dtype=int)
     hist, stall = np.full((max_iters + 1, m), np.nan), np.zeros(m, dtype=int)
@@ -217,7 +217,7 @@ def _shadow_chain(Q, maps, rho, tol, k_gamma=None, max_iters=25):
 
     for it in range(max_iters + 1):
         F = f(P[act]) - np.roll(P[act], -1, axis=1)
-        step_res = np.abs(F).max(axis=2)
+        step_res = adapted_norm(F)
         res = step_res.max(axis=1)
         hist[it, act] = res
         done = res < tol
@@ -243,7 +243,7 @@ def _shadow_chain(Q, maps, rho, tol, k_gamma=None, max_iters=25):
         out.update((j, EscapeError("Newton iterate escaped B(rho)"))
                    for j in act[escaped])
         act = act[~escaped]
-    dist = np.abs(Q - P).max(axis=2).sum(axis=1)
+    dist = adapted_norm(Q - P).sum(axis=1)
     return [out[j] if j in out else ShadowingResult(
         orbit=P[j], residuals=resid[j], distance_sum=float(dist[j]),
         error_sum=float(errs[j]), k_gamma=k_gamma,

@@ -269,3 +269,67 @@ def test_certify_hyperbolic_rejects_identity(atlas):
     cert = certify_hyperbolic(ident, required=atlas.hyper)
     assert not cert.passed
     assert not cert.checks["expansion"]["ok"]
+
+
+def test_adapted_norm_is_the_max_norm_bitwise():
+    from weakkam.charts import adapted_norm
+    rng = np.random.default_rng(5)
+    q = rng.standard_normal((7, 5, 2))
+    q[0, 0] = [np.nan, 1.0]
+    q[0, 1] = [-2.0, np.nan]
+    q[1, 0] = [-0.0, 0.0]
+    q[1, 1] = [-np.inf, 3.0]
+    want = np.abs(q).max(axis=-1)
+    got = adapted_norm(q)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert float(adapted_norm(np.array([0.3, -0.4]))) == 0.4
+
+
+def _oracle_uncovered(atlas, pts):
+    """The per-box covering loop: one ``chart_inverse``, so one ``flow_map``,
+    per box over the samples still uncovered."""
+    uncovered = np.ones(len(pts), dtype=bool)
+    for box in atlas.boxes:
+        if not uncovered.any():
+            break
+        t, u = box.chart_inverse(pts[uncovered])
+        inside = (np.abs(t) < atlas.eps) & (np.abs(u).max(axis=1) < atlas.eps)
+        idx = np.nonzero(uncovered)[0]
+        uncovered[idx[inside]] = False
+    return uncovered
+
+
+@pytest.mark.parametrize("keep", [slice(None), slice(None, None, 7),
+                                  slice(None, 100)])
+def test_uncovered_matches_per_box_loop(atlas, keep):
+    from dataclasses import replace
+
+    from weakkam.charts import _uncovered
+    thin = replace(atlas, boxes=atlas.boxes[keep])
+    rng = np.random.default_rng(0)
+    pts = rng.random((3000, 3))
+    pts[:, 2] *= atlas.model.roof
+    got = _uncovered(thin, pts)
+    assert np.array_equal(got, _oracle_uncovered(thin, pts))
+    assert got.any() == (len(thin.boxes) < len(atlas.boxes))
+
+
+@pytest.mark.parametrize("n_points", [None, 2])
+def test_build_atlas_cover_matches_per_box_loop(model, monkeypatch, n_points):
+    import weakkam.charts as charts
+
+    def build():
+        try:
+            return charts.build_atlas(model, 1.0, 0.25, 0.25,
+                                      n_points=n_points).covering_report
+        except charts.CoveringError as e:
+            return e.witness
+
+    got = build()
+    monkeypatch.setattr(charts, "_uncovered", _oracle_uncovered)
+    want = build()
+    if n_points is None:
+        assert got == want and got["uncovered"] == 0
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()

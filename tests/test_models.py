@@ -180,3 +180,69 @@ def test_lie_derivative_grid_spacing_guard(model, small_grid):
     u = GridFunction.zeros(small_grid)
     with pytest.raises(ValueError):
         lie_derivative(model, u, np.zeros(3), small_grid.max_spacing)
+
+
+def _oracle_periodic_orbits(model, max_period):
+    """The rational fixed points of A^n as Fractions, x = M^{-1} k for every
+    integer k in M([0,1)^2), M = A^n - I, grouped into exact orbits; k2 is
+    bounded per k1 by the exact bounds of x in [0,1)^2."""
+    import math
+    from fractions import Fraction
+
+    A = [[int(v) for v in row] for row in model.base_matrix]
+    seen, orbits = set(), []
+    for n in range(1, max_period + 1):
+        M = (np.linalg.matrix_power(np.array(A, dtype=object), n)
+             - np.eye(2, dtype=object)).tolist()
+        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+        inv = [[Fraction(M[1][1], det), Fraction(-M[0][1], det)],
+               [Fraction(-M[1][0], det), Fraction(M[0][0], det)]]
+        k1s = [0, M[0][0], M[0][1], M[0][0] + M[0][1]]
+        k2s = [0, M[1][0], M[1][1], M[1][0] + M[1][1]]
+        for k1 in range(min(k1s), max(k1s) + 1):
+            lo, hi = Fraction(min(k2s)), Fraction(max(k2s))
+            for row in inv:
+                # 0 <= row[0] k1 + row[1] k2 < 1
+                ends = sorted(((0 - row[0] * k1) / row[1],
+                               (1 - row[0] * k1) / row[1]))
+                lo, hi = max(lo, ends[0]), min(hi, ends[1])
+            for k2 in range(math.ceil(lo), math.floor(hi) + 1):
+                x = (inv[0][0] * k1 + inv[0][1] * k2,
+                     inv[1][0] * k1 + inv[1][1] * k2)
+                if not (0 <= x[0] < 1 and 0 <= x[1] < 1) or x in seen:
+                    continue
+                orbit = [x]
+                while True:
+                    y = orbit[-1]
+                    y = ((A[0][0] * y[0] + A[0][1] * y[1]) % 1,
+                         (A[1][0] * y[0] + A[1][1] * y[1]) % 1)
+                    if y == x:
+                        break
+                    orbit.append(y)
+                seen.update(orbit)
+                rep = min(orbit)
+                orbits.append((np.array([float(rep[0]), float(rep[1])]),
+                               len(orbit) * model.roof))
+    orbits.sort(key=lambda o: (o[1], o[0][0], o[0][1]))
+    return orbits
+
+
+# The second matrix stops at period 6: its 37,632 fixed points of A^8 take
+# the Fraction oracle several seconds.
+@pytest.mark.parametrize("matrix, top", [([[2, 1], [1, 1]], 8),
+                                         ([[3, 1], [2, 1]], 6)])
+def test_periodic_orbits_match_fraction_oracle(matrix, top):
+    model = SuspensionFlow(base_matrix=np.array(matrix), roof=1.3)
+    want = _oracle_periodic_orbits(model, top)
+    A = np.array(matrix, dtype=object)
+    for m in range(1, top + 1):
+        got = periodic_orbits(model, m)
+        expect = [o for o in want if o[1] <= m * model.roof]
+        assert len(got) == len(expect)
+        for (b, per), (b0, per0) in zip(got, expect):
+            assert per == per0 and b.tobytes() == b0.tobytes()
+        # the orbit lengths dividing m add up to |det(A^m - I)| points
+        points = sum(int(round(per / model.roof)) for _, per in got
+                     if m % int(round(per / model.roof)) == 0)
+        M = np.linalg.matrix_power(A, m) - np.eye(2, dtype=object)
+        assert points == abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
