@@ -1,10 +1,11 @@
 """Flow-box atlases, Poincare maps, and hyperbolicity certification.
 
 The atlas covers the manifold with adapted flow boxes whose section charts
-align with the stable/unstable eigenframe.  Poincare maps between aligned
-boxes are affine with diagonal hyperbolic linear part; the certifier measures
-expansion, contraction, coupling, and nonlinearity against the admissible
-constants and reports pass/fail margins.
+align with the stable/unstable eigenframe; the cover and the chart constant
+Lip(Gamma) are closed forms of the lattice and the eigenframe.  Poincare maps
+between aligned boxes are affine with diagonal hyperbolic linear part; the
+certifier reads expansion, contraction, coupling and offset off an affine
+map against the admissible constants and reports pass/fail margins.
 """
 
 import numpy as np
@@ -15,11 +16,17 @@ from weakkam.shadowing import lattice_box_chains
 
 model = SuspensionFlow()
 atlas = build_atlas(model, tau=1.0, rho=0.25, eps=0.25)
-print(f"atlas: {atlas.n_gamma} boxes, chart C^1 bound {atlas.lip_gamma:.3f}")
+print(f"atlas: {atlas.n_gamma} boxes, chart Lipschitz bound "
+      f"{atlas.lip_gamma:.6f} (4 sqrt 3 = {4 * np.sqrt(3):.6f})")
 h = atlas.hyper
 print(f"constants: sigma_u={h.sigma_u:.6f} sigma_s={h.sigma_s:.6f} "
       f"eta={h.eta:.6f} eps(rho)={h.eps_rho:.6f}")
-print("covering:", atlas.covering_report)
+# Every point is within the level half-gap (<= eps/4) of a section level and,
+# flowed back to it, within the corner radius (<= eps/2) of a lattice centre.
+cover = atlas.covering_report
+print(f"covering: {cover['n_boxes']} boxes, corner radius "
+      f"{cover['radius']:.6f} <= eps/2 = {atlas.eps / 2}, level half-gap "
+      f"{cover['level_half_gap']:.6f} <= eps/4 = {atlas.eps / 4}")
 
 # Flat sections give a return time that is the same for every section point,
 # so the Poincare map is affine; compare its closed form against flowing

@@ -20,11 +20,11 @@ from .laxoleinik import (DriftError, InconsistencyError, NonConvergenceError,
                          WeakKamSolution, cross_validated_ergodic_value,
                          ergodic_value, verify_apriori,
                          verify_integrated_subaction, weak_kam_solve)
-from .charts import (AdmissibilityError, AtlasConstants, CoveringError,
-                     FlowBox, FlowBoxAtlas, LocalHyperbolicMap,
-                     affine_poincare, build_atlas, certify_hyperbolic,
-                     check_constants, check_forward_admissible,
-                     default_hyper_constants, poincare_map, return_time)
+from .charts import (AdmissibilityError, AtlasConstants, FlowBox,
+                     FlowBoxAtlas, LocalHyperbolicMap, affine_poincare,
+                     build_atlas, certify_hyperbolic, check_constants,
+                     check_forward_admissible, default_hyper_constants,
+                     poincare_map, return_time)
 from .shadowing import (ConstantsTooWeakError, DiscretePseudoOrbit,
                         EscapeError, NewtonDivergenceError, ShadowingResult,
                         estimate_k_gamma, k_gamma_from_maps,

@@ -10,7 +10,7 @@ eigenframe coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,12 +28,6 @@ def adapted_norm(q):
 
 class ConstantConsistencyError(ValueError):
     pass
-
-
-class CoveringError(RuntimeError):
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
 
 
 class AdmissibilityError(RuntimeError):
@@ -122,7 +116,7 @@ class FlowBoxAtlas:
     eps: float
     lip_gamma: float
     hyper: AtlasConstants
-    covering_report: dict = field(default_factory=dict)
+    covering_report: dict
 
     @property
     def n_gamma(self):
@@ -203,63 +197,48 @@ def check_constants(model, tau, rho, eps, hyper: AtlasConstants):
             raise ConstantConsistencyError(f"violated: {name}")
 
 
-def _measure_lip_gamma(model, box: FlowBox, n_samples=400, seed=0):
-    """Sampled C^1 bounds of the chart and its inverse over the full domain."""
-    rng = np.random.default_rng(seed)
-    tau = box.tau
-    t = rng.uniform(-2 * tau, 2 * tau, n_samples)
-    u = rng.uniform(-1.0, 1.0, (n_samples, 2))
-    base = box.chart_forward(t, u)
-    fd = 1e-6
-    worst_fwd = 0.0
-    for d_t, d_u in ((fd, (0.0, 0.0)), (0.0, (fd, 0.0)), (0.0, (0.0, fd))):
-        moved = box.chart_forward(t + d_t, u + np.asarray(d_u))
-        dist = model.distance(moved, base)
-        step = max(abs(d_t), abs(d_u[0]), abs(d_u[1]))  # adapted max-norm
-        worst_fwd = max(worst_fwd, float(dist.max()) / step)
-    # Inverse: adapted chart displacement per unit ambient displacement.
-    worst_inv = 0.0
-    dirs = rng.standard_normal((8, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for d in dirs:
-        moved = base + fd * d
-        moved[:, :2] %= 1.0
-        keep = (moved[:, 2] >= 0) & (moved[:, 2] < model.roof)
-        t2, u2 = box.chart_inverse(moved[keep])
-        dt = np.abs(t2 - t[keep])
-        duu = adapted_norm(u2 - u[keep])
-        adapted = np.maximum(dt, duu)
-        # Exclude branch flips (wrapped representatives).
-        good = adapted < 0.5
-        if good.any():
-            worst_inv = max(worst_inv, float(adapted[good].max()) / fd)
-    return max(1.0, worst_fwd, worst_inv)
+def _chart_lipschitz(model: SuspensionFlow, tau):
+    """Lipschitz bound of a box chart over |t| <= 2 tau and of its inverse,
+    between the adapted max-norm and the ambient metric.
+
+    Such a chart crosses the roof k times, |k| <= N = ceil(2 tau / roof), and
+    its linear part there is [V | A^k F] = [V | lam^k e_u, lam^-k e_s] with V
+    orthogonal to the base.  Over the unit max-norm ball its norm peaks at a
+    corner (+-1, +-1, +-1): sqrt(1 + lam^2k + lam^-2k + 2 |e_u . e_s|),
+    largest at |k| = N.  ``FlowBox.chart_inverse`` takes the nearest branch,
+    |t| <= roof/2, so it crosses at most one roof; it sends (db, ds) to
+    (ds, diag(lam^-k, lam^k) F^-1 db), whose norm from the Euclidean to the
+    max-norm is its largest row norm, at most max(1, lam |row of F^-1|).
+    """
+    n = int(np.ceil(2.0 * tau / model.roof))
+    lam = model.unstable_eigenvalue
+    cos = abs(float(model.unstable_direction @ model.stable_direction))
+    fwd = np.sqrt(1.0 + lam ** (2 * n) + lam ** (-2 * n) + 2.0 * cos)
+    inv = lam * np.linalg.norm(model.eigen_frame_inv, axis=1).max()
+    return float(max(fwd, inv))
 
 
-def build_atlas(model: SuspensionFlow, tau, rho, eps, n_points=None,
-                n_cover_samples=2000, seed=0):
+def build_atlas(model: SuspensionFlow, tau, rho, eps):
     """Uniform-net atlas whose U_x(eps) boxes cover the manifold.
 
-    Net spacing is eps/2 in the adapted metric.  ``n_points`` optionally
-    overrides the per-axis base net count.  Raises CoveringError with a
-    witness if certification fails.
+    The centres are the lattice (i/m, j/m) on each of n_levels evenly spaced
+    section levels.  The cover is certified by construction:
+
+    * a point's nearest level is within the half-gap roof / (2 n_levels)
+      <= eps/4 of its s, so its nearest-branch chart time has |t| < eps;
+    * flowed back to that level, its base point lies within 1/(2m) per
+      coordinate of a lattice centre, so its chart coordinate u = F^-1 db has
+      adapted norm at most the corner radius |F^-1|_inf / (2m) <= eps/2.
+
+    m is the least integer >= 2 with that radius <= eps/2.
     """
+    if not all(v > 0 for v in (tau, rho, eps)):
+        raise ValueError("tau, rho and eps must be positive")
     hyper = default_hyper_constants(model, tau, rho)
     check_constants(model, tau, rho, eps, hyper)
-    half = eps / 2.0
-    if n_points is None:
-        # smallest base net with adapted cell radius <= eps/2
-        m = 2
-        while True:
-            d = 1.0 / m
-            corners = np.array([[d / 2, d / 2], [d / 2, -d / 2]])
-            rad = np.abs(corners @ model.eigen_frame_inv.T).max()
-            if rad <= half:
-                break
-            m += 1
-    else:
-        m = int(n_points)
-    n_levels = max(1, int(np.ceil(model.roof / half)))
+    row_sum = float(np.abs(model.eigen_frame_inv).sum(axis=1).max())
+    m = max(2, int(np.ceil(row_sum / eps)))
+    n_levels = max(1, int(np.ceil(model.roof / (eps / 2.0))))
     boxes = []
     for k in range(n_levels):
         s0 = k * model.roof / n_levels
@@ -267,45 +246,13 @@ def build_atlas(model: SuspensionFlow, tau, rho, eps, n_points=None,
             for j in range(m):
                 center = np.array([i / m, j / m, s0])
                 boxes.append(FlowBox(model, center, tau))
-    atlas = FlowBoxAtlas(model=model, boxes=boxes, tau=float(tau),
-                         rho=float(rho), eps=float(eps),
-                         lip_gamma=_measure_lip_gamma(model, boxes[0]),
-                         hyper=hyper)
-    # Covering certification by sampling.
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n_cover_samples, 3))
-    pts[:, 2] *= model.roof
-    uncovered = _uncovered(atlas, pts)
-    if uncovered.any():
-        w = pts[np.nonzero(uncovered)[0][0]]
-        raise CoveringError("atlas does not cover the manifold", witness=w)
-    atlas.covering_report = {"n_samples": n_cover_samples, "uncovered": 0,
-                             "n_boxes": len(boxes)}
-    return atlas
-
-
-def _uncovered(atlas: FlowBoxAtlas, pts):
-    """Mask of the points p (n, 3) in no box's U_x(eps).
-
-    A point's nearest chart time depends on a box only through its section
-    level, so per level the still-uncovered points with |t| < eps are flowed
-    back once and then tested against that level's centres one at a time.
-    """
-    s, level, _ = atlas._levels
-    roof, eps = atlas.model.roof, atlas.eps
-    uncovered = np.ones(len(pts), dtype=bool)
-    for lev, s0 in enumerate(s):
-        dt = pts[:, 2] - s0
-        t = dt - roof * np.round(dt / roof)
-        idx = np.flatnonzero(uncovered & (np.abs(t) < eps))
-        back = atlas.model.flow_map(pts[idx], -t[idx])
-        for b in np.flatnonzero(level == lev):
-            if idx.size == 0:
-                break
-            inside = adapted_norm(atlas.boxes[b].section_u(back)) < eps
-            uncovered[idx[inside]] = False
-            idx, back = idx[~inside], back[~inside]
-    return uncovered
+    report = {"radius": row_sum / (2 * m),
+              "level_half_gap": model.roof / (2 * n_levels),
+              "n_boxes": len(boxes)}
+    return FlowBoxAtlas(model=model, boxes=boxes, tau=float(tau),
+                        rho=float(rho), eps=float(eps),
+                        lip_gamma=_chart_lipschitz(model, tau), hyper=hyper,
+                        covering_report=report)
 
 
 def return_time(atlas: FlowBoxAtlas, x, y, t_hint=None):
@@ -332,12 +279,12 @@ def check_forward_admissible(atlas: FlowBoxAtlas, x, y):
     if not (abs(float(t0) - atlas.tau) < atlas.rho):
         raise AdmissibilityError(
             f"y not within rho of time-tau slice (t0={float(t0):.4f})")
-    if not (float(np.abs(u0).max()) < atlas.rho):
+    if not (float(adapted_norm(u0)) < atlas.rho):
         raise AdmissibilityError("y outside B_x(rho) transversally")
-    f0 = poincare_map(atlas, x, y, np.zeros(2))
-    if not (float(np.abs(f0).max()) <= atlas.hyper.eps_rho + 1e-12):
+    f0 = float(adapted_norm(poincare_map(atlas, x, y, np.zeros(2))))
+    if not (f0 <= atlas.hyper.eps_rho + 1e-12):
         raise AdmissibilityError(
-            f"f_xy(0) outside B_y(eps(rho)) (norm {float(np.abs(f0).max()):.3e})")
+            f"f_xy(0) outside B_y(eps(rho)) (norm {f0:.3e})")
     return True
 
 
@@ -397,7 +344,6 @@ class HyperbolicCertificate:
     sigma_s: float
     coupling_u: float
     coupling_s: float
-    lip_nonlinear: float
     offset_norm: float
     checks: dict
 
@@ -406,32 +352,24 @@ class HyperbolicCertificate:
         return all(v["ok"] for v in self.checks.values())
 
 
-def certify_hyperbolic(hmap: LocalHyperbolicMap, n_samples=200,
-                       required: AtlasConstants = None, seed=0):
-    """Measure the six adapted-hyperbolic-map quantities by sampling.
+def certify_hyperbolic(hmap: LocalHyperbolicMap,
+                       required: AtlasConstants = None):
+    """Read the adapted-hyperbolic-map quantities off an affine map.
 
     Block convention: coordinate 0 is unstable, coordinate 1 stable; the
-    adapted norm is the max-norm.  When ``required`` is given, pass/fail
-    margins are reported against its constants.
+    adapted norm is the max-norm.  An affine map has nonlinearity exactly 0,
+    so only its linear part and offset are checked; any other map is refused
+    with ValueError.  When ``required`` is given, pass/fail margins are
+    reported against its constants.
     """
+    if not hmap.affine:
+        raise ValueError("certify_hyperbolic needs an affine map")
     A = hmap.linear_part
     sigma_u = abs(float(A[0, 0]))
     sigma_s = abs(float(A[1, 1]))
     du = abs(float(A[0, 1]))
     dsc = abs(float(A[1, 0]))
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-hmap.rho / 2, hmap.rho / 2, (n_samples, 2))
-    vals = np.array([hmap(p) - A @ p for p in pts])
-    lip = 0.0
-    for _ in range(n_samples):
-        i, j = rng.integers(0, n_samples, 2)
-        if i == j:
-            continue
-        num = float(np.abs(vals[i] - vals[j]).max())
-        den = float(np.abs(pts[i] - pts[j]).max())
-        if den > 1e-12:
-            lip = max(lip, num / den)
-    off = float(np.abs(hmap.offset).max())
+    off = float(adapted_norm(hmap.offset))
     checks = {}
     if required is not None:
         checks = {
@@ -443,12 +381,9 @@ def certify_hyperbolic(hmap: LocalHyperbolicMap, n_samples=200,
                            "margin": required.eta - du},
             "coupling_s": {"ok": dsc <= required.eta,
                            "margin": required.eta - dsc},
-            "nonlinearity": {"ok": lip <= required.eta,
-                             "margin": required.eta - lip},
             "offset": {"ok": off <= required.eps_rho,
                        "margin": required.eps_rho - off},
         }
     return HyperbolicCertificate(sigma_u=sigma_u, sigma_s=sigma_s,
                                  coupling_u=du, coupling_s=dsc,
-                                 lip_nonlinear=lip, offset_norm=off,
-                                 checks=checks)
+                                 offset_norm=off, checks=checks)

@@ -25,7 +25,7 @@ Schema (all keys optional; defaults shown):
     c = 4.0
     reach_multiplier = 2.0
 
-    [atlas]
+    [atlas]              ; all three must be positive
     tau = 1.0
     rho = 0.25
     eps = 0.25
@@ -80,7 +80,8 @@ class RunConfig:
         if self.family not in BUILTIN_FAMILIES:
             raise ConfigError(f"unknown observable family {self.family!r}; "
                               f"choose one of {BUILTIN_FAMILIES}")
-        for name in ("solve_tol", "monotone_tol", "ergodic_tol"):
+        for name in ("solve_tol", "monotone_tol", "ergodic_tol", "tau",
+                     "rho", "eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.roof <= 0:

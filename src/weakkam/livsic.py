@@ -279,7 +279,7 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
         float(birkhoff_integral(model, phi, z, t, quad_step)) - phi_bar * t
         for z, t in ((zx, t_ret), (zx, r_x), (zy, r_y)))
     fq = poincare_map(atlas, start_box, y_idx, q_x, t_hint=t_ret)
-    rem_norm = float(np.abs(fq - q_y).max())
+    rem_norm = float(adapted_norm(fq - q_y))
     rem = c_used / (np.sqrt(8.0) * constants.lip_gamma ** 3) * rem_norm
     lb = phi_xy + psi_y - psi_x + rem
     return SegmentClassification(

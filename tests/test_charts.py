@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from weakkam import (AdmissibilityError, affine_poincare, certify_hyperbolic,
-                     check_constants, check_forward_admissible, poincare_map,
-                     return_time)
-from weakkam.charts import ConstantConsistencyError, LocalHyperbolicMap
+from weakkam import (AdmissibilityError, SuspensionFlow, affine_poincare,
+                     build_atlas, certify_hyperbolic, check_constants,
+                     check_forward_admissible, poincare_map, return_time)
+from weakkam.charts import (ConstantConsistencyError, FlowBox,
+                            LocalHyperbolicMap)
 
 
 # Oracles: the numerical return time and Poincare map that the closed form
@@ -124,7 +125,8 @@ def test_check_constants_guards(model, atlas):
 
 
 def test_atlas_covers_and_sizes(atlas):
-    assert atlas.covering_report["uncovered"] == 0
+    assert atlas.covering_report["radius"] <= atlas.eps / 2
+    assert atlas.covering_report["level_half_gap"] <= atlas.eps / 4
     assert atlas.n_gamma == atlas.covering_report["n_boxes"]
     assert atlas.lip_gamma >= 1.0
     # every random point is inside some box's U_x(eps)
@@ -259,16 +261,54 @@ def test_certify_hyperbolic_passes_for_chain_map(model, atlas):
                               required=atlas.hyper)
     assert cert.passed, cert.checks
     assert cert.sigma_u > 1.0 > cert.sigma_s
-    assert cert.lip_nonlinear < 1e-9  # affine map has no nonlinearity
 
 
 def test_certify_hyperbolic_rejects_identity(atlas):
     ident = LocalHyperbolicMap(f_map=lambda q: np.asarray(q, dtype=float),
                                linear_part=np.eye(2), offset=np.zeros(2),
-                               rho=atlas.rho)
+                               rho=atlas.rho, affine=True)
     cert = certify_hyperbolic(ident, required=atlas.hyper)
     assert not cert.passed
     assert not cert.checks["expansion"]["ok"]
+
+
+def _cubic_map(rho):
+    """A map that is not affine: f(q) = 2 q + q^3."""
+    return LocalHyperbolicMap(f_map=lambda q: 2.0 * q + q ** 3,
+                              linear_part=np.diag([2.0, 2.0]),
+                              offset=np.zeros(2), rho=rho)
+
+
+def test_certify_hyperbolic_refuses_non_affine_map(atlas):
+    with pytest.raises(ValueError, match="affine"):
+        certify_hyperbolic(_cubic_map(atlas.rho), required=atlas.hyper)
+
+
+def _oracle_nonlinearity(hmap, n_samples=200, seed=0):
+    """The sampled Lipschitz constant of q -> f(q) - A q over random pairs in
+    the ball of radius rho/2 that ``certify_hyperbolic`` used to measure."""
+    A = hmap.linear_part
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-hmap.rho / 2, hmap.rho / 2, (n_samples, 2))
+    vals = np.array([hmap(p) - A @ p for p in pts])
+    lip = 0.0
+    for _ in range(n_samples):
+        i, j = rng.integers(0, n_samples, 2)
+        den = float(np.abs(pts[i] - pts[j]).max())
+        if i != j and den > 1e-12:
+            lip = max(lip, float(np.abs(vals[i] - vals[j]).max()) / den)
+    return lip
+
+
+def test_affine_maps_have_no_sampled_nonlinearity(atlas):
+    from weakkam.shadowing import lattice_box_chains
+    pairs = {(cyc[i], cyc[(i + 1) % len(cyc)])
+             for cyc, _ in lattice_box_chains(atlas) for i in range(len(cyc))}
+    assert len(pairs) > 10
+    for x, y in sorted(pairs):
+        assert _oracle_nonlinearity(affine_poincare(atlas, x, y)) <= 1e-12
+    # the sampler does see the nonlinearity of a map that has some
+    assert _oracle_nonlinearity(_cubic_map(atlas.rho)) > 1e-3
 
 
 def test_adapted_norm_is_the_max_norm_bitwise():
@@ -300,36 +340,105 @@ def _oracle_uncovered(atlas, pts):
     return uncovered
 
 
-@pytest.mark.parametrize("keep", [slice(None), slice(None, None, 7),
-                                  slice(None, 100)])
-def test_uncovered_matches_per_box_loop(atlas, keep):
+def _samples(model, n, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 3))
+    pts[:, 2] *= model.roof
+    return pts
+
+
+MATRICES = {"A211": [[2, 1], [1, 1]], "A3121": [[3, 1], [2, 1]]}
+
+
+@pytest.mark.parametrize("settings", [(1.0, 0.25, 0.25), (0.8, 0.2, 0.15)],
+                         ids=["tau1", "tau0.8"])
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_per_box_loop_finds_no_gap_in_lattice_cover(name, settings):
+    model = SuspensionFlow(base_matrix=np.array(MATRICES[name]))
+    atlas = build_atlas(model, *settings)
+    rep = atlas.covering_report
+    assert rep["radius"] <= atlas.eps / 2
+    assert rep["level_half_gap"] <= atlas.eps / 4
+    assert rep["n_boxes"] == atlas.n_gamma
+    assert not _oracle_uncovered(atlas, _samples(model, 20000)).any()
+
+
+@pytest.mark.parametrize("keep", [slice(None, None, 7), slice(None, 100)],
+                         ids=["every_7th", "first_100"])
+def test_per_box_loop_flags_thinned_cover(atlas, keep):
     from dataclasses import replace
-
-    from weakkam.charts import _uncovered
     thin = replace(atlas, boxes=atlas.boxes[keep])
-    rng = np.random.default_rng(0)
-    pts = rng.random((3000, 3))
-    pts[:, 2] *= atlas.model.roof
-    got = _uncovered(thin, pts)
-    assert np.array_equal(got, _oracle_uncovered(thin, pts))
-    assert got.any() == (len(thin.boxes) < len(atlas.boxes))
+    assert _oracle_uncovered(thin, _samples(atlas.model, 20000)).any()
 
 
-@pytest.mark.parametrize("n_points", [None, 2])
-def test_build_atlas_cover_matches_per_box_loop(model, monkeypatch, n_points):
-    import weakkam.charts as charts
+def _oracle_net_count(model, eps):
+    """The search that picked the per-axis net count m: the least m >= 2
+    whose cell-corner radius in the adapted norm is at most eps/2."""
+    m = 2
+    while True:
+        d = 1.0 / m
+        corners = np.array([[d / 2, d / 2], [d / 2, -d / 2]])
+        if np.abs(corners @ model.eigen_frame_inv.T).max() <= eps / 2.0:
+            return m
+        m += 1
 
-    def build():
-        try:
-            return charts.build_atlas(model, 1.0, 0.25, 0.25,
-                                      n_points=n_points).covering_report
-        except charts.CoveringError as e:
-            return e.witness
 
-    got = build()
-    monkeypatch.setattr(charts, "_uncovered", _oracle_uncovered)
-    want = build()
-    if n_points is None:
-        assert got == want and got["uncovered"] == 0
-    else:
-        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_net_count_matches_search(name):
+    model = SuspensionFlow(base_matrix=np.array(MATRICES[name]))
+    for eps in np.linspace(0.06, 0.33, 55):
+        atlas = build_atlas(model, 1.0, 0.25, float(eps))
+        n_levels = len(atlas._levels[0])
+        assert atlas.n_gamma == n_levels * _oracle_net_count(model, eps) ** 2
+
+
+def test_build_atlas_rejects_non_positive_sizes(model):
+    for args in ((1.0, 0.25, 0.0), (1.0, 0.25, -0.1), (1.0, 0.0, 0.25),
+                 (0.0, 0.25, 0.25), (1.0, 0.25, float("nan"))):
+        with pytest.raises(ValueError):
+            build_atlas(model, *args)
+
+
+def _oracle_lip_gamma(model, box: FlowBox, n_samples=400, seed=0):
+    """The sampled C^1 bounds of the chart and its inverse that
+    ``build_atlas`` used to report: forward steps along one chart coordinate
+    at a time over |t| <= 2 tau, and inverse steps along 8 random ambient
+    directions, on the nearest branch only."""
+    rng = np.random.default_rng(seed)
+    tau = box.tau
+    t = rng.uniform(-2 * tau, 2 * tau, n_samples)
+    u = rng.uniform(-1.0, 1.0, (n_samples, 2))
+    base = box.chart_forward(t, u)
+    fd = 1e-6
+    worst_fwd = 0.0
+    for d_t, d_u in ((fd, (0.0, 0.0)), (0.0, (fd, 0.0)), (0.0, (0.0, fd))):
+        moved = box.chart_forward(t + d_t, u + np.asarray(d_u))
+        dist = model.distance(moved, base)
+        worst_fwd = max(worst_fwd, float(dist.max()) / fd)
+    worst_inv = 0.0
+    dirs = rng.standard_normal((8, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for d in dirs:
+        moved = base + fd * d
+        moved[:, :2] %= 1.0
+        keep = (moved[:, 2] >= 0) & (moved[:, 2] < model.roof)
+        t2, u2 = box.chart_inverse(moved[keep])
+        adapted = np.maximum(np.abs(t2 - t[keep]),
+                             np.abs(u2 - u[keep]).max(axis=-1))
+        good = adapted < 0.5  # exclude branch flips
+        if good.any():
+            worst_inv = max(worst_inv, float(adapted[good].max()) / fd)
+    return max(1.0, worst_fwd, worst_inv)
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_lip_gamma_bounds_the_sampled_estimate(name):
+    model = SuspensionFlow(base_matrix=np.array(MATRICES[name]))
+    atlas = build_atlas(model, 1.0, 0.25, 0.25)
+    for box in atlas.boxes[::37]:
+        est = _oracle_lip_gamma(model, box)
+        assert est <= atlas.lip_gamma
+        assert est >= 0.98 * atlas.lip_gamma
+    if name == "A211":
+        # two roof crossings, a max-norm step of 1 in both u-coordinates
+        assert atlas.lip_gamma == pytest.approx(4 * np.sqrt(3), rel=1e-14)

@@ -66,6 +66,17 @@ def test_runconfig_validation():
         RunConfig(c=-1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(solve_tol=0.0).validate()
+    for key in ("tau", "rho", "eps"):
+        for bad in (0.0, -0.1):
+            with pytest.raises(ConfigError):
+                load_config(None, {key: bad})
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.1"])
+def test_cli_non_positive_atlas_eps_exit_2(tmp_path, eps):
+    bad = _ini(tmp_path, f"[atlas]\neps = {eps}\n")
+    assert main(["--config", bad, "--output", str(tmp_path / "o"),
+                 "atlas"]) == EXIT_USAGE
 
 
 def test_cli_bad_config_exit_2(tmp_path):
@@ -112,14 +123,17 @@ def test_cli_verify_apriori(tmp_path):
 
 
 def test_cli_verify_livsic_flags_weak_weight(tmp_path):
-    out = str(tmp_path / "o")
+    out, const = str(tmp_path / "o"), str(tmp_path / "c")
     code = main(["--output", out] + SMALL
                 + ["verify", "livsic", "--count", "20"])
     assert code == EXIT_PASS
     summary = json.loads((Path(out) / "summary.json").read_text())
-    # the default weight is far below the certified threshold, so the run
-    # passes but carries an explicit flag
-    assert summary["flag"] and "bound not guaranteed" in summary["flag"]
+    # the scan prices every path at C4, whatever --c says, and reports it
+    assert "flag" not in summary
+    assert main(["--output", const] + SMALL + ["constants"]) == EXIT_PASS
+    with open(Path(const) / "constants.csv") as f:
+        c4 = {r["name"]: r["value"] for r in csv.DictReader(f)}["c4"]
+    assert FLOAT_FMT % summary["weight"] == c4
 
 
 def test_cli_shadow(tmp_path):
