@@ -21,7 +21,7 @@ import numpy as np
 from .charts import affine_poincare, build_atlas
 from .config import ConfigError, RunConfig, load_config
 from .grid import Grid, GridFunction
-from .kernel import build_kernel
+from .kernel import build_kernel, discretization
 from .laxoleinik import ergodic_value, verify_apriori, weak_kam_solve
 from .livsic import compute_constants, livsic_lower_bound_scan
 from .regularize import default_cover, regularize_all, verify_subaction
@@ -62,11 +62,9 @@ def write_summary(outdir, summary):
 def _build_common(cfg: RunConfig):
     model = cfg.build_model()
     phi = cfg.build_observable(model)
-    grid = Grid(cfg.grid_shape, (1.0, 1.0, model.roof), model.base_matrix)
-    h = cfg.h
-    if h is None:
-        h = grid.spacings[2] * max(1, int((model.roof / 10.0)
-                                          / grid.spacings[2]))
+    grid, h = discretization(
+        model, Grid(cfg.grid_shape, (1.0, 1.0, model.roof), model.base_matrix),
+        cfg.h)
     return model, phi, grid, h
 
 
@@ -80,7 +78,7 @@ def _solve_and_certify(cfg, model, phi, grid, h):
     """
     kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
     t0 = time.perf_counter()
-    sol = weak_kam_solve(kern, cfg.solve_tol, monotone_tol=cfg.monotone_tol)
+    sol = weak_kam_solve(kern, cfg.solve_tol)
     t1 = time.perf_counter()
     cert = regularize_all(sol.u, default_cover(model), phi, sol.phi_bar,
                           precheck=False)
@@ -148,7 +146,6 @@ def cmd_solve(cfg: RunConfig):
                "howard_offsets_folded": sum(sol.howard["offsets_folded"]),
                "stage_a_sweeps": sol.stage_a_sweeps,
                "stage_b_sweeps": len(sol.iteration_log),
-               "stage_a_saturated": sol.stage_a_saturated,
                "table_columns_priced": cert.report["table_columns_priced"],
                "table_columns": cert.report["table_columns"],
                "timings": timings}

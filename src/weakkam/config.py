@@ -1,6 +1,6 @@
 """Plain-text run configuration (INI key/value schema).
 
-Schema (all keys optional; defaults shown):
+Schema (all keys optional; defaults shown; keys not listed are ignored):
 
     [model]
     a11 = 2            ; integer base-matrix entries
@@ -23,7 +23,7 @@ Schema (all keys optional; defaults shown):
     [kernel]
     h =                  ; default: roof/10 snapped to the s-spacing
     c = 4.0
-    reach_multiplier = 2.0
+    reach_multiplier = 2.0 ; at least 2
 
     [atlas]              ; all three must be positive
     tau = 1.0
@@ -32,7 +32,6 @@ Schema (all keys optional; defaults shown):
 
     [tolerances]
     solve_tol = 1e-8
-    monotone_tol = 1e-9
     ergodic_tol = 1e-2
 
     [run]
@@ -71,7 +70,6 @@ class RunConfig:
     rho: float = 0.25
     eps: float = 0.25
     solve_tol: float = 1e-8
-    monotone_tol: float = 1e-9
     ergodic_tol: float = 1e-2
     seed: int = 0
     output: str = None
@@ -80,16 +78,15 @@ class RunConfig:
         if self.family not in BUILTIN_FAMILIES:
             raise ConfigError(f"unknown observable family {self.family!r}; "
                               f"choose one of {BUILTIN_FAMILIES}")
-        for name in ("solve_tol", "monotone_tol", "ergodic_tol", "tau",
-                     "rho", "eps"):
-            if getattr(self, name) <= 0:
+        # Tested as `not value > 0`, so that NaN fails too.
+        for name in ("solve_tol", "ergodic_tol", "tau", "rho", "eps", "roof",
+                     "c", "max_horizon"):
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.roof <= 0:
-            raise ConfigError("roof must be positive")
-        if self.h is not None and self.h <= 0:
+        if self.h is not None and not self.h > 0:
             raise ConfigError("kernel step h must be positive")
-        if self.c <= 0:
-            raise ConfigError("kernel weight c must be positive")
+        if not self.reach_multiplier >= 2:
+            raise ConfigError("reach_multiplier must be at least 2")
         if any(n < 2 for n in self.grid_shape):
             raise ConfigError("grid resolutions must be at least 2")
         if self.grid_shape[0] != self.grid_shape[1]:
@@ -153,8 +150,6 @@ def load_config(path=None, overrides=None):
     cfg.rho = _get(cp, "atlas", "rho", float, cfg.rho)
     cfg.eps = _get(cp, "atlas", "eps", float, cfg.eps)
     cfg.solve_tol = _get(cp, "tolerances", "solve_tol", float, cfg.solve_tol)
-    cfg.monotone_tol = _get(cp, "tolerances", "monotone_tol", float,
-                            cfg.monotone_tol)
     cfg.ergodic_tol = _get(cp, "tolerances", "ergodic_tol", float,
                            cfg.ergodic_tol)
     cfg.seed = _get(cp, "run", "seed", int, cfg.seed)

@@ -356,6 +356,18 @@ class ActionKernel:
         return g, GridFunction(grid, v3), info
 
 
+def discretization(model, grid=None, h=None):
+    """The grid and kernel step of a run, each defaulted when None: the
+    32x32x16 grid of the model's suspension, and h = roof/10 snapped down to
+    a multiple (at least one) of the s-spacing."""
+    if grid is None:
+        grid = Grid((32, 32, 16), (1.0, 1.0, model.roof), model.base_matrix)
+    if h is None:
+        ds = grid.spacings[2]
+        h = ds * max(1, int((model.roof / 10.0) / ds))
+    return grid, h
+
+
 def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
     """Build the one-step min-plus kernel; see module docstring for the cost.
 

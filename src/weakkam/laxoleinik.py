@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction
-from .kernel import ActionKernel, build_kernel
+from .grid import GridFunction
+from .kernel import ActionKernel, build_kernel, discretization
 from .models import birkhoff_integral, periodic_orbits
 
 
@@ -37,9 +37,8 @@ class WeakKamSolution:
     iteration_log: list
     lipschitz: float
     stage_a_sweeps: int
-    stage_a_saturated: bool  # False: Stage A stopped at max_iters, not stalled
     eigenvalue_refinement: float
-    howard: dict = None
+    howard: dict
 
 
 def _converged_howard(kernel):
@@ -78,11 +77,7 @@ def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
             "averages": averages,
         }
     if method == "minplus_drift":
-        if grid is None:
-            grid = Grid((32, 32, 16), (1.0, 1.0, model.roof), model.base_matrix)
-        if h is None:
-            h = model.roof / 10.0
-            h = grid.spacings[2] * max(1, int(h / grid.spacings[2]))
+        grid, h = discretization(model, grid, h)
         if c is None:
             c = 4.0 * max(1.0, phi.lipschitz_constant)
         kern = build_kernel(grid, model, phi, c, 0.0, h, reach_multiplier)
@@ -110,75 +105,56 @@ def cross_validated_ergodic_value(model, phi, tol, **kwargs):
                      "minplus_drift": (v_drift, rep_drift), "gap": gap}
 
 
-def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000,
-                   monotone_tol=1e-9, refine_eigenvalue=True):
+def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000):
     """Two-stage weak-KAM fixed point of the discrete semigroup.
 
     The kernel's reference value is first refined to its exact additive
-    eigenvalue (otherwise iterates drift linearly forever and no residual
-    tolerance is reachable).  Stage A takes the pointwise minimum of the first
-    N_A push-forwards of 0, with N_A*h at least three diameters of travel
-    time.  Stage B iterates the operator, which is then monotone nondecreasing
-    up to rounding, until the sup-change drops below tol.
+    eigenvalue by Howard's policy iteration (otherwise iterates drift
+    linearly forever and no residual tolerance is reachable); on a kernel
+    built at reference value 0 the refined ``phi_bar`` is the ergodic value
+    itself, and the policy-iteration report is kept in ``howard``.  A policy
+    iteration that does not converge raises NonConvergenceError.
 
-    On a kernel built at reference value 0 the refined ``phi_bar`` is the
-    ergodic value itself; the policy-iteration report is kept in ``howard``
-    (None when ``refine_eigenvalue`` is off).  A policy iteration that does
-    not converge raises NonConvergenceError instead of refining.
+    Stage A computes w* = min_{n>=1} T^n 0 as v = T 0, then
+    v <- min(v, T v), and stops at the first sweep that leaves v unchanged.
+    T commutes with min bitwise, so after n sweeps v is exactly the min of
+    the first n push-forwards, and once a sweep changes nothing no later
+    push-forward can: v is w*, and T v >= v exactly.  If no sweep within
+    ``max_iters`` is fixed, DriftError carries the last sweep's worst
+    improvement per unit time.  Stage B iterates T from v; T is monotone, so
+    the iterates never decrease, and it stops once the sup-change drops
+    below tol.
     """
-    refinement, info = 0.0, None
-    if refine_eigenvalue:
-        g, info = _converged_howard(kernel)
-        refinement = float(np.min(g)) / kernel.h
-        if refinement != 0.0:
-            kernel = kernel.with_phi_bar(kernel.phi_bar + refinement)
-    diam = kernel.model.diameter()
-    n_a = max(1, int(np.ceil(3.0 * diam /
-                             (kernel.model.sup_norm_bound * kernel.h))))
-    # Stage A: accumulate the pointwise min of push-forwards of 0 until it
-    # saturates (no node improves for a full cyclicity window).  Saturation,
-    # not just travel-time coverage, is what makes T[v] >= v afterwards: the
-    # min over a truncated horizon can still be undercut by longer paths.
-    stall_window = max(12, kernel.grid.shape[2] // kernel.flow_steps + 2)
-    v = None
-    cur = GridFunction.zeros(kernel.grid)
-    stall = 0
-    sweeps = 0
-    while sweeps < n_a or (stall < stall_window and sweeps < max_iters):
-        cur = kernel.apply(cur)
-        if v is None:
-            v = cur.copy()
-            sweeps += 1
-            continue
-        new_v = v.minimum(cur)
-        stall = stall + 1 if np.array_equal(new_v.values, v.values) else 0
-        v = new_v
-        sweeps += 1
-    n_a = sweeps
+    g, info = _converged_howard(kernel)
+    refinement = float(np.min(g)) / kernel.h
+    if refinement != 0.0:
+        kernel = kernel.with_phi_bar(kernel.phi_bar + refinement)
+    v = kernel.apply(GridFunction.zeros(kernel.grid))
+    n_a = 1
+    while True:
+        w = v.minimum(kernel.apply(v))
+        n_a += 1
+        if np.array_equal(w.values, v.values):
+            break
+        if n_a >= max_iters:
+            raise DriftError(
+                f"Stage A found no fixed sweep in {n_a} sweeps",
+                drift=float((w.values - v.values).min()) / kernel.h)
+        v = w
     log = []
     u = v
-    drift_run = 0
-    for it in range(max_iters):
+    for _ in range(max_iters):
         u1 = kernel.apply(u)
         delta = u1.dense() - u.dense()
         lo, hi = float(delta.min()), float(delta.max())
         residual = max(abs(lo), abs(hi))
         log.append((lo, hi))
-        if lo < -max(monotone_tol, tol):
-            drift_run += 1
-            if drift_run >= 10:
-                raise DriftError(
-                    "Stage-B iterates are not monotone: reference value "
-                    "mis-estimated", drift=lo / kernel.h)
-        else:
-            drift_run = 0
         u = u1
         if residual < tol:
             lip = u.discrete_lipschitz()
             return WeakKamSolution(
                 u=u, c=kernel.c, residual=residual, phi_bar=kernel.phi_bar,
                 iteration_log=log, lipschitz=lip, stage_a_sweeps=n_a,
-                stage_a_saturated=stall >= stall_window,
                 eigenvalue_refinement=refinement, howard=info)
     raise NonConvergenceError("weak-KAM iteration did not converge",
                               history=log)
@@ -210,10 +186,7 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
     land in report['violations'].
     """
     rng = np.random.default_rng(seed)
-    if grid is None:
-        grid = Grid((32, 32, 16), (1.0, 1.0, model.roof), model.base_matrix)
-    if h is None:
-        h = grid.spacings[2] * max(1, int((model.roof / 10.0) / grid.spacings[2]))
+    grid, h = discretization(model, grid, h)
     kern = build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier)
     n_steps = max(1, int(round(t / h)))
     t_eff = n_steps * h

@@ -167,7 +167,7 @@ def grid_table_observable(gridfun, lipschitz=None, name="grid_table"):
                       sup_bound=sup, name=name)
 
 
-BUILTIN_FAMILIES = ("constant", "coboundary", "dist2", "grid_table")
+BUILTIN_FAMILIES = ("constant", "coboundary", "dist2")
 
 
 def make_observable(model, family, **params):

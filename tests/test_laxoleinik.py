@@ -7,6 +7,8 @@ from weakkam import (ActionKernel, DriftError, Grid, GridFunction,
                      distance_squared_observable, ergodic_value,
                      verify_apriori, verify_integrated_subaction,
                      weak_kam_solve)
+from weakkam.cli import _build_common
+from weakkam.config import load_config
 from weakkam.laxoleinik import action_fields
 
 
@@ -103,23 +105,105 @@ def test_weak_kam_solution_properties(medium_solution):
     assert sol.stage_a_sweeps >= 1
 
 
-def test_stage_a_saturation_is_reported(small_kernel):
-    # on this kernel Stage A stalls after 71 sweeps; a cap of 60 stops it
-    # first, and Stage B still converges from there
-    capped = weak_kam_solve(small_kernel, 1e-8, max_iters=60)
-    assert capped.stage_a_sweeps == 60
-    assert capped.stage_a_saturated is False
-    full = weak_kam_solve(small_kernel, 1e-8)
-    assert full.stage_a_saturated is True
-    assert 60 < full.stage_a_sweeps < 3000
+# Stage A as it stopped before the fixed-sweep rule: the min of the
+# push-forwards of 0 over at least three sampled diameters of travel time, and
+# on until no node had improved for a tuned window of sweeps.
 
 
-def test_weak_kam_drift_error_without_refinement(model, small_grid):
+def _stall_window_stage_a(kernel, max_iters=3000):
+    """The old Stage A's v and the first sweep of its final stalled run."""
+    diam = kernel.model.diameter()
+    n_a = max(1, int(np.ceil(3.0 * diam /
+                             (kernel.model.sup_norm_bound * kernel.h))))
+    stall_window = max(12, kernel.grid.shape[2] // kernel.flow_steps + 2)
+    v, first_stall = None, None
+    cur = GridFunction.zeros(kernel.grid)
+    stall = sweeps = 0
+    while sweeps < n_a or (stall < stall_window and sweeps < max_iters):
+        cur = kernel.apply(cur)
+        sweeps += 1
+        if v is None:
+            v = cur.copy()
+            continue
+        new_v = v.minimum(cur)
+        stall = stall + 1 if np.array_equal(new_v.values, v.values) else 0
+        if stall == 1:
+            first_stall = sweeps
+        v = new_v
+    assert stall >= stall_window  # the oracle itself saturated
+    return v, first_stall
+
+
+def _cli_kernel(family):
+    """The kernel that ``weakkam --grid 16 16 10 --observable FAMILY solve``
+    builds."""
+    cfg = load_config(None, {"grid_shape": (16, 16, 10), "family": family})
+    model, phi, grid, h = _build_common(cfg)
+    return build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """Every ``ActionKernel.apply`` call as (kernel, field), in order."""
+    calls = []
+    apply = ActionKernel.apply
+
+    def recorded(self, u):
+        calls.append((self, u))
+        return apply(self, u)
+
+    monkeypatch.setattr(ActionKernel, "apply", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["small", "coboundary", "dist2"])
+def test_stage_a_stops_at_its_first_fixed_sweep(small_kernel, applies, which):
+    kern = small_kernel if which == "small" else _cli_kernel(which)
+    sol = weak_kam_solve(kern, 1e-8)
+    # Stage B's first sweep is applied to Stage A's v, on the refined kernel
+    refined, v = applies[sol.stage_a_sweeps]
+    assert refined.phi_bar == sol.phi_bar
+    oracle_v, first_stall = _stall_window_stage_a(refined)
+    assert np.array_equal(v.values, oracle_v.values) and v.offset == 0.0
+    assert sol.stage_a_sweeps == first_stall
+    assert np.all(refined.apply(v).values >= v.values)
+    assert all(lo >= 0.0 for lo, _ in sol.iteration_log)
+
+
+def test_solve_applies_the_kernel_once_per_sweep(small_kernel, applies):
+    # the benchmark splits a solve's apply spans into Stage A and Stage B by
+    # stage_a_sweeps; Howard applies nothing
+    sol = weak_kam_solve(small_kernel, 1e-8)
+    assert len(applies) == sol.stage_a_sweeps + len(sol.iteration_log)
+
+
+@pytest.mark.parametrize("cap", [1, 59])
+def test_stage_a_cap_before_its_fixed_sweep_raises(small_kernel, cap):
+    # on this kernel Stage A's first fixed sweep is sweep 60
+    assert weak_kam_solve(small_kernel, 1e-8,
+                          max_iters=60).stage_a_sweeps == 60
+    with pytest.raises(DriftError) as err:
+        weak_kam_solve(small_kernel, 1e-8, max_iters=cap)
+    assert err.value.drift < 0.0
+
+
+def test_weak_kam_drift_error_on_overestimated_gain(model, small_grid,
+                                                    monkeypatch):
+    solve = ActionKernel.solve_additive_eigenvalue
+
+    def too_high(self, *args, **kwargs):
+        g, bias, info = solve(self, *args, **kwargs)
+        return g + 0.5 * self.h, bias, info
+
+    monkeypatch.setattr(ActionKernel, "solve_additive_eigenvalue", too_high)
     phi = constant_observable(-2.5)
     kern = build_kernel(small_grid, model, phi, 3.0, 0.0,
                         small_grid.spacings[2], 2.0)
-    with pytest.raises(DriftError):
-        weak_kam_solve(kern, 1e-10, max_iters=60, refine_eigenvalue=False)
+    # a reference value 0.5 above the ergodic value lowers every node by
+    # 0.5 per unit time, so Stage A never stops
+    with pytest.raises(DriftError) as err:
+        weak_kam_solve(kern, 1e-10, max_iters=60)
+    assert err.value.drift == pytest.approx(-0.5, rel=1e-9)
 
 
 def test_verify_apriori_small(model, cobound, small_grid):

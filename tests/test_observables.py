@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from weakkam import (GluePotential, birkhoff_integral, constant_observable,
-                     coboundary_observable, distance_squared_observable,
-                     grid_table_observable, make_observable, periodic_orbits,
-                     smoothstep, smoothstep_prime)
+from weakkam import (BUILTIN_FAMILIES, GluePotential, birkhoff_integral,
+                     constant_observable, coboundary_observable,
+                     distance_squared_observable, grid_table_observable,
+                     make_observable, periodic_orbits, smoothstep,
+                     smoothstep_prime)
 
 
 def test_smoothstep_shape():
@@ -96,6 +97,8 @@ def test_make_observable_dispatch(model):
     assert make_observable(model, "dist2")(np.zeros(3)) == 0.0
     with pytest.raises(ValueError):
         make_observable(model, "nope")
+    for family in BUILTIN_FAMILIES:  # the config accepts only these
+        make_observable(model, family)
 
 
 def _lines(model):
