@@ -12,14 +12,24 @@ twisted halo (``grid.Halo``); each shift is a zero-copy window of it, folded
 into the running minimum in place.  No cost matrix is materialized; memory
 stays O(grid size) for any reach.
 
-Sweeps prune the stencil exactly.  With lo, hi the minimum and maximum of the
-shifted array B, only the prefix of the norm-sorted offsets with
-not (lo + C*dev > hi) is folded: a pruned candidate is
-fl(B[p] + C*dev) >= fl(lo + C*dev) > hi >= B[p0], the zero-deviation
-candidate, because rounding is monotone.  If B holds +-inf the test is false
-and nothing is pruned.  Offsets of equal norm are folded together, the
-minimum of their windows first and C*dev added once, exact for the same
-reason.  NaN input raises ``ValueError``.
+One fold serves every sweep: it computes the s-layers [k0, k1) of the
+minimum, through the same windows restricted to those layers.  ``apply`` and
+``apply_reverse`` fold [0, ns) at once.  ``relax``, a Gauss-Seidel sweep,
+folds one layer at a time in increasing order, writes it, and gathers again
+only the halo slabs that show that layer, so each layer reads the layers this
+sweep already wrote.
+
+Folds prune the stencil exactly.  With lo a lower bound of the shifted array
+B and hi the maximum of the folded layers' zero-deviation window, only the
+prefix of the norm-sorted offsets with not (lo + C*dev > hi) is folded: a
+pruned candidate at q is fl(B[p] + C*dev) >= fl(lo + C*dev) > hi >= B[p0],
+the zero-deviation candidate at q, because rounding is monotone.  Over all
+layers that window is a permutation of B, so lo, hi are B's extremes.  In a
+Gauss-Seidel sweep lo starts as B's minimum and takes the minimum of each
+layer as it is written, so it bounds B even where the sweep lowers it.  If B
+holds +-inf the test is false and nothing is pruned.  Offsets of equal norm
+are folded together, the minimum of their windows first and C*dev added
+once, exact for the same reason.  NaN input raises ``ValueError``.
 
 Howard policy iteration gives the exact additive eigenvalue.  Its policy
 evaluation loops over peel rounds and cycles of the policy graph, never over
@@ -137,23 +147,41 @@ class ActionKernel:
         return self._sweep(-self._total_offsets())
 
     @staticmethod
-    def _fold(B, sweep):
-        """min over the stencil of shift(B) + c*dev, pruned exactly."""
-        lo, hi = B.min(), B.max()
+    def _lower_bound(B):
+        lo = B.min()
         if np.isnan(lo):
             raise ValueError("kernel input field holds NaN")
-        P = sweep.halo.pad(B)
+        return lo
+
+    @staticmethod
+    def _fold(P, sweep, lo, k0, k1):
+        """min over the stencil of shift(B) + c*dev on the s-layers [k0, k1),
+        from P, the halo of B, and lo <= every entry of B; pruned exactly."""
         win, bounds = sweep.windows, sweep.bounds
-        best = P[win[0]].copy()
+
+        def layers(j):
+            sx, sy, sk = win[j]
+            return P[sx, sy, sk.start + k0:sk.start + k1]
+
+        best = layers(0).copy()
         tmp = np.empty_like(best)
-        n_groups = np.searchsorted(lo + sweep.cdevs, hi, side="right")
+        n_groups = np.searchsorted(lo + sweep.cdevs, best.max(), side="right")
         for g in range(1, n_groups):
-            np.copyto(tmp, P[win[bounds[g]]])
-            for w in win[bounds[g] + 1:bounds[g + 1]]:
-                np.minimum(tmp, P[w], out=tmp)
+            np.copyto(tmp, layers(bounds[g]))
+            for j in range(bounds[g] + 1, bounds[g + 1]):
+                np.minimum(tmp, layers(j), out=tmp)
             np.add(tmp, sweep.cdevs[g], out=tmp)
             np.minimum(best, tmp, out=best)
         return best
+
+    def _fold_all(self, B, sweep):
+        """min over the stencil of shift(B) + c*dev on every s-layer."""
+        lo = self._lower_bound(B)
+        return self._fold(sweep.halo.pad(B), sweep, lo, 0, self.grid.shape[2])
+
+    def _check_grid(self, u):
+        if u.grid is not self.grid and u.grid.shape != self.grid.shape:
+            raise ValueError("grid mismatch")
 
     def _stack_hphi(self, stack):
         if stack.ndim != 4 or stack.shape[:3] != self.grid.shape:
@@ -165,19 +193,40 @@ class ActionKernel:
         An array of shape grid.shape + (m,) is m fields, swept at once
         through the same windows and returned as an array."""
         if isinstance(u, np.ndarray):
-            return self._fold(u + self._stack_hphi(u), self._forward)
-        if u.grid is not self.grid and u.grid.shape != self.grid.shape:
-            raise ValueError("grid mismatch")
-        best = self._fold(u.values + self._hphi, self._forward)
+            return self._fold_all(u + self._stack_hphi(u), self._forward)
+        self._check_grid(u)
+        best = self._fold_all(u.values + self._hphi, self._forward)
         return GridFunction(self.grid, best, u.offset)
+
+    def relax(self, u):
+        """One Gauss-Seidel sweep of T: the s-layers in increasing order,
+        each folded from the current field, so that layer k reads the values
+        this sweep gave the layers before it.  Same halo, windows and group
+        order as ``apply``; after layer k is written, only the halo slabs
+        that show it are gathered again.  ``u`` is a GridFunction."""
+        self._check_grid(u)
+        sweep = self._forward
+        B = u.values + self._hphi
+        lo = self._lower_bound(B)
+        P = sweep.halo.pad(B)
+        out = np.empty_like(B)
+        for k in range(self.grid.shape[2]):
+            layer = slice(k, k + 1)
+            out[:, :, layer] = self._fold(P, sweep, lo, k, k + 1)
+            np.add(out[:, :, layer], self._hphi[:, :, layer],
+                   out=B[:, :, layer])
+            # lo stays below B wherever this layer lowered it
+            lo = min(lo, B[:, :, layer].min())
+            sweep.halo.refresh(P, B, k)
+        return GridFunction(self.grid, out, u.offset)
 
     def apply_reverse(self, w):
         """(T'_h w)(p) = min_q w(q) + A_h(p,q) (adjoint sweep, for A^t(., q));
         ``w`` is a GridFunction or a stack, as in ``apply``."""
         if isinstance(w, np.ndarray):
             hphi = self._stack_hphi(w)
-            return self._fold(w, self._reverse) + hphi
-        best = self._fold(w.values, self._reverse) + self._hphi
+            return self._fold_all(w, self._reverse) + hphi
+        best = self._fold_all(w.values, self._reverse) + self._hphi
         return GridFunction(self.grid, best, w.offset)
 
     def row_min_bound_check(self):
@@ -378,10 +427,11 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
         raise NotImplementedError(
             "kernels are implemented for suspension grids; wrap user fields in "
             "a suspension-aligned model or use the path-sampling action instead")
-    if h > model.roof / 10 + 1e-12:
-        raise ValueError("kernel step h must be at most roof/10")
-    if reach_multiplier < 2.0:
-        raise ValueError("reach_multiplier must be >= 2")
+    # Negated comparisons: NaN fails them too.
+    if not h <= model.roof / 10 + 1e-12:
+        raise ValueError("kernel step h must be a number at most roof/10")
+    if not reach_multiplier >= 2.0:
+        raise ValueError("reach_multiplier must be a number >= 2")
     if not c >= 0.0:
         # Sweeps prune on c*dev being sorted like the norm-sorted offsets.
         raise ValueError("action weight c must be non-negative")

@@ -192,7 +192,9 @@ def test_cli_solve_small(tmp_path, monkeypatch):
     assert summary["stage_a_sweeps"] > 0 and summary["stage_b_sweeps"] > 0
     assert 0 < summary["table_columns_priced"] < summary["table_columns"]
     assert sorted(summary["timings"]) == ["constants", "ergodic_value",
-                                          "regularize_all", "weak_kam_solve"]
+                                          "howard", "regularize_all",
+                                          "stage_a", "stage_b",
+                                          "weak_kam_solve"]
     assert all(v > 0 for v in summary["timings"].values())
     assert not {"stage_a_sweeps", "timings"} & set(summary["checks"])
     for name in ("ergodic.csv", "solution.csv", "certificate.csv",

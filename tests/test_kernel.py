@@ -21,6 +21,20 @@ def test_build_kernel_guards(model, cobound, small_grid):
                      small_grid.spacings[2], 2.0)
 
 
+def test_build_kernel_rejects_nan_step(model, cobound, small_grid):
+    phi, _ = cobound
+    with pytest.raises(ValueError, match="kernel step h"):
+        build_kernel(small_grid, model, phi, 1.0, 0.0, float("nan"), 2.0)
+
+
+def test_build_kernel_rejects_nan_reach_multiplier(model, cobound,
+                                                   small_grid):
+    phi, _ = cobound
+    with pytest.raises(ValueError, match="reach_multiplier"):
+        build_kernel(small_grid, model, phi, 1.0, 0.0,
+                     small_grid.spacings[2], float("nan"))
+
+
 def _oracle_apply(kernel, u):
     """Entry-by-entry reference: for each target node q, minimize over all
     deviation offsets the priced move from the source node p."""
@@ -136,6 +150,37 @@ def test_sweeps_match_per_offset_loop_bitwise(model, cobound, medium_grid,
         assert fwd.offset == rev.offset == u.offset
 
 
+def _loop_relax(kernel, u):
+    """Unpruned Gauss-Seidel sweep: layer k is the per-offset loop apply of
+    the field whose layers 0..k-1 this sweep has already replaced."""
+    vals = u.values.copy()
+    for k in range(kernel.grid.shape[2]):
+        field = GridFunction(kernel.grid, vals)
+        vals[:, :, k] = _loop_apply(kernel, field)[:, :, k]
+    return vals
+
+
+@pytest.mark.parametrize("phi_bar,names", [
+    (0.05, ("random", "wide", "delta", "mixed")), (2.0, ("random", "wide"))])
+def test_relax_matches_per_layer_loop_bitwise(model, cobound, small_grid,
+                                              phi_bar, names):
+    phi, _ = cobound
+    kern = build_kernel(small_grid, model, phi, 4.0 * phi.lipschitz_constant,
+                        phi_bar, small_grid.spacings[2], 2.0)
+    fields = _fields(kern)
+    for name in names:
+        u = GridFunction(small_grid, fields[name], offset=0.25)
+        got = kern.relax(u)
+        assert got.values.tobytes() == _loop_relax(kern, u).tobytes(), name
+        assert got.offset == u.offset
+        if phi_bar == 2.0:
+            # h*(phi - phi_bar) < 0 at every node: the sweep's writes lower
+            # u + h*phi below the input's minimum, which the prune's lo must
+            # follow
+            hphi = kern.h * (kern.phi_nodes - phi_bar)
+            assert (got.values + hphi).min() < (u.values + hphi).min(), name
+
+
 def test_sweeps_reject_nan(small_kernel):
     vals = np.zeros(small_kernel.grid.shape)
     vals[1, 2, 3] = np.nan
@@ -144,6 +189,8 @@ def test_sweeps_reject_nan(small_kernel):
         small_kernel.apply(u)
     with pytest.raises(ValueError, match="NaN"):
         small_kernel.apply_reverse(u)
+    with pytest.raises(ValueError, match="NaN"):
+        small_kernel.relax(u)
 
 
 def test_additive_equivariance_is_bitwise(small_kernel):
