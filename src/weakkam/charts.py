@@ -156,13 +156,6 @@ class FlowBoxAtlas:
         best = int(np.argmin(d))
         return best if d[best] < cap else None
 
-    def contains_in_u(self, x, p, eps=None):
-        """Is p inside U_x(eps) = gamma_x((-eps, eps) x B(eps))?"""
-        eps = self.eps if eps is None else eps
-        box = self._box(x)
-        t, u = box.chart_inverse(p)
-        return bool(abs(float(t)) < eps and float(adapted_norm(u)) < eps)
-
 
 def default_hyper_constants(model: SuspensionFlow, tau, rho):
     """Admissible (sigma_u, sigma_s, eta, eps(rho)) for the model's rates."""

@@ -217,6 +217,67 @@ class Grid:
         return self._halo(np.abs(offs[:, :2]).max(), -offs[:, 2].max(),
                           self.shape[2] - offs[:, 2].min())
 
+    def _roof_wraps(self, s):
+        """How many times the roof wrap carries each s-coordinate across the
+        gluing (0 everywhere on an untwisted grid, whose base it leaves)."""
+        if self.twist is None:
+            return np.zeros(np.shape(s), dtype=np.int64)
+        return np.floor(np.asarray(s) / self.lengths[2]).astype(np.int64)
+
+    def _wrap(self, points):
+        """Points moved into the fundamental domain, shape (n, 3); the roof
+        wrap applies the base twist."""
+        x = points.reshape(-1, 3).copy()
+        ns_len = self.lengths[2]
+        m = self._roof_wraps(x[:, 2])
+        for mv in np.unique(m[m != 0]):
+            M = self._twist_pow(int(mv)).astype(float)
+            sel = m == mv
+            x[sel, :2] = x[sel, :2] @ M.T
+            x[sel, 2] -= mv * ns_len
+        x[:, 0] = np.mod(x[:, 0], self.lengths[0])
+        x[:, 1] = np.mod(x[:, 1], self.lengths[1])
+        x[:, 2] = np.mod(x[:, 2], ns_len)
+        return x
+
+    def _cell(self, x, ax):
+        """Lower-corner index along axis ``ax`` of wrapped coordinates x, and
+        the fractional offset from it."""
+        v = x / self.spacings[ax]
+        i0 = np.clip(np.floor(v).astype(np.int64), 0, self.shape[ax] - 1)
+        return i0, v - i0
+
+    def line_rows(self, s, run):
+        """Rows of flow lines (``GridFunction.interpolate_lines``) in groups
+        that share their base cells.  Rows of one run share their base points
+        (the lines cross no roof inside a run), and a row's base cell follows
+        its run and the twist of its own wrap, so a group is a stretch of rows
+        on which neither changes.  Returns the group of each row, the first
+        row of each group, and the s-cell (k, tk) of each row.
+        """
+        s = np.asarray(s, dtype=float)
+        rows = np.zeros(s.shape + (3,))
+        rows[:, 2] = s
+        k = self._cell(self._wrap(rows)[:, 2], 2)
+        m = self._roof_wraps(s)
+        new_group = np.r_[False, (np.diff(run) != 0) | (np.diff(m) != 0)]
+        first = np.flatnonzero(np.r_[True, new_group[1:]])
+        return np.cumsum(new_group), first, k
+
+    def line_cells(self, s, base):
+        """``plane_terms`` of the base cells of points with base ``base[g, c]``
+        and s-coordinate ``s[g]``, where c runs over the middle axes of
+        ``base``, shape (groups, ..., 2), in the padded node array
+        (``GridFunction._padded``: one more node along every axis)."""
+        base = np.asarray(base, dtype=float)
+        pts = np.empty(base.shape[:-1] + (3,))
+        pts[..., :2] = base
+        pts[..., 2] = np.reshape(s, (-1,) + (1,) * (base.ndim - 2))
+        x = self._wrap(pts)
+        ci, cj = (tuple(v.reshape(pts.shape[:-1])
+                        for v in self._cell(x[:, ax], ax)) for ax in range(2))
+        return plane_terms(tuple(n + 1 for n in self.shape), ci, cj)
+
     def gather_shift(self, arr, offset):
         """Return S with S[q] = arr[node at (point(q) - offset_phys)].
 
@@ -284,22 +345,40 @@ def path_distance(p, q, grid: Grid, radius=2):
 def trilinear(values, cells):
     """Trilinear interpolation of a 3-axis array from the cells of its query
     points: ``cells`` holds, per axis, the index of each point's lower
-    corner and its fraction, all broadcasting against each other.  Corner
-    (a, b, c) is gathered once through one flat index, and the corners are
-    summed in that fixed order, so one point gives the same bits however its
-    cells were found."""
+    corner and its fraction, all broadcasting against each other.  It is
+    ``trilinear_sum`` of the (i, j) terms of ``plane_terms`` and the k cell,
+    so one point gives the same bits however its cells were found."""
     (i, ti), (j, tj), (k, tk) = cells
+    corner, wab = plane_terms(values.shape, (i, ti), (j, tj))
+    return trilinear_sum(values, corner + k, wab, tk)
+
+
+def plane_terms(shape, ci, cj):
+    """The (i, j) part of ``trilinear`` in an array of ``shape`` (its last
+    two lengths may be given per point): the flat offset of each lower
+    (i, j) corner, and the weights wa * wb of the four (i, j) corners
+    stacked as (4, ...) in corner order (a, b)."""
+    (i, ti), (j, tj) = ci, cj
+    s1 = shape[2]
+    wab = np.stack([wa * wb for wa in (1 - ti, ti) for wb in (1 - tj, tj)])
+    return shape[1] * s1 * i + s1 * j, wab
+
+
+def trilinear_sum(values, corner, wab, tk):
+    """Trilinear interpolation of ``values`` from the flat index of each
+    point's lower corner, its (i, j) corner weights (``plane_terms``) and
+    its fraction tk along the last axis.  Corner (a, b, c) is read through
+    one flat index with the weight wab * wc, and the eight terms are summed
+    in that fixed order."""
     s1 = values.shape[2]
     s0 = values.shape[1] * s1
-    corner = s0 * i + s1 * j + k
     flat = values.ravel()
-    f = np.zeros(np.broadcast_shapes(corner.shape, np.shape(ti),
-                                     np.shape(tj), np.shape(tk)))
-    for (a, wa) in ((0, 1 - ti), (1, ti)):
-        for (b, wb) in ((0, 1 - tj), (1, tj)):
-            wab = wa * wb
-            for (c, wc) in ((0, 1 - tk), (1, tk)):
-                f += wab * wc * np.take(flat, corner + (a * s0 + b * s1 + c))
+    f = np.zeros(np.broadcast_shapes(np.shape(corner), np.shape(wab)[1:],
+                                     np.shape(tk)))
+    wcs = ((0, 1 - tk), (1, tk))
+    for w, (a, b) in zip(wab, ((0, 0), (0, 1), (1, 0), (1, 1))):
+        for c, wc in wcs:
+            f += w * wc * flat.take(corner + (a * s0 + b * s1 + c))
     return f
 
 
@@ -366,75 +445,30 @@ class GridFunction:
         halo = self.grid._halo(1, 0, self.grid.shape[2] + 1)
         return np.take(self.values, halo.index[1:, 1:])
 
-    def _roof_wraps(self, s):
-        """How many times the roof wrap carries each s-coordinate across the
-        gluing (0 everywhere on an untwisted grid, whose base it leaves)."""
-        if self.grid.twist is None:
-            return np.zeros(np.shape(s), dtype=np.int64)
-        return np.floor(np.asarray(s) / self.grid.lengths[2]).astype(np.int64)
-
-    def _wrap(self, points):
-        """Points moved into the fundamental domain, shape (n, 3); the roof
-        wrap applies the base twist."""
-        x = points.reshape(-1, 3).copy()
-        ns_len = self.grid.lengths[2]
-        m = self._roof_wraps(x[:, 2])
-        for mv in np.unique(m[m != 0]):
-            M = self.grid._twist_pow(int(mv)).astype(float)
-            sel = m == mv
-            x[sel, :2] = x[sel, :2] @ M.T
-            x[sel, 2] -= mv * ns_len
-        x[:, 0] = np.mod(x[:, 0], self.grid.lengths[0])
-        x[:, 1] = np.mod(x[:, 1], self.grid.lengths[1])
-        x[:, 2] = np.mod(x[:, 2], ns_len)
-        return x
-
-    def _cell(self, x, ax):
-        """Lower-corner index along axis ``ax`` of wrapped coordinates x, and
-        the fractional offset from it."""
-        v = x / self.grid.spacings[ax]
-        i0 = np.clip(np.floor(v).astype(np.int64), 0, self.grid.shape[ax] - 1)
-        return i0, v - i0
-
     def interpolate(self, points):
         """Multilinear interpolation; points are wrapped into the fundamental
         domain first (roof wrap applies the base twist)."""
         p = np.asarray(points, dtype=float)
-        x = self._wrap(p)
-        f = trilinear(self._padded(), [self._cell(x[:, ax], ax)
+        x = self.grid._wrap(p)
+        f = trilinear(self._padded(), [self.grid._cell(x[:, ax], ax)
                                        for ax in range(3)])
         return (f + self.offset).reshape(p.shape[:-1])
 
     def interpolate_lines(self, s, base, run):
         """``interpolate`` along flow lines: out[r, c] is the value at the
         point with base ``base[run[r], c]`` and s-coordinate ``s[r]``, where
-        c runs over the middle axes of ``base``, shape (runs, ..., 2).
-
-        Rows of one run share their base points (the lines cross no roof
-        inside a run), so each base cell and its weights are found once per
-        run and only the s-cell varies by row; the result is bitwise that of
-        ``interpolate`` at every point.
+        c runs over the middle axes of ``base``, shape (runs, ..., 2).  The
+        base cells are found once per group of rows (``Grid.line_rows``,
+        ``Grid.line_cells``); the result is bitwise that of ``interpolate``
+        at every point.
         """
-        s = np.asarray(s, dtype=float)
-        base = np.asarray(base, dtype=float)
-        cols = base.shape[1:-1]
-        rows = np.zeros(s.shape + (3,))
-        rows[:, 2] = s
-        k = self._cell(self._wrap(rows)[:, 2], 2)
-        # A row's base cell follows its run and the twist of its own wrap:
-        # one group per stretch of rows on which neither changes.
-        m = self._roof_wraps(s)
-        new_group = np.r_[False, (np.diff(run) != 0) | (np.diff(m) != 0)]
-        group = np.cumsum(new_group)
-        first = np.flatnonzero(np.r_[True, new_group[1:]])
-        pts = np.empty((first.size,) + cols + (3,))
-        pts[..., :2] = base[np.asarray(run)[first]]
-        pts[..., 2] = s[first].reshape((-1,) + (1,) * len(cols))
-        x = self._wrap(pts)
-        cells = [tuple(v.reshape(pts.shape[:-1])[group]
-                       for v in self._cell(x[:, ax], ax)) for ax in range(2)]
-        cells.append(tuple(v.reshape((-1,) + (1,) * len(cols)) for v in k))
-        return trilinear(self._padded(), cells) + self.offset
+        group, first, (k, tk) = self.grid.line_rows(s, run)
+        run_of = np.asarray(run)[first]
+        corner, wab = self.grid.line_cells(np.asarray(s)[first],
+                                           np.asarray(base)[run_of])
+        rows = (-1,) + (1,) * (corner.ndim - 1)
+        return trilinear_sum(self._padded(), corner[group] + k.reshape(rows),
+                             wab[:, group], tk.reshape(rows)) + self.offset
 
     def __call__(self, points):
         return self.interpolate(points)

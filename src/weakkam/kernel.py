@@ -229,12 +229,6 @@ class ActionKernel:
         best = self._fold_all(w.values, self._reverse) + self._hphi
         return GridFunction(self.grid, best, w.offset)
 
-    def row_min_bound_check(self):
-        """Flow-following entry exists for every p, so every row minimum is at
-        most h*sup|phi - phi_bar| (deviation 0).  Returns the certified bound."""
-        sup = float(np.abs(self.phi_nodes - self.phi_bar).max())
-        return self.h * sup + self.c * self.grid.diagonal
-
     # -- Howard policy iteration (exact additive eigenvalue) ---------------
 
     @staticmethod

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import FlowBox, adapted_norm
-from .grid import GridFunction, trilinear
+from .grid import GridFunction, plane_terms, trilinear_sum
 from .laxoleinik import verify_integrated_subaction
 from .models import SuspensionFlow
 from .observables import smoothstep, smoothstep_prime
@@ -128,7 +128,13 @@ class RegularizerSpec:
         """
         p = np.asarray(points, dtype=float)
         t = self._chart_time(p)
-        return self._window(t, self.box.model.flow_map(p, -t))
+        u = self.box.section_u(self.box.model.flow_map(p, -t))
+        return t, u, self.in_window(t, u)
+
+    def in_window(self, t, u):
+        """Mask of chart points (t, u) inside D''; t as ``chart_window``
+        returns it, hence never below -2 eps."""
+        return (t < self.tau + 2 * self.eps) & (adapted_norm(u) < 3 * self.eps)
 
     def _chart_time(self, p):
         """Section-time representative of p in [-2 eps, roof - 2 eps); it
@@ -137,14 +143,6 @@ class RegularizerSpec:
         t_lo = -2 * self.eps
         dt = p[..., 2] - self.box.center[2]
         return dt - roof * np.floor((dt - t_lo) / roof)
-
-    def _window(self, t, back):
-        """``chart_window`` from the chart times t of the points and the
-        points flowed back by t to the section."""
-        u = self.box.section_u(back)
-        inside = (t < self.tau + 2 * self.eps) \
-            & (adapted_norm(u) < 3 * self.eps)
-        return t, u, inside
 
     def in_core(self, t, u, margin=0.0):
         """Mask of chart points (t, u) inside D = (0,tau) x B(eps), shrunk by
@@ -177,9 +175,41 @@ class SubactionCertificate:
 
 
 def _level_key(spec):
-    """Boxes with equal keys share their node chart times and chart tables."""
+    """Boxes with equal keys share their node chart times, chart tables and
+    bumps."""
     return (float(spec.box.center[2]), spec.eps, spec.tau, spec.n_t,
-            spec.n_q)
+            spec.n_q, spec.bumps.eps, spec.bumps.tau)
+
+
+# Bytes of the phi~ tables of one chunk of a level's boxes, at n_t * n_q**2
+# values per box: larger chunks batch more numpy calls, but raise the peak
+# memory and spill the caches.
+_CHUNK_BYTES = 2 ** 19
+
+
+@dataclass
+class _Box:
+    """The u-independent part of one box's pass.
+
+    ``idx`` are the window nodes (flat, increasing), ``a`` alpha there and
+    ``live`` the mask of alpha > 0.  When some node is live, the live
+    columns of the chart table (``n_cols`` of them) carry u's line cells per
+    row group as ``plane_terms`` (``corner``, ``wab``) and phi~ (``pht``),
+    and ``w_terms`` holds the live nodes' ``trilinear_sum`` terms in the
+    table.
+    """
+
+    idx: np.ndarray
+    a: np.ndarray
+    live: np.ndarray
+    corner: np.ndarray = None
+    wab: np.ndarray = None
+    pht: np.ndarray = None
+    w_terms: tuple = None
+
+    @property
+    def n_cols(self):
+        return 0 if self.pht is None else self.pht[0].size
 
 
 class _Level:
@@ -187,22 +217,38 @@ class _Level:
 
     A node's chart time depends only on the section level, so the nodes are
     flowed back to the section once and each box only reads its u off the
-    flowed base.  Every point of row t of a chart table crosses the roof the
-    same number n of times, and A^n(c + w) = A^n c + A^n w (mod 1), so box
-    c's table is the reference table (centre (0, 0, s)) moved by A^n c; one
-    ``flow_map`` of the level's centres gives every shift.  The shifted
-    table equals ``chart_forward`` up to the last bits of the base.
+    flowed base.  A window holds only nodes with chart time t < tau + 2 eps,
+    so only those are flowed and priced.  Every point of row t of a chart
+    table crosses the roof the same number n of times, and
+    A^n(c + w) = A^n c + A^n w (mod 1), so box c's table is the reference
+    table (centre (0, 0, s)) moved by A^n c; one ``flow_map`` of the level's
+    centres gives every shift.  The shifted table equals ``chart_forward`` up
+    to the last bits of the base.
 
     A column of a table is one flow line.  Its base point is constant
     between roof crossings, and a crossing shows as a drop in the table's s
     column, so the rows split into runs that share every column's base.
+
+    Only the gather of u on a box's table reads u.  Its window nodes,
+    alpha and live nodes, its live columns and u's line cells on them
+    (``Grid.line_cells``), beta, phi~ along those columns, and the table
+    cells of its live nodes are u-independent.  ``chunks`` computes them as
+    ``_Box`` records for a chunk of boxes at a time (the windows box by box,
+    keeping only their nodes), so that the pass that must follow the cover's
+    order (``_smooth_box``) only gathers u, corrects the table and blends.
+    The boxes of a level share their bumps (``_level_key``).
     """
 
-    def __init__(self, specs, nodes):
+    def __init__(self, specs, grid):
         first = specs[0]
         model = first.box.model
-        self.t = first._chart_time(nodes)
-        self.back = model.flow_map(nodes, -self.t)
+        self.specs, self.grid, self.first = specs, grid, first
+        nodes = grid.node_points().reshape(-1, 3)
+        t = first._chart_time(nodes)
+        # The nodes some window can hold: D'' at the chart centre u = 0.
+        self.near = np.flatnonzero(first.in_window(t, np.zeros((t.size, 2))))
+        self.t = t[self.near]
+        self.back = model.flow_map(nodes[self.near], -self.t)
         self.t_nodes = np.linspace(-2 * first.eps, first.tau + 2 * first.eps,
                                    first.n_t)
         self.q_nodes = np.linspace(-3 * first.eps, 3 * first.eps, first.n_q)
@@ -210,24 +256,87 @@ class _Level:
                                 indexing="ij")
         ref = FlowBox(model, np.array([0.0, 0.0, first.box.center[2]]),
                       first.tau)
-        self.table = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
+        table = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
         centers = np.array([spec.box.center for spec in specs])
-        self.shifts = model.flow_map(centers[:, None, :],
-                                     self.t_nodes)[..., :2]
-        self.s = self.table[:, 0, 0, 2]
+        shifts = model.flow_map(centers[:, None, :],
+                                self.t_nodes)[..., :2]
+        self.s = table[:, 0, 0, 2]
         self.run = np.concatenate([[0], np.cumsum(np.diff(self.s) < 0)])
-        self.run_start = np.flatnonzero(np.diff(self.run, prepend=-1))
+        r = np.flatnonzero(np.diff(self.run, prepend=-1))
+        self.table_base = table[r][..., :2]
+        self.shifts = shifts[:, r]
+        # Every box's lines share their row groups and s-cells.
+        self.group, g, (k, tk) = grid.line_rows(self.s, self.run)
+        self.group_s, self.group_run = self.s[g], self.run[g]
+        self.row_k, self.row_tk = k[:, None, None], tk[:, None, None]
+        self.t_cell = _table_cell(self.t_nodes, self.t)
+        self.beta = first.bumps.beta(self.t_nodes)
+        self.rows = self.beta > 0
+        self.chunk = max(1, _CHUNK_BYTES // (8 * first.n_t * first.n_q ** 2))
 
-    def window(self, spec):
-        """``spec.chart_window`` of the nodes."""
-        return spec._window(self.t, self.back)
+    def chunks(self, phi, phi_bar):
+        """Yield, chunk by chunk in cover order, the chunk's window pairs
+        (chart t, chart u and flat index of each window node of each box)
+        and its ``_Box`` records."""
+        for k0 in range(0, len(self.specs), self.chunk):
+            yield self._chunk(slice(k0, k0 + self.chunk), phi, phi_bar)
 
-    def base(self, k, cols):
-        """Box k's chart-table base points on each run, over the columns
-        ``cols`` (a pair of q-index slices): shape (runs, q1, q2, 2)."""
-        r = self.run_start
-        return np.mod(self.table[r][:, cols[0], cols[1], :2]
-                      + self.shifts[k][r][:, None, None, :], 1.0)
+    def _chunk(self, ks, phi, phi_bar):
+        first, n_q = self.first, self.q_nodes.size
+        # (box, node) pairs of the windows, box-major with increasing nodes.
+        node, uu = [], []
+        for spec in self.specs[ks]:
+            u_k = spec.box.section_u(self.back)
+            node.append(np.flatnonzero(spec.in_window(self.t, u_k)))
+            uu.append(u_k[node[-1]])
+        at = np.cumsum([n.size for n in node])[:-1]
+        box_of = np.repeat(np.arange(len(node)), [n.size for n in node])
+        node, uu = np.concatenate(node), np.concatenate(uu)
+        a = first.bumps.alpha(uu)
+        window = (self.t[node], uu, self.near[node])
+        live = a > 0
+        boxes = [_Box(*split) for split in
+                 zip(*(np.split(v, at) for v in (window[2], a, live)))]
+        if not live.any():
+            return window, boxes
+        # The live columns of each box with live nodes: the rectangle of
+        # q-cells around them, one row of cells beyond the last.
+        of = box_of[live]
+        has = np.flatnonzero(np.bincount(of))
+        start = np.searchsorted(of, has)
+        (i1, f1), (i2, f2) = (_table_cell(self.q_nodes, uu[live, ax])
+                              for ax in (0, 1))
+        lo1, lo2 = (np.minimum.reduceat(i, start) for i in (i1, i2))
+        c1, c2 = (np.maximum.reduceat(i, start) + 2 - lo
+                  for i, lo in ((i1, lo1), (i2, lo2)))
+        q = np.arange(n_q)
+        cols = (((q >= lo1[:, None]) & (q < (lo1 + c1)[:, None]))[:, :, None]
+                & ((q >= lo2[:, None]) & (q < (lo2 + c2)[:, None]))[:, None])
+        shifts = self.shifts[ks][has].swapaxes(0, 1)[:, :, None, None, :]
+        base = np.mod(self.table_base[:, None] + shifts, 1.0)[:, cols]
+        corner, wab = self.grid.line_cells(self.group_s, base[self.group_run])
+        pht = np.zeros((self.s.size, base.shape[1]))
+        pht[self.rows] = np.asarray(
+            phi.along_lines(self.s[self.rows], base, self.run[self.rows]),
+            dtype=float) - phi_bar
+        # Each live node's cells in its box's table, of shape (n_t, c1, c2).
+        live_at = np.r_[start, of.size]
+        h = np.repeat(np.arange(has.size), np.diff(live_at))
+        it, ft = (v[node[live]] for v in self.t_cell)
+        w_corner, w_wab = plane_terms((None, c1[h], c2[h]), (it, ft),
+                                      (i1 - lo1[h], f1))
+        w_corner += i2 - lo2[h]
+        col_end = np.cumsum(c1 * c2)
+        for n, k in enumerate(has):
+            box = boxes[k]
+            cs = slice(col_end[n] - c1[n] * c2[n], col_end[n])
+            shape = (-1, c1[n], c2[n])
+            box.corner = corner[:, cs].reshape(shape)
+            box.wab = wab[:, :, cs].reshape((4,) + shape)
+            box.pht = pht[:, cs].reshape(shape)
+            ls = slice(live_at[n], live_at[n + 1])
+            box.w_terms = (w_corner[ls], w_wab[:, ls], f2[ls])
+        return window, boxes
 
 
 def _corrected_table(dt, beta, ut, pht):
@@ -268,56 +377,45 @@ def check_integrated_subaction(u, model, phi, phi_bar, slack=None, n_orbits=64,
     return report
 
 
-def _smooth_box(u, spec, level, k, window, phi, phi_bar):
-    """One smoothing pass over box k of ``level`` with node window
-    ``window``; output equals u exactly outside D''.  Returns the new u and
-    the number of table columns priced.
+def _check_finite(u, phi_bar):
+    if not (np.all(np.isfinite(u.values)) and np.isfinite(u.offset)
+            and np.isfinite(phi_bar)):
+        raise ValueError("u and phi_bar must be finite")
+
+
+def _smooth_box(u, box, level):
+    """One smoothing pass over ``box`` of ``level``, in place on the node
+    values of u; it writes only the window nodes.
 
     alpha vanishes at most window nodes, and there the pass writes
-    (1 - 0) u + 0 * w.  w is column-local, so only the columns around the
-    nodes with alpha > 0 are priced, u and phi both along the flow lines
-    (once per run base), phi on the rows where beta > 0 only.
+    (1 - 0) u + 0 * w.  w is column-local, so u is gathered on the live
+    columns only, along the flow lines, at the cells ``level`` found.
     """
-    t, uu, inside = window
-    idx = np.nonzero(inside)[0]
-    if idx.size == 0:
-        return u.copy(), 0
-    a = spec.bumps.alpha(uu[idx])
-    live = a > 0
-    w_vals = np.zeros(idx.size)
-    n_cols = 0
-    if live.any():
-        cells = [_table_cell(level.t_nodes, t[idx[live]])] + [
-            _table_cell(level.q_nodes, uu[idx[live], ax]) for ax in (0, 1)]
-        cols = tuple(slice(i.min(), i.max() + 2) for i, _ in cells[1:])
-        base = level.base(k, cols)
-        ut = u.interpolate_lines(level.s, base, level.run)
-        # phi enters w only through beta * phi~: skip the rows where beta = 0.
-        beta = spec.bumps.beta(level.t_nodes)
-        rows = beta > 0
-        pht = np.zeros_like(ut)
-        pht[rows] = np.asarray(
-            phi.along_lines(level.s[rows], base, level.run[rows]),
-            dtype=float) - phi_bar
-        wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0], beta, ut,
-                              pht)
-        cells[1:] = [(i - c.start, f) for (i, f), c in zip(cells[1:], cols)]
-        w_vals[live] = trilinear(wt, cells)
-        n_cols = ut.shape[1] * ut.shape[2]
-    flat = u.values.reshape(-1).copy()
-    dense_here = flat[idx] + u.offset
-    new_dense = (1.0 - a) * dense_here + a * w_vals
-    flat[idx] = new_dense - u.offset
-    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset), n_cols
+    w = np.zeros(box.idx.size)
+    if box.pht is not None:
+        ut = trilinear_sum(u._padded(), box.corner[level.group]
+                           + level.row_k, box.wab[:, level.group],
+                           level.row_tk) + u.offset
+        wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0],
+                              level.beta, ut, box.pht)
+        w[box.live] = trilinear_sum(wt, *box.w_terms)
+    flat = u.values.reshape(-1)
+    dense_here = flat[box.idx] + u.offset
+    flat[box.idx] = (1.0 - box.a) * dense_here + box.a * w - u.offset
 
 
 def regularize_once(u: GridFunction, spec: RegularizerSpec, phi, phi_bar,
                     check_precondition=True):
-    """One smoothing pass; output equals u exactly outside D''."""
+    """One smoothing pass, run as a level of one box; output equals u
+    exactly outside D''."""
+    _check_finite(u, phi_bar)
     if check_precondition:
         check_integrated_subaction(u, spec.box.model, phi, phi_bar)
-    level = _Level([spec], u.grid.node_points().reshape(-1, 3))
-    return _smooth_box(u, spec, level, 0, level.window(spec), phi, phi_bar)[0]
+    level = _Level([spec], u.grid)
+    (_, (box,)), = level.chunks(phi, phi_bar)
+    out = u.copy()
+    _smooth_box(out, box, level)
+    return out
 
 
 def default_cover(model: SuspensionFlow, eps=0.1, tau=0.4, n_base=8,
@@ -353,6 +451,32 @@ def lie_derivative_field(u, model, fd_step):
     return vals.reshape(u.grid.shape)
 
 
+def _smooth_cover(u0, cover, phi, phi_bar, core_margin):
+    """The passes over the cover in index order, level by level.  Returns
+    the smoothed u, the mask of nodes in some core shrunk by
+    ``core_margin``, the mask of nodes in no core, and the number of table
+    columns priced."""
+    n_nodes = u0.grid.n_nodes
+    mask = np.zeros(n_nodes, dtype=bool)
+    uncovered = np.ones(n_nodes, dtype=bool)
+    u = u0.copy()
+    n_cols = 0
+    ordered = sorted(cover, key=lambda s: s.index)
+    for _, group in itertools.groupby(ordered, key=_level_key):
+        level = _Level(list(group), u.grid)
+        for (t, uu, nodes), boxes in level.chunks(phi, phi_bar):
+            for box in boxes:
+                _smooth_box(u, box, level)
+                n_cols += box.n_cols
+            # Both cores lie inside the windows: price the window pairs only.
+            mask[nodes[level.first.in_core(t, uu, core_margin)]] = True
+            uncovered[nodes[level.first.in_core(t, uu)]] = False
+            # Free this chunk before the next one is built.
+            del t, uu, nodes, boxes, box
+        del level
+    return u, mask, uncovered, n_cols
+
+
 def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
                    fd_step=None, precheck=True, precheck_slack=None,
                    core_margin=None):
@@ -364,9 +488,7 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
     """
     grid = u0.grid
     model = cover[0].box.model
-    if not (np.all(np.isfinite(u0.values)) and np.isfinite(u0.offset)
-            and np.isfinite(phi_bar)):
-        raise ValueError("u0 and phi_bar must be finite")
+    _check_finite(u0, phi_bar)
     if precheck:
         check_integrated_subaction(u0, model, phi, phi_bar,
                                    slack=precheck_slack)
@@ -375,26 +497,8 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
         eps_min = min(s.eps for s in cover)
         tau_min = min(s.tau for s in cover)
         core_margin = min(grid.diagonal, eps_min / 2.0, tau_min / 4.0)
-    # One level's geometry is alive at a time; each box's node window serves
-    # its pass and both core masks.
-    mask = np.zeros(nodes.shape[0], dtype=bool)
-    uncovered_all = np.ones(nodes.shape[0], dtype=bool)
-    u = u0
-    n_cols = 0
-    ordered = sorted(cover, key=lambda s: s.index)
-    for _, group in itertools.groupby(ordered, key=_level_key):
-        specs = list(group)
-        level = _Level(specs, nodes)
-        for k, spec in enumerate(specs):
-            window = level.window(spec)
-            u, cols = _smooth_box(u, spec, level, k, window, phi, phi_bar)
-            n_cols += cols
-            # Both cores lie inside the window: price its nodes only.
-            t, uu, inside = window
-            t, uu = t[inside], uu[inside]
-            mask[inside] |= spec.in_core(t, uu, margin=core_margin)
-            uncovered_all[inside] &= ~spec.in_core(t, uu, margin=0.0)
-        del level
+    u, mask, uncovered_all, n_cols = _smooth_cover(u0, cover, phi, phi_bar,
+                                                   core_margin)
     if not mask.any():
         raise CoverGapError("no grid node lies in any core box",
                             witness=nodes[0])

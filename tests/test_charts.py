@@ -4,7 +4,7 @@ import pytest
 from weakkam import (AdmissibilityError, SuspensionFlow, affine_poincare,
                      build_atlas, certify_hyperbolic, check_constants,
                      check_forward_admissible, poincare_map, return_time)
-from weakkam.charts import (ConstantConsistencyError, FlowBox,
+from weakkam.charts import (ConstantConsistencyError, FlowBox, adapted_norm,
                             LocalHyperbolicMap)
 
 
@@ -136,7 +136,10 @@ def test_atlas_covers_and_sizes(atlas):
     for p in pts:
         i = atlas.nearest_center(p)
         assert i is not None
-        assert atlas.contains_in_u(i, p)
+        # p lies in U_x(eps) = gamma_x((-eps, eps) x B(eps))
+        t, u = atlas.boxes[i].chart_inverse(p)
+        assert abs(float(t)) < atlas.eps
+        assert float(adapted_norm(u)) < atlas.eps
 
 
 def test_chart_roundtrip(atlas):

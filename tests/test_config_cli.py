@@ -190,11 +190,14 @@ def test_cli_solve_small(tmp_path, monkeypatch):
     # the run record sits beside the checks, not in them
     assert "stage_a_saturated" not in summary
     assert summary["stage_a_sweeps"] > 0 and summary["stage_b_sweeps"] > 0
-    assert 0 < summary["table_columns_priced"] < summary["table_columns"]
-    assert sorted(summary["timings"]) == ["constants", "ergodic_value",
-                                          "howard", "regularize_all",
-                                          "stage_a", "stage_b",
-                                          "weak_kam_solve"]
+    # 9 x 9 of the 13 x 13 columns of each of the 256 default boxes
+    assert summary["table_columns"] == 256 * 13 ** 2
+    assert summary["table_columns_priced"] == 256 * 9 ** 2
+    assert sorted(summary["timings"]) == ["build_kernel", "constants",
+                                          "ergodic_value", "howard",
+                                          "regularize_all", "stage_a",
+                                          "stage_b", "weak_kam_solve",
+                                          "write"]
     assert all(v > 0 for v in summary["timings"].values())
     assert not {"stage_a_sweeps", "timings"} & set(summary["checks"])
     for name in ("ergodic.csv", "solution.csv", "certificate.csv",

@@ -9,6 +9,7 @@ from weakkam import (ActionKernel, DriftError, Grid, GridFunction,
                      weak_kam_solve)
 from weakkam.cli import _build_common
 from weakkam.config import load_config
+from weakkam.kernel import discretization
 from weakkam.laxoleinik import action_fields
 
 
@@ -37,6 +38,19 @@ def test_ergodic_value_rejects_unconverged_howard(model, small_grid,
     with pytest.raises(NonConvergenceError):
         ergodic_value(model, constant_observable(2.5), "minplus_drift",
                       grid=small_grid, h=small_grid.spacings[2], c=3.0)
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError,
+                   reason="Howard cycles when dist2 is centred at a periodic "
+                          "point (ROADMAP item 4)")
+def test_howard_converges_on_dist2_centred_at_a_periodic_point(model,
+                                                               small_grid):
+    # (0.5, 0.5) has period 3 under A; the solve's own kernel settings
+    phi = distance_squared_observable(model, (0.5, 0.5))
+    grid, h = discretization(model, small_grid)
+    sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0),
+                         1e-8)
+    assert abs(sol.phi_bar) <= 1e-12
 
 
 def test_ergodic_value_constant_orbits(model):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,7 +14,8 @@ from weakkam import (BumpPair, CoverGapError, Grid, GridFunction,
 from weakkam import regularize as regularize_mod
 from weakkam.charts import FlowBox
 from weakkam.regularize import (_corrected_table, _Level, _level_key,
-                                _smooth_box, check_integrated_subaction)
+                                _smooth_box, _smooth_cover,
+                                check_integrated_subaction)
 
 
 @pytest.fixture(scope="module")
@@ -121,16 +123,18 @@ def test_cover_gap_detected(model, cobound, medium_solution, cover):
         regularize_all(sol.u, cover[:10], phi, sol.phi_bar, precheck=False)
 
 
+def _axis_cell(nodes, x):
+    step = nodes[1] - nodes[0]
+    f = np.clip((np.asarray(x) - nodes[0]) / step, 0, len(nodes) - 1 - 1e-12)
+    i = f.astype(np.int64)
+    return i, f - i
+
+
 def _interp_table(t_nodes, q_nodes, table, t, u):
     """Trilinear interpolation of a whole chart table at (t, u) queries."""
-    def ax(nodes, x):
-        step = nodes[1] - nodes[0]
-        f = np.clip((np.asarray(x) - nodes[0]) / step, 0, len(nodes) - 1 - 1e-12)
-        i = f.astype(np.int64)
-        return i, f - i
-    i0, f0 = ax(t_nodes, t)
-    i1, f1 = ax(q_nodes, u[..., 0])
-    i2, f2 = ax(q_nodes, u[..., 1])
+    i0, f0 = _axis_cell(t_nodes, t)
+    i1, f1 = _axis_cell(q_nodes, u[..., 0])
+    i2, f2 = _axis_cell(q_nodes, u[..., 1])
     out = 0.0
     for d0 in (0, 1):
         for d1 in (0, 1):
@@ -141,36 +145,82 @@ def _interp_table(t_nodes, q_nodes, table, t, u):
     return out
 
 
-def _chart_points(level, k):
-    """Box k's whole chart table: the level's reference table moved by the
-    box's shift."""
-    pts = level.table.copy()
-    pts[..., :2] = np.mod(
-        pts[..., :2] + level.shifts[k][:, None, None, :], 1.0)
+def _table_axes(spec):
+    t_nodes = np.linspace(-2 * spec.eps, spec.tau + 2 * spec.eps, spec.n_t)
+    q_nodes = np.linspace(-3 * spec.eps, 3 * spec.eps, spec.n_q)
+    return t_nodes, q_nodes
+
+
+def _chart_points(spec):
+    """The box's whole chart table as its level translates it: the table of
+    the reference box (centre (0, 0, s)) moved row by row by the flow of the
+    box's centre."""
+    model = spec.box.model
+    t_nodes, q_nodes = _table_axes(spec)
+    T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
+    ref = FlowBox(model, np.array([0.0, 0.0, spec.box.center[2]]), spec.tau)
+    pts = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
+    shift = model.flow_map(spec.box.center, t_nodes)[:, :2]
+    pts[..., :2] = np.mod(pts[..., :2] + shift[:, None, None, :], 1.0)
     return pts
 
 
-def _oracle_smooth_box(u, spec, level, k, window, phi, phi_bar):
+def _oracle_smooth_box(u, spec, window, phi, phi_bar):
     """The pass that prices u on every point and phi on every column of the
-    box's chart table, and interpolates w at every window node."""
+    box's translated chart table, and interpolates w at every window node
+    (``window`` as ``chart_window`` returns it)."""
     t, uu, inside = window
     idx = np.nonzero(inside)[0]
     if idx.size == 0:
-        return u.copy(), 0
-    pts = _chart_points(level, k)
+        return u.copy()
+    t_nodes, q_nodes = _table_axes(spec)
+    pts = _chart_points(spec)
     ut = np.asarray(u(pts), dtype=float)
-    beta = spec.bumps.beta(level.t_nodes)
+    beta = spec.bumps.beta(t_nodes)
     rows = beta > 0
     pht = np.zeros_like(ut)
     pht[rows] = np.asarray(phi(pts[rows]), dtype=float) - phi_bar
-    wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0], beta, ut, pht)
+    wt = _corrected_table(t_nodes[1] - t_nodes[0], beta, ut, pht)
     a = spec.bumps.alpha(uu[idx])
-    w_vals = _interp_table(level.t_nodes, level.q_nodes, wt, t[idx], uu[idx])
+    w_vals = _interp_table(t_nodes, q_nodes, wt, t[idx], uu[idx])
     flat = u.values.reshape(-1).copy()
     dense_here = flat[idx] + u.offset
     new_dense = (1.0 - a) * dense_here + a * w_vals
     flat[idx] = new_dense - u.offset
-    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset), 0
+    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
+
+
+def _live_columns(spec, window):
+    """The table columns a pass must price: the rectangle of q-cells around
+    its window nodes with alpha > 0, one row of cells beyond the last, or
+    none without such nodes."""
+    _, uu, inside = window
+    live = uu[inside][spec.bumps.alpha(uu[inside]) > 0]
+    if live.size == 0:
+        return 0
+    _, q_nodes = _table_axes(spec)
+    c1, c2 = (np.ptp(_axis_cell(q_nodes, live[:, ax])[0]) + 2
+              for ax in (0, 1))
+    return int(c1 * c2)
+
+
+def _oracle_passes(u0, cover, phi, phi_bar, core_margin):
+    """``_smooth_cover`` box by box: every box charts all nodes itself and
+    runs the whole-table pass.  Returns (u, core mask, uncovered mask, live
+    columns)."""
+    nodes = u0.grid.node_points().reshape(-1, 3)
+    mask = np.zeros(nodes.shape[0], dtype=bool)
+    uncovered = np.ones(nodes.shape[0], dtype=bool)
+    u = u0
+    n_cols = 0
+    for spec in sorted(cover, key=lambda s: s.index):
+        window = spec.chart_window(nodes)
+        u = _oracle_smooth_box(u, spec, window, phi, phi_bar)
+        n_cols += _live_columns(spec, window)
+        t, uu, inside = window
+        mask |= inside & spec.in_core(t, uu, margin=core_margin)
+        uncovered &= ~(inside & spec.in_core(t, uu))
+    return u, mask, uncovered, n_cols
 
 
 def _oracle_regularize_once(u, spec, phi, phi_bar, window):
@@ -229,36 +279,53 @@ def test_regularize_all_matches_per_box_oracle(cobound, medium_solution,
     assert abs(certificate.margin - margin) <= 1e-14
 
 
-def test_level_geometry_matches_each_box(medium_grid, cover):
+def test_level_geometry_matches_each_box(medium_grid, cobound, cover):
+    phi, _ = cobound
     nodes = medium_grid.node_points().reshape(-1, 3)
     levels = [list(g) for _, g in itertools.groupby(cover, key=_level_key)]
     assert [len(specs) for specs in levels] == [64] * 4
     crossings = []
     for specs in levels:
-        level = _Level(specs, nodes)
-        T, Q1, Q2 = np.meshgrid(level.t_nodes, level.q_nodes, level.q_nodes,
-                                indexing="ij")
+        level = _Level(specs, medium_grid)
+        boxes = []
+        for (t, uu, idx), chunk in level.chunks(phi, 0.0):
+            # the window pairs are bitwise each box's own chart window
+            for box in chunk:
+                spec = specs[len(boxes)]
+                tw, uw, inside = spec.chart_window(nodes)
+                n = box.idx.size
+                assert np.array_equal(box.idx, np.flatnonzero(inside))
+                assert np.array_equal(idx[:n], box.idx)
+                assert t[:n].tobytes() == tw[inside].tobytes()
+                assert uu[:n].tobytes() == uw[inside].tobytes()
+                alpha = spec.bumps.alpha(uw[inside])
+                assert box.a.tobytes() == alpha.tobytes()
+                t, uu, idx = t[n:], uu[n:], idx[n:]
+                boxes.append(box)
+            assert idx.size == 0
+        assert len(boxes) == len(specs)
+        t_nodes, q_nodes = _table_axes(specs[0])
+        T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
         U = np.stack([Q1, Q2], axis=-1)
+        run_start = np.flatnonzero(np.diff(level.run, prepend=-1))
         for k, spec in enumerate(specs):
             # the translated table: equal s, base equal up to the last bits
-            got = _chart_points(level, k)
+            got = _chart_points(spec)
             want = spec.box.chart_forward(T, U)
             db = got[..., :2] - want[..., :2]
             assert np.abs(db - np.round(db)).max() <= 1e-15
             assert np.array_equal(got[..., 2], want[..., 2])
-            # the node window is bitwise the box's own
-            for a, b in zip(level.window(spec), spec.chart_window(nodes)):
-                assert np.array_equal(a, b)
+            assert np.array_equal(got[:, 0, 0, 2], level.s)
             # each column's base is bitwise constant along a run, and the
-            # run base points are the table's
+            # level's run bases are the table's
             for r in range(level.run[-1] + 1):
                 on_run = got[level.run == r]
                 assert np.array_equal(on_run[..., :2],
                                       np.broadcast_to(on_run[:1, ..., :2],
                                                       on_run[..., :2].shape))
-            full = (slice(0, level.q_nodes.size),) * 2
-            assert np.array_equal(level.base(k, full),
-                                  got[level.run_start][..., :2])
+            base = np.mod(level.table_base
+                          + level.shifts[k][:, None, None, :], 1.0)
+            assert np.array_equal(base, got[run_start][..., :2])
         crossings.append(int(level.run[-1]))
     # windows (s - 0.2, s + 0.6) at s = 0, 0.25, 0.5, 0.75 on a unit roof
     assert crossings == [1, 0, 1, 1]
@@ -283,10 +350,17 @@ def test_regularize_all_flows_once_per_level(cobound, medium_solution, cover,
     assert len(calls) == 6
 
 
-@pytest.mark.parametrize("bad", ["nan_u", "inf_u", "inf_offset",
-                                 "nan_phi_bar"])
+_NON_FINITE = [(bad, entry) for entry in ("regularize_all", "regularize_once",
+                                          "regularize_once_unchecked")
+               for bad in ("nan_u", "inf_u", "inf_offset", "nan_phi_bar")]
+
+
+@pytest.mark.parametrize(
+    "bad, entry", _NON_FINITE,
+    ids=[bad if entry == "regularize_all" else f"{bad}-{entry}"
+         for bad, entry in _NON_FINITE])
 def test_regularize_all_rejects_non_finite_input(cobound, medium_solution,
-                                                 cover, bad):
+                                                 cover, bad, entry):
     phi, _ = cobound
     sol, _ = medium_solution
     values, offset, phi_bar = sol.u.values.copy(), sol.u.offset, sol.phi_bar
@@ -298,9 +372,13 @@ def test_regularize_all_rejects_non_finite_input(cobound, medium_solution,
         offset = -np.inf
     else:
         phi_bar = np.nan
+    u = GridFunction(sol.u.grid, values, offset)
     with pytest.raises(ValueError):
-        regularize_all(GridFunction(sol.u.grid, values, offset), cover, phi,
-                       phi_bar)
+        if entry == "regularize_all":
+            regularize_all(u, cover, phi, phi_bar)
+        else:
+            regularize_once(u, cover[17], phi, phi_bar,
+                            check_precondition=entry == "regularize_once")
 
 
 def test_precheck_rejects_non_subaction(model, cobound, medium_solution,
@@ -345,7 +423,7 @@ def test_regularize_all_bitwise_matches_whole_table_pass(
     sol = fixed_point
     cert = regularize_all(sol.u, cover, observable, sol.phi_bar,
                           precheck=False)
-    monkeypatch.setattr(regularize_mod, "_smooth_box", _oracle_smooth_box)
+    monkeypatch.setattr(regularize_mod, "_smooth_cover", _oracle_passes)
     want = regularize_all(sol.u, cover, observable, sol.phi_bar,
                           precheck=False)
     assert cert.u.values.tobytes() == want.u.values.tobytes()
@@ -354,29 +432,120 @@ def test_regularize_all_bitwise_matches_whole_table_pass(
     assert cert.margin == want.margin and cert.slack == want.slack
     # only the columns around nodes with alpha > 0: 9 x 9 of 13 x 13
     assert cert.report["table_columns"] == len(cover) * 13 ** 2
-    assert 0 < cert.report["table_columns_priced"] \
-        < cert.report["table_columns"] / 2
+    assert cert.report["table_columns_priced"] \
+        == want.report["table_columns_priced"] == len(cover) * 9 ** 2
 
 
-def test_box_without_live_nodes_prices_no_column(model, cobound,
-                                                 medium_solution, cover):
+@pytest.mark.parametrize("boxes", ["70", "3:80", "one"])
+def test_partial_levels_match_whole_table_pass_bitwise(
+        model, cobound, medium_solution, cover, boxes):
+    # levels cut off inside a chunk (64 + 6 and 61 + 16 boxes) and a level
+    # of one box
+    phi, _ = cobound
+    sol, _ = medium_solution
+    part = {"70": cover[:70], "3:80": cover[3:80], "one": [cover[100]]}[boxes]
+    chunk = _Level(part[:1], sol.u.grid).chunk
+    sizes = [len(list(g)) for _, g in itertools.groupby(part, key=_level_key)]
+    assert any(n % chunk for n in sizes)
+    got = _smooth_cover(sol.u, part, phi, sol.phi_bar, 0.05)
+    want = _oracle_passes(sol.u, part, phi, sol.phi_bar, 0.05)
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3] > 0
+
+
+def test_box_with_its_own_bumps_matches_whole_table_pass_bitwise(
+        model, cobound, medium_solution, cover):
+    # a box whose bumps differ from its level's is smoothed with its own
+    phi, _ = cobound
+    sol, _ = medium_solution
+    part = list(cover[:12])
+    part[5] = dataclasses.replace(part[5], bumps=BumpPair(0.08, 0.35))
+    assert _level_key(part[5]) != _level_key(part[4])
+    got = _smooth_cover(sol.u, part, phi, sol.phi_bar, 0.05)
+    want = _oracle_passes(sol.u, part, phi, sol.phi_bar, 0.05)
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert got[3] == want[3]
+
+
+def test_uneven_live_columns_match_whole_table_pass_bitwise(model, cobound,
+                                                            cover):
+    # at 6 x 6 x 10 the boxes of a chunk have live columns of different
+    # shapes and offsets
+    phi, pot = cobound
+    grid = Grid((6, 6, 10), (1.0, 1.0, model.roof), model.base_matrix)
+    u = GridFunction.from_callable(grid, pot)
+    part = cover[:64]
+    level = _Level(part, grid)
+    shapes = {box.pht.shape for _, chunk in level.chunks(phi, 0.0)
+              for box in chunk if box.pht is not None}
+    assert len(shapes) > 1
+    got = _smooth_cover(u, part, phi, 0.0, 0.05)
+    want = _oracle_passes(u, part, phi, 0.0, 0.05)
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert got[3] == want[3]
+
+
+def test_regularize_once_is_a_one_box_level(model, cobound, medium_solution,
+                                             cover):
     phi, _ = cobound
     sol, _ = medium_solution
     nodes = sol.u.grid.node_points().reshape(-1, 3)
+    for spec in (cover[0], cover[77], cover[255]):
+        got = regularize_once(sol.u, spec, phi, sol.phi_bar,
+                              check_precondition=False)
+        want = _oracle_smooth_box(sol.u, spec, spec.chart_window(nodes), phi,
+                                  sol.phi_bar)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.offset == want.offset
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_each_box_prices_its_live_rectangle(model, cobound, cover, n):
+    # every record of the default levels: a box prices phi and gathers u
+    # exactly when it has live nodes, on the rectangle of columns around them
+    phi, _ = cobound
+    grid = Grid((n, n, 10), (1.0, 1.0, model.roof), model.base_matrix)
+    nodes = grid.node_points().reshape(-1, 3)
+    for _, group in itertools.groupby(cover, key=_level_key):
+        specs = list(group)
+        boxes = [box for _, chunk in _Level(specs, grid).chunks(phi, 0.0)
+                 for box in chunk]
+        assert len(boxes) == len(specs)
+        for spec, box in zip(specs, boxes):
+            window = spec.chart_window(nodes)
+            assert (box.pht is None) == (not box.live.any())
+            assert box.n_cols == _live_columns(spec, window)
+
+
+def test_box_without_live_nodes_prices_no_column(model, cobound, cover):
+    # at 3 x 3 x 10 box 36's window holds nodes, all with alpha = 0, in a
+    # level whose other boxes have live nodes
+    phi, pot = cobound
+    grid = Grid((3, 3, 10), (1.0, 1.0, model.roof), model.base_matrix)
+    u = GridFunction.from_callable(grid, pot)
+    nodes = grid.node_points().reshape(-1, 3)
     specs = cover[:64]
-    level = _Level(specs, nodes)
-    k = 9
-    t, uu, inside = level.window(specs[k])
-    # keep only the window nodes where alpha = 0
-    inside = inside & (np.abs(uu).max(axis=-1) >= 2 * specs[k].eps)
-    assert inside.any()
-    window = (t, uu, inside)
-    got, n_cols = _smooth_box(sol.u, specs[k], level, k, window, phi,
-                              sol.phi_bar)
-    want, _ = _oracle_smooth_box(sol.u, specs[k], level, k, window, phi,
-                                 sol.phi_bar)
-    assert n_cols == 0
+    k = 36
+    t, uu, inside = window = specs[k].chart_window(nodes)
+    assert inside.any() and not (specs[k].bumps.alpha(uu[inside]) > 0).any()
+    level = _Level(specs, grid)
+    boxes = [box for _, chunk in level.chunks(phi, 0.0) for box in chunk]
+    box = boxes[k]
+    assert np.array_equal(box.idx, np.flatnonzero(inside))
+    assert box.pht is None and box.n_cols == 0
+    assert sum(b.n_cols for b in boxes) > 0
+    got = u.copy()
+    _smooth_box(got, box, level)
+    want = _oracle_smooth_box(u, specs[k], window, phi, 0.0)
     assert got.values.tobytes() == want.values.tobytes()
     # the pass still rewrites those nodes as (1 - 0) u + 0 * w
     assert np.array_equal(got.values.reshape(-1)[~inside],
-                          sol.u.values.reshape(-1)[~inside])
+                          u.values.reshape(-1)[~inside])
+    # and the whole level, that box included, is the whole-table pass
+    passes = _smooth_cover(u, specs, phi, 0.0, 0.05)
+    oracle = _oracle_passes(u, specs, phi, 0.0, 0.05)
+    assert passes[0].values.tobytes() == oracle[0].values.tobytes()
+    assert passes[3] == oracle[3]
