@@ -190,7 +190,8 @@ def _suite_apriori(cfg, out, n_pairs=200):
     write_csv(out / "apriori.csv", ["item", "worst_margin"],
               sorted(rep["worst_margins"].items()))
     return rep["passed"], {"n_checked": rep["n_checked"],
-                           "violations": len(rep["violations"])}
+                           "violations": len(rep["violations"]),
+                           "timings": rep["timings"]}
 
 
 def _suite_livsic(cfg, out, n_paths=200):

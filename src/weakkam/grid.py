@@ -71,11 +71,17 @@ class Halo:
         padded[:, :, slabs] = np.take(arr.reshape((-1,) + arr.shape[3:]),
                                       self.index[:, :, slabs], axis=0)
 
-    def sources(self, offsets):
-        """Flat node read by each node (flat order) under its own offset row."""
-        i, j, k = np.indices(self.shape).reshape(3, -1)
-        a, b, c = np.asarray(offsets, dtype=np.int64).T
-        return self.index[self.r - a + i, self.r - b + j, k - c - self.k_lo]
+    def read(self, nodes, offsets):
+        """Flat node that flat node ``nodes`` reads under the index triples
+        ``offsets`` (last axis), the two broadcast against each other: the
+        entry of ``window(offset)`` at that node.  The halo cell is found as
+        the node's own part plus the offset's part of one flat position."""
+        i, j, k = np.unravel_index(nodes, self.shape)
+        a, b, c = np.moveaxis(np.asarray(offsets, dtype=np.int64), -1, 0)
+        _, h1, h2 = self.index.shape
+        at = (i * h1 + j) * h2 + k
+        by = ((self.r - a) * h1 + self.r - b) * h2 - c - self.k_lo
+        return self.index.ravel().take(at + by)
 
     def window(self, offset):
         """Slices of a padded array that shift it by the index triple."""
@@ -210,6 +216,27 @@ class Grid:
                    self.shape)
         self._halo_cache[(r, k_lo, k_hi)] = hit
         return hit
+
+    def readers(self, nodes, offsets):
+        """Flat node that reads flat node ``nodes`` under the index triples
+        ``offsets`` (last axis), broadcast against each other: the inverse of
+        ``Halo.read``, which is a bijection for each offset.  Under (a, b, c)
+        node q reads q - (a, b, c) with the base wrapped and then twisted by
+        A^m, m the roof crossings, so p = (x, y, k) is read by
+        A^w (x, y) + (a, b) mod n at layer k + c - w*ns, w = (k + c) // ns."""
+        i, j, k = np.unravel_index(nodes, self.shape)
+        a, b, c = np.moveaxis(np.asarray(offsets, dtype=np.int64), -1, 0)
+        n1, n2, ns = self.shape
+        w, kq = np.divmod(k + c, ns)
+        i, j, w = np.broadcast_arrays(i, j, w)
+        qi, qj = np.empty(w.shape, dtype=np.int64), np.empty(w.shape,
+                                                             dtype=np.int64)
+        for m in np.unique(w):
+            sel = w == m
+            I, J = self._base_index_map(int(m))
+            qi[sel], qj[sel] = I[i[sel], j[sel]], J[i[sel], j[sel]]
+        return np.ravel_multi_index(((qi + a) % n1, (qj + b) % n2, kq),
+                                    self.shape)
 
     def halo(self, offsets):
         """The smallest Halo holding the shift by every index triple."""

@@ -31,6 +31,14 @@ holds +-inf the test is false and nothing is pruned.  Offsets of equal norm
 are folded together, the minimum of their windows first and C*dev added
 once, exact for the same reason.  NaN input raises ``ValueError``.
 
+Two sweeps compute entries, not whole fields, bitwise as ``apply`` does.
+``row`` sweeps a stack of delta fields: field i is finite only at its node p,
+so its fold at q is min fl(B[p] + C*dev) over the offsets under which q reads
+p, scattered to each offset's reader of p.  ``apply_at`` folds a sweep only at
+given (node, field) pairs, min over the whole stencil of
+fl(B[read(q)] + C*dev): a pruned candidate never undercuts the zero-deviation
+one, and fl(min_j x_j + C*dev) = min_j fl(x_j + C*dev).
+
 Howard policy iteration gives the exact additive eigenvalue.  Its policy
 evaluation loops over peel rounds and cycles of the policy graph, never over
 nodes.  Its bias pass stops before the first norm group with
@@ -48,6 +56,7 @@ the flow), which is what the consistency tests measure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,27 +75,51 @@ class AlignmentError(ValueError):
 
 
 def _deviation_offsets(grid: Grid, reach):
-    """Integer offsets with physical norm <= reach, deterministically ordered."""
+    """Integer offsets with physical norm <= reach, sorted by (norm, a, b, c),
+    one per class (a mod n1, b mod n2, c).
+
+    The norm is computed on the octant a, b, c >= 0 and mirrored to the
+    others: flipping a sign changes no product of the norm's dot.  Offsets of
+    one class read the same node at every q, since the halo wraps the base
+    before it twists it; the first of a class in this order is never priced
+    above the others, so dropping the rest changes no fold, and Howard's
+    strict improvement rule would take none of them."""
     rad = [int(np.floor(reach / s)) for s in grid.spacings]
-    cand = []
-    for a in range(-rad[0], rad[0] + 1):
-        for b in range(-rad[1], rad[1] + 1):
-            for c in range(-rad[2], rad[2] + 1):
+    octant, norms = [], []
+    for a in range(rad[0] + 1):
+        for b in range(rad[1] + 1):
+            for c in range(rad[2] + 1):
                 d = np.linalg.norm([a * grid.spacings[0], b * grid.spacings[1],
                                     c * grid.spacings[2]])
                 if d <= reach + 1e-12:
-                    cand.append((d, a, b, c))
-    cand.sort()
-    offsets = np.array([(a, b, c) for (_, a, b, c) in cand], dtype=np.int64)
-    devs = np.array([d for (d, _, _, _) in cand])
-    return offsets, devs
+                    octant.append((a, b, c))
+                    norms.append(d)
+    octant = np.array(octant, dtype=np.int64).reshape(-1, 3)
+    signs = np.array(list(itertools.product((1, -1), repeat=3)))
+    # negating a zero component repeats an offset of an earlier sign row
+    fresh = ~((signs[:, None] < 0) & (octant == 0)).any(axis=-1)
+    offsets = (signs[:, None] * octant)[fresh]
+    devs = np.broadcast_to(norms, fresh.shape)[fresh]
+    order = np.lexsort((offsets[:, 2], offsets[:, 1], offsets[:, 0], devs))
+    offsets, devs = offsets[order], devs[order]
+    (n1, n2, _), (a, b, c) = grid.shape, offsets.T
+    periodic = ((a % n1) * n2 + b % n2) * (2 * rad[2] + 1) + c + rad[2]
+    keep = np.sort(np.unique(periodic, return_index=True)[1])
+    return offsets[keep], devs[keep]
+
+
+# Reads per chunk of ``ActionKernel.apply_at`` (1 MiB of float64): a constant,
+# so the gather's memory does not grow with the number of pairs.
+_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One stencil's halo and windows; group g is offsets bounds[g]:bounds[g+1],
-    all of norm-price cdevs[g], and group 0 is the zero deviation alone."""
+    """One stencil's gather offsets, halo and windows; group g is offsets
+    bounds[g]:bounds[g+1], all of norm-price cdevs[g], and group 0 is the
+    zero deviation alone."""
 
+    tots: np.ndarray
     halo: Halo
     windows: list
     bounds: list
@@ -135,8 +168,8 @@ class ActionKernel:
         # Runs of equal norm; devs[0] = 0 is the zero deviation alone.
         bounds = np.concatenate([[0], np.flatnonzero(np.diff(self.devs)) + 1,
                                  [self.n_offsets]])
-        return _Sweep(halo, [halo.window(t) for t in tots], bounds.tolist(),
-                      (self.c * self.devs)[bounds[:-1]])
+        return _Sweep(tots, halo, [halo.window(t) for t in tots],
+                      bounds.tolist(), (self.c * self.devs)[bounds[:-1]])
 
     @cached_property
     def _forward(self):
@@ -228,6 +261,60 @@ class ActionKernel:
             return self._fold_all(w, self._reverse) + hphi
         best = self._fold_all(w.values, self._reverse) + self._hphi
         return GridFunction(self.grid, best, w.offset)
+
+    def row(self, nodes, reverse=False):
+        """``apply`` (``apply_reverse``) of the stack of delta fields at the
+        flat ``nodes`` (0 at the node, +inf elsewhere), bitwise, from the
+        kernel row alone.  Field i is finite only at p = nodes[i], so its
+        fold at q is min fl(B[p] + c*dev_d) over the offsets d under which
+        q reads p: each offset's reader of p (``Grid.readers``) takes that
+        candidate, scattered with ``np.minimum.at``."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        m = nodes.size
+        hphi = self._hphi.reshape(-1)
+        sweep = self._reverse if reverse else self._forward
+        readers = self.grid.readers(nodes[:, None], sweep.tots[None])
+        # B[p] is 0 reversed and 0 + hphi[p] (never -0.0) forward; the zero
+        # deviation takes it as it is, as the fold's first group does
+        if reverse:
+            Bp = np.zeros(m)
+        else:
+            self._lower_bound(hphi)
+            Bp = 0.0 + hphi[nodes]
+        cand = Bp[:, None] + self.c * self.devs
+        cand[:, 0] = Bp
+        best = np.full(self.grid.n_nodes * m, np.inf)
+        np.minimum.at(best, readers * m + np.arange(m)[:, None], cand)
+        best = best.reshape(self.grid.shape + (m,))
+        return best + self._hphi[..., None] if reverse else best
+
+    def apply_at(self, stack, nodes, fields, reverse=False):
+        """Entries (nodes[k], fields[k]) of ``apply(stack)``
+        (``apply_reverse``), bitwise, each folded from its own reads: min
+        over d of fl(B[read_d(q)] + c*dev_d), since the pruned group fold's
+        fl(min_j x_j + c) is min_j fl(x_j + c).  The pairs are taken in
+        chunks of at most ``_ENTRIES`` reads.  NaN anywhere in B raises, as
+        in ``apply``."""
+        hphi = self._stack_hphi(stack)
+        B = stack if reverse else stack + hphi
+        self._lower_bound(B)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        fields = np.asarray(fields, dtype=np.int64)
+        sweep = self._reverse if reverse else self._forward
+        cdevs = self.c * self.devs[1:]
+        flat, m = B.reshape(-1), B.shape[3]
+        out = np.empty(nodes.size)
+        step = max(1, _ENTRIES // self.n_offsets)
+        for s in range(0, nodes.size, step):
+            q, f = nodes[s:s + step], fields[s:s + step]
+            vals = flat.take(sweep.halo.read(q[:, None], sweep.tots) * m
+                             + f[:, None])
+            rest = np.add(vals[:, 1:], cdevs, out=vals[:, 1:])
+            np.minimum(vals[:, 0], rest.min(axis=1, initial=np.inf),
+                       out=out[s:s + step])
+        if reverse:
+            out += self._hphi.reshape(-1)[nodes]
+        return out
 
     # -- Howard policy iteration (exact additive eigenvalue) ---------------
 
@@ -333,7 +420,7 @@ class ActionKernel:
         N = grid.n_nodes
         sweep = self._forward
         halo, win, bounds = sweep.halo, sweep.windows, sweep.bounds
-        tots = self._total_offsets()
+        tots, nodes = sweep.tots, np.arange(N)
         hphi = self._hphi
         cdevs = self.c * self.devs
 
@@ -343,7 +430,7 @@ class ActionKernel:
         t = tol * scale
         folded = []
         for it in range(max_iters):
-            succ = halo.sources(tots[policy])
+            succ = halo.read(nodes, tots[policy])
             cost = hphi.reshape(-1)[succ] + cdevs[policy]
             g, v = self._policy_eval(succ, cost)
             g3 = g.reshape(grid.shape)

@@ -175,18 +175,20 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000):
                               history=log)
 
 
-def action_fields(kernel: ActionKernel, indices, n_steps, reverse=False):
-    """A^{n h}(p, .) for each node index p, or A^{n h}(., q) for each q with
-    ``reverse``: n sweeps of a stack of delta fields, shape grid.shape + (m,).
-    The batch axis trails, so every window is still three slices and each
-    field is folded bitwise as it would be alone."""
-    idx = np.asarray(indices).reshape(-1, 3)
-    vals = np.full(kernel.grid.shape + (len(idx),), np.inf)
-    vals[idx[:, 0], idx[:, 1], idx[:, 2], np.arange(len(idx))] = 0.0
+def _action_at(kernel: ActionKernel, nodes, n_steps, at, fields,
+               reverse=False):
+    """A^{n h}(p_i, q) at the pairs (q, i) = (at[k], fields[k]) for the flat
+    nodes p_i = nodes[i], or A^{n h}(q, p_i) with ``reverse``: the entries of
+    n sweeps of the stack of delta fields at ``nodes``, bitwise.  Sweep 1 is
+    the kernel row, sweeps 2 to n - 1 sweep the whole stack, and sweep n is
+    folded only at the pairs."""
+    stack = kernel.row(nodes, reverse)
+    if n_steps == 1:
+        return stack.reshape(-1, len(nodes))[at, fields]
     sweep = kernel.apply_reverse if reverse else kernel.apply
-    for _ in range(n_steps):
-        vals = sweep(vals)
-    return vals
+    for _ in range(n_steps - 2):
+        stack = sweep(stack)
+    return kernel.apply_at(stack, at, fields, reverse)
 
 
 def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
@@ -197,12 +199,24 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
     Item 1: |A^t(p,q) - C d(p,q)| <= t (Lip(phi) diam + C ||V||) + slack.
     Item 2: |A^t(p,q) - A^t(p,q~)| <= C d(q,q~) + slack.
     Item 3: |A^t(p,q) - A^t(p~,q)| <= C d(p,p~) + slack.
-    Slack is C times one grid diagonal.  Returns a report dict; violations
-    land in report['violations'].
+    Slack is C times one grid diagonal.  Every tuple is drawn first, and the
+    actions are computed only at the (node, source) pairs the checks read.
+    Returns a report dict; violations land in report['violations'], and
+    report['timings'] holds the wall seconds of ``build_kernel``, the action
+    entries (``fields``), the graph distances and the pairs.
     """
+    # Negated comparisons: NaN fails them too.
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("horizon t must be a finite number > 0")
+    if not n_sources >= 1:
+        raise ValueError("n_sources must be at least 1")
+    if not n_pairs >= 0:
+        raise ValueError("n_pairs must be at least 0")
     rng = np.random.default_rng(seed)
     grid, h = discretization(model, grid, h)
+    t0 = time.perf_counter()
     kern = build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier)
+    t1 = time.perf_counter()
     n_steps = max(1, int(round(t / h)))
     t_eff = n_steps * h
     diam = model.diameter()
@@ -214,32 +228,45 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
     def rand_index():
         return tuple(int(rng.integers(0, n)) for n in shape)
 
+    t2 = time.perf_counter()
     sources = [rand_index() for _ in range(n_sources)]
     targets = [rand_index() for _ in range(n_sources)]
-    fields_from = action_fields(kern, sources, n_steps)
-    fields_to = action_fields(kern, targets, n_steps, reverse=True)
+    # (i, j, q, p~) per tuple, drawn in the order the checks name them
+    draws = [(int(rng.integers(0, n_sources)), int(rng.integers(0, n_sources)),
+              rand_index(), rand_index()) for _ in range(n_pairs)]
+    t3 = time.perf_counter()
+
+    def flat(indices):
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+        return np.ravel_multi_index(idx.T, shape)
+
+    i_of, j_of = (np.array([d[x] for d in draws], dtype=np.int64)
+                  for x in (0, 1))
+    at_q, at_p2 = (flat([d[x] for d in draws]) for x in (2, 3))
+    # A^t(p, q), then A^t(p, q0); and A^t(p~, q0)
+    A_from = _action_at(kern, flat(sources), n_steps,
+                        np.r_[at_q, flat(targets)[j_of]], np.r_[i_of, i_of])
+    A_to = _action_at(kern, flat(targets), n_steps, at_p2, j_of,
+                      reverse=True)
+    t4 = time.perf_counter()
     # Graph distances in the fields' layout: sources, then targets.
     dist = grid.path_distance_field(sources + targets, graph_radius).T
     dist = dist.reshape(shape + (2 * n_sources,))
+    t5 = time.perf_counter()
 
     violations = []
     worst = {"item1": -np.inf, "item2": -np.inf, "item3": -np.inf}
     checked = 0
-    while checked < n_pairs:
-        i = int(rng.integers(0, n_sources))
-        j = int(rng.integers(0, n_sources))
+    for n, (i, j, q, p2) in enumerate(draws):
         p, q0 = sources[i], targets[j]
-        q = rand_index()
-        A_pq = fields_from[q + (i,)]
-        A_pq0 = fields_from[q0 + (i,)]
+        A_pq, A_pq0 = A_from[n], A_from[n_pairs + n]
         d_pq = dist[q + (i,)]
         # item 1
         m1 = abs(A_pq - c * d_pq) - (envelope + slack)
         # item 2: vary the target between q and q0 for the same source p
         m2 = abs(A_pq - A_pq0) - (c * dist[q + (n_sources + j,)] + slack)
         # item 3: vary the source between p and a fresh p~ for target q0
-        p2 = rand_index()
-        m3 = abs(A_pq0 - fields_to[p2 + (j,)]) - (c * dist[p2 + (i,)] + slack)
+        m3 = abs(A_pq0 - A_to[n]) - (c * dist[p2 + (i,)] + slack)
         for name, m, tup in (("item1", m1, (p, q)), ("item2", m2, (p, q, q0)),
                              ("item3", m3, (p, p2, q0))):
             worst[name] = max(worst[name], float(m))
@@ -247,9 +274,13 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
                 violations.append({"item": name, "margin": float(m),
                                    "points": tup})
         checked += 1
+    timings = {"build_kernel": t1 - t0, "fields": t4 - t3,
+               "distances": t5 - t4,
+               "pairs": (t3 - t2) + (time.perf_counter() - t5)}
     return {"n_checked": checked, "worst_margins": worst,
             "violations": violations, "t": t_eff, "slack": slack,
-            "envelope": envelope, "passed": len(violations) == 0}
+            "envelope": envelope, "passed": len(violations) == 0,
+            "timings": timings}
 
 
 def verify_integrated_subaction(u, model, phi, phi_bar, n_orbits, horizon,

@@ -141,6 +141,12 @@ def test_cli_verify_apriori(tmp_path):
     out = str(tmp_path / "o")
     assert main(["--output", out] + SMALL
                 + ["verify", "apriori", "--count", "50"]) == EXIT_PASS
+    summary = json.loads((Path(out) / "summary.json").read_text())
+    assert list(summary) == ["command", "n_checked", "passed", "suite",
+                             "timings", "violations"]
+    assert summary["n_checked"] == 50 and summary["violations"] == 0
+    assert list(summary["timings"]) == ["build_kernel", "distances",
+                                        "fields", "pairs"]
 
 
 def test_cli_verify_livsic_flags_weak_weight(tmp_path):

@@ -99,6 +99,25 @@ def test_halo_windows_match_oracle_on_kernel_stencils(model, medium_grid,
                               oracle_gather(medium_grid, arr, off)), off
 
 
+def _check_reads_and_readers(grid, offs):
+    """``Halo.read`` is each window's entry, and ``Grid.readers`` inverts it,
+    for every node and every offset."""
+    offs = np.asarray(offs, dtype=np.int64)
+    halo = grid.halo(offs)
+    nodes = np.arange(grid.n_nodes)
+    ids = halo.pad(nodes.reshape(grid.shape))
+    reads = halo.read(nodes[:, None], offs[None])
+    for d, off in enumerate(offs):
+        assert reads[:, d].tobytes() == ids[halo.window(off)].ravel().tobytes()
+    readers = grid.readers(nodes[:, None], offs[None])
+    assert readers.shape == reads.shape
+    # each offset's read map is a bijection, and readers is its inverse
+    for d, off in enumerate(offs):
+        assert np.array_equal(np.sort(readers[:, d]), nodes), off
+        back = halo.read(readers[:, d], off)
+        assert back.tobytes() == nodes.tobytes(), off
+
+
 @pytest.mark.parametrize("twisted", [True, False])
 def test_halo_windows_across_several_roof_wraps(model, twisted):
     ns = 4
@@ -115,6 +134,14 @@ def test_halo_windows_across_several_roof_wraps(model, twisted):
         assert np.array_equal(grid.gather_shift(arr, off), want), off
     with pytest.raises(ValueError):
         halo.window((3, 0, 0))
+    _check_reads_and_readers(grid, offs)
+
+
+@pytest.mark.parametrize("reach_multiplier", [2.0, 3.0])
+def test_readers_invert_halo_reads_on_kernel_stencils(model, small_grid,
+                                                      reach_multiplier):
+    _check_reads_and_readers(
+        small_grid, _stencil_offsets(model, small_grid, reach_multiplier))
 
 
 def test_nearest_index_roof_wrap(model, small_grid):

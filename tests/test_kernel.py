@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from weakkam import (ActionKernel, AlignmentError, Grid, GridFunction,
                      Observable, build_kernel, constant_observable,
                      distance_squared_observable)
+from weakkam.kernel import _deviation_offsets
 
 
 def test_build_kernel_guards(model, cobound, small_grid):
@@ -191,6 +194,11 @@ def test_sweeps_reject_nan(small_kernel):
         small_kernel.apply_reverse(u)
     with pytest.raises(ValueError, match="NaN"):
         small_kernel.relax(u)
+    # the pair fold checks the whole stack, not only the entries it reads
+    stack = np.stack([np.zeros_like(vals), vals], axis=-1)
+    for reverse in (False, True):
+        with pytest.raises(ValueError, match="NaN"):
+            small_kernel.apply_at(stack, [0], [0], reverse=reverse)
 
 
 def test_additive_equivariance_is_bitwise(small_kernel):
@@ -382,7 +390,7 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
     scale = max(1.0, float(np.abs(hphi).max()))
     folded, succs = [], []
     for it in range(max_iters):
-        succ = halo.sources(tots[policy])
+        succ = halo.read(np.arange(N), tots[policy])
         succs.append(succ)
         cost = hphi.reshape(-1)[succ] + cdevs[policy]
         g, v = _oracle_policy_eval(succ, cost)
@@ -508,3 +516,113 @@ def test_generic_model_rejected(small_grid, cobound):
     with pytest.raises(NotImplementedError):
         build_kernel(small_grid, object(), phi, 1.0, 0.0,
                      small_grid.spacings[2], 2.0)
+
+
+def _oracle_deviation_offsets(grid, reach):
+    """The full stencil, as the triple loop over the whole box built it: every
+    offset of norm <= reach, sorted by (norm, a, b, c), periodic repeats
+    included."""
+    rad = [int(np.floor(reach / s)) for s in grid.spacings]
+    cand = []
+    for a in range(-rad[0], rad[0] + 1):
+        for b in range(-rad[1], rad[1] + 1):
+            for c in range(-rad[2], rad[2] + 1):
+                d = np.linalg.norm([a * grid.spacings[0], b * grid.spacings[1],
+                                    c * grid.spacings[2]])
+                if d <= reach + 1e-12:
+                    cand.append((d, a, b, c))
+    cand.sort()
+    offsets = np.array([(a, b, c) for (_, a, b, c) in cand], dtype=np.int64)
+    devs = np.array([d for (d, _, _, _) in cand])
+    return offsets, devs
+
+
+def _first_of_each_class(grid, offsets):
+    n1, n2, _ = grid.shape
+    seen, keep = set(), []
+    for idx, (a, b, c) in enumerate(offsets.tolist()):
+        if (a % n1, b % n2, c) not in seen:
+            seen.add((a % n1, b % n2, c))
+            keep.append(idx)
+    return keep
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 10), (6, 6, 10), (8, 8, 10),
+                                   (16, 16, 10), (32, 32, 16)])
+@pytest.mark.parametrize("reach", [0.1, 0.3, 0.7])
+def test_deviation_offsets_match_triple_loop_bitwise(model, shape, reach):
+    grid = Grid(shape, (1.0, 1.0, model.roof), model.base_matrix)
+    offsets, devs = _deviation_offsets(grid, reach)
+    full, full_devs = _oracle_deviation_offsets(grid, reach)
+    keep = _first_of_each_class(grid, full)
+    assert offsets.tobytes() == full[keep].tobytes()
+    assert devs.tobytes() == full_devs[keep].tobytes()
+
+
+@pytest.mark.parametrize("shape,reach_multiplier,full,kept", [
+    ((16, 16, 10), 3.0, 3647, 2829), ((8, 8, 10), 2.0, 593, 531),
+    ((16, 16, 10), 2.0, None, None), ((32, 32, 16), 2.0, None, None)])
+def test_stencil_drops_only_periodic_repeats(model, cobound, shape,
+                                             reach_multiplier, full, kept):
+    """The a-priori check's and the small grid's stencils lose their periodic
+    repeats; the solves' stencils at 16x16x10 and 32x32x16 have none."""
+    grid = Grid(shape, (1.0, 1.0, model.roof), model.base_matrix)
+    kern = build_kernel(grid, model, cobound[0], 4.0, 0.0, grid.spacings[2],
+                        reach_multiplier)
+    n_full = len(_oracle_deviation_offsets(grid, kern.reach)[0])
+    if full is None:
+        assert kern.n_offsets == n_full
+    else:
+        assert (n_full, kern.n_offsets) == (full, kept)
+
+
+def _full_stencil(kernel):
+    offsets, devs = _oracle_deviation_offsets(kernel.grid, kernel.reach)
+    assert len(offsets) > kernel.n_offsets  # the stencil had repeats
+    return dataclasses.replace(kernel, offsets=offsets, devs=devs)
+
+
+@pytest.mark.parametrize("reach_multiplier", [2.0, 3.0])
+def test_deduplicated_sweeps_match_full_stencil_bitwise(model, cobound,
+                                                        small_grid,
+                                                        reach_multiplier):
+    phi, _ = cobound
+    kern = build_kernel(small_grid, model, phi, 4.0 * phi.lipschitz_constant,
+                        0.05, small_grid.spacings[2], reach_multiplier)
+    full = _full_stencil(kern)
+    for name, vals in _fields(kern).items():
+        u = GridFunction(small_grid, vals, offset=0.25)
+        for sweep in ("apply", "apply_reverse", "relax"):
+            got = getattr(kern, sweep)(u).values
+            want = getattr(full, sweep)(u).values
+            assert got.tobytes() == want.tobytes(), (name, sweep)
+        stack = np.stack([vals, vals[::-1]], axis=-1)
+        assert kern.apply(stack).tobytes() == full.apply(stack).tobytes()
+
+
+@pytest.mark.parametrize("which", ["coboundary", "dist2"])
+def test_deduplicated_howard_matches_full_stencil_bitwise(which, model,
+                                                          howard_kernels,
+                                                          monkeypatch):
+    """Gains, biases and every evaluated policy's successors are those of
+    the full stencil: the strict improvement rule takes no repeat."""
+    kern = howard_kernels[which]
+    full = _full_stencil(kern)
+    evaluate = ActionKernel._policy_eval
+    runs = []
+    for k in (kern, full):
+        succs = []
+
+        def recorded(succ, cost, succs=succs):
+            succs.append(succ.copy())
+            return evaluate(succ, cost)
+
+        monkeypatch.setattr(ActionKernel, "_policy_eval",
+                            staticmethod(recorded))
+        g, bias, info = k.solve_additive_eigenvalue()
+        runs.append((g, bias.values, info["iterations"], succs))
+    (g, v, it, succs), (g0, v0, it0, succs0) = runs
+    assert g.tobytes() == g0.tobytes()
+    assert v.tobytes() == v0.tobytes()
+    assert it == it0 and len(succs) == len(succs0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(succs, succs0))

@@ -10,7 +10,7 @@ from weakkam import (ActionKernel, DriftError, Grid, GridFunction,
 from weakkam.cli import _build_common
 from weakkam.config import load_config
 from weakkam.kernel import discretization
-from weakkam.laxoleinik import action_fields
+from weakkam.laxoleinik import _action_at
 
 
 def test_weak_kam_solve_rejects_unconverged_howard(small_kernel,
@@ -318,7 +318,22 @@ def test_verify_integrated_subaction_detects_violation(model, cobound,
     assert not rep["passed"]
 
 
-# One field at a time: the fields of ``action_fields`` as they were computed
+def _action_fields(kernel, indices, n_steps, reverse=False):
+    """A^{n h}(p, .) for each node index p, or A^{n h}(., q) for each q with
+    ``reverse``: n sweeps of a stack of delta fields, shape grid.shape + (m,).
+    The batch axis trails, so every window is still three slices and each
+    field is folded bitwise as it would be alone.  ``verify_apriori`` swept
+    these stacks whole before it computed only the entries it reads."""
+    idx = np.asarray(indices).reshape(-1, 3)
+    vals = np.full(kernel.grid.shape + (len(idx),), np.inf)
+    vals[idx[:, 0], idx[:, 1], idx[:, 2], np.arange(len(idx))] = 0.0
+    sweep = kernel.apply_reverse if reverse else kernel.apply
+    for _ in range(n_steps):
+        vals = sweep(vals)
+    return vals
+
+
+# One field at a time: the fields of ``_action_fields`` as they were computed
 # before they were stacked.
 
 
@@ -352,10 +367,129 @@ def test_action_fields_stack_matches_one_field_at_a_time(model, cobound,
     nodes.append(nodes[0])  # a repeated node is its own field
     for reverse, oracle in ((False, _oracle_action_field_from),
                             (True, _oracle_action_field_to)):
-        stack = action_fields(kern, nodes, 3, reverse=reverse)
+        stack = _action_fields(kern, nodes, 3, reverse=reverse)
         assert stack.shape == shape + (len(nodes),)
         for i, p in enumerate(nodes):
             assert np.array_equal(stack[..., i], oracle(kern, p, 3))
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5])
+@pytest.mark.parametrize("shape", [(8, 8, 10), (16, 16, 10)])
+def test_action_at_matches_action_fields_at_every_pair(model, cobound, shape,
+                                                       n_steps):
+    """The kernel row, the whole-stack sweeps between and the last sweep
+    folded pair by pair give every entry of the whole-stack sweeps."""
+    phi, _ = cobound
+    grid = Grid(shape, (1.0, 1.0, model.roof), model.base_matrix)
+    c = 4.0 * max(1.0, phi.lipschitz_constant)
+    kern = build_kernel(grid, model, phi, c, 0.0, grid.spacings[2], 3.0)
+    rng = np.random.default_rng(6)
+    nodes = [tuple(int(rng.integers(0, n)) for n in shape) for _ in range(4)]
+    nodes.append(nodes[1])  # a repeated node is its own field
+    flat = np.ravel_multi_index(np.array(nodes).T, shape)
+    m = len(nodes)
+    at = np.repeat(np.arange(grid.n_nodes), m)
+    fields = np.tile(np.arange(m), grid.n_nodes)
+    for reverse in (False, True):
+        want = _action_fields(kern, nodes, n_steps, reverse=reverse)
+        got = _action_at(kern, flat, n_steps, at, fields, reverse=reverse)
+        assert got.tobytes() == want.reshape(-1).tobytes(), reverse
+
+
+def _oracle_verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
+                           phi_bar=0.0, seed=0, n_sources=8,
+                           reach_multiplier=3.0, graph_radius=2):
+    """``verify_apriori`` as it was when it swept the whole stacks and drew
+    each tuple as it checked it."""
+    rng = np.random.default_rng(seed)
+    grid, h = discretization(model, grid, h)
+    kern = build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier)
+    n_steps = max(1, int(round(t / h)))
+    t_eff = n_steps * h
+    diam = model.diameter()
+    envelope = t_eff * (phi.lipschitz_constant * diam
+                        + c * model.sup_norm_bound)
+    slack = c * grid.diagonal
+    shape = grid.shape
+
+    def rand_index():
+        return tuple(int(rng.integers(0, n)) for n in shape)
+
+    sources = [rand_index() for _ in range(n_sources)]
+    targets = [rand_index() for _ in range(n_sources)]
+    fields_from = _action_fields(kern, sources, n_steps)
+    fields_to = _action_fields(kern, targets, n_steps, reverse=True)
+    dist = grid.path_distance_field(sources + targets, graph_radius).T
+    dist = dist.reshape(shape + (2 * n_sources,))
+
+    violations = []
+    worst = {"item1": -np.inf, "item2": -np.inf, "item3": -np.inf}
+    checked = 0
+    while checked < n_pairs:
+        i = int(rng.integers(0, n_sources))
+        j = int(rng.integers(0, n_sources))
+        p, q0 = sources[i], targets[j]
+        q = rand_index()
+        A_pq = fields_from[q + (i,)]
+        A_pq0 = fields_from[q0 + (i,)]
+        d_pq = dist[q + (i,)]
+        m1 = abs(A_pq - c * d_pq) - (envelope + slack)
+        m2 = abs(A_pq - A_pq0) - (c * dist[q + (n_sources + j,)] + slack)
+        p2 = rand_index()
+        m3 = abs(A_pq0 - fields_to[p2 + (j,)]) - (c * dist[p2 + (i,)] + slack)
+        for name, m, tup in (("item1", m1, (p, q)), ("item2", m2, (p, q, q0)),
+                             ("item3", m3, (p, p2, q0))):
+            worst[name] = max(worst[name], float(m))
+            if m > 0:
+                violations.append({"item": name, "margin": float(m),
+                                   "points": tup})
+        checked += 1
+    return {"n_checked": checked, "worst_margins": worst,
+            "violations": violations, "t": t_eff, "slack": slack,
+            "envelope": envelope, "passed": len(violations) == 0}
+
+
+@pytest.mark.parametrize("seed,n_violations",
+                         [(1, 0), (2, 0), (108, 1), (404, 1)])
+def test_verify_apriori_matches_whole_stack_oracle(model, cobound,
+                                                  medium_grid, seed,
+                                                  n_violations):
+    """The CLI's settings at 16x16x10: the report is the whole-stack
+    version's, seeds 108 and 404 keep their one violation, and the timings
+    are the four stages."""
+    phi, _ = cobound
+    _, h = discretization(model, medium_grid)
+    args = (model, phi, 4.0, 5 * h, 200)
+    kw = {"grid": medium_grid, "h": h, "seed": seed}
+    rep = verify_apriori(*args, **kw)
+    timings = rep.pop("timings")
+    assert list(timings) == ["build_kernel", "fields", "distances", "pairs"]
+    assert all(v >= 0.0 for v in timings.values())
+    assert repr(rep) == repr(_oracle_verify_apriori(*args, **kw))
+    assert len(rep["violations"]) == n_violations
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"t": 0.0}, "horizon t"), ({"t": -0.5}, "horizon t"),
+    ({"t": float("inf")}, "horizon t"), ({"t": float("nan")}, "horizon t"),
+    ({"n_sources": 0}, "n_sources"), ({"n_pairs": -1}, "n_pairs")])
+def test_verify_apriori_rejects_bad_arguments(model, cobound, small_grid,
+                                              kwargs, match):
+    phi, _ = cobound
+    args = {"t": 1.0, "n_pairs": 10, **kwargs}
+    t, n_pairs = args.pop("t"), args.pop("n_pairs")
+    with pytest.raises(ValueError, match=match):
+        verify_apriori(model, phi, 4.0, t, n_pairs, grid=small_grid,
+                       h=small_grid.spacings[2], **args)
+
+
+def test_verify_apriori_with_no_pairs(model, cobound, small_grid):
+    phi, _ = cobound
+    rep = verify_apriori(model, phi, 4.0, 1.0, 0, grid=small_grid,
+                         h=small_grid.spacings[2])
+    assert rep["n_checked"] == 0 and rep["passed"]
+    assert rep["worst_margins"] == {"item1": -np.inf, "item2": -np.inf,
+                                    "item3": -np.inf}
 
 
 def test_kernel_sweeps_reject_misshapen_stacks(small_kernel):
