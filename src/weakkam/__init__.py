@@ -6,6 +6,12 @@ into a certified subaction, and verify the supporting geometric machinery
 (flow-box atlases, shadowing, weighted-action lower bounds).
 """
 
+# numpy loads np.random, and np.ma (which np.unique reads), on first use.
+# Every command needs both, so they load with the package, not inside the
+# first stage that happens to touch them.
+import numpy.ma as _ma  # noqa: F401
+import numpy.random as _random  # noqa: F401
+
 from .models import (HorizonError, HyperbolicityData, Observable,
                      SuspensionFlow, birkhoff_integral, lie_derivative,
                      periodic_orbits)
@@ -13,7 +19,7 @@ from .observables import (BUILTIN_FAMILIES, GluePotential,
                           coboundary_observable, constant_observable,
                           distance_squared_observable, grid_table_observable,
                           make_observable, smoothstep, smoothstep_prime)
-from .grid import Grid, GridFunction, UnreachableError, path_distance
+from .grid import Grid, GridFunction
 from .kernel import (ActionKernel, AlignmentError, KernelConnectivityError,
                      build_kernel)
 from .laxoleinik import (DriftError, InconsistencyError, NonConvergenceError,

@@ -46,9 +46,16 @@ def _fmt(v):
 
 
 def write_csv(path, header, rows):
+    """Write a header and rows: an iterable of rows, each value through
+    ``_fmt``, or a 2-D float array, formatted in one pass with the same
+    ``FLOAT_FMT`` and the same ``\\r\\n`` row ends as ``csv.writer``."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
+        if isinstance(rows, np.ndarray):
+            line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\r\n"
+            f.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             w.writerow([_fmt(v) for v in row])
 
@@ -128,11 +135,9 @@ def cmd_solve(cfg: RunConfig):
     t0 = time.perf_counter()
     write_csv(out / "ergodic.csv", ["method", "value"],
               [("periodic_orbits", v_orb), ("minplus_drift", v_drift)])
-    nodes = grid.node_points().reshape(-1, 3)
-    dense = sol.u.dense().reshape(-1)
-    write_csv(out / "solution.csv",
-              ["x1", "x2", "s", "u"],
-              [(p[0], p[1], p[2], v) for p, v in zip(nodes, dense)])
+    write_csv(out / "solution.csv", ["x1", "x2", "s", "u"],
+              np.column_stack([grid.node_points().reshape(-1, 3),
+                               sol.u.dense().reshape(-1)]))
     write_csv(out / "certificate.csv", ["quantity", "value"],
               [("margin", cert.margin), ("slack", cert.slack),
                ("lip_u", cert.lip_u), ("lip_lie", cert.lip_lie),

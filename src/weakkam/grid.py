@@ -18,12 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
-
-
-class UnreachableError(RuntimeError):
-    pass
 
 
 def _primitive_offsets(radius):
@@ -319,54 +313,82 @@ class Grid:
         return np.array([o * h for o, h in zip(offset, self.spacings)])
 
     def neighbor_graph(self, radius=1):
-        """Sparse graph over nodes, built straight into CSR: row q holds the
-        node reached from q by each primitive offset, weighted by its norm.
-        Offsets that reach one node (small grids wrap) stay parallel edges,
-        of which Dijkstra takes the minimum; nothing is summed."""
+        """The undirected graph that joins each node q to q + off, weighted
+        by |off|, for every primitive offset up to ``radius``, as windows of
+        one halo: ``(halo, classes)`` with one class ``(w, windows, slabs)``
+        per weight w.  Node q's neighbours are what it reads under each
+        offset (a whole window; the offsets come in +- pairs) and the nodes
+        that read it.  The reader of q under off is q's read under -off,
+        except on the |c| layers where q + off crosses the roof (m =
+        (k + c) // ns = +-1, as |c| <= radius <= ns): there it is the read
+        under (-A^(-m) (a, b), -c), a ``(window, layers)`` slab of the class.
+        A slab whose offset is itself an edge of weight <= w adds nothing
+        and is left out.  Offsets that reach one node (small grids wrap) stay
+        parallel edges.
+        """
         key = int(radius)
         if key in self._graph_cache:
             return self._graph_cache[key]
-        N = self.n_nodes
-        offs = _primitive_offsets(radius)
-        k = len(offs)
-        # target[q] = node reached from q by +off, the shift by -off of the
-        # node ids; the halo of the node ids is its own index.
-        halo = self.halo([[-v for v in off] for off in offs])
-        idx = np.int32 if N * k < 2 ** 31 else np.int64
-        cols = np.empty((N, k), dtype=idx)
-        for j, off in enumerate(offs):
-            cols[:, j] = halo.index[halo.window([-v for v in off])].ravel()
-        w = [float(np.linalg.norm(self.offset_displacement(off)))
-             for off in offs]
-        g = sp.csr_matrix((np.tile(w, N), cols.ravel(),
-                           np.arange(0, N * k + 1, k, dtype=idx)),
-                          shape=(N, N))
-        self._graph_cache[key] = g
-        return g
+        ns = self.shape[2]
+        if key > ns:
+            raise ValueError("graph radius must not exceed the s-layers")
+        weight = {off: float(np.linalg.norm(self.offset_displacement(off)))
+                  for off in _primitive_offsets(radius)}
+        by_weight = {}
+        for off, w in weight.items():
+            by_weight.setdefault(w, []).append(off)
+        classes = []
+        for w, offs in by_weight.items():
+            slabs = []
+            for a, b, c in offs:
+                if c == 0:
+                    continue
+                m = 1 if c > 0 else -1
+                ab = -self._twist_pow(-m) @ (a, b)
+                rev = (int(ab[0]), int(ab[1]), -c)
+                if weight.get(rev, np.inf) > w:
+                    slabs.append((rev, slice(ns - c, ns) if c > 0
+                                  else slice(0, -c)))
+            classes.append((w, offs, slabs))
+        halo = self.halo([o for _, offs, slabs in classes
+                          for o in offs + [r for r, _ in slabs]])
+        graph = halo, [(w, [halo.window(o) for o in offs],
+                        [(halo.window(r), ks) for r, ks in slabs])
+                       for w, offs, slabs in classes]
+        self._graph_cache[key] = graph
+        return graph
 
     def path_distance_field(self, sources, radius=1):
         """Graph distances from each source node to all nodes: one row per
-        source, nodes in flattened order, from one Dijkstra call."""
-        g = self.neighbor_graph(radius)
+        source, nodes in flattened order.
+
+        A label-correcting fold of one stack of distance fields: each sweep
+        pads the stack once and, per weight class, adds w once to the least
+        of its windows and slabs, then takes the minimum with the stack, until
+        a sweep changes nothing.  fl(min x + w) = min fl(x + w), and rounding
+        is monotone with w >= 0, so the fixed point is the least
+        edge-by-edge-rounded path sum, bitwise what Dijkstra returns."""
+        halo, classes = self.neighbor_graph(radius)
         src = np.ravel_multi_index(np.asarray(sources).reshape(-1, 3).T,
                                    self.shape)
-        return dijkstra(g, indices=src, directed=False)
-
-
-def path_distance(p, q, grid: Grid, radius=2):
-    """Shortest-path distance between two points through the grid graph.
-
-    Both points are snapped to their nearest nodes; the graph uses primitive
-    offsets up to ``radius`` (radius=2 keeps the metric within ~2% of the
-    flat distance on convex periodic domains).
-    """
-    ip = grid.nearest_index(np.asarray(p))
-    iq = grid.nearest_index(np.asarray(q))
-    d = grid.path_distance_field([ip], radius=radius)[0]
-    val = d[np.ravel_multi_index(iq, grid.shape)]
-    if not np.isfinite(val):
-        raise UnreachableError("points are graph-disconnected")
-    return float(val)
+        dist = np.full((self.n_nodes, src.size), np.inf)
+        dist[src, np.arange(src.size)] = 0.0
+        dist = dist.reshape(self.shape + (src.size,))
+        while True:
+            padded = halo.pad(dist)
+            new = dist.copy()
+            for w, windows, slabs in classes:
+                low = padded[windows[0]].copy()
+                for win in windows[1:]:
+                    np.minimum(low, padded[win], out=low)
+                for win, ks in slabs:
+                    np.minimum(low[:, :, ks], padded[win][:, :, ks],
+                               out=low[:, :, ks])
+                low += w
+                np.minimum(new, low, out=new)
+            if np.array_equal(new, dist):
+                return dist.reshape(self.n_nodes, -1).T
+            dist = new
 
 
 def trilinear(values, cells):

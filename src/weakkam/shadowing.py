@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .charts import adapted_norm, affine_poincare
 
@@ -42,6 +41,18 @@ def _chain_map(maps):
                                       for r in P])
     off = np.stack([m.offset for m in maps]).astype(float)
     return L, lambda P: off + np.einsum("nij,mnj->mni", L, P)
+
+
+def _cyclic_jacobian(L):
+    """J of the cyclic system f_i(p_i) - p_{i+1} with linear parts L
+    (n, 2, 2): L_i on the diagonal blocks, -I on the blocks (i, i+1 mod n);
+    at n = 1 the two meet, J = L_0 - I."""
+    n = len(L)
+    J = np.zeros((n, 2, n, 2))
+    i = np.arange(n)
+    J[i, :, i, :] = L
+    J[i, :, (i + 1) % n, :] -= np.eye(2)
+    return J.reshape(2 * n, 2 * n)
 
 
 def _ball_errors(Q, FQ, rho):
@@ -206,7 +217,7 @@ def _shadow_chain(Q, maps, rho, tol, k_gamma=None, max_iters=25):
     except ConstantsTooWeakError as e:
         return [out.get(j, e) for j in range(m)]
     errs = adapted_norm(FQ - np.roll(Q, -1, axis=1)).sum(axis=1)
-    J = block_diag(*L) - np.kron(np.roll(np.eye(n), 1, axis=1), np.eye(2))
+    J = _cyclic_jacobian(L)
     P, resid, iters = Q.copy(), np.zeros((m, n)), np.zeros(m, dtype=int)
     hist, stall = np.full((max_iters + 1, m), np.nan), np.zeros(m, dtype=int)
     act = np.setdiff1d(np.arange(m), list(out))

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import weakkam
 from weakkam.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, FLOAT_FMT, SUITES,
-                         main)
+                         main, write_csv)
 from weakkam.config import ConfigError, RunConfig, load_config
 from weakkam.kernel import ActionKernel
 
@@ -16,6 +21,29 @@ def _ini(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing it costs most of a run's start.
+    code = ("import sys, weakkam, weakkam.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(weakkam.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_write_csv_array_matches_rows(tmp_path):
+    vals = np.array([[0.0, -0.0, 1 / 3, -2.5e-7],
+                     [np.inf, -np.inf, np.nan, 1e21],
+                     [7.0, 1e-300, 123456789.0123, -1.0]])
+    header = ["w", "x", "y", "z"]
+    write_csv(tmp_path / "a.csv", header, vals)
+    write_csv(tmp_path / "r.csv", header, [tuple(r) for r in vals])
+    text = (tmp_path / "a.csv").read_bytes()
+    assert text == (tmp_path / "r.csv").read_bytes()
+    assert text.count(b"\r\n") == 4
 
 
 def test_load_config_defaults():

@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from weakkam import (Grid, GridFunction, build_kernel, constant_observable,
-                     path_distance)
+from weakkam import Grid, GridFunction, build_kernel, constant_observable
 from weakkam.grid import _primitive_offsets
 
 
@@ -322,6 +321,12 @@ def test_discrete_lipschitz_linear_field(small_grid):
     assert u.discrete_lipschitz(one_layer) == 0.0
 
 
+def _path_distance(p, q, grid, radius):
+    """Graph distance between the nodes nearest to points p and q."""
+    row = grid.path_distance_field([grid.nearest_index(p)], radius)[0]
+    return float(row[np.ravel_multi_index(grid.nearest_index(q), grid.shape)])
+
+
 def test_path_distance_close_to_flat_metric():
     grid = Grid((16, 16, 16))
     rng = np.random.default_rng(7)
@@ -331,7 +336,7 @@ def test_path_distance_close_to_flat_metric():
         d = p - q
         d -= np.round(d)
         flat = np.linalg.norm(d)
-        pd = path_distance(p, q, grid, radius=2)
+        pd = _path_distance(p, q, grid, radius=2)
         assert pd >= flat - 2.0 * grid.diagonal - 1e-9
         assert pd <= 1.1 * flat + 2.0 * grid.diagonal
 
@@ -341,37 +346,76 @@ def test_grid_function_shape_guard(small_grid):
         GridFunction(small_grid, np.zeros((2, 2, 2)))
 
 
-def _oracle_coo_graph(grid, radius):
-    """The neighbour graph as it was built before: one COO triple per edge,
-    then CSR, which sums the weights of repeated (row, col) pairs."""
+def _oracle_graph(grid, radius):
+    """The neighbour graph in CSR: row q holds the node q + off for each
+    primitive offset, weighted by |off|; parallel edges are kept (Dijkstra
+    takes their minimum), none summed."""
     N = grid.n_nodes
+    offs = _primitive_offsets(radius)
     node_id = np.arange(N).reshape(grid.shape)
-    rows, cols, data = [], [], []
-    for off in _primitive_offsets(radius):
-        rows.append(node_id.ravel())
-        cols.append(grid.gather_shift(node_id, [-v for v in off]).ravel())
-        w = float(np.linalg.norm(grid.offset_displacement(off)))
-        data.append(np.full(N, w))
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N))
+    cols = np.stack([grid.gather_shift(node_id, [-v for v in off]).ravel()
+                     for off in offs], axis=1)
+    w = [float(np.linalg.norm(grid.offset_displacement(off))) for off in offs]
+    return sp.csr_matrix((np.tile(w, N), cols.ravel(),
+                          np.arange(0, N * len(offs) + 1, len(offs))),
+                         shape=(N, N))
+
+
+def _oracle_distances(grid, sources, radius):
+    flat = np.ravel_multi_index(np.asarray(sources).T, grid.shape)
+    return dijkstra(_oracle_graph(grid, radius), indices=flat,
+                    directed=False)
+
+
+def _sources(shape, seed, n=6):
+    """n random nodes, then one on layer 0 and one on layer ns - 1."""
+    rng = np.random.default_rng(seed)
+    return ([tuple(int(rng.integers(0, m)) for m in shape) for _ in range(n)]
+            + [(1, 2, 0), (shape[0] - 1, 0, shape[2] - 1)])
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 10), (16, 16, 10)])
 def test_multi_source_distances_match_single_source_calls(model, shape):
     grid = Grid(shape, (1.0, 1.0, model.roof), model.base_matrix)
-    rng = np.random.default_rng(3)
-    sources = [tuple(int(rng.integers(0, n)) for n in shape)
-               for _ in range(6)]
+    sources = _sources(shape, 3)
     dist = grid.path_distance_field(sources, radius=2)
-    assert dist.shape == (6, grid.n_nodes)
-    coo = _oracle_coo_graph(grid, 2)
+    assert dist.shape == (len(sources), grid.n_nodes)
     for row, src in zip(dist, sources):
-        flat = np.ravel_multi_index(src, shape)
-        one = dijkstra(grid.neighbor_graph(2), indices=flat, directed=False)
-        assert np.array_equal(row, one)
-        assert np.array_equal(
-            row, dijkstra(coo, indices=flat, directed=False))
+        assert np.array_equal(row, grid.path_distance_field([src], 2)[0])
+        assert np.array_equal(row, _oracle_distances(grid, [src], 2)[0])
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("shape,twisted", [
+    ((4, 4, 5), True), ((8, 8, 10), True), ((16, 16, 10), True),
+    ((16, 16, 16), False)])
+def test_distance_fold_is_bitwise_dijkstra(model, shape, twisted, radius):
+    grid = Grid(shape, (1.0, 1.0, model.roof),
+                model.base_matrix if twisted else None)
+    sources = _sources(shape, 11)
+    assert np.array_equal(grid.path_distance_field(sources, radius),
+                          _oracle_distances(grid, sources, radius))
+
+
+def test_distance_fold_needs_the_roof_crossing_slabs(model, monkeypatch):
+    # Without the reverse reads on the layers where an edge crosses the
+    # roof, the fold walks each such edge one way only and finds longer
+    # paths than Dijkstra on the undirected graph.
+    grid = Grid((16, 16, 10), (1.0, 1.0, model.roof), model.base_matrix)
+    sources = _sources(grid.shape, 11)
+    full = grid.path_distance_field(sources, 2)
+    halo, classes = grid.neighbor_graph(2)
+    assert any(slabs for _, _, slabs in classes)
+    monkeypatch.setattr(grid, "neighbor_graph", lambda radius: (
+        halo, [(w, windows, []) for w, windows, _ in classes]))
+    one_way = grid.path_distance_field(sources, 2)
+    assert (one_way >= full).all() and (one_way > full).any()
+
+
+def test_distance_fold_rejects_a_radius_above_the_layers():
+    # The roof-crossing slabs assume an edge crosses the roof at most once.
+    with pytest.raises(ValueError, match="radius"):
+        Grid((4, 4, 1)).path_distance_field([(0, 0, 0)], radius=2)
 
 
 def test_neighbor_graph_keeps_parallel_edges(model):
@@ -381,9 +425,9 @@ def test_neighbor_graph_keeps_parallel_edges(model):
     grid = Grid((4, 4, 5), (1.0, 1.0, model.roof), model.base_matrix)
     offs = _primitive_offsets(2)
     norms = [float(np.linalg.norm(grid.offset_displacement(o))) for o in offs]
-    g = grid.neighbor_graph(2)
-    assert g.nnz == grid.n_nodes * len(offs)
-    assert set(g.data.tolist()) <= set(norms)
+    _, classes = grid.neighbor_graph(2)
+    assert sorted(w for w, windows, _ in classes for _ in windows) == sorted(
+        norms)
     node_id = np.arange(grid.n_nodes).reshape(grid.shape)
     dist = grid.path_distance_field(np.argwhere(node_id >= 0), radius=2)
     for off, w in zip(offs, norms):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from weakkam import (ConstantsTooWeakError, DiscretePseudoOrbit, EscapeError,
                      LocalHyperbolicMap, NewtonDivergenceError,
                      affine_poincare, estimate_k_gamma, k_gamma_from_maps,
                      lattice_box_chains, pseudo_orbit_suite, shadow_periodic)
+from weakkam.shadowing import _cyclic_jacobian
 
 
 def test_estimate_k_gamma(atlas):
@@ -13,6 +15,19 @@ def test_estimate_k_gamma(atlas):
     assert k >= 1.0
     with pytest.raises(ConstantsTooWeakError):
         estimate_k_gamma(1.01, 0.99, 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_cyclic_jacobian_is_bitwise_block_form(n):
+    # At n = 1 the shift block is the diagonal block: J = L - I.
+    L = np.random.default_rng(n).normal(size=(n, 2, 2))
+    L[0, 0, 1] = -0.0
+    J = _cyclic_jacobian(L)
+    ref = block_diag(*L) - np.kron(np.roll(np.eye(n), 1, axis=1), np.eye(2))
+    assert J.shape == ref.shape
+    assert J.tobytes() == ref.tobytes()
+    if n == 1:
+        assert J.tobytes() == (L[0] - np.eye(2)).tobytes()
 
 
 def test_lattice_chains_partition_level0(atlas):
