@@ -13,24 +13,21 @@ import numpy.ma as _ma  # noqa: F401
 import numpy.random as _random  # noqa: F401
 
 from .models import (HorizonError, HyperbolicityData, Observable,
-                     SuspensionFlow, birkhoff_integral, lie_derivative,
-                     periodic_orbits)
+                     SuspensionFlow, birkhoff_integral, periodic_orbits)
 from .observables import (BUILTIN_FAMILIES, GluePotential,
                           coboundary_observable, constant_observable,
-                          distance_squared_observable, grid_table_observable,
-                          make_observable, smoothstep, smoothstep_prime)
+                          distance_squared_observable, make_observable,
+                          smoothstep, smoothstep_prime)
 from .grid import Grid, GridFunction
 from .kernel import (ActionKernel, AlignmentError, KernelConnectivityError,
                      build_kernel)
-from .laxoleinik import (DriftError, InconsistencyError, NonConvergenceError,
-                         WeakKamSolution, cross_validated_ergodic_value,
+from .laxoleinik import (DriftError, NonConvergenceError, WeakKamSolution,
                          ergodic_value, verify_apriori,
                          verify_integrated_subaction, weak_kam_solve)
-from .charts import (AdmissibilityError, AtlasConstants, FlowBox,
-                     FlowBoxAtlas, LocalHyperbolicMap, affine_poincare,
-                     build_atlas, certify_hyperbolic, check_constants,
-                     check_forward_admissible, default_hyper_constants,
-                     poincare_map, return_time)
+from .charts import (AtlasConstants, FlowBox, FlowBoxAtlas,
+                     LocalHyperbolicMap, affine_poincare, build_atlas,
+                     certify_hyperbolic, check_constants,
+                     default_hyper_constants, poincare_map, return_time)
 from .shadowing import (ConstantsTooWeakError, DiscretePseudoOrbit,
                         EscapeError, NewtonDivergenceError, ShadowingResult,
                         estimate_k_gamma, k_gamma_from_maps,

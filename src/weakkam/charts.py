@@ -30,12 +30,6 @@ class ConstantConsistencyError(ValueError):
     pass
 
 
-class AdmissibilityError(RuntimeError):
-    def __init__(self, condition):
-        super().__init__(f"pair not forward admissible: {condition}")
-        self.condition = condition
-
-
 @dataclass
 class FlowBox:
     """One adapted flow box around a center point; its Poincare section is
@@ -68,22 +62,15 @@ class FlowBox:
         """gamma(t, u) = f^t of the embedded section point."""
         return self.model.flow_map(self.section_point(u), t)
 
-    def chart_inverse(self, p, branch="nearest"):
-        """Chart coordinates (t, u) of p.
-
-        ``branch='nearest'`` picks the section crossing closest in time;
-        ``branch='forward'`` picks t in (0, roof].  The chart is not globally
-        injective on the torus, so u is the minimal-norm representative.
+    def chart_inverse(self, p):
+        """Chart coordinates (t, u) of p, at the section crossing closest in
+        time.  The chart is not globally injective on the torus, so u is the
+        minimal-norm representative.
         """
         p = np.asarray(p, dtype=float)
         roof = self.model.roof
         dt = p[..., 2] - self.center[2]
-        if branch == "nearest":
-            t = dt - roof * np.round(dt / roof)
-        elif branch == "forward":
-            t = dt - roof * (np.ceil(dt / roof) - 1.0)
-        else:
-            raise ValueError("branch must be 'nearest' or 'forward'")
+        t = dt - roof * np.round(dt / roof)
         return t, self.transverse(p, t)
 
     def transverse(self, p, t):
@@ -262,23 +249,6 @@ def return_time(atlas: FlowBoxAtlas, x, y, t_hint=None):
     if t_hint is None:
         return t_star
     return t_star + roof * float(np.round((t_hint - t_star) / roof))
-
-
-def check_forward_admissible(atlas: FlowBoxAtlas, x, y):
-    """Def-style forward admissibility of the ordered pair (x, y)."""
-    box_x = atlas._box(x)
-    box_y = atlas._box(y)
-    t0, u0 = box_x.chart_inverse(box_y.center, branch="forward")
-    if not (abs(float(t0) - atlas.tau) < atlas.rho):
-        raise AdmissibilityError(
-            f"y not within rho of time-tau slice (t0={float(t0):.4f})")
-    if not (float(adapted_norm(u0)) < atlas.rho):
-        raise AdmissibilityError("y outside B_x(rho) transversally")
-    f0 = float(adapted_norm(poincare_map(atlas, x, y, np.zeros(2))))
-    if not (f0 <= atlas.hyper.eps_rho + 1e-12):
-        raise AdmissibilityError(
-            f"f_xy(0) outside B_y(eps(rho)) (norm {f0:.3e})")
-    return True
 
 
 def poincare_map(atlas: FlowBoxAtlas, x, y, q, t_hint=None):

@@ -291,6 +291,18 @@ def cmd_constants(cfg: RunConfig):
     return EXIT_PASS
 
 
+def _positive_int(raw):
+    """The argparse type of the ``--count`` options."""
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer: {raw!r}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="weakkam",
@@ -307,11 +319,11 @@ def build_parser():
     sub.add_parser("solve", help="run the full pipeline")
     pv = sub.add_parser("verify", help="run a property suite")
     pv.add_argument("suite", choices=sorted(SUITES))
-    pv.add_argument("--count", type=int, default=None,
+    pv.add_argument("--count", type=_positive_int, default=None,
                     help="override the suite's sample count")
     sub.add_parser("atlas", help="build and export the flow-box atlas")
     ps = sub.add_parser("shadow", help="run the shadowing suite")
-    ps.add_argument("--count", type=int, default=200)
+    ps.add_argument("--count", type=_positive_int, default=200)
     sub.add_parser("constants", help="export the explicit constants table")
     return p
 

@@ -3,7 +3,7 @@
 Schema (all keys optional; defaults shown; keys not listed are ignored):
 
     [model]
-    a11 = 2            ; integer base-matrix entries
+    a11 = 2            ; integer entries of a hyperbolic matrix, det +-1
     a12 = 1
     a21 = 1
     a22 = 1
@@ -12,8 +12,8 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
 
     [observable]
     family = coboundary   ; constant | coboundary | dist2
-    value = 0.0           ; constant family
-    base_point = 0.0, 0.0 ; dist2 family
+    value = 0.0           ; constant family; finite
+    base_point = 0.0, 0.0 ; dist2 family; two finite numbers
 
     [grid]
     n1 = 32
@@ -91,6 +91,13 @@ class RunConfig:
             raise ConfigError("grid resolutions must be at least 2")
         if self.grid_shape[0] != self.grid_shape[1]:
             raise ConfigError("suspension grids need n1 == n2")
+        for key, val in self.obs_params.items():
+            if not np.isfinite(val).all():
+                raise ConfigError(f"[observable] {key} must be finite")
+        try:
+            self.build_model()
+        except ValueError as e:  # a matrix that is not hyperbolic, say
+            raise ConfigError(str(e)) from None
         return self
 
     def build_model(self):
@@ -120,6 +127,14 @@ def _get(cp, sec, key, cast, default):
         raise ConfigError(f"bad value for [{sec}] {key}: {raw!r} ({e})")
 
 
+def _point(raw):
+    """A base point: two numbers, separated by a comma or blanks."""
+    p = tuple(float(v) for v in raw.replace(",", " ").split())
+    if len(p) != 2:
+        raise ValueError(f"need two numbers, got {len(p)}")
+    return p
+
+
 def load_config(path=None, overrides=None):
     """Load a RunConfig from an INI file, then apply keyword overrides."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -136,9 +151,8 @@ def load_config(path=None, overrides=None):
     if cp.has_option("observable", "value"):
         cfg.obs_params["value"] = _get(cp, "observable", "value", float, 0.0)
     if cp.has_option("observable", "base_point"):
-        raw = cp.get("observable", "base_point")
-        cfg.obs_params["base_point"] = tuple(
-            float(v) for v in raw.replace(",", " ").split())
+        cfg.obs_params["base_point"] = _get(cp, "observable", "base_point",
+                                            _point, (0.0, 0.0))
     cfg.grid_shape = (_get(cp, "grid", "n1", int, 32),
                       _get(cp, "grid", "n2", int, 32),
                       _get(cp, "grid", "ns", int, 16))

@@ -129,10 +129,6 @@ class Grid:
     def diagonal(self):
         return float(np.linalg.norm(self.spacings))
 
-    @property
-    def max_spacing(self):
-        return float(max(self.spacings))
-
     def node_points(self):
         """Coordinates of all nodes, shape self.shape + (3,)."""
         axes = [np.arange(n) * h for n, h in zip(self.shape, self.spacings)]
@@ -269,12 +265,15 @@ class Grid:
         return i0, v - i0
 
     def line_rows(self, s, run):
-        """Rows of flow lines (``GridFunction.interpolate_lines``) in groups
-        that share their base cells.  Rows of one run share their base points
-        (the lines cross no roof inside a run), and a row's base cell follows
-        its run and the twist of its own wrap, so a group is a stretch of rows
-        on which neither changes.  Returns the group of each row, the first
-        row of each group, and the s-cell (k, tk) of each row.
+        """Rows of flow lines in groups that share their base cells.  Row r
+        is the line of run ``run[r]`` at s-coordinate ``s[r]``.  Rows of one
+        run share their base points (the lines cross no roof inside a run),
+        and a row's base cell follows its run and the twist of its own wrap,
+        so a group is a stretch of rows on which neither changes.  Returns
+        the group of each row, the first row of each group, and the s-cell
+        (k, tk) of each row.  ``trilinear_sum`` of the padded node values at
+        ``corner[group] + k``, with ``line_cells`` of each group's first row,
+        is then bitwise ``GridFunction.interpolate`` at every row's points.
         """
         s = np.asarray(s, dtype=float)
         rows = np.zeros(s.shape + (3,))
@@ -452,14 +451,6 @@ class GridFunction:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_callable(cls, grid, fn):
-        return cls(grid, np.asarray(fn(grid.node_points()), dtype=float))
-
-    @property
-    def max_spacing(self):
-        return self.grid.max_spacing
-
     def copy(self):
         return GridFunction(self.grid, self.values.copy(), self.offset)
 
@@ -503,22 +494,6 @@ class GridFunction:
                                        for ax in range(3)])
         return (f + self.offset).reshape(p.shape[:-1])
 
-    def interpolate_lines(self, s, base, run):
-        """``interpolate`` along flow lines: out[r, c] is the value at the
-        point with base ``base[run[r], c]`` and s-coordinate ``s[r]``, where
-        c runs over the middle axes of ``base``, shape (runs, ..., 2).  The
-        base cells are found once per group of rows (``Grid.line_rows``,
-        ``Grid.line_cells``); the result is bitwise that of ``interpolate``
-        at every point.
-        """
-        group, first, (k, tk) = self.grid.line_rows(s, run)
-        run_of = np.asarray(run)[first]
-        corner, wab = self.grid.line_cells(np.asarray(s)[first],
-                                           np.asarray(base)[run_of])
-        rows = (-1,) + (1,) * (corner.ndim - 1)
-        return trilinear_sum(self._padded(), corner[group] + k.reshape(rows),
-                             wab[:, group], tk.reshape(rows)) + self.offset
-
     def __call__(self, points):
         return self.interpolate(points)
 
@@ -544,6 +519,3 @@ class GridFunction:
                 diff = diff[both]
             best = max(best, float(diff.max()) / d)
         return best
-
-    def sup_diff(self, other):
-        return float(np.abs(self.dense() - other.dense()).max())

@@ -57,7 +57,7 @@ the flow), which is what the consistency tests measure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -147,11 +147,7 @@ class ActionKernel:
         return self.offsets.shape[0]
 
     def with_phi_bar(self, phi_bar):
-        return ActionKernel(grid=self.grid, model=self.model, phi=self.phi,
-                            c=self.c, phi_bar=float(phi_bar), h=self.h,
-                            reach=self.reach, offsets=self.offsets,
-                            devs=self.devs, flow_steps=self.flow_steps,
-                            phi_nodes=self.phi_nodes)
+        return replace(self, phi_bar=float(phi_bar))
 
     def _total_offsets(self):
         """Gather offsets: deviation plus the flow step in the s-axis."""

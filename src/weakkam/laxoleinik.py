@@ -25,10 +25,6 @@ class NonConvergenceError(RuntimeError):
         self.history = history
 
 
-class InconsistencyError(RuntimeError):
-    pass
-
-
 @dataclass
 class WeakKamSolution:
     u: GridFunction
@@ -88,23 +84,6 @@ def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
         return value, {"method": method, "howard": info, "h": kern.h,
                        "c": float(c), "gain_spread": info["gain_spread"]}
     raise ValueError(f"unknown method {method!r}")
-
-
-def cross_validated_ergodic_value(model, phi, tol, **kwargs):
-    """Run both estimators; raise InconsistencyError beyond 5x tol."""
-    v_orb, rep_orb = ergodic_value(model, phi, "periodic_orbits",
-                                   max_period=kwargs.get("max_period", 6),
-                                   quadrature_step=kwargs.get("quadrature_step", 0.01))
-    v_drift, rep_drift = ergodic_value(
-        model, phi, "minplus_drift", grid=kwargs.get("grid"),
-        h=kwargs.get("h"), c=kwargs.get("c"),
-        reach_multiplier=kwargs.get("reach_multiplier", 2.0))
-    gap = abs(v_orb - v_drift)
-    if gap > 5.0 * tol:
-        raise InconsistencyError(
-            f"ergodic-value estimators disagree: {v_orb} vs {v_drift} (gap {gap})")
-    return v_drift, {"periodic_orbits": (v_orb, rep_orb),
-                     "minplus_drift": (v_drift, rep_drift), "gap": gap}
 
 
 def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000):
@@ -292,10 +271,9 @@ def verify_integrated_subaction(u, model, phi, phi_bar, n_orbits, horizon,
     both endpoints) plus a quadrature term.
     """
     rng = np.random.default_rng(seed)
-    lip_u = u.discrete_lipschitz() if hasattr(u, "discrete_lipschitz") else 0.0
-    diag = u.grid.diagonal if hasattr(u, "grid") else 0.0
     if slack is None:
-        slack = 2.0 * lip_u * diag + 50.0 * phi.lipschitz_constant \
+        slack = 2.0 * u.discrete_lipschitz() * u.grid.diagonal \
+            + 50.0 * phi.lipschitz_constant \
             * quadrature_step ** 2 * max(1.0, horizon)
     starts = rng.random((n_orbits, 3))
     starts[:, 2] *= model.roof

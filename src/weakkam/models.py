@@ -56,10 +56,10 @@ class Observable:
         return self.evaluate(np.asarray(points, dtype=float))
 
     def along_lines(self, s, base, run):
-        """The observable along flow lines, with the contract of
-        ``GridFunction.interpolate_lines``: out[r, c] is its value at the
+        """The observable along flow lines: out[r, c] is its value at the
         point with base ``base[run[r], c]`` and s-coordinate ``s[r]``, where
-        c runs over the middle axes of ``base``, shape (runs, ..., 2)."""
+        c runs over the middle axes of ``base``, shape (runs, ..., 2).  It
+        equals the pointwise evaluation at those points bitwise."""
         s = np.asarray(s, dtype=float)
         base = np.asarray(base, dtype=float)
         if self.lines is not None:
@@ -225,23 +225,6 @@ class SuspensionFlow:
                 float(self.distance(pts, ref[1]).max()))
         cap = float(np.sqrt(0.5 + (0.5 * self.roof) ** 2))
         return min(max(d, 0.0), cap) if d > 0 else cap
-
-
-def lie_derivative(model, u, x, delta):
-    """Central-difference derivative of u along the flow: (u(f^d x) - u(f^-d x))/2d.
-
-    ``u`` is any callable on point arrays (GridFunctions are callable).  When u
-    is grid-backed, ``delta`` should be at least twice the grid spacing so the
-    O(delta^2) truncation dominates interpolation error.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    spacing = getattr(u, "max_spacing", None)
-    if spacing is not None and delta < 2.0 * spacing:
-        raise ValueError("delta must be >= 2x grid spacing for grid functions")
-    xf = model.flow_map(x, delta)
-    xb = model.flow_map(x, -delta)
-    return (np.asarray(u(xf), dtype=float) - np.asarray(u(xb), dtype=float)) / (2.0 * delta)
 
 
 def periodic_orbits(model, max_period):

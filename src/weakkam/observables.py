@@ -158,15 +158,6 @@ def distance_squared_observable(model: SuspensionFlow, base_point=(0.0, 0.0)):
                       sup_bound=0.5, name="dist2_fixed_orbit")
 
 
-def grid_table_observable(gridfun, lipschitz=None, name="grid_table"):
-    """Observable backed by a tabulated grid function (interpolated)."""
-    lip = lipschitz if lipschitz is not None else gridfun.discrete_lipschitz()
-    sup = float(np.abs(gridfun.values).max() + abs(gridfun.offset))
-    return Observable(evaluate=gridfun, lines=gridfun.interpolate_lines,
-                      lipschitz_constant=float(lip),
-                      sup_bound=sup, name=name)
-
-
 BUILTIN_FAMILIES = ("constant", "coboundary", "dist2")
 
 

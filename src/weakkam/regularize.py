@@ -72,26 +72,6 @@ class BumpPair:
         return (smoothstep_prime(x_rise) * fall
                 - rise * smoothstep_prime(x_fall)) / self.eps
 
-    def check(self, n_samples=200, seed=0):
-        """Sampled support/plateau invariants; beta' integrates to zero."""
-        rng = np.random.default_rng(seed)
-        q_in = rng.uniform(-self.eps, self.eps, (n_samples, 2))
-        q_out = rng.uniform(2 * self.eps, 3 * self.eps, (n_samples, 2))
-        t_in = rng.uniform(0.0, self.tau, n_samples)
-        t_out = np.concatenate([
-            rng.uniform(-2 * self.eps, -self.eps, n_samples // 2),
-            rng.uniform(self.tau + self.eps, self.tau + 2 * self.eps,
-                        n_samples // 2)])
-        ts = np.linspace(-2 * self.eps, self.tau + 2 * self.eps, 4001)
-        net = np.trapezoid(self.beta_prime(ts), ts)
-        ok = (np.all(self.alpha(q_in) == 1.0)
-              and np.all(self.alpha(q_out) == 0.0)
-              and np.all(self.beta(t_in) == 1.0)
-              and np.all(self.beta(t_out) == 0.0)
-              and bool(np.all((self.beta(ts) >= 0) & (self.beta(ts) <= 1)))
-              and abs(net) < 1e-6)
-        return bool(ok)
-
 
 @dataclass
 class RegularizerSpec:
@@ -120,19 +100,8 @@ class RegularizerSpec:
         if self.tau + 4 * self.eps >= self.box.model.roof:
             raise ValueError("box time extent must stay below one roof period")
 
-    def chart_window(self, points):
-        """(t, u, inside_mask) of manifold points relative to this box's D''.
-
-        Each point has at most one section-time representative inside
-        (-2 eps, tau + 2 eps) because the window is shorter than the roof.
-        """
-        p = np.asarray(points, dtype=float)
-        t = self._chart_time(p)
-        u = self.box.section_u(self.box.model.flow_map(p, -t))
-        return t, u, self.in_window(t, u)
-
     def in_window(self, t, u):
-        """Mask of chart points (t, u) inside D''; t as ``chart_window``
+        """Mask of chart points (t, u) inside D''; t as ``_chart_time``
         returns it, hence never below -2 eps."""
         return (t < self.tau + 2 * self.eps) & (adapted_norm(u) < 3 * self.eps)
 
@@ -146,7 +115,7 @@ class RegularizerSpec:
 
     def in_core(self, t, u, margin=0.0):
         """Mask of chart points (t, u) inside D = (0,tau) x B(eps), shrunk by
-        ``margin``; (t, u) as returned by ``chart_window``."""
+        ``margin``; t as ``_chart_time`` returns it."""
         return (t > margin) & (t < self.tau - margin) \
             & (adapted_norm(u) < self.eps - margin)
 
@@ -154,7 +123,7 @@ class RegularizerSpec:
 @dataclass
 class SubactionCertificate:
     u: GridFunction
-    lie_derivative: np.ndarray
+    lie: np.ndarray
     region_mask: np.ndarray
     margin: float
     lip_u: float
@@ -520,7 +489,7 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
         slack = 2.0 * grid.diagonal * (lip_u + lip_lie) \
             + 2.0 * (lip_phi + lip_lie) * fd_step
     return SubactionCertificate(
-        u=u, lie_derivative=lie, region_mask=mask3,
+        u=u, lie=lie, region_mask=mask3,
         margin=float(margins.min()), lip_u=lip_u, lip_lie=lip_lie,
         lip_phi=lip_phi, slack=float(slack), phi_bar=float(phi_bar),
         fd_step=float(fd_step),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from weakkam import (AdmissibilityError, SuspensionFlow, affine_poincare,
-                     build_atlas, certify_hyperbolic, check_constants,
-                     check_forward_admissible, poincare_map, return_time)
+from weakkam import (SuspensionFlow, affine_poincare, build_atlas,
+                     certify_hyperbolic, check_constants, poincare_map,
+                     return_time)
 from weakkam.charts import (ConstantConsistencyError, FlowBox, adapted_norm,
                             LocalHyperbolicMap)
 
@@ -18,8 +18,10 @@ def _oracle_return_time(atlas, x, y, q, t_hint=None, tol_factor=1e-12):
     z = box_x.chart_forward(0.0, np.asarray(q, dtype=float))
     tau = atlas.tau
     if t_hint is None:
-        t_hint, _ = box_x.chart_inverse(box_y.center, branch="forward")
-        t_hint = float(t_hint)
+        # the forward offset of y's level from x's, in (0, roof]
+        roof = atlas.model.roof
+        dt = box_y.center[2] - box_x.center[2]
+        t_hint = float(dt - roof * (np.ceil(dt / roof) - 1.0))
     span = 0.45 * atlas.model.roof
     ts = t_hint + np.linspace(-span, span, 41)
     gaps, _ = box_y.chart_inverse(atlas.model.flow_map(z, ts))
@@ -194,47 +196,6 @@ def test_closed_form_matches_bisection_oracle(atlas):
         assert np.array_equal(f, _oracle_image(atlas, x, y, q, t))
         assert np.abs(f - _oracle_image(atlas, x, y, q, t_ref)).max() <= 1e-15
     assert found >= 100
-
-
-def test_forward_admissibility_of_chained_pair(atlas):
-    assert check_forward_admissible(atlas, *_chained_pair(atlas))
-
-
-def _admissibility_failure(atlas, x, y):
-    with pytest.raises(AdmissibilityError) as err:
-        check_forward_admissible(atlas, x, y)
-    return err.value.condition
-
-
-def test_forward_admissible_rejects_time_offset(atlas):
-    # y one level (roof/8) ahead of x: t0 = 0.125 is far from tau = 1
-    x, _ = _chained_pair(atlas)
-    cx = atlas.boxes[x].center
-    y = next(i for i, b in enumerate(atlas.boxes)
-             if np.allclose(b.center[:2], cx[:2])
-             and abs(b.center[2] - cx[2] - atlas.model.roof / 8) < 1e-12)
-    assert _admissibility_failure(atlas, x, y).startswith(
-        "y not within rho of time-tau slice")
-
-
-def test_forward_admissible_rejects_transverse_offset(atlas):
-    # same level, so t0 = roof = tau, but y's center is far off in the chart
-    x, _ = _chained_pair(atlas)
-    cx = atlas.boxes[x].center
-    y = next(i for i, b in enumerate(atlas.boxes)
-             if abs(b.center[2] - cx[2]) < 1e-12
-             and float(np.abs(atlas.boxes[x].chart_inverse(b.center)[1])
-                       .max()) >= atlas.rho)
-    assert (_admissibility_failure(atlas, x, y)
-            == "y outside B_x(rho) transversally")
-
-
-def test_forward_admissible_rejects_poincare_offset(atlas):
-    # x -> x passes both slice tests (t0 = tau, u0 = 0), but one roof maps
-    # x's center by the base automorphism, far from x's own center
-    x, _ = _chained_pair(atlas)
-    assert _admissibility_failure(atlas, x, x).startswith(
-        "f_xy(0) outside B_y(eps(rho))")
 
 
 def test_affine_poincare_matches_bisection(model, atlas):

@@ -128,6 +128,47 @@ def test_cli_observable_it_cannot_build_exit_2(tmp_path):
                  str(tmp_path / "o")] + SMALL + ["solve"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("family,line", [
+    ("dist2", "base_point = a, b"), ("dist2", "base_point = 0.3"),
+    ("dist2", "base_point = 0.1, 0.2, 0.3"),
+    ("dist2", "base_point = nan, 0.5"), ("dist2", "base_point = 0.5, inf"),
+    ("constant", "value = nan"), ("constant", "value = -inf")])
+def test_cli_bad_observable_parameter_exit_2(tmp_path, family, line):
+    bad = _ini(tmp_path, f"[observable]\nfamily = {family}\n{line}\n")
+    with pytest.raises(ConfigError):
+        load_config(bad)
+    assert main(["--config", bad, "--output", str(tmp_path / "o"),
+                 "constants"]) == EXIT_USAGE
+
+
+def test_load_config_base_point(tmp_path):
+    for text in ("0.37, 0.11", "0.37 0.11"):
+        path = _ini(tmp_path, f"[observable]\nbase_point = {text}\n")
+        assert load_config(path).obs_params["base_point"] == (0.37, 0.11)
+
+
+@pytest.mark.parametrize("matrix", [(1, 0, 0, 1), (2, 0, 0, 1)])
+def test_cli_bad_base_matrix_exit_2(tmp_path, matrix):
+    # not hyperbolic, and not unimodular
+    with pytest.raises(ConfigError):
+        RunConfig(matrix=matrix).validate()
+    bad = _ini(tmp_path, "[model]\n" + "".join(
+        f"{key} = {v}\n" for key, v in zip(("a11", "a12", "a21", "a22"),
+                                           matrix)))
+    assert main(["--config", bad, "--output", str(tmp_path / "o"),
+                 "atlas"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [["shadow", "--count", "0"],
+                                     ["shadow", "--count", "-3"],
+                                     ["verify", "apriori", "--count", "0"]])
+def test_cli_non_positive_count_exit_2(tmp_path, command):
+    with pytest.raises(SystemExit) as ei:
+        main(["--output", str(tmp_path / "o")] + SMALL + command)
+    assert ei.value.code == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     bad = _ini(tmp_path, "[grid]\nn1 = 8\nn2 = 12\nns = 10\n")
     assert main(["--config", bad, "atlas"]) == EXIT_USAGE

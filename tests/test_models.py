@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam import (HorizonError, SuspensionFlow, birkhoff_integral,
-                     lie_derivative, periodic_orbits)
+                     periodic_orbits)
 
 # Distinct minimal orbits per base period for the default base matrix:
 # fixed-point counts of A^n are 1, 5, 16, 45, 121, 320.
@@ -164,22 +164,6 @@ def test_birkhoff_coboundary_telescopes(model, cobound):
     ends = model.flow_map(starts, t)
     expect = pot(ends) - pot(starts)
     assert np.abs(integ - expect).max() < 1e-4
-
-
-def test_lie_derivative_matches_analytic(model, cobound):
-    phi, pot = cobound
-    rng = np.random.default_rng(6)
-    pts = rng.random((200, 3))
-    pts[:, 2] = pts[:, 2] * 0.8 + 0.1  # stay away from the glue kink scale
-    num = lie_derivative(model, pot, pts, 1e-4)
-    assert np.abs(num - phi(pts)).max() < 1e-5
-
-
-def test_lie_derivative_grid_spacing_guard(model, small_grid):
-    from weakkam import GridFunction
-    u = GridFunction.zeros(small_grid)
-    with pytest.raises(ValueError):
-        lie_derivative(model, u, np.zeros(3), small_grid.max_spacing)
 
 
 def _oracle_periodic_orbits(model, max_period):

@@ -3,9 +3,8 @@ import pytest
 
 from weakkam import (BUILTIN_FAMILIES, GluePotential, birkhoff_integral,
                      constant_observable, coboundary_observable,
-                     distance_squared_observable, grid_table_observable,
-                     make_observable, periodic_orbits, smoothstep,
-                     smoothstep_prime)
+                     distance_squared_observable, make_observable,
+                     periodic_orbits, smoothstep, smoothstep_prime)
 
 
 def test_smoothstep_shape():
@@ -81,16 +80,6 @@ def test_distance_squared_observable(model):
     assert np.all(vals >= 0.0) and vals.max() <= phi.sup_bound + 1e-12
 
 
-def test_grid_table_observable(small_grid):
-    from weakkam import GridFunction
-    u = GridFunction.from_callable(
-        small_grid, lambda p: np.sin(2 * np.pi * p[..., 0]))
-    phi = grid_table_observable(u)
-    nodes = small_grid.node_points()
-    assert np.abs(phi(nodes) - u.values).max() < 1e-12
-    assert phi.lipschitz_constant > 0.0
-
-
 def test_make_observable_dispatch(model):
     assert make_observable(model, "constant", value=2.0)(np.zeros(3)) == 2.0
     assert make_observable(model, "coboundary").name == "coboundary"
@@ -120,18 +109,11 @@ def _line_points(s, base, run):
     return pts
 
 
-@pytest.mark.parametrize("family", ["constant", "coboundary", "dist2",
-                                    "grid_table"])
+@pytest.mark.parametrize("family", ["constant", "coboundary", "dist2"])
 def test_along_lines_matches_evaluate_bitwise(family):
-    from weakkam import Grid, GridFunction, Observable, SuspensionFlow
+    from weakkam import Observable, SuspensionFlow
     model = SuspensionFlow(roof=1.3)  # a roof of 1 would hide a misordered /
-    if family == "grid_table":
-        grid = Grid((8, 8, 10), (1.0, 1.0, model.roof), model.base_matrix)
-        rng = np.random.default_rng(7)
-        phi = grid_table_observable(
-            GridFunction(grid, rng.standard_normal(grid.shape), 0.25))
-    else:
-        phi = make_observable(model, family, value=-0.75)
+    phi = make_observable(model, family, value=-0.75)
     assert phi.lines is not None
     s, base, run = _lines(model)
     want = phi(_line_points(s, base, run))

@@ -18,6 +18,37 @@ from weakkam.regularize import (_corrected_table, _Level, _level_key,
                                 check_integrated_subaction)
 
 
+def _bump_check(bumps, n_samples=200, seed=0):
+    """Sampled support and plateau invariants of a BumpPair; beta'
+    integrates to zero."""
+    eps, tau = bumps.eps, bumps.tau
+    rng = np.random.default_rng(seed)
+    q_in = rng.uniform(-eps, eps, (n_samples, 2))
+    q_out = rng.uniform(2 * eps, 3 * eps, (n_samples, 2))
+    t_in = rng.uniform(0.0, tau, n_samples)
+    t_out = np.concatenate([
+        rng.uniform(-2 * eps, -eps, n_samples // 2),
+        rng.uniform(tau + eps, tau + 2 * eps, n_samples // 2)])
+    ts = np.linspace(-2 * eps, tau + 2 * eps, 4001)
+    net = np.trapezoid(bumps.beta_prime(ts), ts)
+    return bool(np.all(bumps.alpha(q_in) == 1.0)
+                and np.all(bumps.alpha(q_out) == 0.0)
+                and np.all(bumps.beta(t_in) == 1.0)
+                and np.all(bumps.beta(t_out) == 0.0)
+                and np.all((bumps.beta(ts) >= 0) & (bumps.beta(ts) <= 1))
+                and abs(net) < 1e-6)
+
+
+def _chart_window(spec, points):
+    """(t, u, inside) of manifold points against the box's D'': the chart
+    time the smoothing takes, the chart coordinate at the section, and
+    ``in_window`` of the two."""
+    p = np.asarray(points, dtype=float)
+    t = spec._chart_time(p)
+    u = spec.box.section_u(spec.box.model.flow_map(p, -t))
+    return t, u, spec.in_window(t, u)
+
+
 @pytest.fixture(scope="module")
 def cover(model):
     return default_cover(model)
@@ -32,7 +63,7 @@ def certificate(model, cobound, medium_solution, cover):
 
 def test_bump_pair_invariants():
     bumps = BumpPair(0.1, 0.4)
-    assert bumps.check()
+    assert _bump_check(bumps)
     assert bumps.alpha(np.array([0.05, -0.08])) == 1.0
     assert bumps.alpha(np.array([0.25, 0.0])) == 0.0
     assert bumps.beta(0.2) == 1.0
@@ -55,8 +86,8 @@ def test_bump_check_fails_on_wrong_beta_prime():
             x = (np.asarray(t, dtype=float) + self.eps) / self.eps
             return smoothstep_prime(x) / self.eps
 
-    assert BumpPair(0.1, 0.4).check()
-    assert not RiseOnly(0.1, 0.4).check()
+    assert _bump_check(BumpPair(0.1, 0.4))
+    assert not _bump_check(RiseOnly(0.1, 0.4))
 
 
 def test_spec_validation(model):
@@ -80,7 +111,7 @@ def test_regularize_once_is_local(model, cobound, medium_solution, cover):
     out = regularize_once(sol.u, spec, phi, sol.phi_bar,
                           check_precondition=False)
     nodes = sol.u.grid.node_points().reshape(-1, 3)
-    _, _, inside = spec.chart_window(nodes)
+    _, _, inside = _chart_window(spec, nodes)
     outside = ~inside.reshape(sol.u.grid.shape)
     # untouched nodes are bitwise identical
     assert np.array_equal(out.values[outside], sol.u.values[outside])
@@ -94,7 +125,7 @@ def test_regularize_once_near_identity_on_exact_data(model, cobound, cover):
     phi, pot = cobound
     from weakkam import Grid
     grid = Grid((16, 16, 10), (1.0, 1.0, model.roof), model.base_matrix)
-    u = GridFunction.from_callable(grid, pot)
+    u = GridFunction(grid, pot(grid.node_points()))
     out = regularize_once(u, cover[5], phi, 0.0, check_precondition=False)
     assert np.abs(out.dense() - u.dense()).max() < 2e-2
 
@@ -168,7 +199,7 @@ def _chart_points(spec):
 def _oracle_smooth_box(u, spec, window, phi, phi_bar):
     """The pass that prices u on every point and phi on every column of the
     box's translated chart table, and interpolates w at every window node
-    (``window`` as ``chart_window`` returns it)."""
+    (``window`` as ``_chart_window`` returns it)."""
     t, uu, inside = window
     idx = np.nonzero(inside)[0]
     if idx.size == 0:
@@ -214,7 +245,7 @@ def _oracle_passes(u0, cover, phi, phi_bar, core_margin):
     u = u0
     n_cols = 0
     for spec in sorted(cover, key=lambda s: s.index):
-        window = spec.chart_window(nodes)
+        window = _chart_window(spec, nodes)
         u = _oracle_smooth_box(u, spec, window, phi, phi_bar)
         n_cols += _live_columns(spec, window)
         t, uu, inside = window
@@ -259,7 +290,7 @@ def _oracle_regularize_all(u0, cover, phi, phi_bar):
     mask = np.zeros(nodes.shape[0], dtype=bool)
     u = u0
     for spec in sorted(cover, key=lambda s: s.index):
-        window = spec.chart_window(nodes)
+        window = _chart_window(spec, nodes)
         u = _oracle_regularize_once(u, spec, phi, phi_bar, window)
         mask |= spec.in_core(window[0], window[1], margin=core_margin)
     mask = mask.reshape(grid.shape)
@@ -292,7 +323,7 @@ def test_level_geometry_matches_each_box(medium_grid, cobound, cover):
             # the window pairs are bitwise each box's own chart window
             for box in chunk:
                 spec = specs[len(boxes)]
-                tw, uw, inside = spec.chart_window(nodes)
+                tw, uw, inside = _chart_window(spec, nodes)
                 n = box.idx.size
                 assert np.array_equal(box.idx, np.flatnonzero(inside))
                 assert np.array_equal(idx[:n], box.idx)
@@ -475,7 +506,7 @@ def test_uneven_live_columns_match_whole_table_pass_bitwise(model, cobound,
     # shapes and offsets
     phi, pot = cobound
     grid = Grid((6, 6, 10), (1.0, 1.0, model.roof), model.base_matrix)
-    u = GridFunction.from_callable(grid, pot)
+    u = GridFunction(grid, pot(grid.node_points()))
     part = cover[:64]
     level = _Level(part, grid)
     shapes = {box.pht.shape for _, chunk in level.chunks(phi, 0.0)
@@ -496,7 +527,7 @@ def test_regularize_once_is_a_one_box_level(model, cobound, medium_solution,
     for spec in (cover[0], cover[77], cover[255]):
         got = regularize_once(sol.u, spec, phi, sol.phi_bar,
                               check_precondition=False)
-        want = _oracle_smooth_box(sol.u, spec, spec.chart_window(nodes), phi,
+        want = _oracle_smooth_box(sol.u, spec, _chart_window(spec, nodes), phi,
                                   sol.phi_bar)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.offset == want.offset
@@ -515,7 +546,7 @@ def test_each_box_prices_its_live_rectangle(model, cobound, cover, n):
                  for box in chunk]
         assert len(boxes) == len(specs)
         for spec, box in zip(specs, boxes):
-            window = spec.chart_window(nodes)
+            window = _chart_window(spec, nodes)
             assert (box.pht is None) == (not box.live.any())
             assert box.n_cols == _live_columns(spec, window)
 
@@ -525,11 +556,11 @@ def test_box_without_live_nodes_prices_no_column(model, cobound, cover):
     # level whose other boxes have live nodes
     phi, pot = cobound
     grid = Grid((3, 3, 10), (1.0, 1.0, model.roof), model.base_matrix)
-    u = GridFunction.from_callable(grid, pot)
+    u = GridFunction(grid, pot(grid.node_points()))
     nodes = grid.node_points().reshape(-1, 3)
     specs = cover[:64]
     k = 36
-    t, uu, inside = window = specs[k].chart_window(nodes)
+    t, uu, inside = window = _chart_window(specs[k], nodes)
     assert inside.any() and not (specs[k].bumps.alpha(uu[inside]) > 0).any()
     level = _Level(specs, grid)
     boxes = [box for _, chunk in level.chunks(phi, 0.0) for box in chunk]
