@@ -26,8 +26,8 @@ from .laxoleinik import (DriftError, NonConvergenceError, WeakKamSolution,
                          verify_integrated_subaction, weak_kam_solve)
 from .charts import (AtlasConstants, FlowBox, FlowBoxAtlas,
                      LocalHyperbolicMap, affine_poincare, build_atlas,
-                     certify_hyperbolic, check_constants,
-                     default_hyper_constants, poincare_map, return_time)
+                     check_constants, default_hyper_constants, poincare_map,
+                     return_time)
 from .shadowing import (ConstantsTooWeakError, DiscretePseudoOrbit,
                         EscapeError, NewtonDivergenceError, ShadowingResult,
                         estimate_k_gamma, k_gamma_from_maps,
@@ -38,8 +38,8 @@ from .livsic import (LivsicConstants, PathSample, SegmentClassification,
                      classify_segment, compute_constants, decompose_path,
                      factor_pseudo_orbit, generate_paths,
                      livsic_lower_bound_scan, weighted_action)
-from .regularize import (BumpPair, CoverGapError, NotSubactionError,
-                         RegularizerSpec, SubactionCertificate, default_cover,
+from .regularize import (BumpPair, Cover, CoverGapError, NotSubactionError,
+                         SubactionCertificate, default_cover,
                          lie_derivative_field, regularize_all,
                          regularize_once, verify_subaction)
 

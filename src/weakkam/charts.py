@@ -3,8 +3,8 @@
 Charts on the suspension are built from the global eigen-splitting of the
 base matrix: gamma_x(s, u) = f^s(x + iota(u)) with iota embedding chart
 coordinates along the (unstable, stable) eigenframe in the base fiber.  All
-Poincare maps between such charts are affine, which makes the hyperbolicity
-certification exact up to rounding.  Adapted norms are max-norms in the
+Poincare maps between such charts are affine, which makes their hyperbolicity
+margins exact up to rounding.  Adapted norms are max-norms in the
 eigenframe coordinates.
 """
 
@@ -299,54 +299,3 @@ def affine_poincare(atlas: FlowBoxAtlas, x, y):
 
     return LocalHyperbolicMap(f_map=f, linear_part=linear, offset=offset,
                               rho=atlas.rho, affine=True)
-
-
-@dataclass
-class HyperbolicCertificate:
-    sigma_u: float
-    sigma_s: float
-    coupling_u: float
-    coupling_s: float
-    offset_norm: float
-    checks: dict
-
-    @property
-    def passed(self):
-        return all(v["ok"] for v in self.checks.values())
-
-
-def certify_hyperbolic(hmap: LocalHyperbolicMap,
-                       required: AtlasConstants = None):
-    """Read the adapted-hyperbolic-map quantities off an affine map.
-
-    Block convention: coordinate 0 is unstable, coordinate 1 stable; the
-    adapted norm is the max-norm.  An affine map has nonlinearity exactly 0,
-    so only its linear part and offset are checked; any other map is refused
-    with ValueError.  When ``required`` is given, pass/fail margins are
-    reported against its constants.
-    """
-    if not hmap.affine:
-        raise ValueError("certify_hyperbolic needs an affine map")
-    A = hmap.linear_part
-    sigma_u = abs(float(A[0, 0]))
-    sigma_s = abs(float(A[1, 1]))
-    du = abs(float(A[0, 1]))
-    dsc = abs(float(A[1, 0]))
-    off = float(adapted_norm(hmap.offset))
-    checks = {}
-    if required is not None:
-        checks = {
-            "expansion": {"ok": sigma_u >= required.sigma_u,
-                          "margin": sigma_u - required.sigma_u},
-            "contraction": {"ok": sigma_s <= required.sigma_s,
-                            "margin": required.sigma_s - sigma_s},
-            "coupling_u": {"ok": du <= required.eta,
-                           "margin": required.eta - du},
-            "coupling_s": {"ok": dsc <= required.eta,
-                           "margin": required.eta - dsc},
-            "offset": {"ok": off <= required.eps_rho,
-                       "margin": required.eps_rho - off},
-        }
-    return HyperbolicCertificate(sigma_u=sigma_u, sigma_s=sigma_s,
-                                 coupling_u=du, coupling_s=dsc,
-                                 offset_norm=off, checks=checks)

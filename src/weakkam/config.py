@@ -7,7 +7,7 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
     a12 = 1
     a21 = 1
     a22 = 1
-    roof = 1.0
+    roof = 1.0         ; above 0.8, the smoothing boxes' time extent
     max_horizon = 64.0
 
     [observable]
@@ -21,7 +21,8 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
     ns = 16
 
     [kernel]
-    h =                  ; default: roof/10 snapped to the s-spacing
+    h =                  ; default: roof/10 snapped to the s-spacing; at
+                         ; most roof/10, a multiple of the s-spacing
     c = 4.0
     reach_multiplier = 2.0 ; at least 2
 
@@ -35,7 +36,7 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
     ergodic_tol = 1e-2
 
     [run]
-    seed = 0
+    seed = 0             ; non-negative
     output =             ; output directory (default: cwd/weakkam-out)
 """
 
@@ -47,8 +48,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .grid import Grid
+from .kernel import discretization
 from .models import SuspensionFlow
 from .observables import BUILTIN_FAMILIES, make_observable
+from .regularize import default_cover
 
 
 class ConfigError(ValueError):
@@ -94,9 +98,16 @@ class RunConfig:
         for key, val in self.obs_params.items():
             if not np.isfinite(val).all():
                 raise ConfigError(f"[observable] {key} must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        # A matrix that is not hyperbolic, a kernel step build_kernel
+        # refuses, or a roof too short for the smoothing cover.
         try:
-            self.build_model()
-        except ValueError as e:  # a matrix that is not hyperbolic, say
+            model = self.build_model()
+            discretization(model, Grid(self.grid_shape, (1.0, 1.0, model.roof),
+                                       model.base_matrix), self.h)
+            default_cover(model)
+        except ValueError as e:
             raise ConfigError(str(e)) from None
         return self
 

@@ -485,13 +485,30 @@ class ActionKernel:
 def discretization(model, grid=None, h=None):
     """The grid and kernel step of a run, each defaulted when None: the
     32x32x16 grid of the model's suspension, and h = roof/10 snapped down to
-    a multiple (at least one) of the s-spacing."""
+    a multiple (at least one) of the s-spacing.  Raises ValueError when the
+    step breaks a condition of ``build_kernel``."""
     if grid is None:
         grid = Grid((32, 32, 16), (1.0, 1.0, model.roof), model.base_matrix)
     if h is None:
         ds = grid.spacings[2]
         h = ds * max(1, int((model.roof / 10.0) / ds))
+    _flow_steps(model, grid, h)
     return grid, h
+
+
+def _flow_steps(model, grid, h):
+    """The s-layers one kernel step h moves, under ``build_kernel``'s
+    conditions on h: at most roof/10, and an exact multiple of the grid's
+    s-spacing so the flow step is a lattice map."""
+    # Negated comparison: NaN fails it too.
+    if not h <= model.roof / 10 + 1e-12:
+        raise ValueError(f"kernel step h = {h:g} must be a number at most "
+                         f"roof/10 = {model.roof / 10:g}")
+    k = h / grid.spacings[2]
+    if abs(k - round(k)) > 1e-9:
+        raise AlignmentError(f"kernel step h = {h:g} must be an integer "
+                             f"multiple of the s-spacing {grid.spacings[2]:g}")
+    return int(round(k))
 
 
 def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
@@ -504,18 +521,13 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
         raise NotImplementedError(
             "kernels are implemented for suspension grids; wrap user fields in "
             "a suspension-aligned model or use the path-sampling action instead")
+    flow_steps = _flow_steps(model, grid, h)
     # Negated comparisons: NaN fails them too.
-    if not h <= model.roof / 10 + 1e-12:
-        raise ValueError("kernel step h must be a number at most roof/10")
     if not reach_multiplier >= 2.0:
         raise ValueError("reach_multiplier must be a number >= 2")
     if not c >= 0.0:
         # Sweeps prune on c*dev being sorted like the norm-sorted offsets.
         raise ValueError("action weight c must be non-negative")
-    ds = grid.spacings[2]
-    k = h / ds
-    if abs(k - round(k)) > 1e-9:
-        raise AlignmentError("h must be an integer multiple of the s-spacing")
     reach = reach_multiplier * (h * model.sup_norm_bound + grid.diagonal)
     offsets, devs = _deviation_offsets(grid, reach)
     if offsets.shape[0] == 0:
@@ -525,5 +537,5 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
         raise ValueError("observable is not finite at every grid node")
     return ActionKernel(grid=grid, model=model, phi=phi, c=float(c),
                         phi_bar=float(phi_bar), h=float(h), reach=float(reach),
-                        offsets=offsets, devs=devs, flow_steps=int(round(k)),
+                        offsets=offsets, devs=devs, flow_steps=flow_steps,
                         phi_nodes=phi_nodes)

@@ -139,10 +139,13 @@ def coboundary_observable(model: SuspensionFlow, coeffs=None):
 
 
 def distance_squared_observable(model: SuspensionFlow, base_point=(0.0, 0.0)):
-    """phi(p) = (torus distance of the base to a fixed point)^2.
+    """phi(p) = (torus distance of the base to ``base_point``)^2.
 
-    Nonnegative and vanishing on the invariant fiber orbit through the fixed
-    point, so its ergodic minimizing value is 0.
+    Nonnegative, and zero only on the fiber over ``base_point``.  When
+    ``base_point`` is a fixed point of A, such as the default (0, 0), that
+    fiber is a periodic orbit of the flow, so the ergodic minimizing value
+    is 0.  Elsewhere it is positive in general: centred at the period-3
+    point (0.5, 0.5), the periodic-orbit estimate (periods up to 4) is 0.1.
     """
     b0 = np.asarray(base_point, dtype=float)
 

@@ -17,7 +17,6 @@ Lipschitz integrated subaction into one with a Lipschitz flow derivative.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,51 +72,67 @@ class BumpPair:
                 - rise * smoothstep_prime(x_fall)) / self.eps
 
 
-@dataclass
-class RegularizerSpec:
-    """One smoothing box: nested chart domains D c D' c D''.
+# The smoothing cover: every box is (0, TAU) x B(EPS) in its chart, and every
+# chart table has N_T rows in t and N_Q x N_Q columns in q.
+EPS = 0.1
+TAU = 0.4
+N_T = 48
+N_Q = 13
+# Base centres per torus axis on each section level: the lattice cell's
+# half-diagonal stays below EPS in the adapted norm.
+N_BASE = 8
 
-    D = (0,tau) x B(eps), D' = (-eps, tau+eps) x B(2 eps),
-    D'' = (-2 eps, tau+2 eps) x B(3 eps), all in the chart of ``box``.
+
+@dataclass
+class Cover:
+    """The covering family of smoothing boxes, centres (n, 3) in pass order.
+
+    Every box has nested chart domains D c D' c D'', with D = (0,tau) x
+    B(eps), D' = (-eps, tau+eps) x B(2 eps) and D'' = (-2 eps, tau+2 eps) x
+    B(3 eps) in the chart of its centre (eps = EPS, tau = TAU), and all share
+    one pair of bumps and one chart table.  A level is a run of centres with
+    equal section s.  ``cover[k]`` and ``cover[a:b]`` are covers of those
+    boxes.
     """
 
-    index: int
-    box: FlowBox
-    eps: float
-    tau: float
-    bumps: BumpPair = None
-    fd_step: float = None
-    n_t: int = 48
-    n_q: int = 13
+    model: SuspensionFlow
+    centers: np.ndarray
 
-    def __post_init__(self):
-        if self.bumps is None:
-            self.bumps = BumpPair(self.eps, self.tau)
-        if self.fd_step is None:
-            self.fd_step = (self.tau + 4 * self.eps) / (self.n_t - 1)
-        if not (0 < self.eps and 0 < self.tau):
-            raise ValueError("eps and tau must be positive")
-        if self.tau + 4 * self.eps >= self.box.model.roof:
-            raise ValueError("box time extent must stay below one roof period")
+    bumps = BumpPair(EPS, TAU)
+    fd_step = (TAU + 4 * EPS) / (N_T - 1)
+    t_nodes = np.linspace(-2 * EPS, TAU + 2 * EPS, N_T)
+    q_nodes = np.linspace(-3 * EPS, 3 * EPS, N_Q)
+
+    def __len__(self):
+        return len(self.centers)
+
+    def __getitem__(self, k):
+        return Cover(self.model, self.centers[k].reshape(-1, 3))
+
+    def levels(self):
+        """The covers of the levels, in pass order."""
+        cut = np.flatnonzero(np.diff(self.centers[:, 2])) + 1
+        return [self[a:b] for a, b in zip(np.r_[0, cut],
+                                          np.r_[cut, len(self)])]
 
     def in_window(self, t, u):
         """Mask of chart points (t, u) inside D''; t as ``_chart_time``
         returns it, hence never below -2 eps."""
-        return (t < self.tau + 2 * self.eps) & (adapted_norm(u) < 3 * self.eps)
+        return (t < TAU + 2 * EPS) & (adapted_norm(u) < 3 * EPS)
 
-    def _chart_time(self, p):
-        """Section-time representative of p in [-2 eps, roof - 2 eps); it
-        depends on the box only through its section level."""
-        roof = self.box.model.roof
-        t_lo = -2 * self.eps
-        dt = p[..., 2] - self.box.center[2]
+    def _chart_time(self, p, s):
+        """Section-time representative of p in [-2 eps, roof - 2 eps) for a
+        box on section level s; it depends on the box only through s."""
+        roof = self.model.roof
+        t_lo = -2 * EPS
+        dt = p[..., 2] - s
         return dt - roof * np.floor((dt - t_lo) / roof)
 
     def in_core(self, t, u, margin=0.0):
         """Mask of chart points (t, u) inside D = (0,tau) x B(eps), shrunk by
         ``margin``; t as ``_chart_time`` returns it."""
-        return (t > margin) & (t < self.tau - margin) \
-            & (adapted_norm(u) < self.eps - margin)
+        return (t > margin) & (t < TAU - margin) \
+            & (adapted_norm(u) < EPS - margin)
 
 
 @dataclass
@@ -143,17 +158,10 @@ class SubactionCertificate:
         return self.lip_lie / self.lip_phi
 
 
-def _level_key(spec):
-    """Boxes with equal keys share their node chart times, chart tables and
-    bumps."""
-    return (float(spec.box.center[2]), spec.eps, spec.tau, spec.n_t,
-            spec.n_q, spec.bumps.eps, spec.bumps.tau)
-
-
-# Bytes of the phi~ tables of one chunk of a level's boxes, at n_t * n_q**2
-# values per box: larger chunks batch more numpy calls, but raise the peak
-# memory and spill the caches.
-_CHUNK_BYTES = 2 ** 19
+# Boxes per chunk of a level: their phi~ tables, N_T * N_Q**2 values each,
+# fill about 2**19 bytes.  Larger chunks batch more numpy calls, but raise
+# the peak memory and spill the caches.
+_CHUNK = max(1, 2 ** 19 // (8 * N_T * N_Q ** 2))
 
 
 @dataclass
@@ -182,7 +190,7 @@ class _Box:
 
 
 class _Level:
-    """Chart geometry shared by boxes of one ``_level_key``.
+    """Chart geometry shared by the boxes of one level of the cover.
 
     A node's chart time depends only on the section level, so the nodes are
     flowed back to the section once and each box only reads its u off the
@@ -205,29 +213,23 @@ class _Level:
     ``_Box`` records for a chunk of boxes at a time (the windows box by box,
     keeping only their nodes), so that the pass that must follow the cover's
     order (``_smooth_box``) only gathers u, corrects the table and blends.
-    The boxes of a level share their bumps (``_level_key``).
     """
 
-    def __init__(self, specs, grid):
-        first = specs[0]
-        model = first.box.model
-        self.specs, self.grid, self.first = specs, grid, first
+    def __init__(self, cover, grid):
+        model, s = cover.model, cover.centers[0, 2]
+        self.cover, self.grid = cover, grid
         nodes = grid.node_points().reshape(-1, 3)
-        t = first._chart_time(nodes)
+        t = cover._chart_time(nodes, s)
         # The nodes some window can hold: D'' at the chart centre u = 0.
-        self.near = np.flatnonzero(first.in_window(t, np.zeros((t.size, 2))))
+        self.near = np.flatnonzero(cover.in_window(t, np.zeros((t.size, 2))))
         self.t = t[self.near]
         self.back = model.flow_map(nodes[self.near], -self.t)
-        self.t_nodes = np.linspace(-2 * first.eps, first.tau + 2 * first.eps,
-                                   first.n_t)
-        self.q_nodes = np.linspace(-3 * first.eps, 3 * first.eps, first.n_q)
+        self.t_nodes, self.q_nodes = cover.t_nodes, cover.q_nodes
         T, Q1, Q2 = np.meshgrid(self.t_nodes, self.q_nodes, self.q_nodes,
                                 indexing="ij")
-        ref = FlowBox(model, np.array([0.0, 0.0, first.box.center[2]]),
-                      first.tau)
+        ref = FlowBox(model, np.array([0.0, 0.0, s]), TAU)
         table = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
-        centers = np.array([spec.box.center for spec in specs])
-        shifts = model.flow_map(centers[:, None, :],
+        shifts = model.flow_map(cover.centers[:, None, :],
                                 self.t_nodes)[..., :2]
         self.s = table[:, 0, 0, 2]
         self.run = np.concatenate([[0], np.cumsum(np.diff(self.s) < 0)])
@@ -239,29 +241,28 @@ class _Level:
         self.group_s, self.group_run = self.s[g], self.run[g]
         self.row_k, self.row_tk = k[:, None, None], tk[:, None, None]
         self.t_cell = _table_cell(self.t_nodes, self.t)
-        self.beta = first.bumps.beta(self.t_nodes)
+        self.beta = cover.bumps.beta(self.t_nodes)
         self.rows = self.beta > 0
-        self.chunk = max(1, _CHUNK_BYTES // (8 * first.n_t * first.n_q ** 2))
 
     def chunks(self, phi, phi_bar):
         """Yield, chunk by chunk in cover order, the chunk's window pairs
         (chart t, chart u and flat index of each window node of each box)
         and its ``_Box`` records."""
-        for k0 in range(0, len(self.specs), self.chunk):
-            yield self._chunk(slice(k0, k0 + self.chunk), phi, phi_bar)
+        for k0 in range(0, len(self.cover), _CHUNK):
+            yield self._chunk(slice(k0, k0 + _CHUNK), phi, phi_bar)
 
     def _chunk(self, ks, phi, phi_bar):
-        first, n_q = self.first, self.q_nodes.size
+        cover = self.cover
         # (box, node) pairs of the windows, box-major with increasing nodes.
         node, uu = [], []
-        for spec in self.specs[ks]:
-            u_k = spec.box.section_u(self.back)
-            node.append(np.flatnonzero(spec.in_window(self.t, u_k)))
+        for center in cover.centers[ks]:
+            u_k = FlowBox(cover.model, center, TAU).section_u(self.back)
+            node.append(np.flatnonzero(cover.in_window(self.t, u_k)))
             uu.append(u_k[node[-1]])
         at = np.cumsum([n.size for n in node])[:-1]
         box_of = np.repeat(np.arange(len(node)), [n.size for n in node])
         node, uu = np.concatenate(node), np.concatenate(uu)
-        a = first.bumps.alpha(uu)
+        a = cover.bumps.alpha(uu)
         window = (self.t[node], uu, self.near[node])
         live = a > 0
         boxes = [_Box(*split) for split in
@@ -278,7 +279,7 @@ class _Level:
         lo1, lo2 = (np.minimum.reduceat(i, start) for i in (i1, i2))
         c1, c2 = (np.maximum.reduceat(i, start) + 2 - lo
                   for i, lo in ((i1, lo1), (i2, lo2)))
-        q = np.arange(n_q)
+        q = np.arange(N_Q)
         cols = (((q >= lo1[:, None]) & (q < (lo1 + c1)[:, None]))[:, :, None]
                 & ((q >= lo2[:, None]) & (q < (lo2 + c2)[:, None]))[:, None])
         shifts = self.shifts[ks][has].swapaxes(0, 1)[:, :, None, None, :]
@@ -373,42 +374,37 @@ def _smooth_box(u, box, level):
     flat[box.idx] = (1.0 - box.a) * dense_here + box.a * w - u.offset
 
 
-def regularize_once(u: GridFunction, spec: RegularizerSpec, phi, phi_bar,
+def regularize_once(u: GridFunction, box: Cover, phi, phi_bar,
                     check_precondition=True):
-    """One smoothing pass, run as a level of one box; output equals u
-    exactly outside D''."""
+    """One smoothing pass over the one-box cover ``box`` (``cover[k]``), run
+    as a level of one box; output equals u exactly outside D''."""
     _check_finite(u, phi_bar)
     if check_precondition:
-        check_integrated_subaction(u, spec.box.model, phi, phi_bar)
-    level = _Level([spec], u.grid)
+        check_integrated_subaction(u, box.model, phi, phi_bar)
+    level = _Level(box, u.grid)
     (_, (box,)), = level.chunks(phi, phi_bar)
     out = u.copy()
     _smooth_box(out, box, level)
     return out
 
 
-def default_cover(model: SuspensionFlow, eps=0.1, tau=0.4, n_base=8,
-                  n_levels=None):
-    """Deterministic covering family of smoothing boxes.
+def default_cover(model: SuspensionFlow):
+    """The deterministic smoothing cover of the model.
 
-    Base centers on an n x n torus lattice (cell half-diagonal below eps in
-    the adapted norm), section levels spaced so the (0,tau) cores overlap in
-    time.
+    Base centres on the N_BASE x N_BASE torus lattice, on section levels
+    spaced so the (0, tau) cores overlap in time, level by level.  Raises
+    ValueError when a box's time extent tau + 4 eps reaches the roof.
     """
-    if n_levels is None:
-        n_levels = int(np.ceil(model.roof / (0.75 * tau)))
-    specs = []
-    k = 0
-    for lev in range(n_levels):
-        s0 = lev * model.roof / n_levels
-        for i in range(n_base):
-            for j in range(n_base):
-                center = np.array([i / n_base, j / n_base, s0])
-                specs.append(RegularizerSpec(index=k,
-                                             box=FlowBox(model, center, tau),
-                                             eps=eps, tau=tau))
-                k += 1
-    return specs
+    # Negated comparison: a NaN roof fails it too.
+    if not TAU + 4 * EPS < model.roof:
+        raise ValueError("box time extent tau + 4 eps = "
+                         f"{TAU + 4 * EPS:g} must stay below the roof")
+    n_levels = int(np.ceil(model.roof / (0.75 * TAU)))
+    lev, i, j = np.meshgrid(np.arange(n_levels), np.arange(N_BASE),
+                            np.arange(N_BASE), indexing="ij")
+    centers = np.stack([i / N_BASE, j / N_BASE, lev * model.roof / n_levels],
+                       axis=-1)
+    return Cover(model, centers.reshape(-1, 3))
 
 
 def lie_derivative_field(u, model, fd_step):
@@ -421,7 +417,7 @@ def lie_derivative_field(u, model, fd_step):
 
 
 def _smooth_cover(u0, cover, phi, phi_bar, core_margin):
-    """The passes over the cover in index order, level by level.  Returns
+    """The passes over the cover in its order, level by level.  Returns
     the smoothed u, the mask of nodes in some core shrunk by
     ``core_margin``, the mask of nodes in no core, and the number of table
     columns priced."""
@@ -430,42 +426,37 @@ def _smooth_cover(u0, cover, phi, phi_bar, core_margin):
     uncovered = np.ones(n_nodes, dtype=bool)
     u = u0.copy()
     n_cols = 0
-    ordered = sorted(cover, key=lambda s: s.index)
-    for _, group in itertools.groupby(ordered, key=_level_key):
-        level = _Level(list(group), u.grid)
+    for boxes in cover.levels():
+        level = _Level(boxes, u.grid)
         for (t, uu, nodes), boxes in level.chunks(phi, phi_bar):
             for box in boxes:
                 _smooth_box(u, box, level)
                 n_cols += box.n_cols
             # Both cores lie inside the windows: price the window pairs only.
-            mask[nodes[level.first.in_core(t, uu, core_margin)]] = True
-            uncovered[nodes[level.first.in_core(t, uu)]] = False
+            mask[nodes[cover.in_core(t, uu, core_margin)]] = True
+            uncovered[nodes[cover.in_core(t, uu)]] = False
             # Free this chunk before the next one is built.
             del t, uu, nodes, boxes, box
         del level
     return u, mask, uncovered, n_cols
 
 
-def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
-                   fd_step=None, precheck=True, precheck_slack=None,
-                   core_margin=None):
+def regularize_all(u0: GridFunction, cover: Cover, phi, phi_bar, *,
+                   precheck=True, precheck_slack=None):
     """Compose smoothing passes over the cover and certify the result.
 
     The certificate's region is the union of the cover's core boxes D_i,
-    shrunk by ``core_margin`` (default one grid diagonal) so only interior
-    nodes are priced; the boundary layer of one-sided derivatives is excluded.
+    shrunk by min(one grid diagonal, eps/2, tau/4) so only interior nodes are
+    priced; the boundary layer of one-sided derivatives is excluded.
     """
     grid = u0.grid
-    model = cover[0].box.model
+    model = cover.model
     _check_finite(u0, phi_bar)
     if precheck:
         check_integrated_subaction(u0, model, phi, phi_bar,
                                    slack=precheck_slack)
     nodes = grid.node_points().reshape(-1, 3)
-    if core_margin is None:
-        eps_min = min(s.eps for s in cover)
-        tau_min = min(s.tau for s in cover)
-        core_margin = min(grid.diagonal, eps_min / 2.0, tau_min / 4.0)
+    core_margin = min(grid.diagonal, EPS / 2.0, TAU / 4.0)
     u, mask, uncovered_all, n_cols = _smooth_cover(u0, cover, phi, phi_bar,
                                                    core_margin)
     if not mask.any():
@@ -474,8 +465,7 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
     if uncovered_all.any():
         raise CoverGapError("cover misses grid nodes",
                             witness=nodes[np.nonzero(uncovered_all)[0][0]])
-    if fd_step is None:
-        fd_step = min(s.fd_step for s in cover)
+    fd_step = cover.fd_step
     lie = lie_derivative_field(u, model, fd_step)
     phi_nodes = np.asarray(phi(nodes), dtype=float).reshape(grid.shape)
     mask3 = mask.reshape(grid.shape)
@@ -483,11 +473,10 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
     lip_u = u.discrete_lipschitz()
     lip_lie = GridFunction(grid, lie).discrete_lipschitz(mask3)
     lip_phi = phi.lipschitz_constant
-    if slack is None:
-        # One term per error source: interpolation of the Lipschitz data over
-        # a cell, and the one-sided difference against a Lipschitz derivative.
-        slack = 2.0 * grid.diagonal * (lip_u + lip_lie) \
-            + 2.0 * (lip_phi + lip_lie) * fd_step
+    # One term per error source: interpolation of the Lipschitz data over a
+    # cell, and the one-sided difference against a Lipschitz derivative.
+    slack = 2.0 * grid.diagonal * (lip_u + lip_lie) \
+        + 2.0 * (lip_phi + lip_lie) * fd_step
     return SubactionCertificate(
         u=u, lie=lie, region_mask=mask3,
         margin=float(margins.min()), lip_u=lip_u, lip_lie=lip_lie,
@@ -495,13 +484,17 @@ def regularize_all(u0: GridFunction, cover, phi, phi_bar, *, slack=None,
         fd_step=float(fd_step),
         report={"n_boxes": len(cover), "n_region_nodes": int(mask.sum()),
                 "table_columns_priced": n_cols,
-                "table_columns": sum(s.n_q ** 2 for s in cover),
+                "table_columns": len(cover) * N_Q ** 2,
                 "worst_node_margin": float(margins.min()),
                 "median_node_margin": float(np.median(margins))})
 
 
+# Time step of verify_subaction's sampled paths.
+_PATH_STEP = 0.02
+
+
 def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
-                     *, model=None, seed=0, n_paths=100, path_step=0.02):
+                     *, model=None, seed=0, n_paths=100):
     """Off-grid re-check of phi - phi_bar >= L_V[u] plus a path-action check.
 
     Off-grid points are drawn inside the certified region; the flow derivative
@@ -542,14 +535,14 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
     draws = []
     for _ in range(n_paths):
         T = float(rng.uniform(0.5, 3.0))
-        n = max(2, int(np.ceil(T / path_step)) + 1)
+        n = max(2, int(np.ceil(T / _PATH_STEP)) + 1)
         times = np.linspace(0.0, T, n)
         start = rng.random(3)
         start[2] *= model.roof
         noise = np.zeros((n, 3))
         noise[:, :2] = 10 ** rng.uniform(-4, -2) * rng.standard_normal((n, 2))
         draws.append((times, np.broadcast_to(start, (n, 3)), times, noise))
-    paths = [PathSample(t, p, model, max_step=2 * path_step)
+    paths = [PathSample(t, p, model, max_step=2 * _PATH_STEP)
              for t, p in zip(*_flow_tracks(model, draws))] if draws else []
     path_worst = np.min(_path_actions(paths, phi, c_path, phi_bar),
                         initial=np.inf)

@@ -123,8 +123,15 @@ def lattice_box_chains(atlas, max_len=50):
     return chains
 
 
-def pseudo_orbit_suite(atlas, n_orbits, seed=0, noise_range=(1e-6, 1e-2),
-                       max_len=50, tol=1e-10):
+# pseudo_orbit_suite's draws: noise amplitudes log-uniform over
+# _NOISE_RANGE, chains of at most _MAX_LEN boxes; _TOL is the Newton
+# residual tolerance.
+_NOISE_RANGE = (1e-6, 1e-2)
+_MAX_LEN = 50
+_TOL = 1e-10
+
+
+def pseudo_orbit_suite(atlas, n_orbits, seed=0):
     """Randomized periodic pseudo-orbits through lattice box chains.
 
     Each pseudo-orbit is the exact periodic orbit of its affine Poincare chain
@@ -133,16 +140,16 @@ def pseudo_orbit_suite(atlas, n_orbits, seed=0, noise_range=(1e-6, 1e-2),
     result dict per orbit, in draw order; ``chain`` numbers its box sequence.
     Raises the error of the lowest-numbered failing orbit, naming it."""
     rng = np.random.default_rng(seed)
-    chains = lattice_box_chains(atlas, max_len=max_len)
+    chains = lattice_box_chains(atlas, max_len=_MAX_LEN)
     if not chains:
         raise ValueError("atlas has no level-0 lattice chains")
     groups = {}
     for k in range(n_orbits):
         cyc, period = chains[rng.integers(0, len(chains))]
-        reps = int(rng.integers(1, max(2, max_len // period + 1)))
+        reps = int(rng.integers(1, max(2, _MAX_LEN // period + 1)))
         boxes = cyc * max(reps, 2 // period)  # at least two steps
-        noise = 10 ** rng.uniform(np.log10(noise_range[0]),
-                                  np.log10(noise_range[1]))
+        noise = 10 ** rng.uniform(np.log10(_NOISE_RANGE[0]),
+                                  np.log10(_NOISE_RANGE[1]))
         pts = rng.uniform(-noise, noise, (len(boxes), 2))
         groups.setdefault(tuple(boxes), []).append((k, float(noise), pts))
     pair_map = lru_cache(None)(lambda x, y: affine_poincare(atlas, x, y))
@@ -150,7 +157,7 @@ def pseudo_orbit_suite(atlas, n_orbits, seed=0, noise_range=(1e-6, 1e-2),
     for chain, (boxes, members) in enumerate(groups.items()):
         maps = [pair_map(*key) for key in zip(boxes, boxes[1:] + boxes[:1])]
         ids, noises, pts = zip(*members)
-        solved = _shadow_chain(np.stack(pts), maps, atlas.rho, tol)
+        solved = _shadow_chain(np.stack(pts), maps, atlas.rho, _TOL)
         for k, noise, res in zip(ids, noises, solved):
             results[k] = res if isinstance(res, Exception) else {
                 "length": len(boxes), "noise": noise,

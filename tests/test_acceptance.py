@@ -16,8 +16,9 @@ from weakkam import (Grid, GridFunction, build_kernel, check_factorization,
                      livsic_lower_bound_scan, make_observable,
                      pseudo_orbit_suite, regularize_all, verify_apriori,
                      verify_subaction, weak_kam_solve, weighted_action)
+from weakkam.charts import FlowBox
 from weakkam.laxoleinik import ergodic_value
-from weakkam.regularize import default_cover
+from weakkam.regularize import TAU, default_cover
 
 
 def _report(num, ok, msg):
@@ -176,10 +177,10 @@ def test_criterion_08_regularizer_certification(model, sol_dist2, cover):
     # exact locality: nodes outside every smoothing window are untouched
     nodes = kern.grid.node_points().reshape(-1, 3)
     touched = np.zeros(nodes.shape[0], dtype=bool)
-    for spec in cover:
-        t = spec._chart_time(nodes)
-        touched |= spec.in_window(t, spec.box.section_u(
-            spec.box.model.flow_map(nodes, -t)))
+    for center in cover.centers:
+        t = cover._chart_time(nodes, center[2])
+        touched |= cover.in_window(t, FlowBox(model, center, TAU).section_u(
+            model.flow_map(nodes, -t)))
     outside = ~touched.reshape(kern.grid.shape)
     local_ok = (not outside.any()) or np.array_equal(
         cert.u.values[outside], sol.u.values[outside])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from weakkam import (SuspensionFlow, affine_poincare, build_atlas,
-                     certify_hyperbolic, check_constants, poincare_map,
-                     return_time)
+                     check_constants, poincare_map, return_time)
 from weakkam.charts import (ConstantConsistencyError, FlowBox, adapted_norm,
                             LocalHyperbolicMap)
 
@@ -220,20 +219,19 @@ def test_affine_poincare_matches_bisection(model, atlas):
 
 
 def test_certify_hyperbolic_passes_for_chain_map(model, atlas):
+    # an affine map has no nonlinearity: its expansion, contraction, the two
+    # couplings and its offset are read off the linear part and the offset
+    # (coordinate 0 unstable, 1 stable) against the atlas constants
     x, y = _chained_pair(atlas)
-    cert = certify_hyperbolic(affine_poincare(atlas, x, y),
-                              required=atlas.hyper)
-    assert cert.passed, cert.checks
-    assert cert.sigma_u > 1.0 > cert.sigma_s
-
-
-def test_certify_hyperbolic_rejects_identity(atlas):
-    ident = LocalHyperbolicMap(f_map=lambda q: np.asarray(q, dtype=float),
-                               linear_part=np.eye(2), offset=np.zeros(2),
-                               rho=atlas.rho, affine=True)
-    cert = certify_hyperbolic(ident, required=atlas.hyper)
-    assert not cert.passed
-    assert not cert.checks["expansion"]["ok"]
+    aff = affine_poincare(atlas, x, y)
+    A, req = aff.linear_part, atlas.hyper
+    margins = {"expansion": abs(A[0, 0]) - req.sigma_u,
+               "contraction": req.sigma_s - abs(A[1, 1]),
+               "coupling_u": req.eta - abs(A[0, 1]),
+               "coupling_s": req.eta - abs(A[1, 0]),
+               "offset": req.eps_rho - adapted_norm(aff.offset)}
+    assert all(m >= 0 for m in margins.values()), margins
+    assert abs(A[0, 0]) > 1.0 > abs(A[1, 1])
 
 
 def _cubic_map(rho):
@@ -243,14 +241,9 @@ def _cubic_map(rho):
                               offset=np.zeros(2), rho=rho)
 
 
-def test_certify_hyperbolic_refuses_non_affine_map(atlas):
-    with pytest.raises(ValueError, match="affine"):
-        certify_hyperbolic(_cubic_map(atlas.rho), required=atlas.hyper)
-
-
 def _oracle_nonlinearity(hmap, n_samples=200, seed=0):
     """The sampled Lipschitz constant of q -> f(q) - A q over random pairs in
-    the ball of radius rho/2 that ``certify_hyperbolic`` used to measure."""
+    the ball of radius rho/2 that the hyperbolicity check used to measure."""
     A = hmap.linear_part
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-hmap.rho / 2, hmap.rho / 2, (n_samples, 2))

@@ -169,6 +169,33 @@ def test_cli_non_positive_count_exit_2(tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_negative_seed_exit_2(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(seed=-1).validate()
+    assert main(["--seed", "-1", "--output", str(tmp_path / "o"), "shadow",
+                 "--count", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("grid,step", [
+    (["8", "8", "3"], []),            # no default h <= roof/10 on the s-spacing
+    (["8", "8", "10"], ["--h", "0.07"])])  # h off the s-spacing 0.1
+def test_cli_impossible_kernel_step_exit_2(tmp_path, grid, step):
+    argv = ["--output", str(tmp_path / "o"), "--grid"] + grid + step
+    with pytest.raises(ConfigError, match="kernel step h"):
+        load_config(None, {"grid_shape": tuple(map(int, grid)),
+                           "h": float(step[1]) if step else None})
+    assert main(argv + ["verify", "semigroup", "--count", "1"]) == EXIT_USAGE
+
+
+def test_cli_roof_too_short_for_smoothing_cover_exit_2(tmp_path):
+    # the smoothing boxes span tau + 4 eps = 0.8 of flow time
+    bad = _ini(tmp_path, "[model]\nroof = 0.5\n")
+    with pytest.raises(ConfigError, match="roof"):
+        load_config(bad)
+    assert main(["--config", bad, "--output", str(tmp_path / "o")] + SMALL
+                + ["solve"]) == EXIT_USAGE
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     bad = _ini(tmp_path, "[grid]\nn1 = 8\nn2 = 12\nns = 10\n")
     assert main(["--config", bad, "atlas"]) == EXIT_USAGE

@@ -15,7 +15,6 @@ PENDING = {
     "decompose_path": 6,            # the block-wise Livsic check
     "factor_pseudo_orbit": 6,       # criterion 10 pins the factorization
     "check_factorization": 6,
-    "certify_hyperbolic": 8,        # undecided
 }
 
 
@@ -86,4 +85,4 @@ def test_pending_list_is_current():
     used = _used_in_src() | _read_by_benchmarks()
     assert not set(PENDING) - exports, "pending but not exported"
     assert not set(PENDING) & used, "used now: drop it from PENDING"
-    assert set(PENDING.values()) <= {6, 8}
+    assert set(PENDING.values()) <= {6}

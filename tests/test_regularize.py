@@ -1,20 +1,17 @@
-import dataclasses
-import itertools
-
 import numpy as np
 import pytest
 
 from weakkam.observables import smoothstep_prime
 
 from weakkam import (BumpPair, CoverGapError, Grid, GridFunction,
-                     NotSubactionError, RegularizerSpec, SuspensionFlow,
-                     build_kernel, default_cover, distance_squared_observable,
+                     NotSubactionError, SuspensionFlow, build_kernel,
+                     default_cover, distance_squared_observable,
                      lie_derivative_field, regularize_all, regularize_once,
                      verify_subaction, weak_kam_solve)
 from weakkam import regularize as regularize_mod
 from weakkam.charts import FlowBox
-from weakkam.regularize import (_corrected_table, _Level, _level_key,
-                                _smooth_box, _smooth_cover,
+from weakkam.regularize import (_CHUNK, EPS, N_Q, N_T, TAU, _corrected_table,
+                                _Level, _smooth_box, _smooth_cover,
                                 check_integrated_subaction)
 
 
@@ -39,14 +36,19 @@ def _bump_check(bumps, n_samples=200, seed=0):
                 and abs(net) < 1e-6)
 
 
-def _chart_window(spec, points):
-    """(t, u, inside) of manifold points against the box's D'': the chart
-    time the smoothing takes, the chart coordinate at the section, and
-    ``in_window`` of the two."""
+def _flow_box(box):
+    """The FlowBox of a one-box cover."""
+    return FlowBox(box.model, box.centers[0], TAU)
+
+
+def _chart_window(box, points):
+    """(t, u, inside) of manifold points against the D'' of the one-box
+    cover ``box``: the chart time the smoothing takes, the chart coordinate
+    at the section, and ``in_window`` of the two."""
     p = np.asarray(points, dtype=float)
-    t = spec._chart_time(p)
-    u = spec.box.section_u(spec.box.model.flow_map(p, -t))
-    return t, u, spec.in_window(t, u)
+    t = box._chart_time(p, box.centers[0, 2])
+    u = _flow_box(box).section_u(box.model.flow_map(p, -t))
+    return t, u, box.in_window(t, u)
 
 
 @pytest.fixture(scope="module")
@@ -90,28 +92,32 @@ def test_bump_check_fails_on_wrong_beta_prime():
     assert not _bump_check(RiseOnly(0.1, 0.4))
 
 
-def test_spec_validation(model):
-    box = FlowBox(model, np.array([0.0, 0.0, 0.0]), 0.4)
-    with pytest.raises(ValueError):
-        RegularizerSpec(index=0, box=box, eps=0.2, tau=0.4)  # window >= roof
-    with pytest.raises(ValueError):
-        RegularizerSpec(index=0, box=box, eps=-0.1, tau=0.4)
+def test_spec_validation():
+    # a box's time extent tau + 4 eps = 0.8 must stay below the roof
+    for roof in (0.5, 0.8):
+        with pytest.raises(ValueError, match="roof"):
+            default_cover(SuspensionFlow(roof=roof))
+    assert len(default_cover(SuspensionFlow(roof=1.0))) == 256
 
 
 def test_default_cover_shape(model, cover):
-    assert len(cover) == 8 * 8 * 4
-    assert all(s.tau + 4 * s.eps < model.roof for s in cover)
-    assert sorted(s.index for s in cover) == list(range(len(cover)))
+    assert len(cover) == 8 * 8 * 4 and cover.centers.shape == (256, 3)
+    assert TAU + 4 * EPS < model.roof
+    levels = cover.levels()
+    assert [len(level) for level in levels] == [64] * 4
+    assert [level.centers[0, 2] for level in levels] == [0, 0.25, 0.5, 0.75]
+    assert np.array_equal(cover[17].centers, cover.centers[17:18])
+    assert np.array_equal(cover[3:80].centers, cover.centers[3:80])
 
 
 def test_regularize_once_is_local(model, cobound, medium_solution, cover):
     phi, _ = cobound
     sol, _ = medium_solution
-    spec = cover[17]
-    out = regularize_once(sol.u, spec, phi, sol.phi_bar,
+    box = cover[17]
+    out = regularize_once(sol.u, box, phi, sol.phi_bar,
                           check_precondition=False)
     nodes = sol.u.grid.node_points().reshape(-1, 3)
-    _, _, inside = _chart_window(spec, nodes)
+    _, _, inside = _chart_window(box, nodes)
     outside = ~inside.reshape(sol.u.grid.shape)
     # untouched nodes are bitwise identical
     assert np.array_equal(out.values[outside], sol.u.values[outside])
@@ -176,43 +182,43 @@ def _interp_table(t_nodes, q_nodes, table, t, u):
     return out
 
 
-def _table_axes(spec):
-    t_nodes = np.linspace(-2 * spec.eps, spec.tau + 2 * spec.eps, spec.n_t)
-    q_nodes = np.linspace(-3 * spec.eps, 3 * spec.eps, spec.n_q)
+def _table_axes():
+    t_nodes = np.linspace(-2 * EPS, TAU + 2 * EPS, N_T)
+    q_nodes = np.linspace(-3 * EPS, 3 * EPS, N_Q)
     return t_nodes, q_nodes
 
 
-def _chart_points(spec):
-    """The box's whole chart table as its level translates it: the table of
-    the reference box (centre (0, 0, s)) moved row by row by the flow of the
-    box's centre."""
-    model = spec.box.model
-    t_nodes, q_nodes = _table_axes(spec)
+def _chart_points(box):
+    """The whole chart table of the one-box cover ``box`` as its level
+    translates it: the table of the reference box (centre (0, 0, s)) moved
+    row by row by the flow of the box's centre."""
+    model, center = box.model, box.centers[0]
+    t_nodes, q_nodes = _table_axes()
     T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
-    ref = FlowBox(model, np.array([0.0, 0.0, spec.box.center[2]]), spec.tau)
+    ref = FlowBox(model, np.array([0.0, 0.0, center[2]]), TAU)
     pts = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
-    shift = model.flow_map(spec.box.center, t_nodes)[:, :2]
+    shift = model.flow_map(center, t_nodes)[:, :2]
     pts[..., :2] = np.mod(pts[..., :2] + shift[:, None, None, :], 1.0)
     return pts
 
 
-def _oracle_smooth_box(u, spec, window, phi, phi_bar):
+def _oracle_smooth_box(u, box, window, phi, phi_bar):
     """The pass that prices u on every point and phi on every column of the
-    box's translated chart table, and interpolates w at every window node
-    (``window`` as ``_chart_window`` returns it)."""
+    one-box cover's translated chart table, and interpolates w at every
+    window node (``window`` as ``_chart_window`` returns it)."""
     t, uu, inside = window
     idx = np.nonzero(inside)[0]
     if idx.size == 0:
         return u.copy()
-    t_nodes, q_nodes = _table_axes(spec)
-    pts = _chart_points(spec)
+    t_nodes, q_nodes = _table_axes()
+    pts = _chart_points(box)
     ut = np.asarray(u(pts), dtype=float)
-    beta = spec.bumps.beta(t_nodes)
+    beta = box.bumps.beta(t_nodes)
     rows = beta > 0
     pht = np.zeros_like(ut)
     pht[rows] = np.asarray(phi(pts[rows]), dtype=float) - phi_bar
     wt = _corrected_table(t_nodes[1] - t_nodes[0], beta, ut, pht)
-    a = spec.bumps.alpha(uu[idx])
+    a = box.bumps.alpha(uu[idx])
     w_vals = _interp_table(t_nodes, q_nodes, wt, t[idx], uu[idx])
     flat = u.values.reshape(-1).copy()
     dense_here = flat[idx] + u.offset
@@ -221,15 +227,15 @@ def _oracle_smooth_box(u, spec, window, phi, phi_bar):
     return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
 
 
-def _live_columns(spec, window):
+def _live_columns(box, window):
     """The table columns a pass must price: the rectangle of q-cells around
     its window nodes with alpha > 0, one row of cells beyond the last, or
     none without such nodes."""
     _, uu, inside = window
-    live = uu[inside][spec.bumps.alpha(uu[inside]) > 0]
+    live = uu[inside][box.bumps.alpha(uu[inside]) > 0]
     if live.size == 0:
         return 0
-    _, q_nodes = _table_axes(spec)
+    _, q_nodes = _table_axes()
     c1, c2 = (np.ptp(_axis_cell(q_nodes, live[:, ax])[0]) + 2
               for ax in (0, 1))
     return int(c1 * c2)
@@ -244,27 +250,27 @@ def _oracle_passes(u0, cover, phi, phi_bar, core_margin):
     uncovered = np.ones(nodes.shape[0], dtype=bool)
     u = u0
     n_cols = 0
-    for spec in sorted(cover, key=lambda s: s.index):
-        window = _chart_window(spec, nodes)
-        u = _oracle_smooth_box(u, spec, window, phi, phi_bar)
-        n_cols += _live_columns(spec, window)
+    for k in range(len(cover)):
+        box = cover[k]
+        window = _chart_window(box, nodes)
+        u = _oracle_smooth_box(u, box, window, phi, phi_bar)
+        n_cols += _live_columns(box, window)
         t, uu, inside = window
-        mask |= inside & spec.in_core(t, uu, margin=core_margin)
-        uncovered &= ~(inside & spec.in_core(t, uu))
+        mask |= inside & box.in_core(t, uu, margin=core_margin)
+        uncovered &= ~(inside & box.in_core(t, uu))
     return u, mask, uncovered, n_cols
 
 
-def _oracle_regularize_once(u, spec, phi, phi_bar, window):
+def _oracle_regularize_once(u, box, phi, phi_bar, window):
     """The per-box pass: the box charts its own table with ``chart_forward``
     and prices phi on every row."""
-    t_nodes = np.linspace(-2 * spec.eps, spec.tau + 2 * spec.eps, spec.n_t)
-    q_nodes = np.linspace(-3 * spec.eps, 3 * spec.eps, spec.n_q)
+    t_nodes, q_nodes = _table_axes()
     T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
-    pts = spec.box.chart_forward(T, np.stack([Q1, Q2], axis=-1))
+    pts = _flow_box(box).chart_forward(T, np.stack([Q1, Q2], axis=-1))
     ut = np.asarray(u(pts), dtype=float)
     pht = np.asarray(phi(pts), dtype=float) - phi_bar
     dt = t_nodes[1] - t_nodes[0]
-    beta = spec.bumps.beta(t_nodes)
+    beta = box.bumps.beta(t_nodes)
     du = np.empty_like(ut)
     du[1:] = (ut[1:] - ut[:-1]) / dt
     du[0] = du[1]
@@ -273,7 +279,7 @@ def _oracle_regularize_once(u, spec, phi, phi_bar, window):
     wt = ut + I - B[:, None, None] * (I[-1] / B[-1])[None]
     t, uu, inside = window
     idx = np.nonzero(inside)[0]
-    a = spec.bumps.alpha(uu[idx])
+    a = box.bumps.alpha(uu[idx])
     w_vals = _interp_table(t_nodes, q_nodes, wt, t[idx], uu[idx])
     flat = u.values.reshape(-1).copy()
     flat[idx] = (1.0 - a) * (flat[idx] + u.offset) + a * w_vals - u.offset
@@ -285,17 +291,16 @@ def _oracle_regularize_all(u0, cover, phi, phi_bar):
     Returns (u, region mask, node margin)."""
     grid = u0.grid
     nodes = grid.node_points().reshape(-1, 3)
-    core_margin = min(grid.diagonal, min(s.eps for s in cover) / 2.0,
-                      min(s.tau for s in cover) / 4.0)
+    core_margin = min(grid.diagonal, EPS / 2.0, TAU / 4.0)
     mask = np.zeros(nodes.shape[0], dtype=bool)
     u = u0
-    for spec in sorted(cover, key=lambda s: s.index):
-        window = _chart_window(spec, nodes)
-        u = _oracle_regularize_once(u, spec, phi, phi_bar, window)
-        mask |= spec.in_core(window[0], window[1], margin=core_margin)
+    for k in range(len(cover)):
+        box = cover[k]
+        window = _chart_window(box, nodes)
+        u = _oracle_regularize_once(u, box, phi, phi_bar, window)
+        mask |= box.in_core(window[0], window[1], margin=core_margin)
     mask = mask.reshape(grid.shape)
-    lie = lie_derivative_field(u, cover[0].box.model,
-                               min(s.fd_step for s in cover))
+    lie = lie_derivative_field(u, cover.model, (TAU + 4 * EPS) / (N_T - 1))
     phi_nodes = np.asarray(phi(nodes), dtype=float).reshape(grid.shape)
     return u, mask, float((phi_nodes - phi_bar - lie)[mask].min())
 
@@ -313,36 +318,36 @@ def test_regularize_all_matches_per_box_oracle(cobound, medium_solution,
 def test_level_geometry_matches_each_box(medium_grid, cobound, cover):
     phi, _ = cobound
     nodes = medium_grid.node_points().reshape(-1, 3)
-    levels = [list(g) for _, g in itertools.groupby(cover, key=_level_key)]
-    assert [len(specs) for specs in levels] == [64] * 4
+    levels = cover.levels()
+    assert [len(part) for part in levels] == [64] * 4
     crossings = []
-    for specs in levels:
-        level = _Level(specs, medium_grid)
+    for part in levels:
+        level = _Level(part, medium_grid)
         boxes = []
         for (t, uu, idx), chunk in level.chunks(phi, 0.0):
             # the window pairs are bitwise each box's own chart window
             for box in chunk:
-                spec = specs[len(boxes)]
-                tw, uw, inside = _chart_window(spec, nodes)
+                one = part[len(boxes)]
+                tw, uw, inside = _chart_window(one, nodes)
                 n = box.idx.size
                 assert np.array_equal(box.idx, np.flatnonzero(inside))
                 assert np.array_equal(idx[:n], box.idx)
                 assert t[:n].tobytes() == tw[inside].tobytes()
                 assert uu[:n].tobytes() == uw[inside].tobytes()
-                alpha = spec.bumps.alpha(uw[inside])
+                alpha = one.bumps.alpha(uw[inside])
                 assert box.a.tobytes() == alpha.tobytes()
                 t, uu, idx = t[n:], uu[n:], idx[n:]
                 boxes.append(box)
             assert idx.size == 0
-        assert len(boxes) == len(specs)
-        t_nodes, q_nodes = _table_axes(specs[0])
+        assert len(boxes) == len(part)
+        t_nodes, q_nodes = _table_axes()
         T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
         U = np.stack([Q1, Q2], axis=-1)
         run_start = np.flatnonzero(np.diff(level.run, prepend=-1))
-        for k, spec in enumerate(specs):
+        for k in range(len(part)):
             # the translated table: equal s, base equal up to the last bits
-            got = _chart_points(spec)
-            want = spec.box.chart_forward(T, U)
+            got = _chart_points(part[k])
+            want = _flow_box(part[k]).chart_forward(T, U)
             db = got[..., :2] - want[..., :2]
             assert np.abs(db - np.round(db)).max() <= 1e-15
             assert np.array_equal(got[..., 2], want[..., 2])
@@ -474,30 +479,15 @@ def test_partial_levels_match_whole_table_pass_bitwise(
     # of one box
     phi, _ = cobound
     sol, _ = medium_solution
-    part = {"70": cover[:70], "3:80": cover[3:80], "one": [cover[100]]}[boxes]
-    chunk = _Level(part[:1], sol.u.grid).chunk
-    sizes = [len(list(g)) for _, g in itertools.groupby(part, key=_level_key)]
-    assert any(n % chunk for n in sizes)
+    part = {"70": cover[:70], "3:80": cover[3:80], "one": cover[100]}[boxes]
+    sizes = [len(level) for level in part.levels()]
+    assert any(n % _CHUNK for n in sizes)
     got = _smooth_cover(sol.u, part, phi, sol.phi_bar, 0.05)
     want = _oracle_passes(sol.u, part, phi, sol.phi_bar, 0.05)
     assert got[0].values.tobytes() == want[0].values.tobytes()
     assert np.array_equal(got[1], want[1])
     assert np.array_equal(got[2], want[2])
     assert got[3] == want[3] > 0
-
-
-def test_box_with_its_own_bumps_matches_whole_table_pass_bitwise(
-        model, cobound, medium_solution, cover):
-    # a box whose bumps differ from its level's is smoothed with its own
-    phi, _ = cobound
-    sol, _ = medium_solution
-    part = list(cover[:12])
-    part[5] = dataclasses.replace(part[5], bumps=BumpPair(0.08, 0.35))
-    assert _level_key(part[5]) != _level_key(part[4])
-    got = _smooth_cover(sol.u, part, phi, sol.phi_bar, 0.05)
-    want = _oracle_passes(sol.u, part, phi, sol.phi_bar, 0.05)
-    assert got[0].values.tobytes() == want[0].values.tobytes()
-    assert got[3] == want[3]
 
 
 def test_uneven_live_columns_match_whole_table_pass_bitwise(model, cobound,
@@ -524,10 +514,10 @@ def test_regularize_once_is_a_one_box_level(model, cobound, medium_solution,
     phi, _ = cobound
     sol, _ = medium_solution
     nodes = sol.u.grid.node_points().reshape(-1, 3)
-    for spec in (cover[0], cover[77], cover[255]):
-        got = regularize_once(sol.u, spec, phi, sol.phi_bar,
+    for box in (cover[0], cover[77], cover[255]):
+        got = regularize_once(sol.u, box, phi, sol.phi_bar,
                               check_precondition=False)
-        want = _oracle_smooth_box(sol.u, spec, _chart_window(spec, nodes), phi,
+        want = _oracle_smooth_box(sol.u, box, _chart_window(box, nodes), phi,
                                   sol.phi_bar)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.offset == want.offset
@@ -540,15 +530,14 @@ def test_each_box_prices_its_live_rectangle(model, cobound, cover, n):
     phi, _ = cobound
     grid = Grid((n, n, 10), (1.0, 1.0, model.roof), model.base_matrix)
     nodes = grid.node_points().reshape(-1, 3)
-    for _, group in itertools.groupby(cover, key=_level_key):
-        specs = list(group)
-        boxes = [box for _, chunk in _Level(specs, grid).chunks(phi, 0.0)
+    for part in cover.levels():
+        boxes = [box for _, chunk in _Level(part, grid).chunks(phi, 0.0)
                  for box in chunk]
-        assert len(boxes) == len(specs)
-        for spec, box in zip(specs, boxes):
-            window = _chart_window(spec, nodes)
+        assert len(boxes) == len(part)
+        for k, box in enumerate(boxes):
+            window = _chart_window(part[k], nodes)
             assert (box.pht is None) == (not box.live.any())
-            assert box.n_cols == _live_columns(spec, window)
+            assert box.n_cols == _live_columns(part[k], window)
 
 
 def test_box_without_live_nodes_prices_no_column(model, cobound, cover):
@@ -558,11 +547,11 @@ def test_box_without_live_nodes_prices_no_column(model, cobound, cover):
     grid = Grid((3, 3, 10), (1.0, 1.0, model.roof), model.base_matrix)
     u = GridFunction(grid, pot(grid.node_points()))
     nodes = grid.node_points().reshape(-1, 3)
-    specs = cover[:64]
+    part = cover[:64]
     k = 36
-    t, uu, inside = window = _chart_window(specs[k], nodes)
-    assert inside.any() and not (specs[k].bumps.alpha(uu[inside]) > 0).any()
-    level = _Level(specs, grid)
+    t, uu, inside = window = _chart_window(part[k], nodes)
+    assert inside.any() and not (part[k].bumps.alpha(uu[inside]) > 0).any()
+    level = _Level(part, grid)
     boxes = [box for _, chunk in level.chunks(phi, 0.0) for box in chunk]
     box = boxes[k]
     assert np.array_equal(box.idx, np.flatnonzero(inside))
@@ -570,13 +559,13 @@ def test_box_without_live_nodes_prices_no_column(model, cobound, cover):
     assert sum(b.n_cols for b in boxes) > 0
     got = u.copy()
     _smooth_box(got, box, level)
-    want = _oracle_smooth_box(u, specs[k], window, phi, 0.0)
+    want = _oracle_smooth_box(u, part[k], window, phi, 0.0)
     assert got.values.tobytes() == want.values.tobytes()
     # the pass still rewrites those nodes as (1 - 0) u + 0 * w
     assert np.array_equal(got.values.reshape(-1)[~inside],
                           u.values.reshape(-1)[~inside])
     # and the whole level, that box included, is the whole-table pass
-    passes = _smooth_cover(u, specs, phi, 0.0, 0.05)
-    oracle = _oracle_passes(u, specs, phi, 0.0, 0.05)
+    passes = _smooth_cover(u, part, phi, 0.0, 0.05)
+    oracle = _oracle_passes(u, part, phi, 0.0, 0.05)
     assert passes[0].values.tobytes() == oracle[0].values.tobytes()
     assert passes[3] == oracle[3]
