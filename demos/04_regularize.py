@@ -29,7 +29,7 @@ print(f"Lip(u) = {cert.lip_u:.3f}, Lip(L_V[u]) = {cert.lip_lie:.3f}, "
 print(f"ratios: Lip(u)/Lip(phi) = {cert.ratio_u:.2f}, "
       f"Lip(L_V[u])/Lip(phi) = {cert.ratio_lie:.2f}")
 
-rep = verify_subaction(cert, phi, cert.phi_bar, 2000, model=model)
+rep = verify_subaction(cert, phi, cert.phi_bar, 2000, model)
 print(f"\noff-grid re-check at 2000 samples: worst margin "
       f"{rep['worst_margin']:+.4f}, passed={rep['passed']}")
 print(f"path-action floor check: min action {rep['path_min_action']:+.3f} "

@@ -26,7 +26,7 @@ print(f"\nshadowing a noisy pseudo-orbit of length {len(cyc)} "
       f"(K_Gamma = {k_gamma_from_maps(maps):.3f})")
 rng = np.random.default_rng(0)
 pts = rng.uniform(-1e-3, 1e-3, (len(cyc), 2))
-orbit = DiscretePseudoOrbit(points=pts, box_indices=cyc, rho=atlas.rho)
+orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
 res = shadow_periodic(orbit, maps)
 print(f"Newton iterations: {res.newton_iterations}, "
       f"final residual {res.residuals.max():.2e}")

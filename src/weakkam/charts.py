@@ -37,17 +37,14 @@ class FlowBox:
 
     model: SuspensionFlow
     center: np.ndarray
-    tau: float
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        self.frame = self.model.eigen_frame
-        self.frame_inv = self.model.eigen_frame_inv
 
     def embed(self, u):
         """Base-fiber embedding iota: chart u -> base point (mod 1)."""
         u = np.asarray(u, dtype=float)
-        b = self.center[:2] + u @ self.frame.T
+        b = self.center[:2] + u @ self.model.eigen_frame.T
         return np.mod(b, 1.0)
 
     def section_point(self, u):
@@ -82,7 +79,7 @@ class FlowBox:
         (``transverse`` after its flow step).  A box built on a stack of
         centres (..., 3) gives each point's u against its own centre."""
         db = x[..., :2] - self.center[..., :2]
-        return (db - np.round(db)) @ self.frame_inv.T
+        return (db - np.round(db)) @ self.model.eigen_frame_inv.T
 
 
 @dataclass
@@ -96,8 +93,11 @@ class AtlasConstants:
 
 @dataclass
 class FlowBoxAtlas:
+    """Flow boxes addressed by index: box k is the one around ``centers[k]``
+    (``box(k)``), and ``centers`` has shape (n, 3)."""
+
     model: SuspensionFlow
-    boxes: list
+    centers: np.ndarray
     tau: float
     rho: float
     eps: float
@@ -107,10 +107,11 @@ class FlowBoxAtlas:
 
     @property
     def n_gamma(self):
-        return len(self.boxes)
+        return len(self.centers)
 
-    def _box(self, x):
-        return self.boxes[x] if isinstance(x, (int, np.integer)) else x
+    def box(self, k):
+        """The flow box of index k."""
+        return FlowBox(self.model, self.centers[k])
 
     def diam_omega(self):
         return self.model.diameter()
@@ -119,9 +120,8 @@ class FlowBoxAtlas:
     def _levels(self):
         """Section levels of the boxes (ascending), each box's level, and
         one box on the stack of all centres."""
-        centers = np.array([box.center for box in self.boxes])
-        s, level = np.unique(centers[:, 2], return_inverse=True)
-        return s, level, FlowBox(self.model, centers, self.tau)
+        s, level = np.unique(self.centers[:, 2], return_inverse=True)
+        return s, level, FlowBox(self.model, self.centers)
 
     def nearest_center(self, p, max_adapted=None):
         """Index of the atlas center whose U_x(eps) chart puts p closest, or
@@ -198,6 +198,14 @@ def _chart_lipschitz(model: SuspensionFlow, tau):
     return float(max(fwd, inv))
 
 
+def lattice_centers(m, n_levels, roof):
+    """The centres (i/m, j/m, k roof/n_levels) in (k, i, j) order, (n, 3)."""
+    k, i, j = np.meshgrid(np.arange(n_levels), np.arange(m), np.arange(m),
+                          indexing="ij")
+    return np.stack([i / m, j / m, k * roof / n_levels],
+                    axis=-1).reshape(-1, 3)
+
+
 def build_atlas(model: SuspensionFlow, tau, rho, eps):
     """Uniform-net atlas whose U_x(eps) boxes cover the manifold.
 
@@ -219,17 +227,11 @@ def build_atlas(model: SuspensionFlow, tau, rho, eps):
     row_sum = float(np.abs(model.eigen_frame_inv).sum(axis=1).max())
     m = max(2, int(np.ceil(row_sum / eps)))
     n_levels = max(1, int(np.ceil(model.roof / (eps / 2.0))))
-    boxes = []
-    for k in range(n_levels):
-        s0 = k * model.roof / n_levels
-        for i in range(m):
-            for j in range(m):
-                center = np.array([i / m, j / m, s0])
-                boxes.append(FlowBox(model, center, tau))
+    centers = lattice_centers(m, n_levels, model.roof)
     report = {"radius": row_sum / (2 * m),
               "level_half_gap": model.roof / (2 * n_levels),
-              "n_boxes": len(boxes)}
-    return FlowBoxAtlas(model=model, boxes=boxes, tau=float(tau),
+              "n_boxes": len(centers)}
+    return FlowBoxAtlas(model=model, centers=centers, tau=float(tau),
                         rho=float(rho), eps=float(eps),
                         lip_gamma=_chart_lipschitz(model, tau), hyper=hyper,
                         covering_report=report)
@@ -244,7 +246,7 @@ def return_time(atlas: FlowBoxAtlas, x, y, t_hint=None):
     ``t_hint`` (default t* itself).
     """
     roof = atlas.model.roof
-    dt = atlas._box(y).center[2] - atlas._box(x).center[2]
+    dt = atlas.centers[y, 2] - atlas.centers[x, 2]
     t_star = float(dt - roof * (np.ceil(dt / roof) - 1.0))
     if t_hint is None:
         return t_star
@@ -255,8 +257,8 @@ def poincare_map(atlas: FlowBoxAtlas, x, y, q, t_hint=None):
     """f_{x,y}(q): follow the flow from gamma_x(0, q) to Sigma_y, in y-chart
     coordinates; the return time is ``return_time(atlas, x, y, t_hint)``."""
     t = return_time(atlas, x, y, t_hint)
-    w = atlas._box(x).chart_forward(t, np.asarray(q, dtype=float))
-    return atlas._box(y).chart_inverse(w)[1]
+    w = atlas.box(x).chart_forward(t, np.asarray(q, dtype=float))
+    return atlas.box(y).chart_inverse(w)[1]
 
 
 @dataclass
@@ -281,16 +283,14 @@ def affine_poincare(atlas: FlowBoxAtlas, x, y):
     coordinates f(q) = diag(lam^k, lam^-k) q + f(0).  Exact; no root-finding.
     """
     model = atlas.model
-    box_x = atlas._box(x)
-    box_y = atlas._box(y)
+    cx, cy = atlas.centers[x], atlas.centers[y]
     roof = model.roof
     t_star = return_time(atlas, x, y)
-    k = int(round((box_x.center[2] + t_star - box_y.center[2]) / roof))
+    k = int(round((cx[2] + t_star - cy[2]) / roof))
     lam = model.unstable_eigenvalue
     linear = np.diag([lam ** k, lam ** (-k)])
-    image = model.flow_map(np.array([box_x.center[0], box_x.center[1],
-                                     box_x.center[2]]), t_star)
-    db = image[:2] - box_y.center[:2]
+    image = model.flow_map(cx, t_star)
+    db = image[:2] - cy[:2]
     db = db - np.round(db)
     offset = db @ model.eigen_frame_inv.T
 

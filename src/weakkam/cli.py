@@ -228,7 +228,7 @@ def _suite_shadowing(cfg, out, n_orbits=200):
 def _suite_subaction(cfg, out, n_samples=2000):
     model, phi, grid, h = _build_common(cfg)
     sol, cert, _ = _solve_and_certify(cfg, model, phi, grid, h)
-    rep = verify_subaction(cert, phi, sol.phi_bar, n_samples, model=model,
+    rep = verify_subaction(cert, phi, sol.phi_bar, n_samples, model,
                            seed=cfg.seed)
     write_csv(out / "subaction.csv", ["quantity", "value"],
               [("worst_margin", rep["worst_margin"]), ("slack", rep["slack"]),
@@ -265,8 +265,7 @@ def cmd_atlas(cfg: RunConfig):
     model = cfg.build_model()
     atlas = build_atlas(model, cfg.tau, cfg.rho, cfg.eps)
     write_csv(out / "atlas.csv", ["index", "x1", "x2", "s"],
-              [(i, b.center[0], b.center[1], b.center[2])
-               for i, b in enumerate(atlas.boxes)])
+              [(i, *c) for i, c in enumerate(atlas.centers)])
     write_summary(out, {"command": "atlas", "n_boxes": atlas.n_gamma,
                         "tau": atlas.tau, "rho": atlas.rho, "eps": atlas.eps,
                         "lip_gamma": atlas.lip_gamma,

@@ -7,7 +7,7 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
     a12 = 1
     a21 = 1
     a22 = 1
-    roof = 1.0         ; above 0.8, the smoothing boxes' time extent
+    roof = 1.0         ; finite, above 0.8 (the smoothing boxes' time extent)
     max_horizon = 64.0
 
     [observable]
@@ -26,7 +26,8 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
     c = 4.0
     reach_multiplier = 2.0 ; at least 2
 
-    [atlas]              ; all three must be positive
+    [atlas]              ; all three must be positive, rho < tau/3
+                         ; and eps < tau/2
     tau = 1.0
     rho = 0.25
     eps = 0.25
@@ -48,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .charts import check_constants, default_hyper_constants
 from .grid import Grid
 from .kernel import discretization
 from .models import SuspensionFlow
@@ -100,13 +102,16 @@ class RunConfig:
                 raise ConfigError(f"[observable] {key} must be finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        # A matrix that is not hyperbolic, a kernel step build_kernel
-        # refuses, or a roof too short for the smoothing cover.
+        # A matrix that is not hyperbolic, a roof that is not finite, a
+        # kernel step build_kernel refuses, a roof too short for the
+        # smoothing cover, or atlas constants build_atlas refuses.
         try:
             model = self.build_model()
             discretization(model, Grid(self.grid_shape, (1.0, 1.0, model.roof),
                                        model.base_matrix), self.h)
             default_cover(model)
+            check_constants(model, self.tau, self.rho, self.eps,
+                            default_hyper_constants(model, self.tau, self.rho))
         except ValueError as e:
             raise ConfigError(str(e)) from None
         return self
@@ -155,7 +160,7 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"cannot read config file {path}")
     cfg = RunConfig()
     cfg.matrix = tuple(_get(cp, "model", k, int, d) for k, d in
-                       (("a11", 2), ("a12", 1), ("a21", 1), ("a22", 1)))
+                       zip(("a11", "a12", "a21", "a22"), cfg.matrix))
     cfg.roof = _get(cp, "model", "roof", float, cfg.roof)
     cfg.max_horizon = _get(cp, "model", "max_horizon", float, cfg.max_horizon)
     cfg.family = _get(cp, "observable", "family", str, cfg.family)
@@ -164,9 +169,8 @@ def load_config(path=None, overrides=None):
     if cp.has_option("observable", "base_point"):
         cfg.obs_params["base_point"] = _get(cp, "observable", "base_point",
                                             _point, (0.0, 0.0))
-    cfg.grid_shape = (_get(cp, "grid", "n1", int, 32),
-                      _get(cp, "grid", "n2", int, 32),
-                      _get(cp, "grid", "ns", int, 16))
+    cfg.grid_shape = tuple(_get(cp, "grid", k, int, d) for k, d in
+                           zip(("n1", "n2", "ns"), cfg.grid_shape))
     cfg.h = _get(cp, "kernel", "h", float, None)
     cfg.c = _get(cp, "kernel", "c", float, cfg.c)
     cfg.reach_multiplier = _get(cp, "kernel", "reach_multiplier", float,

@@ -143,33 +143,23 @@ class Grid:
         p = np.asarray(points, dtype=float)
         shape = p.shape[:-1]
         flat = np.atleast_2d(p.reshape(-1, 3))
-        i = np.round(flat[:, 0] / self.spacings[0]).astype(np.int64)
-        j = np.round(flat[:, 1] / self.spacings[1]).astype(np.int64)
-        k = np.round(flat[:, 2] / self.spacings[2]).astype(np.int64)
+        i, j, k = (np.round(flat[:, a] / self.spacings[a]).astype(np.int64)
+                   for a in range(3))
+        m, k = np.divmod(k, self.shape[2])
+        i, j = np.mod(i, self.shape[0]), np.mod(j, self.shape[1])
         if self.twist is not None:
-            m = k // self.shape[2]
-            k = k - m * self.shape[2]
-            for mv in np.unique(m):
-                if mv == 0:
-                    continue
-                M = self._twist_pow(int(mv))
+            for mv in np.unique(m[m != 0]):
                 sel = m == mv
-                inew = M[0, 0] * i[sel] + M[0, 1] * j[sel]
-                jnew = M[1, 0] * i[sel] + M[1, 1] * j[sel]
-                i[sel], j[sel] = inew, jnew
-        i = np.mod(i, self.shape[0]).reshape(shape)
-        j = np.mod(j, self.shape[1]).reshape(shape)
-        k = np.mod(k, self.shape[2]).reshape(shape)
-        return (i, j, k)
+                I, J = self._base_index_map(int(mv))
+                i[sel], j[sel] = I[i[sel], j[sel]], J[i[sel], j[sel]]
+        return tuple(x.reshape(shape) for x in (i, j, k))
 
     def _twist_pow(self, m):
+        """A^m, as an integer matrix (the identity on an untwisted grid)."""
         if self.twist is None:
             return np.eye(2, dtype=np.int64)
-        M = np.eye(2, dtype=np.int64)
-        T = self.twist if m > 0 else self._twist_inv
-        for _ in range(abs(int(m))):
-            M = T @ M
-        return M
+        return np.linalg.matrix_power(
+            self.twist if m > 0 else self._twist_inv, abs(int(m)))
 
     def _base_index_map(self, m):
         """Index arrays (I, J) with (I,J)[i,j] = A^m (i, j) mod n."""

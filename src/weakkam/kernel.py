@@ -63,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, GridFunction, Halo
-from .models import Observable, SuspensionFlow
+from .models import SuspensionFlow
 
 
 class KernelConnectivityError(RuntimeError):
@@ -111,6 +111,8 @@ def _deviation_offsets(grid: Grid, reach):
 # Reads per chunk of ``ActionKernel.apply_at`` (1 MiB of float64): a constant,
 # so the gather's memory does not grow with the number of pairs.
 _ENTRIES = 1 << 17
+# Howard's cap on policies, and the relative tolerance of its improvements.
+_HOWARD_MAX_ITERS, _HOWARD_TOL = 200, 1e-13
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,6 @@ class ActionKernel:
 
     grid: Grid
     model: SuspensionFlow
-    phi: Observable
     c: float
     phi_bar: float
     h: float
@@ -393,7 +394,7 @@ class ActionKernel:
             np.copyto(v, w + v[succ], where=level == r)
         return g, v
 
-    def solve_additive_eigenvalue(self, max_iters=200, tol=1e-13):
+    def solve_additive_eigenvalue(self):
         """Exact per-step additive eigenvalue (min cycle mean) of the kernel
         graph, by multichain policy iteration.  Returns (gain array, bias
         GridFunction, info dict); for the strongly connected kernels built
@@ -401,11 +402,12 @@ class ActionKernel:
         ``info["offsets_folded"]`` lists the windows each bias pass folded.
 
         Both improvement passes fold the stencil through the forward halo.
-        With t = tol*scale, the gain pass is skipped when g.min() >=
-        fl(g.max() - t) and g.max() <= fl(g.min() + t): shifted gains and
-        best_g lie in [g.min(), g.max()], so by monotone rounding no node is
-        improvable, fl(g - t) <= fl(g.max() - t) <= best_g, and no offset is
-        masked, shifted_g <= fl(g.min() + t) <= fl(best_g + t).  The bias
+        With tol = _HOWARD_TOL and t = tol*scale, the gain pass is skipped
+        when g.min() >= fl(g.max() - t) and g.max() <= fl(g.min() + t):
+        shifted gains and best_g lie in [g.min(), g.max()], so by monotone
+        rounding no node is improvable, fl(g - t) <= fl(g.max() - t) <=
+        best_g, and no offset is masked, shifted_g <= fl(g.min() + t) <=
+        fl(best_g + t).  The bias
         pass stops before the first norm group with lo + C*dev > max(best_w),
         lo = min(v + hphi): each later candidate is +inf (gain-masked) or
         fl(x + C*dev) >= fl(lo + C*dev) > best_w(q) >= fl(best_w(q) - t), so
@@ -423,9 +425,9 @@ class ActionKernel:
         policy = np.zeros(N, dtype=np.int64)  # start with flow-following (offset 0)
         # offset index 0 is the zero deviation (offsets are sorted by norm)
         scale = max(1.0, float(np.abs(hphi).max()))
-        t = tol * scale
+        t = _HOWARD_TOL * scale
         folded = []
-        for it in range(max_iters):
+        for it in range(_HOWARD_MAX_ITERS):
             succ = halo.read(nodes, tots[policy])
             cost = hphi.reshape(-1)[succ] + cdevs[policy]
             g, v = self._policy_eval(succ, cost)
@@ -471,7 +473,7 @@ class ActionKernel:
             folded.append(n_folded)
             best_w, best_d = best_w.ravel(), best_d.ravel()
             cur_w = cost + v[succ]  # equals g + v under the evaluation equations
-            change = improvable | (best_w < cur_w - 10 * tol * scale)
+            change = improvable | (best_w < cur_w - 10 * _HOWARD_TOL * scale)
             converged = not change.any()
             if converged:
                 break
@@ -535,7 +537,7 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
     phi_nodes = np.asarray(phi(grid.node_points()), dtype=float)
     if not np.isfinite(phi_nodes).all():
         raise ValueError("observable is not finite at every grid node")
-    return ActionKernel(grid=grid, model=model, phi=phi, c=float(c),
+    return ActionKernel(grid=grid, model=model, c=float(c),
                         phi_bar=float(phi_bar), h=float(h), reach=float(reach),
                         offsets=offsets, devs=devs, flow_steps=flow_steps,
                         phi_nodes=phi_nodes)

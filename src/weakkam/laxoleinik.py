@@ -50,7 +50,7 @@ def _converged_howard(kernel):
 
 
 def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
-                  grid=None, h=None, c=None, reach_multiplier=2.0):
+                  grid=None, h=None, c=None):
     """Ergodic minimizing value of phi by one of two estimators.
 
     ``periodic_orbits``: minimum Birkhoff average over enumerated periodic
@@ -78,7 +78,7 @@ def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
         grid, h = discretization(model, grid, h)
         if c is None:
             c = 4.0 * max(1.0, phi.lipschitz_constant)
-        kern = build_kernel(grid, model, phi, c, 0.0, h, reach_multiplier)
+        kern = build_kernel(grid, model, phi, c, 0.0, h)
         g, info = _converged_howard(kern)
         value = float(np.min(g)) / kern.h
         return value, {"method": method, "howard": info, "h": kern.h,
@@ -170,10 +170,14 @@ def _action_at(kernel: ActionKernel, nodes, n_steps, at, fields,
     return kernel.apply_at(stack, at, fields, reverse)
 
 
-def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
-                   phi_bar=0.0, seed=0, n_sources=8, reach_multiplier=3.0,
-                   graph_radius=2):
-    """Check the pairwise-action estimates on random point tuples.
+# verify_apriori's kernel reach_multiplier and graph radius.
+_APRIORI_REACH, _GRAPH_RADIUS = 3.0, 2
+
+
+def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None, seed=0,
+                   n_sources=8):
+    """Check the pairwise-action estimates on random point tuples, for the
+    kernel at reference value 0.
 
     Item 1: |A^t(p,q) - C d(p,q)| <= t (Lip(phi) diam + C ||V||) + slack.
     Item 2: |A^t(p,q) - A^t(p,q~)| <= C d(q,q~) + slack.
@@ -194,7 +198,7 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
     rng = np.random.default_rng(seed)
     grid, h = discretization(model, grid, h)
     t0 = time.perf_counter()
-    kern = build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier)
+    kern = build_kernel(grid, model, phi, c, 0.0, h, _APRIORI_REACH)
     t1 = time.perf_counter()
     n_steps = max(1, int(round(t / h)))
     t_eff = n_steps * h
@@ -229,7 +233,7 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
                       reverse=True)
     t4 = time.perf_counter()
     # Graph distances in the fields' layout: sources, then targets.
-    dist = grid.path_distance_field(sources + targets, graph_radius).T
+    dist = grid.path_distance_field(sources + targets, _GRAPH_RADIUS).T
     dist = dist.reshape(shape + (2 * n_sources,))
     t5 = time.perf_counter()
 
@@ -262,8 +266,12 @@ def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
             "timings": timings}
 
 
+# The quadrature step of verify_integrated_subaction's orbit integrals.
+_QUAD_STEP = 0.005
+
+
 def verify_integrated_subaction(u, model, phi, phi_bar, n_orbits, horizon,
-                                *, quadrature_step=0.005, seed=0, slack=None):
+                                *, seed=0, slack=None):
     """Check u(f^t x) - u(x) <= int_0^t (phi - phi_bar) along random orbits.
 
     Dyadic sub-horizons of ``horizon`` are all tested.  The default slack
@@ -274,12 +282,12 @@ def verify_integrated_subaction(u, model, phi, phi_bar, n_orbits, horizon,
     if slack is None:
         slack = 2.0 * u.discrete_lipschitz() * u.grid.diagonal \
             + 50.0 * phi.lipschitz_constant \
-            * quadrature_step ** 2 * max(1.0, horizon)
+            * _QUAD_STEP ** 2 * max(1.0, horizon)
     starts = rng.random((n_orbits, 3))
     starts[:, 2] *= model.roof
     times = []
     tt = float(horizon)
-    while tt > 4 * quadrature_step:
+    while tt > 4 * _QUAD_STEP:
         times.append(tt)
         tt /= 2.0
     worst = np.inf
@@ -288,7 +296,7 @@ def verify_integrated_subaction(u, model, phi, phi_bar, n_orbits, horizon,
     for t in times:
         ends = model.flow_map(starts, t)
         ut = np.asarray(u(ends), dtype=float)
-        integ = birkhoff_integral(model, phi, starts, t, quadrature_step)
+        integ = birkhoff_integral(model, phi, starts, t, _QUAD_STEP)
         margin = (integ - phi_bar * t) - (ut - u0)
         worst = min(worst, float(margin.min()))
         bad = np.nonzero(margin < -slack)[0]

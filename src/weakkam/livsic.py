@@ -218,7 +218,8 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
         start_box = atlas.nearest_center(path.points[0])
         if start_box is None:
             raise UncoveredStartError("path does not start inside any U_x(eps)")
-    box = atlas._box(start_box)
+    idx = int(start_box)
+    box = atlas.box(idx)
     c_used = constants.c1 if c is None else float(c)
     ts, us = _track_chart_coords(box, path)
     unorm = adapted_norm(us)
@@ -229,10 +230,8 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
         lb = -8.0 * constants.tau * (1 + constants.tau) * constants.lip_phi \
             * constants.lip_gamma * (1 + constants.diam_omega)
         return SegmentClassification(
-            kind="trapped", box_index=int(start_box) if np.isscalar(start_box)
-            or isinstance(start_box, (int, np.integer)) else -1,
-            exit_time=float(path.times[-1]), action=action, lower_bound=lb,
-            bound_margin=action - lb)
+            kind="trapped", box_index=idx, exit_time=float(path.times[-1]),
+            action=action, lower_bound=lb, bound_margin=action - lb)
     exit_k = int(np.argmax(crossed))
     boundary = "plus" if ts[exit_k] >= tau else "minus"
     # Linear interpolation of the crossing inside segment (k-1, k).
@@ -252,7 +251,6 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     t_cross = min(max(t_cross, path.times[0] + 1e-9), path.times[-1])
     sub = path.restrict(path.times[0], t_cross)
     action = weighted_action(sub, phi, c_used, phi_bar)
-    idx = int(start_box) if isinstance(start_box, (int, np.integer)) else -1
     if boundary == "minus":
         return SegmentClassification(
             kind="escaped", box_index=idx, exit_time=t_cross, boundary="minus",
@@ -265,20 +263,20 @@ def classify_segment(path: PathSample, atlas: FlowBoxAtlas, phi: Observable,
     y_within = y_idx is not None
     if y_idx is None:
         y_idx = atlas.nearest_center(zT, max_adapted=np.inf)
-    box_y = atlas._box(y_idx)
+    box_y = atlas.box(y_idx)
     r_x, q_x = ts[0], us[0]
     r_y_arr, q_y = box_y.chart_inverse(zT)
     r_y = float(r_y_arr)
     # The path leaves x's chart at chart time tau and sits at y-chart time
     # r_y, so the flow time from Sigma_x to Sigma_y is the crossing nearest
     # tau - r_y (path times are not flow times on chart tracks).
-    t_ret = return_time(atlas, start_box, y_idx, t_hint=tau - r_y)
+    t_ret = return_time(atlas, idx, y_idx, t_hint=tau - r_y)
     zx = model.flow_map(z0, -r_x)
     zy = model.flow_map(zT, -r_y)
     phi_xy, psi_x, psi_y = (
         float(birkhoff_integral(model, phi, z, t, quad_step)) - phi_bar * t
         for z, t in ((zx, t_ret), (zx, r_x), (zy, r_y)))
-    fq = poincare_map(atlas, start_box, y_idx, q_x, t_hint=t_ret)
+    fq = poincare_map(atlas, idx, y_idx, q_x, t_hint=t_ret)
     rem_norm = float(adapted_norm(fq - q_y))
     rem = c_used / (np.sqrt(8.0) * constants.lip_gamma ** 3) * rem_norm
     lb = phi_xy + psi_y - psi_x + rem
@@ -429,7 +427,7 @@ def _draw_boundary(atlas, rng, T, start, step):
     the orbits, with section points as starts and no noise."""
     eps = atlas.eps
     n = max(2, int(np.ceil(T / step)) + 1)
-    box = atlas.boxes[rng.integers(0, len(atlas.boxes))]
+    box = atlas.box(rng.integers(0, atlas.n_gamma))
     u = np.empty((n, 2))
     side = rng.integers(0, 2)
     sgn = 1.0 if rng.random() < 0.5 else -1.0
@@ -526,18 +524,18 @@ _FAMILIES = {
 }
 
 
-def generate_paths(atlas: FlowBoxAtlas, family, n_paths, seed=0, step=None):
+def generate_paths(atlas: FlowBoxAtlas, family, n_paths, seed=0):
     """Seeded adversarial paths of one family: flow_following, anti_flow,
-    boundary_hugging, pseudo_splice or periodic_splice.  Per path the draws
-    are T, a start point (unused by the splices, which draw their own) and
-    the family's own, in that order; then all paths are flowed."""
+    boundary_hugging, pseudo_splice or periodic_splice, with node steps of
+    tau / 40.  Per path the draws are T, a start point (unused by the
+    splices, which draw their own) and the family's own, in that order; then
+    all paths are flowed."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown path family {family!r}")
     draw, flow = _FAMILIES[family]
     rng = np.random.default_rng(seed)
     model = atlas.model
-    if step is None:
-        step = atlas.tau / 40.0
+    step = atlas.tau / 40.0
     draws = []
     for _ in range(n_paths):
         T = float(rng.uniform(1.0, 6.0) * atlas.tau)

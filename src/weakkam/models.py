@@ -15,27 +15,20 @@ from typing import Callable, Optional
 import numpy as np
 
 
+# How many uniform points (seed 0) SuspensionFlow.diameter measures.
+_DIAMETER_SAMPLES = 4096
+
+
 class HorizonError(ValueError):
     """Requested integration time exceeds the configured horizon."""
 
 
 @dataclass(frozen=True)
 class HyperbolicityData:
-    """Expansion/contraction rates and the uniformity constant of a splitting."""
+    """Contraction and expansion rates per unit time of the splitting."""
 
     lambda_s: float
     lambda_u: float
-    c_hyp: float
-    du: int
-    ds: int
-
-    def __post_init__(self):
-        if not (self.lambda_s < 0.0 < self.lambda_u):
-            raise ValueError("need lambda_s < 0 < lambda_u")
-        if self.c_hyp < 1.0:
-            raise ValueError("uniformity constant must be >= 1")
-        if self.du < 1:
-            raise ValueError("unstable dimension must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,8 +86,10 @@ class SuspensionFlow:
             raise ValueError("base matrix must have determinant +-1")
         if abs(A[0, 0] + A[1, 1]) <= 2:
             raise ValueError("base matrix must be hyperbolic (|trace| > 2)")
-        if self.roof <= 0:
-            raise ValueError("roof must be positive")
+        # Negated comparison: NaN fails it too.
+        if not 0.0 < self.roof < np.inf:
+            raise ValueError(f"roof must be positive and finite, got "
+                             f"{self.roof}")
         object.__setattr__(self, "base_matrix", A)
         # A is integer with det +-1, so the inverse is integer as well.
         inv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=np.int64) * det
@@ -120,7 +115,7 @@ class SuspensionFlow:
         object.__setattr__(self, "eigen_frame_inv", np.linalg.inv(frame))
         lam_u = np.log(lam) / self.roof
         object.__setattr__(self, "hyperbolicity", HyperbolicityData(
-            lambda_s=-lam_u, lambda_u=lam_u, c_hyp=1.0, du=1, ds=1))
+            lambda_s=-lam_u, lambda_u=lam_u))
 
     @property
     def sup_norm_bound(self):
@@ -213,10 +208,10 @@ class SuspensionFlow:
         """Ambient distance on the suspension (Euclidean product metric)."""
         return np.linalg.norm(self.difference(q, p), axis=-1)
 
-    def diameter(self, n_samples=4096, seed=0):
+    def diameter(self):
         """Measured diameter of the manifold under :meth:`distance`."""
-        rng = np.random.default_rng(seed)
-        pts = rng.random((n_samples, 3))
+        rng = np.random.default_rng(0)
+        pts = rng.random((_DIAMETER_SAMPLES, 3))
         pts[:, 2] *= self.roof
         # Distance to a fixed reference set is enough for a sharp lower bound;
         # the flat upper bound sqrt(1/2 + (roof/2)^2) caps it.

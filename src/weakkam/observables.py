@@ -37,6 +37,12 @@ def constant_observable(c):
     )
 
 
+# The (k1, k2, amp_cos, amp_sin) frequency terms of GluePotential's P.
+_GLUE_COEFFS = ((1, 0, 0.05, 0.02), (0, 1, -0.03, 0.04), (1, 1, 0.02, -0.01))
+# How many uniform points (seed 0) GluePotential.lipschitz_estimate samples.
+_LIPSCHITZ_SAMPLES = 20000
+
+
 class GluePotential:
     """A potential u0 on the suspension built from a base trig polynomial P.
 
@@ -45,18 +51,13 @@ class GluePotential:
     flow derivative g'(s/roof)/roof * (P(Ab) - P(b)) is closed-form.
     """
 
-    def __init__(self, model: SuspensionFlow, coeffs=None):
+    def __init__(self, model: SuspensionFlow):
         self.model = model
-        # coeffs: list of (k1, k2, amp_cos, amp_sin) frequency terms of P.
-        if coeffs is None:
-            coeffs = [(1, 0, 0.05, 0.02), (0, 1, -0.03, 0.04), (1, 1, 0.02, -0.01)]
-        self.coeffs = [(int(k1), int(k2), float(ac), float(as_))
-                       for (k1, k2, ac, as_) in coeffs]
 
     def base_potential(self, b):
         b = np.asarray(b, dtype=float)
         out = np.zeros(b[..., 0].shape)
-        for k1, k2, ac, as_ in self.coeffs:
+        for k1, k2, ac, as_ in _GLUE_COEFFS:
             ang = 2.0 * np.pi * (k1 * b[..., 0] + k2 * b[..., 1])
             out = out + ac * np.cos(ang) + as_ * np.sin(ang)
         return out
@@ -64,7 +65,7 @@ class GluePotential:
     def base_gradient(self, b):
         b = np.asarray(b, dtype=float)
         g = np.zeros(b.shape)
-        for k1, k2, ac, as_ in self.coeffs:
+        for k1, k2, ac, as_ in _GLUE_COEFFS:
             ang = 2.0 * np.pi * (k1 * b[..., 0] + k2 * b[..., 1])
             d = -ac * np.sin(ang) + as_ * np.cos(ang)
             g[..., 0] += 2.0 * np.pi * k1 * d
@@ -100,10 +101,10 @@ class GluePotential:
         rate = smoothstep_prime(s / self.model.roof) / self.model.roof
         return rate.reshape((-1,) + (1,) * (base.ndim - 2)) * jump[run]
 
-    def lipschitz_estimate(self, n_samples=20000, seed=0):
+    def lipschitz_estimate(self):
         """Sampled Lipschitz bound of u0 (gradient sup, with 10% headroom)."""
-        rng = np.random.default_rng(seed)
-        p = rng.random((n_samples, 3))
+        rng = np.random.default_rng(0)
+        p = rng.random((_LIPSCHITZ_SAMPLES, 3))
         p[:, 2] *= self.model.roof
         A = self.model.base_matrix.astype(float)
         g = smoothstep(p[:, 2] / self.model.roof)
@@ -116,9 +117,9 @@ class GluePotential:
         return 1.1 * float(norms.max())
 
 
-def coboundary_observable(model: SuspensionFlow, coeffs=None):
+def coboundary_observable(model: SuspensionFlow):
     """phi = L_V[u0] for the closed-form potential; orbit averages are 0."""
-    pot = GluePotential(model, coeffs)
+    pot = GluePotential(model)
     # Lipschitz bound of the derivative field, sampled.
     rng = np.random.default_rng(1)
     p = rng.random((20000, 3))
@@ -169,8 +170,7 @@ def make_observable(model, family, **params):
     if family == "constant":
         return constant_observable(params.get("value", 0.0))
     if family == "coboundary":
-        obs, _ = coboundary_observable(model, params.get("coeffs"))
-        return obs
+        return coboundary_observable(model)[0]
     if family == "dist2":
         return distance_squared_observable(model, params.get("base_point", (0.0, 0.0)))
     raise ValueError(f"unknown observable family: {family!r}")

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import FlowBox, adapted_norm
+from .charts import FlowBox, adapted_norm, lattice_centers
 from .grid import GridFunction, plane_terms, trilinear_sum
 from .laxoleinik import verify_integrated_subaction
+from .livsic import PathSample, _flow_tracks, _path_actions
 from .models import SuspensionFlow
 from .observables import smoothstep, smoothstep_prime
 
@@ -138,7 +139,6 @@ class Cover:
 @dataclass
 class SubactionCertificate:
     u: GridFunction
-    lie: np.ndarray
     region_mask: np.ndarray
     margin: float
     lip_u: float
@@ -227,7 +227,7 @@ class _Level:
         self.t_nodes, self.q_nodes = cover.t_nodes, cover.q_nodes
         T, Q1, Q2 = np.meshgrid(self.t_nodes, self.q_nodes, self.q_nodes,
                                 indexing="ij")
-        ref = FlowBox(model, np.array([0.0, 0.0, s]), TAU)
+        ref = FlowBox(model, np.array([0.0, 0.0, s]))
         table = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
         shifts = model.flow_map(cover.centers[:, None, :],
                                 self.t_nodes)[..., :2]
@@ -256,7 +256,7 @@ class _Level:
         # (box, node) pairs of the windows, box-major with increasing nodes.
         node, uu = [], []
         for center in cover.centers[ks]:
-            u_k = FlowBox(cover.model, center, TAU).section_u(self.back)
+            u_k = FlowBox(cover.model, center).section_u(self.back)
             node.append(np.flatnonzero(cover.in_window(self.t, u_k)))
             uu.append(u_k[node[-1]])
         at = np.cumsum([n.size for n in node])[:-1]
@@ -338,9 +338,9 @@ def _table_cell(nodes, x):
 
 
 def check_integrated_subaction(u, model, phi, phi_bar, slack=None, n_orbits=64,
-                               horizon=1.0, seed=0):
+                               horizon=1.0):
     report = verify_integrated_subaction(u, model, phi, phi_bar, n_orbits,
-                                         horizon, seed=seed, slack=slack)
+                                         horizon, slack=slack)
     if not report["passed"]:
         raise NotSubactionError("input is not an integrated subaction within "
                                 "slack", witness=report["violations"][0])
@@ -400,11 +400,7 @@ def default_cover(model: SuspensionFlow):
         raise ValueError("box time extent tau + 4 eps = "
                          f"{TAU + 4 * EPS:g} must stay below the roof")
     n_levels = int(np.ceil(model.roof / (0.75 * TAU)))
-    lev, i, j = np.meshgrid(np.arange(n_levels), np.arange(N_BASE),
-                            np.arange(N_BASE), indexing="ij")
-    centers = np.stack([i / N_BASE, j / N_BASE, lev * model.roof / n_levels],
-                       axis=-1)
-    return Cover(model, centers.reshape(-1, 3))
+    return Cover(model, lattice_centers(N_BASE, n_levels, model.roof))
 
 
 def lie_derivative_field(u, model, fd_step):
@@ -478,7 +474,7 @@ def regularize_all(u0: GridFunction, cover: Cover, phi, phi_bar, *,
     slack = 2.0 * grid.diagonal * (lip_u + lip_lie) \
         + 2.0 * (lip_phi + lip_lie) * fd_step
     return SubactionCertificate(
-        u=u, lie=lie, region_mask=mask3,
+        u=u, region_mask=mask3,
         margin=float(margins.min()), lip_u=lip_u, lip_lie=lip_lie,
         lip_phi=lip_phi, slack=float(slack), phi_bar=float(phi_bar),
         fd_step=float(fd_step),
@@ -494,7 +490,7 @@ _PATH_STEP = 0.02
 
 
 def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
-                     *, model=None, seed=0, n_paths=100):
+                     model, *, seed=0, n_paths=100):
     """Off-grid re-check of phi - phi_bar >= L_V[u] plus a path-action check.
 
     Off-grid points are drawn inside the certified region; the flow derivative
@@ -502,13 +498,9 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
     evaluates the weighted action with C = Lip(u) on random sampled paths and
     compares against -2 inf_c ||u - c||_inf.
     """
-    from .livsic import PathSample, _flow_tracks, _path_actions
-
     rng = np.random.default_rng(seed)
     u = cert.u
     grid = u.grid
-    if model is None:
-        raise ValueError("model is required")
     pts = []
     target = n_samples
     while len(pts) < target:

@@ -69,7 +69,6 @@ class DiscretePseudoOrbit:
     """Cyclic chain: q_i in box i, f_i maps box i coordinates to box i+1."""
 
     points: np.ndarray  # (N, 2) chart coordinates, q_N identified with q_0
-    box_indices: list
     rho: float
 
     def __post_init__(self):
@@ -105,8 +104,8 @@ def lattice_box_chains(atlas, max_len=50):
     (box_index_cycle, period).
     """
     A = atlas.model.base_matrix
-    level0 = [(i, b.center) for i, b in enumerate(atlas.boxes)
-              if abs(b.center[2]) < 1e-12]
+    level0 = [(i, c) for i, c in enumerate(atlas.centers)
+              if abs(c[2]) < 1e-12]
     # The level-0 centers form an m x m integer lattice scaled by 1/m.
     m = int(round(np.sqrt(len(level0))))
     centers = {(int(round(c[0] * m)) % m, int(round(c[1] * m)) % m): i
@@ -190,14 +189,15 @@ def k_gamma_from_maps(maps):
                             float(max(L[:, 0, 1].max(), L[:, 1, 0].max())))
 
 
-def shadow_periodic(orbit: DiscretePseudoOrbit, maps, tol=1e-10,
-                    k_gamma=None, max_iters=25):
+def shadow_periodic(orbit: DiscretePseudoOrbit, maps, k_gamma=None,
+                    max_iters=25):
     """Newton solve of the cyclic system; certifies the summed-error bound.
 
     The one-orbit case of the chain solve: at most ``max_iters`` steps, the
-    residual checked after each; ``newton_iterations`` counts residual
-    evaluations.  Raises on divergence or on escape from B(rho)."""
-    res = _shadow_chain(orbit.points[None], maps, orbit.rho, tol, k_gamma,
+    residual checked after each against ``_TOL``; ``newton_iterations``
+    counts residual evaluations.  Raises on divergence or on escape from
+    B(rho)."""
+    res = _shadow_chain(orbit.points[None], maps, orbit.rho, _TOL, k_gamma,
                         max_iters)[0]
     if isinstance(res, Exception):
         raise res

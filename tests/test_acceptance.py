@@ -18,7 +18,7 @@ from weakkam import (Grid, GridFunction, build_kernel, check_factorization,
                      verify_subaction, weak_kam_solve, weighted_action)
 from weakkam.charts import FlowBox
 from weakkam.laxoleinik import ergodic_value
-from weakkam.regularize import TAU, default_cover
+from weakkam.regularize import default_cover
 
 
 def _report(num, ok, msg):
@@ -173,13 +173,13 @@ def test_criterion_08_regularizer_certification(model, sol_dist2, cover):
     phi, sol, kern = sol_dist2
     cert = regularize_all(sol.u, cover, phi, sol.phi_bar, precheck=False)
     node_ok = cert.margin >= -cert.slack
-    rep = verify_subaction(cert, phi, sol.phi_bar, 10000, model=model)
+    rep = verify_subaction(cert, phi, sol.phi_bar, 10000, model)
     # exact locality: nodes outside every smoothing window are untouched
     nodes = kern.grid.node_points().reshape(-1, 3)
     touched = np.zeros(nodes.shape[0], dtype=bool)
     for center in cover.centers:
         t = cover._chart_time(nodes, center[2])
-        touched |= cover.in_window(t, FlowBox(model, center, TAU).section_u(
+        touched |= cover.in_window(t, FlowBox(model, center).section_u(
             model.flow_map(nodes, -t)))
     outside = ~touched.reshape(kern.grid.shape)
     local_ok = (not outside.any()) or np.array_equal(

@@ -12,8 +12,8 @@ from weakkam.charts import (ConstantConsistencyError, FlowBox, adapted_norm,
 # change of the y-chart time, then bisects; it returns None when the scan
 # brackets no crossing.
 def _oracle_return_time(atlas, x, y, q, t_hint=None, tol_factor=1e-12):
-    box_x = atlas._box(x)
-    box_y = atlas._box(y)
+    box_x = atlas.box(x)
+    box_y = atlas.box(y)
     z = box_x.chart_forward(0.0, np.asarray(q, dtype=float))
     tau = atlas.tau
     if t_hint is None:
@@ -50,8 +50,8 @@ def _oracle_return_time(atlas, x, y, q, t_hint=None, tol_factor=1e-12):
 
 def _oracle_image(atlas, x, y, q, t):
     """y-chart coordinate of gamma_x(0, q) flowed for time t."""
-    w = atlas.model.flow_map(atlas._box(x).chart_forward(0.0, q), t)
-    return atlas._box(y).chart_inverse(w)[1]
+    w = atlas.model.flow_map(atlas.box(x).chart_forward(0.0, q), t)
+    return atlas.box(y).chart_inverse(w)[1]
 
 
 def _oracle_poincare_map(atlas, x, y, q, t_hint=None):
@@ -92,19 +92,19 @@ def _torus_gap(model, u, v):
 
 def _chained_pair(atlas):
     """A box pair aligned with the base automorphism (zero Poincare offset)."""
-    m = int(round(np.sqrt(sum(1 for b in atlas.boxes
-                              if abs(b.center[2]) < 1e-12))))
+    m = int(round(np.sqrt(sum(1 for c in atlas.centers
+                              if abs(c[2]) < 1e-12))))
     A = atlas.model.base_matrix
     # level-0 box at lattice point (1, 0) maps to (A @ (1, 0)) / m
-    x = next(i for i, b in enumerate(atlas.boxes)
-             if abs(b.center[2]) < 1e-12
-             and abs(b.center[0] - 1.0 / m) < 1e-12
-             and abs(b.center[1]) < 1e-12)
+    x = next(i for i, c in enumerate(atlas.centers)
+             if abs(c[2]) < 1e-12
+             and abs(c[0] - 1.0 / m) < 1e-12
+             and abs(c[1]) < 1e-12)
     tx = (int(A[0, 0]) % m, int(A[1, 0]) % m)
-    y = next(i for i, b in enumerate(atlas.boxes)
-             if abs(b.center[2]) < 1e-12
-             and abs(b.center[0] - tx[0] / m) < 1e-12
-             and abs(b.center[1] - tx[1] / m) < 1e-12)
+    y = next(i for i, c in enumerate(atlas.centers)
+             if abs(c[2]) < 1e-12
+             and abs(c[0] - tx[0] / m) < 1e-12
+             and abs(c[1] - tx[1] / m) < 1e-12)
     return x, y
 
 
@@ -138,13 +138,13 @@ def test_atlas_covers_and_sizes(atlas):
         i = atlas.nearest_center(p)
         assert i is not None
         # p lies in U_x(eps) = gamma_x((-eps, eps) x B(eps))
-        t, u = atlas.boxes[i].chart_inverse(p)
+        t, u = atlas.box(i).chart_inverse(p)
         assert abs(float(t)) < atlas.eps
         assert float(adapted_norm(u)) < atlas.eps
 
 
 def test_chart_roundtrip(atlas):
-    box = atlas.boxes[7]
+    box = atlas.box(7)
     rng = np.random.default_rng(1)
     t = rng.uniform(-0.4, 0.4, 30)
     u = rng.uniform(-0.2, 0.2, (30, 2))
@@ -160,9 +160,9 @@ def test_return_time_matches_level_offset(model, atlas):
     assert return_time(atlas, x, y) == model.roof
     assert return_time(atlas, x, y, t_hint=2.4 * model.roof) == 2 * model.roof
     # level k of 8 lies k/8 roof ahead of level 0, and 1 - k/8 behind it
-    lvl = atlas.boxes[0].center[2]
-    for i, box in enumerate(atlas.boxes):
-        dt = (box.center[2] - lvl) % model.roof
+    lvl = atlas.centers[0, 2]
+    for i, c in enumerate(atlas.centers):
+        dt = (c[2] - lvl) % model.roof
         assert abs(return_time(atlas, x, i) - (dt or model.roof)) < 1e-15
         assert abs(return_time(atlas, i, x) - (model.roof - dt)) < 1e-15
 
@@ -172,7 +172,7 @@ def test_return_time_skips_the_branch_wrap(model, atlas, hint):
     # tau = roof here, so the nearest-branch gap wraps at +-tau/2 inside the
     # oracle's scanned bracket; the returned time must be a true crossing of
     # Sigma_0, and the oracle must find the same one
-    box = atlas.boxes[0]
+    box = atlas.box(0)
     q = np.zeros(2)
     t = return_time(atlas, 0, 0, t_hint=hint)
     gap, _ = box.chart_inverse(model.flow_map(box.chart_forward(0.0, q), t))
@@ -287,10 +287,10 @@ def _oracle_uncovered(atlas, pts):
     """The per-box covering loop: one ``chart_inverse``, so one ``flow_map``,
     per box over the samples still uncovered."""
     uncovered = np.ones(len(pts), dtype=bool)
-    for box in atlas.boxes:
+    for k in range(atlas.n_gamma):
         if not uncovered.any():
             break
-        t, u = box.chart_inverse(pts[uncovered])
+        t, u = atlas.box(k).chart_inverse(pts[uncovered])
         inside = (np.abs(t) < atlas.eps) & (np.abs(u).max(axis=1) < atlas.eps)
         idx = np.nonzero(uncovered)[0]
         uncovered[idx[inside]] = False
@@ -324,7 +324,7 @@ def test_per_box_loop_finds_no_gap_in_lattice_cover(name, settings):
                          ids=["every_7th", "first_100"])
 def test_per_box_loop_flags_thinned_cover(atlas, keep):
     from dataclasses import replace
-    thin = replace(atlas, boxes=atlas.boxes[keep])
+    thin = replace(atlas, centers=atlas.centers[keep])
     assert _oracle_uncovered(thin, _samples(atlas.model, 20000)).any()
 
 
@@ -356,13 +356,12 @@ def test_build_atlas_rejects_non_positive_sizes(model):
             build_atlas(model, *args)
 
 
-def _oracle_lip_gamma(model, box: FlowBox, n_samples=400, seed=0):
+def _oracle_lip_gamma(model, box: FlowBox, tau, n_samples=400, seed=0):
     """The sampled C^1 bounds of the chart and its inverse that
     ``build_atlas`` used to report: forward steps along one chart coordinate
     at a time over |t| <= 2 tau, and inverse steps along 8 random ambient
     directions, on the nearest branch only."""
     rng = np.random.default_rng(seed)
-    tau = box.tau
     t = rng.uniform(-2 * tau, 2 * tau, n_samples)
     u = rng.uniform(-1.0, 1.0, (n_samples, 2))
     base = box.chart_forward(t, u)
@@ -392,8 +391,8 @@ def _oracle_lip_gamma(model, box: FlowBox, n_samples=400, seed=0):
 def test_lip_gamma_bounds_the_sampled_estimate(name):
     model = SuspensionFlow(base_matrix=np.array(MATRICES[name]))
     atlas = build_atlas(model, 1.0, 0.25, 0.25)
-    for box in atlas.boxes[::37]:
-        est = _oracle_lip_gamma(model, box)
+    for k in range(0, atlas.n_gamma, 37):
+        est = _oracle_lip_gamma(model, atlas.box(k), atlas.tau)
         assert est <= atlas.lip_gamma
         assert est >= 0.98 * atlas.lip_gamma
     if name == "A211":

@@ -196,6 +196,27 @@ def test_cli_roof_too_short_for_smoothing_cover_exit_2(tmp_path):
                 + ["solve"]) == EXIT_USAGE
 
 
+def test_cli_infinite_roof_exit_2_naming_the_roof(tmp_path, capsys):
+    bad = _ini(tmp_path, "[model]\nroof = inf\n")
+    assert main(["--config", bad, "--output", str(tmp_path / "o"), "atlas"]) \
+        == EXIT_USAGE
+    assert "roof must be positive and finite, got inf" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,command,violated", [
+    ("rho = 0.5", ["atlas"], "rho < tau/3"),
+    ("eps = 0.6", SMALL + ["solve"], "eps < tau/2")])
+def test_cli_inconsistent_atlas_constants_exit_2(tmp_path, capsys, line,
+                                                 command, violated):
+    # rejected with the configuration, before any stage runs
+    bad = _ini(tmp_path, f"[atlas]\n{line}\n")
+    assert main(["--config", bad, "--output", str(tmp_path / "o")]
+                + command) == EXIT_USAGE
+    assert f"violated: {violated}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     bad = _ini(tmp_path, "[grid]\nn1 = 8\nn2 = 12\nns = 10\n")
     assert main(["--config", bad, "atlas"]) == EXIT_USAGE

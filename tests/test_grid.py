@@ -154,6 +154,32 @@ def test_nearest_index_roof_wrap(model, small_grid):
         (A[1, 0] * bi + A[1, 1] * bj) % small_grid.shape[1], 0)
 
 
+@pytest.mark.parametrize("twist", [[[2, 1], [1, 1]], [[3, 2], [1, 1]], None],
+                         ids=["A211", "A3211", "untwisted"])
+def test_nearest_index_matches_per_point_formula(twist):
+    # Each point rounds to (i, j, k) and then wraps m = floor(k / ns) roofs:
+    # the node is (A^m (i, j) mod n, k - m ns), with m from -3 to 3.
+    grid = Grid((8, 8, 5), (1.0, 1.0, 1.3), twist)
+    n1, n2, ns = grid.shape
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.5, 1.5, (600, 3))
+    pts[:, 2] = rng.uniform(-3.0, 4.0, 600) * grid.lengths[2]
+    got = grid.nearest_index(pts)
+    A = np.eye(2, dtype=np.int64) if twist is None else np.array(twist)
+    Ainv = np.round(np.linalg.inv(A)).astype(np.int64)
+    wraps = set()
+    for p, node in zip(pts, zip(*got)):
+        i, j, k = (int(np.round(p[a] / grid.spacings[a])) for a in range(3))
+        m = k // ns
+        wraps.add(m)
+        M = np.linalg.matrix_power(A if m > 0 else Ainv, abs(m))
+        ij = M @ (i, j)
+        assert tuple(int(v) for v in node) == (ij[0] % n1, ij[1] % n2,
+                                               k - m * ns)
+    assert {-3, -1, 1, 3} <= wraps
+    assert all(x.dtype == np.int64 and x.shape == (600,) for x in got)
+
+
 def test_interpolation_reproduces_nodes(small_grid):
     rng = np.random.default_rng(3)
     u = GridFunction(small_grid, rng.random(small_grid.shape))

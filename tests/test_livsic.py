@@ -84,7 +84,7 @@ def test_constants_hierarchy(constants):
 def test_classify_flow_following_is_pseudo(model, atlas, cobound, constants):
     phi, _ = cobound
     # start on a box center so the chart time starts at 0
-    start = atlas.boxes[0].center + np.array([0.01, 0.01, 0.0])
+    start = atlas.centers[0] + np.array([0.01, 0.01, 0.0])
     path = _flow_path(model, start, 2.0, n=200)
     seg = classify_segment(path, atlas, phi, constants)
     assert seg.kind == "pseudo"
@@ -100,7 +100,7 @@ def test_classify_pseudo_bound_off_the_section(model, atlas, cobound,
     # a flow-following path starting at chart time r_x: the Poincare block
     # is exact, so its lower bound equals the action up to quadrature
     phi, _ = cobound
-    start = atlas.boxes[0].center + np.array([0.01, 0.01, r_x])
+    start = atlas.centers[0] + np.array([0.01, 0.01, r_x])
     path = _flow_path(model, start, 2.0, n=200)
     seg = classify_segment(path, atlas, phi, constants, start_box=0)
     assert seg.kind == "pseudo"
@@ -111,7 +111,7 @@ def test_classify_pseudo_bound_off_the_section(model, atlas, cobound,
 
 def test_classify_anti_flow_escapes(model, atlas, cobound, constants):
     phi, _ = cobound
-    start = atlas.boxes[0].center + np.array([0.01, 0.01, 0.0])
+    start = atlas.centers[0] + np.array([0.01, 0.01, 0.0])
     times = np.linspace(0.0, 2.0, 200)
     pts = model.flow_map(start, -times)
     path = PathSample(times, pts, model, max_step=0.05)
@@ -122,7 +122,7 @@ def test_classify_anti_flow_escapes(model, atlas, cobound, constants):
 
 def test_classify_short_path_is_trapped(model, atlas, cobound, constants):
     phi, _ = cobound
-    start = atlas.boxes[0].center.copy()
+    start = atlas.centers[0].copy()
     path = _flow_path(model, start, 0.05, n=10)
     seg = classify_segment(path, atlas, phi, constants)
     assert seg.kind == "trapped"
@@ -164,8 +164,8 @@ def _nearest_center_loop(atlas, p):
     """The per-box scan: one ``chart_inverse`` per box, the first minimum
     of max(|t|, |u|) wins.  Returns (distance, index)."""
     best, best_idx = np.inf, None
-    for i, box in enumerate(atlas.boxes):
-        t, u = box.chart_inverse(p)
+    for i in range(atlas.n_gamma):
+        t, u = atlas.box(i).chart_inverse(p)
         d = max(abs(float(t)), float(np.abs(u).max()))
         if d < best:
             best, best_idx = d, i
@@ -178,7 +178,7 @@ def test_nearest_center_matches_per_box_loop(atlas, cobound, constants,
     rng = np.random.default_rng(21)
     pts = rng.random((60, 3))
     pts[:, 2] *= atlas.model.roof
-    centres = [box.center for box in atlas.boxes[::37]]
+    centres = list(atlas.centers[::37])
     # the points decompose_path asks about
     asked = []
     batched = FlowBoxAtlas.nearest_center
@@ -278,7 +278,7 @@ def _oracle_generate(atlas, family, n_paths, seed, builders):
                 model, start, T, step, noise=10 ** rng.uniform(-4, -2),
                 rng=rng, direction=direction))
         elif family == "boundary_hugging":
-            box = atlas.boxes[rng.integers(0, len(atlas.boxes))]
+            box = atlas.box(rng.integers(0, atlas.n_gamma))
             out.append(builders.boundary(atlas, box, T, step, rng))
         elif family == "pseudo_splice":
             out.append(builders.splice(model, atlas, T, step, rng))
@@ -484,7 +484,7 @@ def _oracle_track_chart_coords(box, path):
             ds -= roof * np.round(ds / roof)
             t = raw + roof * np.round((t_prev + ds - raw) / roof)
         db = model.flow_map(p, -t)[:2] - box.center[:2]
-        us[k] = (db - np.round(db)) @ box.frame_inv.T
+        us[k] = (db - np.round(db)) @ model.eigen_frame_inv.T
         ts[k] = t
         t_prev, s_prev = t, p[2]
     return ts, us
@@ -552,8 +552,8 @@ def test_track_chart_coords_matches_per_node_loop(model, atlas):
     rng = np.random.default_rng(11)
     for family in FAMILIES:
         for path in generate_paths(atlas, family, 4, seed=3):
-            for i in rng.integers(0, len(atlas.boxes), 3):
-                box = atlas.boxes[i]
+            for i in rng.integers(0, atlas.n_gamma, 3):
+                box = atlas.box(i)
                 ts, us = livsic._track_chart_coords(box, path)
                 ts0, us0 = _oracle_track_chart_coords(box, path)
                 assert np.abs(ts - ts0).max() < 1e-12

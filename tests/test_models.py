@@ -99,6 +99,13 @@ def test_hyperbolic_validation():
         SuspensionFlow(roof=0.0)
 
 
+@pytest.mark.parametrize("roof", [np.nan, np.inf])
+def test_non_finite_roof_is_named(roof):
+    with pytest.raises(ValueError, match=f"roof must be positive and finite, "
+                                         f"got {roof}"):
+        SuspensionFlow(roof=roof)
+
+
 def test_periodic_orbit_counts(model):
     orbits = periodic_orbits(model, 6)
     per_period = {}

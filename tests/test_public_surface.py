@@ -1,5 +1,7 @@
 """Every name ``weakkam`` exports is used by the package or the benchmark, or
-is declared pending with the ROADMAP item that decides it."""
+is declared pending with the ROADMAP item that decides it; every defaulted
+parameter of an export is set by some call, and every field of an exported
+dataclass is read somewhere."""
 
 import ast
 import types
@@ -86,3 +88,125 @@ def test_pending_list_is_current():
     assert not set(PENDING) - exports, "pending but not exported"
     assert not set(PENDING) & used, "used now: drop it from PENDING"
     assert set(PENDING.values()) <= {6}
+
+
+# Item-6 records: their fields are what the block-wise check will read.
+UNREAD_RECORDS = {"SegmentClassification", "PathBlock"}
+
+
+def _trees():
+    """Every module of the package, tests, demos and benchmark, parsed."""
+    paths = [p for d in ("src", "tests", "demos", "benchmarks")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    return [ast.parse(p.read_text()) for p in paths]
+
+
+def _exported_defs():
+    """(name, node) of each exported module-level function and class."""
+    exports = set(_exports())
+    for path in sorted((ROOT / "src" / "weakkam").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and stmt.name in exports and stmt.name not in PENDING:
+                yield stmt.name, stmt
+
+
+def _decorators(node):
+    return {d.id if isinstance(d, ast.Name) else
+            d.func.id if isinstance(d, ast.Call)
+            and isinstance(d.func, ast.Name) else None
+            for d in node.decorator_list}
+
+
+def _defaulted(fn, bound):
+    """(position or None, name) of each defaulted parameter of ``fn``; a
+    bound method's positions do not count its first (self) parameter."""
+    args = fn.args.posonlyargs + fn.args.args
+    args = args[1:] if bound else args
+    first = len(args) - len(fn.args.defaults)
+    for pos, a in enumerate(args[first:], first):
+        yield pos, a.arg
+    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if d is not None:
+            yield None, a.arg
+
+
+def _parameters():
+    """(callee, qualified name, position, keyword) of each defaulted
+    parameter of an exported function, or of a public method or ``__init__``
+    (called by the class's name) of an exported class."""
+    for name, node in _exported_defs():
+        if isinstance(node, ast.FunctionDef):
+            for pos, kw in _defaulted(node, bound=False):
+                yield name, f"{name}.{kw}", pos, kw
+            continue
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and (
+                    fn.name == "__init__" or not fn.name.startswith("_")):
+                callee = name if fn.name == "__init__" else fn.name
+                bound = "staticmethod" not in _decorators(fn)
+                for pos, kw in _defaulted(fn, bound):
+                    yield callee, f"{name}.{fn.name}.{kw}", pos, kw
+
+
+def _calls():
+    """{callee name: (most positional arguments, keywords set)} over every
+    call.  A starred argument sets every position; ``**`` sets no keyword,
+    since only a keyword the call names is seen to be set."""
+    out = {}
+    for tree in _trees():
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            n_pos = float("inf") if any(isinstance(a, ast.Starred)
+                                        for a in n.args) else len(n.args)
+            kws = {k.arg for k in n.keywords if k.arg is not None}
+            pos, seen = out.get(name, (0, set()))
+            out[name] = (max(pos, n_pos), seen | kws)
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    calls = _calls()
+    unset = []
+    for callee, qual, pos, kw in _parameters():
+        n_pos, kws = calls.get(callee, (0, set()))
+        if kw in kws or (pos is not None and pos < n_pos):
+            continue
+        unset.append(qual)
+    assert not unset, (
+        f"defaulted but set by no call: {sorted(unset)}; make each a "
+        "module constant or let a pipeline set it")
+
+
+def _fields():
+    """(class, field) of every exported dataclass."""
+    for name, node in _exported_defs():
+        if isinstance(node, ast.ClassDef) and "dataclass" in \
+                _decorators(node) and name not in UNREAD_RECORDS:
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) \
+                        and isinstance(stmt.target, ast.Name):
+                    yield name, stmt.target.id
+
+
+def _attribute_reads(tree):
+    """Loaded attribute names, and every dotted part of a string constant
+    (``getattr`` by a listed name, a traced qualified name)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.update(n.value.split("."))
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    reads = set().union(*(_attribute_reads(t) for t in _trees()))
+    unread = [f"{cls}.{f}" for cls, f in _fields() if f not in reads]
+    assert not unread, (
+        f"stored but read nowhere: {sorted(unread)}; delete each field")

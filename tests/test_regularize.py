@@ -38,7 +38,7 @@ def _bump_check(bumps, n_samples=200, seed=0):
 
 def _flow_box(box):
     """The FlowBox of a one-box cover."""
-    return FlowBox(box.model, box.centers[0], TAU)
+    return FlowBox(box.model, box.centers[0])
 
 
 def _chart_window(box, points):
@@ -147,8 +147,8 @@ def test_regularize_all_certificate(certificate):
 
 def test_verify_subaction_offgrid(model, cobound, certificate):
     phi, _ = cobound
-    rep = verify_subaction(certificate, phi, certificate.phi_bar, 500,
-                           model=model, n_paths=30)
+    rep = verify_subaction(certificate, phi, certificate.phi_bar, 500, model,
+                           n_paths=30)
     assert rep["passed"], rep
     assert rep["path_min_action"] >= rep["path_floor"] - certificate.slack
 
@@ -195,7 +195,7 @@ def _chart_points(box):
     model, center = box.model, box.centers[0]
     t_nodes, q_nodes = _table_axes()
     T, Q1, Q2 = np.meshgrid(t_nodes, q_nodes, q_nodes, indexing="ij")
-    ref = FlowBox(model, np.array([0.0, 0.0, center[2]]), TAU)
+    ref = FlowBox(model, np.array([0.0, 0.0, center[2]]))
     pts = ref.chart_forward(T, np.stack([Q1, Q2], axis=-1))
     shift = model.flow_map(center, t_nodes)[:, :2]
     pts[..., :2] = np.mod(pts[..., :2] + shift[:, None, None, :], 1.0)

@@ -32,7 +32,7 @@ def test_cyclic_jacobian_is_bitwise_block_form(n):
 
 def test_lattice_chains_partition_level0(atlas):
     chains = lattice_box_chains(atlas)
-    n_level0 = sum(1 for b in atlas.boxes if abs(b.center[2]) < 1e-12)
+    n_level0 = sum(1 for c in atlas.centers if abs(c[2]) < 1e-12)
     covered = [i for cyc, _ in chains for i in cyc]
     assert len(covered) == len(set(covered)) == n_level0
     lengths = sorted(period for _, period in chains)
@@ -57,8 +57,7 @@ def _chain_maps(atlas, min_len=3):
 
 def test_exact_orbit_shadows_itself(atlas):
     cyc, maps = _chain_maps(atlas)
-    orbit = DiscretePseudoOrbit(points=np.zeros((len(cyc), 2)),
-                                box_indices=cyc, rho=atlas.rho)
+    orbit = DiscretePseudoOrbit(points=np.zeros((len(cyc), 2)), rho=atlas.rho)
     res = shadow_periodic(orbit, maps)
     assert res.passed
     assert np.abs(res.orbit).max() < 1e-12
@@ -69,7 +68,7 @@ def test_noisy_orbit_is_shadowed(atlas):
     cyc, maps = _chain_maps(atlas)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1e-3, 1e-3, (len(cyc), 2))
-    orbit = DiscretePseudoOrbit(points=pts, box_indices=cyc, rho=atlas.rho)
+    orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
     res = shadow_periodic(orbit, maps)
     assert res.passed
     assert res.distance_sum <= res.k_gamma * res.error_sum + 1e-14
@@ -80,10 +79,9 @@ def test_noisy_orbit_is_shadowed(atlas):
 def test_pseudo_orbit_validation(atlas):
     cyc, maps = _chain_maps(atlas)
     with pytest.raises(ValueError):
-        DiscretePseudoOrbit(points=np.zeros((4, 3)), box_indices=cyc,
-                            rho=atlas.rho)
+        DiscretePseudoOrbit(points=np.zeros((4, 3)), rho=atlas.rho)
     far = np.full((len(cyc), 2), atlas.rho)  # outside B(rho/2)
-    orbit = DiscretePseudoOrbit(points=far, box_indices=cyc, rho=atlas.rho)
+    orbit = DiscretePseudoOrbit(points=far, rho=atlas.rho)
     with pytest.raises(ValueError):
         orbit.validate(maps)
 
@@ -173,7 +171,7 @@ def test_last_newton_step_is_checked(atlas):
     """One exact step lands on the orbit, so max_iters=1 is enough."""
     cyc, maps = _chain_maps(atlas)
     pts = np.random.default_rng(1).uniform(-1e-3, 1e-3, (len(cyc), 2))
-    orbit = DiscretePseudoOrbit(points=pts, box_indices=cyc, rho=atlas.rho)
+    orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
     res = shadow_periodic(orbit, maps, max_iters=1)
     assert res.passed and res.residuals.max() < 1e-15
     assert res.newton_iterations == 2
@@ -220,8 +218,7 @@ FAILURES = {
 def test_shadow_periodic_failure_paths(case, atlas):
     make, error, message, k_gamma = FAILURES[case]
     pts = np.random.default_rng(2).uniform(-1e-2, 1e-2, (3, 2))
-    orbit = DiscretePseudoOrbit(points=pts, box_indices=[0, 1, 2],
-                                rho=atlas.rho)
+    orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
     with pytest.raises(error, match=message) as err:
         shadow_periodic(orbit, [make(atlas.rho)] * 3, k_gamma=k_gamma)
     if case == "stall":  # five residuals in a row above half the last
