@@ -263,16 +263,15 @@ def poincare_map(atlas: FlowBoxAtlas, x, y, q, t_hint=None):
 
 @dataclass
 class LocalHyperbolicMap:
-    """A local Poincare map with its linear part in adapted coordinates."""
+    """An affine local Poincare map f(q) = offset + linear_part q in adapted
+    coordinates; offset is f(0)."""
 
-    f_map: object
     linear_part: np.ndarray
-    offset: np.ndarray  # f(0)
+    offset: np.ndarray
     rho: float
-    affine: bool = False  # f(q) = offset + linear_part q exactly
 
     def __call__(self, q):
-        return self.f_map(np.asarray(q, dtype=float))
+        return self.offset + np.asarray(q, dtype=float) @ self.linear_part.T
 
 
 def affine_poincare(atlas: FlowBoxAtlas, x, y):
@@ -293,9 +292,4 @@ def affine_poincare(atlas: FlowBoxAtlas, x, y):
     db = image[:2] - cy[:2]
     db = db - np.round(db)
     offset = db @ model.eigen_frame_inv.T
-
-    def f(q):
-        return offset + np.asarray(q, dtype=float) @ linear.T
-
-    return LocalHyperbolicMap(f_map=f, linear_part=linear, offset=offset,
-                              rho=atlas.rho, affine=True)
+    return LocalHyperbolicMap(linear_part=linear, offset=offset, rho=atlas.rho)

@@ -8,7 +8,7 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
     a21 = 1
     a22 = 1
     roof = 1.0         ; finite, above 0.8 (the smoothing boxes' time extent)
-    max_horizon = 64.0
+    max_horizon = 64.0 ; positive and finite
 
     [observable]
     family = coboundary   ; constant | coboundary | dist2
@@ -23,16 +23,16 @@ Schema (all keys optional; defaults shown; keys not listed are ignored):
     [kernel]
     h =                  ; default: roof/10 snapped to the s-spacing; at
                          ; most roof/10, a multiple of the s-spacing
-    c = 4.0
-    reach_multiplier = 2.0 ; at least 2
+    c = 4.0              ; positive and finite
+    reach_multiplier = 2.0 ; finite, at least 2
 
-    [atlas]              ; all three must be positive, rho < tau/3
+    [atlas]              ; all three positive and finite, rho < tau/3
                          ; and eps < tau/2
     tau = 1.0
     rho = 0.25
     eps = 0.25
 
-    [tolerances]
+    [tolerances]         ; both positive and finite
     solve_tol = 1e-8
     ergodic_tol = 1e-2
 
@@ -84,15 +84,17 @@ class RunConfig:
         if self.family not in BUILTIN_FAMILIES:
             raise ConfigError(f"unknown observable family {self.family!r}; "
                               f"choose one of {BUILTIN_FAMILIES}")
-        # Tested as `not value > 0`, so that NaN fails too.
+        # Tested as `not 0 < value < inf`, so that NaN and inf fail too.
         for name in ("solve_tol", "ergodic_tol", "tau", "rho", "eps", "roof",
                      "c", "max_horizon"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value}")
         if self.h is not None and not self.h > 0:
             raise ConfigError("kernel step h must be positive")
-        if not self.reach_multiplier >= 2:
-            raise ConfigError("reach_multiplier must be at least 2")
+        if not 2 <= self.reach_multiplier < np.inf:
+            raise ConfigError("reach_multiplier must be finite and at least 2")
         if any(n < 2 for n in self.grid_shape):
             raise ConfigError("grid resolutions must be at least 2")
         if self.grid_shape[0] != self.grid_shape[1]:

@@ -525,11 +525,11 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
             "a suspension-aligned model or use the path-sampling action instead")
     flow_steps = _flow_steps(model, grid, h)
     # Negated comparisons: NaN fails them too.
-    if not reach_multiplier >= 2.0:
-        raise ValueError("reach_multiplier must be a number >= 2")
-    if not c >= 0.0:
+    if not 2.0 <= reach_multiplier < np.inf:
+        raise ValueError("reach_multiplier must be a finite number >= 2")
+    if not 0.0 <= c < np.inf:
         # Sweeps prune on c*dev being sorted like the norm-sorted offsets.
-        raise ValueError("action weight c must be non-negative")
+        raise ValueError("action weight c must be finite and non-negative")
     reach = reach_multiplier * (h * model.sup_norm_bound + grid.diagonal)
     offsets, devs = _deviation_offsets(grid, reach)
     if offsets.shape[0] == 0:

@@ -1,12 +1,13 @@
-"""Periodic shadowing through chains of local hyperbolic Poincare maps.
+"""Periodic shadowing through chains of affine local Poincare maps.
 
 A true periodic orbit (p_i) near a periodic pseudo-orbit (q_i) solves
 f_i(p_i) = p_{i+1}, and the summed correction is certified against K * sum of
-the per-step errors.  Orbits sharing a box sequence are solved together: one
-einsum evaluates the system on their (m, n, 2) points and each Newton step is
-one solve with J = blockdiag(linear parts) - (cyclic shift), exact for
-:func:`~weakkam.charts.affine_poincare`; for a map that is not affine (called
-point by point) it makes a chord iteration, which no pipeline runs.
+the per-step errors.  Every map is affine
+(:func:`~weakkam.charts.affine_poincare`), so the cyclic system is linear:
+one exact solve with J = blockdiag(linear parts) - (cyclic shift) gives the
+orbit, and its residual is certified once, after the solve.  Orbits sharing
+a box sequence are solved together: one einsum evaluates the system on their
+(m, n, 2) points and one solve takes all their right-hand sides.
 """
 
 from __future__ import annotations
@@ -24,23 +25,11 @@ class ConstantsTooWeakError(ValueError):
 
 
 class NewtonDivergenceError(RuntimeError):
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = history
+    pass
 
 
 class EscapeError(RuntimeError):
     pass
-
-
-def _chain_map(maps):
-    """(stacked linear parts, P (m, n, 2) -> f_i(p_i)) of a chain of maps."""
-    L = np.stack([m.linear_part for m in maps]).astype(float)
-    if not all(m.affine for m in maps):
-        return L, lambda P: np.array([[f(q) for f, q in zip(maps, r)]
-                                      for r in P])
-    off = np.stack([m.offset for m in maps]).astype(float)
-    return L, lambda P: off + np.einsum("nij,mnj->mni", L, P)
 
 
 def _cyclic_jacobian(L):
@@ -75,12 +64,6 @@ class DiscretePseudoOrbit:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be (N, 2)")
-
-    def validate(self, maps):
-        Q = self.points[None]
-        errors = _ball_errors(Q, _chain_map(maps)[1](Q), self.rho)
-        if errors:
-            raise ValueError(errors[0])
 
 
 @dataclass
@@ -123,8 +106,8 @@ def lattice_box_chains(atlas, max_len=50):
 
 
 # pseudo_orbit_suite's draws: noise amplitudes log-uniform over
-# _NOISE_RANGE, chains of at most _MAX_LEN boxes; _TOL is the Newton
-# residual tolerance.
+# _NOISE_RANGE, chains of at most _MAX_LEN boxes; _TOL is the residual
+# tolerance certified after the solve.
 _NOISE_RANGE = (1e-6, 1e-2)
 _MAX_LEN = 50
 _TOL = 1e-10
@@ -135,7 +118,8 @@ def pseudo_orbit_suite(atlas, n_orbits, seed=0):
 
     Each pseudo-orbit is the exact periodic orbit of its affine Poincare chain
     (the origin, since chain offsets vanish) plus uniform noise.  All orbits
-    are drawn first, then shadowed one box sequence at a time.  Returns one
+    are drawn first, then shadowed one box sequence at a time, by one exact
+    solve of the cyclic affine system per sequence.  Returns one
     result dict per orbit, in draw order; ``chain`` numbers its box sequence.
     Raises the error of the lowest-numbered failing orbit, naming it."""
     rng = np.random.default_rng(seed)
@@ -156,7 +140,7 @@ def pseudo_orbit_suite(atlas, n_orbits, seed=0):
     for chain, (boxes, members) in enumerate(groups.items()):
         maps = [pair_map(*key) for key in zip(boxes, boxes[1:] + boxes[:1])]
         ids, noises, pts = zip(*members)
-        solved = _shadow_chain(np.stack(pts), maps, atlas.rho, _TOL)
+        solved = _shadow_chain(np.stack(pts), maps, atlas.rho)
         for k, noise, res in zip(ids, noises, solved):
             results[k] = res if isinstance(res, Exception) else {
                 "length": len(boxes), "noise": noise,
@@ -189,78 +173,70 @@ def k_gamma_from_maps(maps):
                             float(max(L[:, 0, 1].max(), L[:, 1, 0].max())))
 
 
-def shadow_periodic(orbit: DiscretePseudoOrbit, maps, k_gamma=None,
-                    max_iters=25):
-    """Newton solve of the cyclic system; certifies the summed-error bound.
+def shadow_periodic(orbit: DiscretePseudoOrbit, maps, k_gamma=None):
+    """Exact solve of the cyclic affine system; certifies the summed-error
+    bound.
 
-    The one-orbit case of the chain solve: at most ``max_iters`` steps, the
-    residual checked after each against ``_TOL``; ``newton_iterations``
-    counts residual evaluations.  Raises on divergence or on escape from
-    B(rho)."""
-    res = _shadow_chain(orbit.points[None], maps, orbit.rho, _TOL, k_gamma,
-                        max_iters)[0]
+    The one-orbit case of the chain solve.  Raises ValueError for points or
+    images outside B(rho/2), NewtonDivergenceError for a singular system or a
+    residual not below ``_TOL`` after the solve, EscapeError for an orbit
+    outside B(rho)."""
+    res = _shadow_chain(orbit.points[None], maps, orbit.rho, k_gamma)[0]
     if isinstance(res, Exception):
         raise res
     return res
 
 
-def _shadow_chain(Q, maps, rho, tol, k_gamma=None, max_iters=25):
-    """Shadow the pseudo-orbits Q (m, n, 2) of one chain of maps together.
+def _shadow_chain(Q, maps, rho, k_gamma=None):
+    """Shadow the pseudo-orbits Q (m, n, 2) of one chain of affine maps
+    together.
 
-    Returns, per orbit, its ShadowingResult or the error it raises alone:
-    points or images outside B(rho/2) (ValueError); five non-halving
-    residuals, a singular system or ``max_iters`` steps without convergence
-    (NewtonDivergenceError, with its residual history); an iterate outside
-    B(rho) (EscapeError).  A failed orbit leaves the active set."""
+    The residual F_i = f_i(p_i) - p_{i+1} is affine in P, so one solve
+    J step = -F(Q) with J = ``_cyclic_jacobian`` is exact; the residual at
+    the solution is then checked against ``_TOL``, which catches a wrong J.
+    ``newton_iterations`` counts residual evaluations: 1 for an orbit already
+    below ``_TOL``, else 2.  Returns, per orbit, its ShadowingResult or the
+    error it raises alone: points or images outside B(rho/2) (ValueError); a
+    singular system or a residual not below ``_TOL`` after the solve
+    (NewtonDivergenceError); a solution outside B(rho) (EscapeError)."""
     m, n, _ = Q.shape
     if len(maps) != n:
         raise ValueError("need one map per step")
-    L, f = _chain_map(maps)
-    FQ = f(Q)
+    L = np.stack([f.linear_part for f in maps]).astype(float)
+    off = np.stack([f.offset for f in maps]).astype(float)
+
+    def images(P):
+        return off + np.einsum("nij,mnj->mni", L, P)
+
+    FQ = images(Q)
     out = {j: ValueError(msg) for j, msg in _ball_errors(Q, FQ, rho).items()}
     try:
         k_gamma = float(k_gamma_from_maps(maps) if k_gamma is None
                         else k_gamma)
     except ConstantsTooWeakError as e:
         return [out.get(j, e) for j in range(m)]
-    errs = adapted_norm(FQ - np.roll(Q, -1, axis=1)).sum(axis=1)
-    J = _cyclic_jacobian(L)
-    P, resid, iters = Q.copy(), np.zeros((m, n)), np.zeros(m, dtype=int)
-    hist, stall = np.full((max_iters + 1, m), np.nan), np.zeros(m, dtype=int)
-    act = np.setdiff1d(np.arange(m), list(out))
-
-    def diverged(rows, msg):
-        out.update((j, NewtonDivergenceError(msg, hist[:it + 1, j].tolist()))
-                   for j in rows)
-
-    for it in range(max_iters + 1):
-        F = f(P[act]) - np.roll(P[act], -1, axis=1)
-        step_res = adapted_norm(F)
-        res = step_res.max(axis=1)
-        hist[it, act] = res
-        done = res < tol
-        resid[act[done]], iters[act[done]] = step_res[done], it + 1
-        if it:
-            stall[act] = np.where(res > 0.5 * hist[it - 1, act],
-                                  stall[act] + 1, 0)
-        diverged(act[~done & (stall[act] >= 5)],
-                 "Newton residual stopped halving")
-        keep = ~done & (stall[act] < 5)
-        act, F = act[keep], F[keep]
-        if it == max_iters:
-            diverged(act, "max Newton iterations reached")
-        if it == max_iters or not act.size:
-            break
-        try:
-            step = np.linalg.solve(J, -F.reshape(act.size, 2 * n).T)
-        except np.linalg.LinAlgError as e:
-            diverged(act, f"singular linearization: {e}")
-            break
-        P[act] = P[act] + step.T.reshape(act.size, n, 2)
-        escaped = np.abs(P[act]).max(axis=(1, 2)) > rho
-        out.update((j, EscapeError("Newton iterate escaped B(rho)"))
-                   for j in act[escaped])
-        act = act[~escaped]
+    F = FQ - np.roll(Q, -1, axis=1)
+    resid = adapted_norm(F)
+    errs, iters = resid.sum(axis=1), np.ones(m, dtype=int)
+    act = np.setdiff1d(np.flatnonzero(~(resid.max(axis=1) < _TOL)), list(out))
+    try:
+        step = np.linalg.solve(_cyclic_jacobian(L),
+                               -F[act].reshape(act.size, 2 * n).T)
+    except np.linalg.LinAlgError as e:
+        out.update((j, NewtonDivergenceError(f"singular linearization: {e}"))
+                   for j in act)
+        act, step = act[:0], np.zeros((2 * n, 0))
+    P = Q.copy()
+    P[act] = P[act] + step.T.reshape(act.size, n, 2)
+    escaped = np.abs(P[act]).max(axis=(1, 2)) > rho
+    out.update((j, EscapeError("shadowing orbit escaped B(rho)"))
+               for j in act[escaped])
+    act = act[~escaped]
+    resid[act] = adapted_norm(images(P[act]) - np.roll(P[act], -1, axis=1))
+    iters[act] = 2
+    out.update((j, NewtonDivergenceError(
+        f"residual {resid[j].max():.3g} not below {_TOL:g} after the exact "
+        "solve")) for j in act if not resid[j].max() < _TOL)
     dist = adapted_norm(Q - P).sum(axis=1)
     return [out[j] if j in out else ShadowingResult(
         orbit=P[j], residuals=resid[j], distance_sum=float(dist[j]),

@@ -3,8 +3,7 @@ import pytest
 
 from weakkam import (SuspensionFlow, affine_poincare, build_atlas,
                      check_constants, poincare_map, return_time)
-from weakkam.charts import (ConstantConsistencyError, FlowBox, adapted_norm,
-                            LocalHyperbolicMap)
+from weakkam.charts import ConstantConsistencyError, FlowBox, adapted_norm
 
 
 # Oracles: the numerical return time and Poincare map that the closed form
@@ -218,7 +217,7 @@ def test_affine_poincare_matches_bisection(model, atlas):
                       - aff.linear_part).max() < 1e-6
 
 
-def test_certify_hyperbolic_passes_for_chain_map(model, atlas):
+def test_chain_map_margins_meet_atlas_constants(model, atlas):
     # an affine map has no nonlinearity: its expansion, contraction, the two
     # couplings and its offset are read off the linear part and the offset
     # (coordinate 0 unstable, 1 stable) against the atlas constants
@@ -234,11 +233,16 @@ def test_certify_hyperbolic_passes_for_chain_map(model, atlas):
     assert abs(A[0, 0]) > 1.0 > abs(A[1, 1])
 
 
-def _cubic_map(rho):
-    """A map that is not affine: f(q) = 2 q + q^3."""
-    return LocalHyperbolicMap(f_map=lambda q: 2.0 * q + q ** 3,
-                              linear_part=np.diag([2.0, 2.0]),
-                              offset=np.zeros(2), rho=rho)
+class _CubicMap:
+    """A map that is not affine: f(q) = 2 q + q^3, with linear part 2 I."""
+
+    linear_part = np.diag([2.0, 2.0])
+
+    def __init__(self, rho):
+        self.rho = rho
+
+    def __call__(self, q):
+        return 2.0 * q + q ** 3
 
 
 def _oracle_nonlinearity(hmap, n_samples=200, seed=0):
@@ -265,7 +269,7 @@ def test_affine_maps_have_no_sampled_nonlinearity(atlas):
     for x, y in sorted(pairs):
         assert _oracle_nonlinearity(affine_poincare(atlas, x, y)) <= 1e-12
     # the sampler does see the nonlinearity of a map that has some
-    assert _oracle_nonlinearity(_cubic_map(atlas.rho)) > 1e-3
+    assert _oracle_nonlinearity(_CubicMap(atlas.rho)) > 1e-3
 
 
 def test_adapted_norm_is_the_max_norm_bitwise():

@@ -116,11 +116,24 @@ def test_cli_non_positive_atlas_eps_exit_2(tmp_path, eps):
     ("kernel", "reach_multiplier", "1.5"),
     ("tolerances", "solve_tol", "nan"), ("tolerances", "ergodic_tol", "nan"),
     ("atlas", "rho", "nan"), ("model", "roof", "nan"),
-    ("model", "max_horizon", "-1"), ("model", "max_horizon", "nan")])
-def test_cli_bad_config_value_exit_2(tmp_path, section, key, value):
+    ("model", "max_horizon", "-1"), ("model", "max_horizon", "nan"),
+    ("tolerances", "solve_tol", "inf"), ("tolerances", "ergodic_tol", "inf"),
+    ("atlas", "tau", "inf"), ("atlas", "rho", "inf"), ("atlas", "eps", "inf"),
+    ("model", "roof", "inf"), ("kernel", "c", "inf"),
+    ("model", "max_horizon", "inf"), ("kernel", "reach_multiplier", "inf")])
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, section, key, value):
     bad = _ini(tmp_path, f"[{section}]\n{key} = {value}\n")
     assert main(["--config", bad, "--output", str(tmp_path / "o")] + SMALL
                 + ["solve"]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,key", [("--c", "c"), ("--tol", "solve_tol")])
+def test_cli_infinite_flag_exit_2_naming_the_key(tmp_path, capsys, flag, key):
+    assert main([flag, "inf", "--output", str(tmp_path / "o")] + SMALL
+                + ["solve"]) == EXIT_USAGE
+    assert f"{key} must be positive and finite, got inf" in \
+        capsys.readouterr().err
 
 
 def test_cli_observable_it_cannot_build_exit_2(tmp_path):

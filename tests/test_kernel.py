@@ -38,6 +38,16 @@ def test_build_kernel_rejects_nan_reach_multiplier(model, cobound,
                      small_grid.spacings[2], float("nan"))
 
 
+@pytest.mark.parametrize("c,reach_multiplier", [
+    (np.inf, 2.0), (np.nan, 2.0), (1.0, np.inf)])
+def test_build_kernel_rejects_non_finite_weight_or_reach(
+        model, cobound, small_grid, c, reach_multiplier):
+    phi, _ = cobound
+    with pytest.raises(ValueError, match="finite"):
+        build_kernel(small_grid, model, phi, c, 0.0, small_grid.spacings[2],
+                     reach_multiplier)
+
+
 def _oracle_apply(kernel, u):
     """Entry-by-entry reference: for each target node q, minimize over all
     deviation offsets the priced move from the source node p."""
