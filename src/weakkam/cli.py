@@ -156,6 +156,7 @@ def cmd_solve(cfg: RunConfig):
                "howard_offsets_folded": sum(sol.howard["offsets_folded"]),
                "stage_a_sweeps": sol.stage_a_sweeps,
                "stage_b_sweeps": len(sol.iteration_log),
+               "aubry": sol.aubry,
                "table_columns_priced": cert.report["table_columns_priced"],
                "table_columns": cert.report["table_columns"],
                "timings": timings}

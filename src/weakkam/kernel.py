@@ -148,7 +148,13 @@ class ActionKernel:
         return self.offsets.shape[0]
 
     def with_phi_bar(self, phi_bar):
-        return replace(self, phi_bar=float(phi_bar))
+        """The kernel at another reference value.  It shares the sweeps
+        already built: windows and halo do not depend on phi_bar."""
+        out = replace(self, phi_bar=float(phi_bar))
+        for name in ("_forward", "_reverse"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
 
     def _total_offsets(self):
         """Gather offsets: deviation plus the flow step in the s-axis."""
@@ -316,18 +322,25 @@ class ActionKernel:
     # -- Howard policy iteration (exact additive eigenvalue) ---------------
 
     @staticmethod
-    def _policy_eval(succ, cost):
-        """Gains and biases of the policy's functional graph succ: q -> p.
+    def _policy_eval(succ, cost, v_prev=None):
+        """Gains, biases and cycles of the policy's functional graph
+        succ: q -> p.
 
         Each cycle's anchor is the node where a walk from the lowest node of
         its basin enters it.  The gain is the cycle's cost summed from the
-        anchor, over its length; v is 0 at the anchor, v[succ] = v - (cost
-        - g) around the cycle, and v = cost - g + v[succ] off it.  Tree nodes
-        are peeled in rounds of in-degree 0 and solved in reverse peel order;
-        list ranking orders each cycle from its anchor.  Python loops run
-        over rounds and cycles, never over nodes.  Every array is node-sized:
-        numpy keeps freed buffers under 1 KiB for reuse, and per-round index
-        lists left ~100 KiB of them behind.
+        anchor, over its length; v is v_prev (0 without it) at the anchor,
+        v[succ] = v - (cost - g) around the cycle, and v = cost - g + v[succ]
+        off it.  Keeping the previous bias at the anchors is the rule of
+        Cochet-Terrasson, Cohen, Gaubert, Mc Gettrick and Quadrat (IFAC
+        1998): with 0 there, the biases of successive policies whose cycles
+        tie in gain are not comparable, and policy iteration can cycle.  Tree
+        nodes are peeled in rounds of in-degree 0 and solved in reverse peel
+        order; list ranking orders each cycle from its anchor.  Python loops
+        run over rounds and cycles, never over nodes.  Every array is
+        node-sized: numpy keeps freed buffers under 1 KiB for reuse, and
+        per-round index lists left ~100 KiB of them behind.  The cycles are
+        returned by lowest node, each as its nodes from the anchor along
+        succ.
         """
         N = succ.size
         node = np.arange(N)
@@ -385,14 +398,14 @@ class ActionKernel:
         steps = np.zeros(N)
         np.negative(cost_o[:-1] - g_o[:-1], out=steps[1:])
         for c0, k in cycles:
-            steps[c0] = 0.0
+            steps[c0] = 0.0 if v_prev is None else v_prev[order[c0]]
             np.cumsum(steps[c0:c0 + k], out=v_o[c0:c0 + k])
         g = g_o[slot[entry]]
         v = v_o[slot]
         w = cost - g
         for r in range(n_rounds - 1, -1, -1):
             np.copyto(v, w + v[succ], where=level == r)
-        return g, v
+        return g, v, [order[c0:c0 + k] for c0, k in cycles]
 
     def solve_additive_eigenvalue(self):
         """Exact per-step additive eigenvalue (min cycle mean) of the kernel
@@ -402,7 +415,7 @@ class ActionKernel:
         ``info["offsets_folded"]`` lists the windows each bias pass folded.
 
         Both improvement passes fold the stencil through the forward halo.
-        With tol = _HOWARD_TOL and t = tol*scale, the gain pass is skipped
+        With t = ``_howard_tol``, the gain pass is skipped
         when g.min() >= fl(g.max() - t) and g.max() <= fl(g.min() + t):
         shifted gains and best_g lie in [g.min(), g.max()], so by monotone
         rounding no node is improvable, fl(g - t) <= fl(g.max() - t) <=
@@ -413,7 +426,10 @@ class ActionKernel:
         fl(x + C*dev) >= fl(lo + C*dev) > best_w(q) >= fl(best_w(q) - t), so
         the strict improvement rule takes none of them, and best_w only falls
         as groups are folded.  While some node has no candidate yet,
-        max(best_w) = inf and nothing is cut."""
+        max(best_w) = inf and nothing is cut.  Each policy after the first
+        is evaluated from the previous bias (``_policy_eval``).
+        ``info["critical_cycles"]`` lists the final policy's cycles of gain
+        at most fl(g.min() + t), each as its flat nodes from its anchor."""
         grid = self.grid
         N = grid.n_nodes
         sweep = self._forward
@@ -424,13 +440,13 @@ class ActionKernel:
 
         policy = np.zeros(N, dtype=np.int64)  # start with flow-following (offset 0)
         # offset index 0 is the zero deviation (offsets are sorted by norm)
-        scale = max(1.0, float(np.abs(hphi).max()))
-        t = _HOWARD_TOL * scale
+        t = self._howard_tol
         folded = []
+        v = None
         for it in range(_HOWARD_MAX_ITERS):
             succ = halo.read(nodes, tots[policy])
             cost = hphi.reshape(-1)[succ] + cdevs[policy]
-            g, v = self._policy_eval(succ, cost)
+            g, v, cycles = self._policy_eval(succ, cost, v)
             g3 = g.reshape(grid.shape)
             v3 = v.reshape(grid.shape)
             # Phase 1: gain improvement; Phase 2: bias improvement among
@@ -473,15 +489,51 @@ class ActionKernel:
             folded.append(n_folded)
             best_w, best_d = best_w.ravel(), best_d.ravel()
             cur_w = cost + v[succ]  # equals g + v under the evaluation equations
-            change = improvable | (best_w < cur_w - 10 * _HOWARD_TOL * scale)
+            change = improvable | (best_w < cur_w - 10 * t)
             converged = not change.any()
             if converged:
                 break
             policy = np.where(change, best_d, policy)
         info = {"iterations": it + 1, "converged": converged,
                 "gain_spread": float(g.max() - g.min()),
-                "offsets_folded": folded}
+                "offsets_folded": folded,
+                "critical_cycles": [c.tolist() for c in cycles
+                                    if g[c[0]] <= g.min() + t]}
         return g, GridFunction(grid, v3), info
+
+    @cached_property
+    def _howard_tol(self):
+        """Howard's tolerance t: _HOWARD_TOL relative to max(1, |h*phi|)."""
+        return _HOWARD_TOL * max(1.0, float(np.abs(self._hphi).max()))
+
+    def saturated_edges(self, bias, gain):
+        """The edges q -> p (q reads p) that a converged Howard bias v
+        saturates: fl(v(p) + h*phi(p) + C*dev) <= fl(v(q) + gain + 10 t),
+        with 10 t Howard's improvement threshold.  Returns the flat (q, p)
+        arrays.  One window per offset, as in the bias pass; the norm groups
+        with lo + C*dev above every threshold, lo = min(v + h*phi), are not
+        folded, since by monotone rounding none of their candidates is
+        saturated."""
+        sweep = self._forward
+        v = bias.dense()
+        thr = v + (gain + 10 * self._howard_tol)
+        shifted = sweep.halo.pad(v + self._hphi)
+        lo, top = shifted.min(), thr.max()
+        cdevs = self.c * self.devs
+        cand = np.empty(self.grid.shape)
+        hit = np.empty(self.grid.shape, dtype=bool)
+        readers, offsets = [], []
+        for grp, cdev in enumerate(sweep.cdevs):
+            if lo + cdev > top:
+                break
+            for d in range(sweep.bounds[grp], sweep.bounds[grp + 1]):
+                np.add(shifted[sweep.windows[d]], cdevs[d], out=cand)
+                np.less_equal(cand, thr, out=hit)
+                q = np.flatnonzero(hit)
+                readers.append(q)
+                offsets.append(np.full(q.size, d))
+        q, d = np.concatenate(readers), np.concatenate(offsets)
+        return q, sweep.halo.read(q, sweep.tots[d])
 
 
 def discretization(model, grid=None, h=None):

@@ -36,17 +36,56 @@ class WeakKamSolution:
     stage_a_sweeps: int
     eigenvalue_refinement: float
     howard: dict
+    aubry: dict
     timings: dict
 
 
 def _converged_howard(kernel):
-    """Howard's gains and report; NonConvergenceError if it did not converge."""
-    g, _, info = kernel.solve_additive_eigenvalue()
+    """Howard's gains, bias and report; NonConvergenceError if it did not
+    converge."""
+    g, bias, info = kernel.solve_additive_eigenvalue()
     if not info["converged"]:
         raise NonConvergenceError(
             f"Howard policy iteration stopped after {info['iterations']} "
             "iterations without converging", history=[])
-    return g, info
+    return g, bias, info
+
+
+def _one_critical_class(kernel, g, bias, cycles):
+    """Whether Howard's critical cycles are one cycle that is the whole
+    critical graph: the bias's saturated edges (``saturated_edges``), peeled
+    of the nodes with no in-edge or no out-edge left, leave exactly its
+    nodes.  Every critical cycle's edges are saturated, so they all lie in
+    what is left."""
+    if len(cycles) != 1:
+        return False
+    q, p = kernel.saturated_edges(bias, float(g.min()))
+    n = kernel.grid.n_nodes
+    alive = np.ones(n, dtype=bool)
+    while True:
+        live = alive[q] & alive[p]
+        q, p = q[live], p[live]
+        keep = (np.bincount(q, minlength=n) > 0) \
+            & (np.bincount(p, minlength=n) > 0)
+        if np.array_equal(keep, alive):
+            break
+        alive = keep
+    return np.array_equal(np.flatnonzero(alive), np.sort(cycles[0]))
+
+
+# The base points that summary.json lists for the critical cycles, at most.
+_BASE_POINT_CAP = 8
+
+
+def _aubry_record(grid, cycles, one_class):
+    """The critical cycles' count, node count and first base points (by
+    index), and whether they are one class."""
+    nodes = np.concatenate([np.asarray(c, dtype=np.int64) for c in cycles])
+    i, j, _ = np.unravel_index(nodes, grid.shape)
+    base = np.unique(np.stack([i, j], axis=1), axis=0)[:_BASE_POINT_CAP]
+    return {"n_cycles": len(cycles), "n_nodes": int(nodes.size),
+            "base_points": (base * grid.spacings[:2]).tolist(),
+            "one_class": bool(one_class)}
 
 
 def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
@@ -79,7 +118,7 @@ def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
         if c is None:
             c = 4.0 * max(1.0, phi.lipschitz_constant)
         kern = build_kernel(grid, model, phi, c, 0.0, h)
-        g, info = _converged_howard(kern)
+        g, _, info = _converged_howard(kern)
         value = float(np.min(g)) / kern.h
         return value, {"method": method, "howard": info, "h": kern.h,
                        "c": float(c), "gain_spread": info["gain_spread"]}
@@ -110,12 +149,21 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000):
     <= each fixed point above v: the sweeps rise to the least fixed point
     above w*, the limit of Jacobi iteration u <- T u, but one sweep carries
     information along the flow through every s-layer, not one.
+
+    Howard's converged bias b is a fixed point of the refined T.  When its
+    critical cycles are one cycle that is the whole critical graph
+    (``_one_critical_class``), the fixed points are b + const (Baccelli,
+    Cohen, Olsder & Quadrat, *Synchronization and Linearity*, 1992, ch. 3),
+    and the least above w* is b + max(w* - b).  Stage B then makes one sweep
+    from it, and runs from w* as above only if that sweep changes it by tol
+    or more.  ``aubry`` reports the critical cycles (``_aubry_record``).
     ``timings`` holds the wall seconds of ``howard``, ``stage_a`` and
     ``stage_b``.
     """
     t0 = time.perf_counter()
-    g, info = _converged_howard(kernel)
+    g, bias, info = _converged_howard(kernel)
     refinement = float(np.min(g)) / kernel.h
+    howard_kernel = kernel
     if refinement != 0.0:
         kernel = kernel.with_phi_bar(kernel.phi_bar + refinement)
     t1 = time.perf_counter()
@@ -132,26 +180,37 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000):
                 drift=float((w.values - v.values).min()) / kernel.h)
         v = w
     t2 = time.perf_counter()
-    log = []
-    u = v
-    for _ in range(max_iters):
+
+    def sweep(u):
         u1 = kernel.relax(u)
         delta = u1.dense() - u.dense()
         lo, hi = float(delta.min()), float(delta.max())
-        residual = max(abs(lo), abs(hi))
-        log.append((lo, hi))
-        u = u1
-        if residual < tol:
-            timings = {"howard": t1 - t0, "stage_a": t2 - t1,
-                       "stage_b": time.perf_counter() - t2}
-            lip = u.discrete_lipschitz()
-            return WeakKamSolution(
-                u=u, c=kernel.c, residual=residual, phi_bar=kernel.phi_bar,
-                iteration_log=log, lipschitz=lip, stage_a_sweeps=n_a,
-                eigenvalue_refinement=refinement, howard=info,
-                timings=timings)
-    raise NonConvergenceError("weak-KAM iteration did not converge",
-                              history=log)
+        return u1, (lo, hi), max(abs(lo), abs(hi))
+
+    cycles = info["critical_cycles"]
+    one_class = _one_critical_class(howard_kernel, g, bias, cycles)
+    if one_class:
+        lift = float((v.dense() - bias.dense()).max())
+        u, step, residual = sweep(GridFunction(kernel.grid,
+                                               bias.dense() + lift))
+        log = [step]
+    if not one_class or residual >= tol:
+        u, log = v, []
+        for _ in range(max_iters):
+            u, step, residual = sweep(u)
+            log.append(step)
+            if residual < tol:
+                break
+        else:
+            raise NonConvergenceError("weak-KAM iteration did not converge",
+                                      history=log)
+    timings = {"howard": t1 - t0, "stage_a": t2 - t1,
+               "stage_b": time.perf_counter() - t2}
+    return WeakKamSolution(
+        u=u, c=kernel.c, residual=residual, phi_bar=kernel.phi_bar,
+        iteration_log=log, lipschitz=u.discrete_lipschitz(),
+        stage_a_sweeps=n_a, eigenvalue_refinement=refinement, howard=info,
+        aubry=_aubry_record(kernel.grid, cycles, one_class), timings=timings)
 
 
 def _action_at(kernel: ActionKernel, nodes, n_steps, at, fields,

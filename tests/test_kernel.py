@@ -248,6 +248,32 @@ def test_with_phi_bar_shifts_cost(small_kernel):
     assert np.abs((a - b) - small_kernel.h * 0.5).max() < 1e-14
 
 
+def test_with_phi_bar_keeps_the_sweeps(model, cobound, medium_grid):
+    """A coboundary solve's refined kernel shares its parent's sweeps, which
+    do not depend on phi_bar, and sweeps and solves bitwise as a fresh
+    build at the refined value."""
+    phi, _ = cobound
+    h = medium_grid.spacings[2]
+    kern = build_kernel(medium_grid, model, phi, 4.0, 0.0, h, 2.0)
+    g, _, _ = kern.solve_additive_eigenvalue()
+    phi_bar = float(g.min()) / kern.h
+    assert phi_bar != 0.0  # a rounding-level refinement, as in the solve
+    u = GridFunction(medium_grid,
+                     np.random.default_rng(3).random(medium_grid.shape))
+    kern.apply_reverse(u)
+    refined = kern.with_phi_bar(phi_bar)
+    fresh = build_kernel(medium_grid, model, phi, 4.0, phi_bar, h, 2.0)
+    assert refined._forward is kern._forward
+    assert refined._reverse is kern._reverse
+    for sweep in ("apply", "apply_reverse", "relax"):
+        got = getattr(refined, sweep)(u).values
+        assert got.tobytes() == getattr(fresh, sweep)(u).values.tobytes()
+    (g1, b1, info1), (g2, b2, info2) = (k.solve_additive_eigenvalue()
+                                        for k in (refined, fresh))
+    assert g1.tobytes() == g2.tobytes() and info1 == info2
+    assert b1.values.tobytes() == b2.values.tobytes()
+
+
 def test_row_min_bound(small_kernel):
     # A flow-following entry (deviation 0) exists for every p, so every row
     # minimum is at most h * sup|phi - phi_bar|, plus a grid diagonal's slack.
@@ -299,12 +325,15 @@ def test_howard_matches_karp_oracle(small_kernel):
     assert np.abs(tv.dense() - bias.dense()).max() < 1e-12
 
 
-def _oracle_policy_eval(succ, cost):
+def _oracle_policy_eval(succ, cost, v_prev=None):
     """Node-by-node reference: a depth-first walk from each unvisited node in
-    index order; a walk that closes a cycle anchors it at the entry node."""
+    index order; a walk that closes a cycle anchors it at the entry node,
+    where v is v_prev (0 without it).  The cycles are returned from their
+    anchors, by lowest node."""
     N = succ.size
     g = np.empty(N)
     v = np.empty(N)
+    cycles = []
     state = np.zeros(N, dtype=np.int8)  # 0 new, 1 on stack, 2 done
     order_pos = np.full(N, -1, dtype=np.int64)
     for start in range(N):
@@ -321,8 +350,9 @@ def _oracle_policy_eval(succ, cost):
             cyc = stack[order_pos[node]:]
             gain = float(cost[cyc].sum()) / len(cyc)
             anchor = cyc[0]
+            cycles.append(cyc)
             g[np.array(cyc)] = gain
-            v[anchor] = 0.0
+            v[anchor] = 0.0 if v_prev is None else v_prev[anchor]
             cur = anchor
             for _ in range(1, len(cyc)):
                 nxt = succ[cur]
@@ -335,7 +365,7 @@ def _oracle_policy_eval(succ, cost):
             g[qq] = g[succ[qq]]
             v[qq] = cost[qq] - g[qq] + v[succ[qq]]
             state[qq] = 2
-    return g, v
+    return g, v, sorted(cycles, key=min)
 
 
 def _relabel(succ, perm):
@@ -374,13 +404,16 @@ def _functional_graphs(rng, N=600):
 def test_policy_eval_matches_node_loop_bitwise(name):
     rng = np.random.default_rng(11)
     succ = _functional_graphs(rng)[name].astype(np.int64)
+    v_prev = rng.normal(size=succ.size)
     for cost in (rng.normal(size=succ.size),
                  np.round(rng.normal(size=succ.size), 1),
                  np.zeros(succ.size)):
-        g, v = ActionKernel._policy_eval(succ, cost)
-        g0, v0 = _oracle_policy_eval(succ, cost)
-        assert g.tobytes() == g0.tobytes(), name
-        assert v.tobytes() == v0.tobytes(), name
+        for prev in (None, v_prev):
+            g, v, cycles = ActionKernel._policy_eval(succ, cost, prev)
+            g0, v0, cycles0 = _oracle_policy_eval(succ, cost, prev)
+            assert g.tobytes() == g0.tobytes(), name
+            assert v.tobytes() == v0.tobytes(), name
+            assert [c.tolist() for c in cycles] == cycles0, name
 
 
 def _oracle_howard(kernel, max_iters=200, tol=1e-13):
@@ -399,11 +432,12 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
     policy = np.zeros(N, dtype=np.int64)
     scale = max(1.0, float(np.abs(hphi).max()))
     folded, succs = [], []
+    v = None
     for it in range(max_iters):
         succ = halo.read(np.arange(N), tots[policy])
         succs.append(succ)
         cost = hphi.reshape(-1)[succ] + cdevs[policy]
-        g, v = _oracle_policy_eval(succ, cost)
+        g, v, cycles = _oracle_policy_eval(succ, cost, v)
         g3 = g.reshape(grid.shape)
         v3 = v.reshape(grid.shape)
         shifted_g = halo.pad(g3)
@@ -430,14 +464,17 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
         best_w, best_d = best_w.ravel(), best_d.ravel()
         cur_w = cost + v[succ]
         change = improvable | (best_w < cur_w - 10 * tol * scale)
+        critical = [c for c in cycles if g[c[0]] <= g.min() + tol * scale]
         if not change.any():
             return g, v3, {"iterations": it + 1, "converged": True,
                            "gain_spread": float(g.max() - g.min()),
-                           "offsets_folded": folded}, succs
+                           "offsets_folded": folded,
+                           "critical_cycles": critical}, succs
         policy = np.where(change, best_d, policy)
     return g, v3, {"iterations": max_iters, "converged": False,
                    "gain_spread": float(g.max() - g.min()),
-                   "offsets_folded": folded}, succs
+                   "offsets_folded": folded,
+                   "critical_cycles": critical}, succs
 
 
 @pytest.fixture(scope="module")
@@ -466,9 +503,9 @@ def test_howard_gain_skip_is_exact(family, model, cobound, medium_grid,
     succs = []
     evaluate = ActionKernel._policy_eval
 
-    def recorded(succ, cost):
+    def recorded(succ, cost, v_prev):
         succs.append(succ.copy())
-        return evaluate(succ, cost)
+        return evaluate(succ, cost, v_prev)
 
     monkeypatch.setattr(ActionKernel, "_policy_eval", staticmethod(recorded))
     g, bias, info = kern.solve_additive_eigenvalue()
@@ -623,9 +660,9 @@ def test_deduplicated_howard_matches_full_stencil_bitwise(which, model,
     for k in (kern, full):
         succs = []
 
-        def recorded(succ, cost, succs=succs):
+        def recorded(succ, cost, v_prev, succs=succs):
             succs.append(succ.copy())
-            return evaluate(succ, cost)
+            return evaluate(succ, cost, v_prev)
 
         monkeypatch.setattr(ActionKernel, "_policy_eval",
                             staticmethod(recorded))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from weakkam import (ActionKernel, DriftError, Grid, GridFunction,
-                     NonConvergenceError, build_kernel,
+                     NonConvergenceError, Observable, build_kernel,
                      constant_observable, distance_squared_observable,
                      ergodic_value,
                      verify_apriori, verify_integrated_subaction,
                      weak_kam_solve)
 from weakkam.cli import _build_common
 from weakkam.config import load_config
+from weakkam import laxoleinik
 from weakkam.kernel import discretization
 from weakkam.laxoleinik import _action_at
 
@@ -40,17 +41,19 @@ def test_ergodic_value_rejects_unconverged_howard(model, small_grid,
                       grid=small_grid, h=small_grid.spacings[2], c=3.0)
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergenceError,
-                   reason="Howard cycles when dist2 is centred at a periodic "
-                          "point (ROADMAP item 4)")
 def test_howard_converges_on_dist2_centred_at_a_periodic_point(model,
                                                                small_grid):
-    # (0.5, 0.5) has period 3 under A; the solve's own kernel settings
+    # (0.5, 0.5) has period 3 under A; the solve's own kernel settings.
+    # Howard cycled here while each policy's bias was reset to 0 on its
+    # cycles.  dist2 vanishes at one point of the orbit only, so phi_bar > 0,
+    # and four policy cycles tie for the minimum gain.
     phi = distance_squared_observable(model, (0.5, 0.5))
     grid, h = discretization(model, small_grid)
     sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0),
                          1e-8)
-    assert abs(sol.phi_bar) <= 1e-12
+    assert sol.howard["converged"] and sol.howard["iterations"] == 13
+    assert sol.residual < 1e-8 and sol.phi_bar > 0.0
+    assert sol.aubry["n_cycles"] == 4 and not sol.aubry["one_class"]
 
 
 def test_ergodic_value_constant_orbits(model):
@@ -180,9 +183,16 @@ def relaxes(monkeypatch):
     return _recorder(monkeypatch, "relax")
 
 
+@pytest.fixture
+def no_skip(monkeypatch):
+    """Stage B runs from w* whatever the critical graph is."""
+    monkeypatch.setattr(laxoleinik, "_one_critical_class",
+                        lambda *args: False)
+
+
 @pytest.mark.parametrize("which", ["small", "coboundary", "dist2"])
 def test_stage_a_stops_at_its_first_fixed_sweep(small_kernel, relaxes,
-                                                which):
+                                                no_skip, which):
     kern = small_kernel if which == "small" else _cli_kernel(which)
     sol = weak_kam_solve(kern, 1e-8)
     # Stage B's first sweep is relaxed from Stage A's v, on the refined kernel
@@ -229,7 +239,7 @@ def _dist2_kernel(model, grid):
 
 @pytest.mark.parametrize("which", ["small", "cli"])
 def test_stage_b_matches_jacobi_oracle_on_dist2(model, small_grid, relaxes,
-                                                which):
+                                                no_skip, which):
     kern = (_dist2_kernel(model, small_grid) if which == "small"
             else _cli_kernel("dist2"))
     sol = weak_kam_solve(kern, 1e-8)
@@ -259,6 +269,106 @@ def test_stage_b_agrees_with_jacobi_oracle_on_the_coboundary(small_kernel,
     assert gap <= max(sol.residual, residual)
     tu = refined.apply(sol.u)
     assert (tu.dense() - sol.u.dense()).min() >= -tol
+
+
+def _fibre(grid, i, j):
+    """Flat nodes of the s-fibre over base node (i, j)."""
+    return np.ravel_multi_index(
+        (np.full(grid.shape[2], i), np.full(grid.shape[2], j),
+         np.arange(grid.shape[2])), grid.shape)
+
+
+@pytest.mark.parametrize("shape,n_nodes", [((16, 16, 10), 10),
+                                           ((32, 32, 16), 16)])
+def test_aubry_set_of_dist2_at_a_fixed_point(shape, n_nodes):
+    # dist2 vanishes on the fibre over the fixed point (0, 0) only, and that
+    # fibre is one flow orbit: the whole critical graph, one class
+    cfg = load_config(None, {"grid_shape": shape, "family": "dist2"})
+    model, phi, grid, h = _build_common(cfg)
+    kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
+    sol = weak_kam_solve(kern, cfg.solve_tol)
+    assert sol.aubry == {"n_cycles": 1, "n_nodes": n_nodes,
+                         "base_points": [[0.0, 0.0]], "one_class": True}
+    (cycle,) = sol.howard["critical_cycles"]
+    assert sorted(cycle) == _fibre(grid, 0, 0).tolist()
+    assert len(sol.iteration_log) == 1
+
+
+# A period-3 orbit of A and dist2 to its nearest point: it vanishes exactly on
+# the orbit, so phi_bar = 0 and the Aubry set is the orbit's three fibres.
+_ORBIT = np.array([[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]])
+
+
+def _orbit_dist2(p):
+    d = np.asarray(p, dtype=float)[..., None, :2] - _ORBIT
+    d -= np.round(d)
+    return (d ** 2).sum(axis=-1).min(axis=-1)
+
+
+def test_aubry_set_of_dist2_to_a_periodic_orbit(model, small_grid):
+    phi = Observable(evaluate=_orbit_dist2, lipschitz_constant=np.sqrt(2.0),
+                     sup_bound=0.5)
+    grid, h = discretization(model, small_grid)
+    sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0),
+                         1e-8)
+    assert sol.phi_bar == 0.0
+    assert sol.aubry == {"n_cycles": 1, "n_nodes": 30,
+                         "base_points": [[0.0, 0.5], [0.5, 0.0], [0.5, 0.5]],
+                         "one_class": True}
+    (cycle,) = sol.howard["critical_cycles"]
+    fibres = np.concatenate([_fibre(grid, 4, 4), _fibre(grid, 4, 0),
+                             _fibre(grid, 0, 4)])
+    assert sorted(cycle) == sorted(fibres.tolist())
+    assert len(sol.iteration_log) == 1 and sol.residual < 1e-8
+
+
+def test_coboundary_has_many_critical_cycles_and_runs_stage_b(
+        relaxes, monkeypatch):
+    # every orbit of a coboundary is minimizing: many cycles tie, so the
+    # one-class test folds no window and Stage B starts from w*
+    def no_fold(*args):
+        raise AssertionError("folded a window")
+
+    monkeypatch.setattr(ActionKernel, "saturated_edges", no_fold)
+    sol = weak_kam_solve(_cli_kernel("coboundary"), 1e-8)
+    assert sol.aubry["n_cycles"] > 1 and not sol.aubry["one_class"]
+    assert len(sol.aubry["base_points"]) == 8
+    refined, v = relaxes[0]
+    assert np.all(refined.apply(v).values >= v.values)  # w*, not a bias
+    assert sol.stage_a_sweeps > 1 and len(relaxes) == len(sol.iteration_log)
+
+
+@pytest.mark.parametrize("which", ["small", "cli"])
+def test_one_class_skip_matches_stage_b(model, small_grid, monkeypatch,
+                                        which):
+    kern = (_dist2_kernel(model, small_grid) if which == "small"
+            else _cli_kernel("dist2"))
+    tol = 1e-8
+    sol = weak_kam_solve(kern, tol)
+    monkeypatch.setattr(laxoleinik, "_one_critical_class",
+                        lambda *args: False)
+    stage_b = weak_kam_solve(kern, tol)
+    assert sol.aubry["one_class"] and len(sol.iteration_log) == 1
+    assert len(stage_b.iteration_log) > 1
+    # a fixed point within tol, and Stage B's u to 2 ulp
+    assert sol.residual < tol
+    tu = kern.with_phi_bar(sol.phi_bar).apply(sol.u)
+    assert np.abs(tu.dense() - sol.u.dense()).max() < tol
+    u, u_b = sol.u.dense(), stage_b.u.dense()
+    assert np.all(np.abs(u - u_b) <= 2 * np.spacing(np.abs(u_b)))
+
+
+def test_one_class_skip_falls_back_to_stage_b(monkeypatch):
+    # at 16x16x10 the skip's sweep moves u by 2.2e-16 while Stage B ends
+    # with a sweep that moves nothing: below that tol Stage B runs from w*
+    kern, tol = _cli_kernel("dist2"), 1e-16
+    sol = weak_kam_solve(kern, tol)
+    monkeypatch.setattr(laxoleinik, "_one_critical_class",
+                        lambda *args: False)
+    stage_b = weak_kam_solve(kern, tol)
+    assert sol.aubry["one_class"] and sol.residual == 0.0
+    assert sol.iteration_log == stage_b.iteration_log
+    assert sol.u.values.tobytes() == stage_b.u.values.tobytes()
 
 
 @pytest.mark.parametrize("cap", [1, 59])
