@@ -17,7 +17,7 @@ phi, _ = coboundary_observable(model)
 grid = Grid((16, 16, 10), (1.0, 1.0, model.roof), model.base_matrix)
 c = 4.0 * max(1.0, phi.lipschitz_constant)
 kern = build_kernel(grid, model, phi, c, 0.0, grid.spacings[2])
-sol = weak_kam_solve(kern, 1e-8)
+sol = weak_kam_solve(kern)
 
 cover = default_cover(model)
 print(f"smoothing cover: {len(cover)} flow boxes")

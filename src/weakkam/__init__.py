@@ -21,7 +21,7 @@ from .observables import (BUILTIN_FAMILIES, GluePotential,
 from .grid import Grid, GridFunction
 from .kernel import (ActionKernel, AlignmentError, KernelConnectivityError,
                      build_kernel)
-from .laxoleinik import (DriftError, NonConvergenceError, WeakKamSolution,
+from .laxoleinik import (NonConvergenceError, WeakKamSolution,
                          ergodic_value, verify_apriori,
                          verify_integrated_subaction, weak_kam_solve)
 from .charts import (AtlasConstants, FlowBox, FlowBoxAtlas,

@@ -87,7 +87,7 @@ def _solve_and_certify(cfg, model, phi, grid, h):
     t0 = time.perf_counter()
     kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
     t1 = time.perf_counter()
-    sol = weak_kam_solve(kern, cfg.solve_tol)
+    sol = weak_kam_solve(kern)
     t2 = time.perf_counter()
     cert = regularize_all(sol.u, default_cover(model), phi, sol.phi_bar,
                           precheck=False)
@@ -155,7 +155,7 @@ def cmd_solve(cfg: RunConfig):
                "howard_iterations": sol.howard["iterations"],
                "howard_offsets_folded": sum(sol.howard["offsets_folded"]),
                "stage_a_sweeps": sol.stage_a_sweeps,
-               "stage_b_sweeps": len(sol.iteration_log),
+               "stage_b_sweeps": sol.stage_b_sweeps,
                "aubry": sol.aubry,
                "table_columns_priced": cert.report["table_columns_priced"],
                "table_columns": cert.report["table_columns"],
@@ -311,7 +311,7 @@ def build_parser():
     p.add_argument("--grid", type=int, nargs=3, metavar=("N1", "N2", "NS"))
     p.add_argument("--h", type=float, help="kernel time step")
     p.add_argument("--c", type=float, help="action weight C")
-    p.add_argument("--tol", type=float, help="solver tolerance")
+    p.add_argument("--tol", type=float, help="weak-KAM residual tolerance")
     p.add_argument("--seed", type=int)
     p.add_argument("--output", help="output directory")
     p.add_argument("--observable", help="built-in observable family")

@@ -41,8 +41,7 @@ class Halo:
     ``index[r + x, r + y, k - k_lo]`` is the node read by base cell (x, y) of
     s-layer k, for -r <= x < n1 + r, -r <= y < n2 + r, k_lo <= k < k_hi: the
     base wraps periodically and a layer outside [0, ns) is layer k mod ns
-    seen through A^(k // ns).  ``pad`` copies an array into the halo once,
-    and ``refresh`` copies one s-layer again after it changed;
+    seen through A^(k // ns).  ``pad`` copies an array into the halo once;
     ``window(offset)`` is the slice of the padded copy that equals
     ``Grid.gather_shift(arr, offset)``.
     """
@@ -57,13 +56,6 @@ class Halo:
         after the first three are batch axes, carried along: a stack of
         fields is padded at once and every window slices all of it."""
         return np.take(arr.reshape((-1,) + arr.shape[3:]), self.index, axis=0)
-
-    def refresh(self, padded, arr, k):
-        """Gather again into ``padded``, the halo of ``arr``, the slabs that
-        show s-layer k of ``arr``: every ns-th one, from k's own."""
-        slabs = slice((k - self.k_lo) % self.shape[2], None, self.shape[2])
-        padded[:, :, slabs] = np.take(arr.reshape((-1,) + arr.shape[3:]),
-                                      self.index[:, :, slabs], axis=0)
 
     def read(self, nodes, offsets):
         """Flat node that flat node ``nodes`` reads under the index triples

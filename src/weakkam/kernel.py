@@ -12,24 +12,20 @@ twisted halo (``grid.Halo``); each shift is a zero-copy window of it, folded
 into the running minimum in place.  No cost matrix is materialized; memory
 stays O(grid size) for any reach.
 
-One fold serves every sweep: it computes the s-layers [k0, k1) of the
-minimum, through the same windows restricted to those layers.  ``apply`` and
-``apply_reverse`` fold [0, ns) at once.  ``relax``, a Gauss-Seidel sweep,
-folds one layer at a time in increasing order, writes it, and gathers again
-only the halo slabs that show that layer, so each layer reads the layers this
-sweep already wrote.
+``apply`` and ``apply_reverse`` fold every s-layer at once, and prune the
+stencil exactly.  With lo the minimum of the shifted array B and hi the
+maximum of its zero-deviation window, only the prefix of the norm-sorted
+offsets with not (lo + C*dev > hi) is folded: a pruned candidate at q is
+fl(B[p] + C*dev) >= fl(lo + C*dev) > hi >= B[p0], the zero-deviation
+candidate at q, because rounding is monotone.  That window is a permutation
+of B, so lo, hi are B's extremes.  If B holds +-inf the test is false and
+nothing is pruned.  Offsets of equal norm are folded together, the minimum of
+their windows first and C*dev added once, exact for the same reason.  NaN
+input raises ``ValueError``.
 
-Folds prune the stencil exactly.  With lo a lower bound of the shifted array
-B and hi the maximum of the folded layers' zero-deviation window, only the
-prefix of the norm-sorted offsets with not (lo + C*dev > hi) is folded: a
-pruned candidate at q is fl(B[p] + C*dev) >= fl(lo + C*dev) > hi >= B[p0],
-the zero-deviation candidate at q, because rounding is monotone.  Over all
-layers that window is a permutation of B, so lo, hi are B's extremes.  In a
-Gauss-Seidel sweep lo starts as B's minimum and takes the minimum of each
-layer as it is written, so it bounds B even where the sweep lowers it.  If B
-holds +-inf the test is false and nothing is pruned.  Offsets of equal norm
-are folded together, the minimum of their windows first and C*dev added
-once, exact for the same reason.  NaN input raises ``ValueError``.
+``reduced_fold`` folds labels L = u - v in the reduced costs of a Howard
+bias v, each candidate clamped to at least the label it reads, so every
+reduced weight is >= 0 and the fold ends with no drift rule and no cap.
 
 Two sweeps compute entries, not whole fields, bitwise as ``apply`` does.
 ``row`` sweeps a stack of delta fields: field i is finite only at its node p,
@@ -189,31 +185,22 @@ class ActionKernel:
             raise ValueError("kernel input field holds NaN")
         return lo
 
-    @staticmethod
-    def _fold(P, sweep, lo, k0, k1):
-        """min over the stencil of shift(B) + c*dev on the s-layers [k0, k1),
-        from P, the halo of B, and lo <= every entry of B; pruned exactly."""
+    def _fold_all(self, B, sweep):
+        """min over the stencil of shift(B) + c*dev on every s-layer, pruned
+        exactly."""
+        lo = self._lower_bound(B)
+        P = sweep.halo.pad(B)
         win, bounds = sweep.windows, sweep.bounds
-
-        def layers(j):
-            sx, sy, sk = win[j]
-            return P[sx, sy, sk.start + k0:sk.start + k1]
-
-        best = layers(0).copy()
+        best = P[win[0]].copy()
         tmp = np.empty_like(best)
         n_groups = np.searchsorted(lo + sweep.cdevs, best.max(), side="right")
         for g in range(1, n_groups):
-            np.copyto(tmp, layers(bounds[g]))
+            np.copyto(tmp, P[win[bounds[g]]])
             for j in range(bounds[g] + 1, bounds[g + 1]):
-                np.minimum(tmp, layers(j), out=tmp)
+                np.minimum(tmp, P[win[j]], out=tmp)
             np.add(tmp, sweep.cdevs[g], out=tmp)
             np.minimum(best, tmp, out=best)
         return best
-
-    def _fold_all(self, B, sweep):
-        """min over the stencil of shift(B) + c*dev on every s-layer."""
-        lo = self._lower_bound(B)
-        return self._fold(sweep.halo.pad(B), sweep, lo, 0, self.grid.shape[2])
 
     def _check_grid(self, u):
         if u.grid is not self.grid and u.grid.shape != self.grid.shape:
@@ -234,27 +221,80 @@ class ActionKernel:
         best = self._fold_all(u.values + self._hphi, self._forward)
         return GridFunction(self.grid, best, u.offset)
 
-    def relax(self, u):
-        """One Gauss-Seidel sweep of T: the s-layers in increasing order,
-        each folded from the current field, so that layer k reads the values
-        this sweep gave the layers before it.  Same halo, windows and group
-        order as ``apply``; after layer k is written, only the halo slabs
-        that show it are gathered again.  ``u`` is a GridFunction."""
-        self._check_grid(u)
-        sweep = self._forward
-        B = u.values + self._hphi
-        lo = self._lower_bound(B)
-        P = sweep.halo.pad(B)
-        out = np.empty_like(B)
-        for k in range(self.grid.shape[2]):
-            layer = slice(k, k + 1)
-            out[:, :, layer] = self._fold(P, sweep, lo, k, k + 1)
-            np.add(out[:, :, layer], self._hphi[:, :, layer],
-                   out=B[:, :, layer])
-            # lo stays below B wherever this layer lowered it
-            lo = min(lo, B[:, :, layer].min())
-            sweep.halo.refresh(P, B, k)
-        return GridFunction(self.grid, out, u.offset)
+    def reduced_fold(self, bias, labels, fresh=None):
+        """The fixed point of the clamped fold in the reduced costs of
+        ``bias`` (v, grid-shaped) from ``labels`` (L), and its pass count:
+        L(q) <- min(L(q), min_d max(L(p_d), fl(B(p_d) + c*dev_d) - v(q))),
+        B = fl(fl(L + v) + h*phi), until a pass changes no label.
+
+        Each edge maps the label it reads to one at least as large, so a
+        walk that closes a cycle ends no lower than it would without it.
+        The fixed point is thus the least value, over the paths into q, of
+        their edge maps applied to the start's label, bitwise the same for
+        every update order; with N nodes no path has more than N edges.
+
+        A pass first sweeps the flow edges (offset 0) in s-layer order,
+        each layer from the labels this pass left on the layer it reads.
+        It then folds the other offsets from the halos of L and B, Jacobi,
+        with B = +inf at the nodes not changed since the last such fold
+        (outside ``fresh`` before the first; None is every node): their
+        candidates were taken then.  The caller vouches that nodes outside
+        ``fresh`` lower no label (a node holding the largest label cannot).
+        With lo = min B and hi = max fl(L + v), a norm group with
+        fl(lo + c*dev) >= nextafter(hi) is not folded: the exact value of
+        fl(lo + c*dev) - v(q) exceeds L(q), so by monotone rounding no
+        candidate lowers L(q).  Nor is a group whose screen, fl(min of its
+        B windows + c*dev) - v, lowers no label: it is the least unclamped
+        candidate of the group, exactly, since fl(min x + c) = min fl(x + c).
+        """
+        grid, sweep = self.grid, self._forward
+        win, bounds = sweep.windows, sweep.bounds
+        v = np.asarray(bias, dtype=float)
+        L = np.array(labels, dtype=float)
+        flat = L.reshape(-1)
+        # offset 0 is the flow step: node q's flow edge reads pred[q]
+        pred = sweep.halo.read(np.arange(grid.n_nodes), sweep.tots[0])
+        pred = pred.reshape(grid.shape)
+        vp, hp = v.reshape(-1)[pred], self._hphi.reshape(-1)[pred]
+        seen = np.full(grid.shape, np.inf) if fresh is None \
+            else np.where(fresh, np.inf, L)
+        lp, cand = np.empty(grid.shape[:2]), np.empty(grid.shape[:2])
+        tmp = np.empty(grid.shape)
+        passes = 0
+        while True:
+            passes += 1
+            start = L.copy()
+            for k in range(grid.shape[2]):
+                np.take(flat, pred[:, :, k], out=lp)
+                np.add(lp, vp[:, :, k], out=cand)
+                cand += hp[:, :, k]
+                cand -= v[:, :, k]
+                np.maximum(cand, lp, out=cand)
+                np.minimum(L[:, :, k], cand, out=L[:, :, k])
+            U = L + v
+            B = U + self._hphi
+            B[L >= seen] = np.inf
+            seen = L.copy()
+            n_groups = np.searchsorted(B.min() + sweep.cdevs,
+                                       np.nextafter(U.max(), np.inf))
+            if n_groups > 1:
+                PB, PL = sweep.halo.pad(B), sweep.halo.pad(L)
+            for g in range(1, n_groups):
+                group, cdev = range(bounds[g], bounds[g + 1]), sweep.cdevs[g]
+                np.copyto(tmp, PB[win[group[0]]])
+                for j in group[1:]:
+                    np.minimum(tmp, PB[win[j]], out=tmp)
+                tmp += cdev
+                tmp -= v
+                if not (tmp < L).any():
+                    continue
+                for j in group:
+                    np.add(PB[win[j]], cdev, out=tmp)
+                    tmp -= v
+                    np.maximum(tmp, PL[win[j]], out=tmp)
+                    np.minimum(L, tmp, out=L)
+            if np.array_equal(L, start):
+                return L, passes
 
     def apply_reverse(self, w):
         """(T'_h w)(p) = min_q w(q) + A_h(p,q) (adjoint sweep, for A^t(., q));

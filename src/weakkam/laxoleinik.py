@@ -13,16 +13,8 @@ from .kernel import ActionKernel, build_kernel, discretization
 from .models import birkhoff_integral, periodic_orbits
 
 
-class DriftError(RuntimeError):
-    def __init__(self, message, drift):
-        super().__init__(message)
-        self.drift = drift
-
-
 class NonConvergenceError(RuntimeError):
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = history
+    pass
 
 
 @dataclass
@@ -31,9 +23,9 @@ class WeakKamSolution:
     c: float
     residual: float
     phi_bar: float
-    iteration_log: list
     lipschitz: float
     stage_a_sweeps: int
+    stage_b_sweeps: int
     eigenvalue_refinement: float
     howard: dict
     aubry: dict
@@ -47,19 +39,17 @@ def _converged_howard(kernel):
     if not info["converged"]:
         raise NonConvergenceError(
             f"Howard policy iteration stopped after {info['iterations']} "
-            "iterations without converging", history=[])
+            "iterations without converging")
     return g, bias, info
 
 
-def _one_critical_class(kernel, g, bias, cycles):
-    """Whether Howard's critical cycles are one cycle that is the whole
-    critical graph: the bias's saturated edges (``saturated_edges``), peeled
-    of the nodes with no in-edge or no out-edge left, leave exactly its
-    nodes.  Every critical cycle's edges are saturated, so they all lie in
-    what is left."""
-    if len(cycles) != 1:
-        return False
-    q, p = kernel.saturated_edges(bias, float(g.min()))
+def _aubry_seeds(kernel, bias, gain):
+    """The core of the critical graph, as a grid-shaped mask: the edges a
+    converged Howard bias saturates (``saturated_edges``), peeled of the
+    nodes with no in-edge or no out-edge left until none is.  Peeling
+    removes no node of a cycle, so every cycle of the saturated graph lies
+    in the core, and with them the Aubry set."""
+    q, p = kernel.saturated_edges(bias, gain)
     n = kernel.grid.n_nodes
     alive = np.ones(n, dtype=bool)
     while True:
@@ -68,24 +58,21 @@ def _one_critical_class(kernel, g, bias, cycles):
         keep = (np.bincount(q, minlength=n) > 0) \
             & (np.bincount(p, minlength=n) > 0)
         if np.array_equal(keep, alive):
-            break
+            return alive.reshape(kernel.grid.shape)
         alive = keep
-    return np.array_equal(np.flatnonzero(alive), np.sort(cycles[0]))
 
 
-# The base points that summary.json lists for the critical cycles, at most.
+# The base points that summary.json lists for the seed nodes, at most.
 _BASE_POINT_CAP = 8
 
 
-def _aubry_record(grid, cycles, one_class):
-    """The critical cycles' count, node count and first base points (by
-    index), and whether they are one class."""
-    nodes = np.concatenate([np.asarray(c, dtype=np.int64) for c in cycles])
-    i, j, _ = np.unravel_index(nodes, grid.shape)
+def _aubry_record(grid, cycles, seeds):
+    """The critical cycles' count, and the seed nodes' count and first base
+    points (by index)."""
+    i, j, _ = np.nonzero(seeds)
     base = np.unique(np.stack([i, j], axis=1), axis=0)[:_BASE_POINT_CAP]
-    return {"n_cycles": len(cycles), "n_nodes": int(nodes.size),
-            "base_points": (base * grid.spacings[:2]).tolist(),
-            "one_class": bool(one_class)}
+    return {"n_cycles": len(cycles), "n_nodes": int(i.size),
+            "base_points": (base * grid.spacings[:2]).tolist()}
 
 
 def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
@@ -125,40 +112,41 @@ def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
     raise ValueError(f"unknown method {method!r}")
 
 
-def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000):
-    """Two-stage weak-KAM fixed point of the discrete semigroup.
+def weak_kam_solve(kernel: ActionKernel):
+    """Weak-KAM fixed point of the discrete semigroup, by two folds in the
+    reduced costs of Howard's bias.
 
     The kernel's reference value is first refined to its exact additive
     eigenvalue by Howard's policy iteration (otherwise iterates drift
-    linearly forever and no residual tolerance is reachable); on a kernel
-    built at reference value 0 the refined ``phi_bar`` is the ergodic value
-    itself, and the policy-iteration report is kept in ``howard``.  A policy
-    iteration that does not converge raises NonConvergenceError.
+    linearly forever); on a kernel built at reference value 0 the refined
+    ``phi_bar`` is the ergodic value itself, and the policy-iteration report
+    is kept in ``howard``.  A policy iteration that does not converge raises
+    NonConvergenceError.  Howard's bias v prices every edge at a reduced
+    cost r = v(p) + h*phi(p) + C*dev - v(q) >= 0 up to rounding, and
+    ``ActionKernel.reduced_fold`` computes, on labels L = u - v clamped so
+    that r >= 0 exactly, the least value over paths from a start label.
 
-    Stage A computes w* = min_{n>=1} T^n 0 as v = T 0, then
-    v <- min(v, T v), and stops at the first sweep that leaves v unchanged.
-    T commutes with min bitwise, so after n sweeps v is exactly the min of
-    the first n push-forwards, and once a sweep changes nothing no later
-    push-forward can: v is w*, and T v >= v exactly.  If no sweep within
-    ``max_iters`` is fixed, DriftError carries the last sweep's worst
-    improvement per unit time.
+    Pass 1 folds from L = -v.  Then z = v + L is min over n >= 0 of T^n 0,
+    and w* = T z is min over n >= 1 of T^n 0, so T w* >= w*.  Pass 2 folds
+    from the cap b + max(w* - b), b = v (a fixed point above w*), lowered to
+    w* on the seed nodes S, and returns u = v + L: with d the least path
+    cost, u = min(cap, min over a in S of w*(a) + d(a, .)).  The seeds are
+    the core of the saturated graph (``_aubry_seeds``), which holds the
+    Aubry set A.  That is what makes u the least fixed point l above w*:
+    T w* >= w* gives w*(a) + d(a, .) >= w*, so u >= w*; l is min over a in
+    A of w*(a) + d(a, .) (the min-plus spectral projector: Baccelli, Cohen,
+    Olsder & Quadrat, *Synchronization and Linearity*, 1992, ch. 3), and
+    A in S gives u <= l; so a u that is a fixed point is l.  Seeds that miss
+    part of A give no such bound: from Howard's critical cycles alone u can
+    be a fixed point above l.  ``residual`` is max |T u - u| on the refined
+    kernel, the check that can fail.  Where the critical graph is one
+    class, the cap is already the answer and pass 2 is one pass.
 
-    Stage B iterates Gauss-Seidel sweeps of T (``ActionKernel.relax``) from
-    v, and stops once the sup-change of a sweep drops below tol.  T is
-    monotone and v <= T v, so every sweep leaves the field >= its input and
-    <= each fixed point above v: the sweeps rise to the least fixed point
-    above w*, the limit of Jacobi iteration u <- T u, but one sweep carries
-    information along the flow through every s-layer, not one.
-
-    Howard's converged bias b is a fixed point of the refined T.  When its
-    critical cycles are one cycle that is the whole critical graph
-    (``_one_critical_class``), the fixed points are b + const (Baccelli,
-    Cohen, Olsder & Quadrat, *Synchronization and Linearity*, 1992, ch. 3),
-    and the least above w* is b + max(w* - b).  Stage B then makes one sweep
-    from it, and runs from w* as above only if that sweep changes it by tol
-    or more.  ``aubry`` reports the critical cycles (``_aubry_record``).
-    ``timings`` holds the wall seconds of ``howard``, ``stage_a`` and
-    ``stage_b``.
+    ``stage_a_sweeps`` and ``stage_b_sweeps`` count the passes of the two
+    folds; ``aubry`` reports Howard's critical cycles and the seed nodes
+    (``_aubry_record``); ``timings`` holds the wall seconds of ``howard``,
+    ``stage_a`` (pass 1 and w*) and ``stage_b`` (the seeds, pass 2 and the
+    residual).
     """
     t0 = time.perf_counter()
     g, bias, info = _converged_howard(kernel)
@@ -166,51 +154,25 @@ def weak_kam_solve(kernel: ActionKernel, tol, max_iters=3000):
     howard_kernel = kernel
     if refinement != 0.0:
         kernel = kernel.with_phi_bar(kernel.phi_bar + refinement)
+    v = bias.dense()
     t1 = time.perf_counter()
-    v = kernel.apply(GridFunction.zeros(kernel.grid))
-    n_a = 1
-    while True:
-        w = v.minimum(kernel.apply(v))
-        n_a += 1
-        if np.array_equal(w.values, v.values):
-            break
-        if n_a >= max_iters:
-            raise DriftError(
-                f"Stage A found no fixed sweep in {n_a} sweeps",
-                drift=float((w.values - v.values).min()) / kernel.h)
-        v = w
+    labels, n_a = kernel.reduced_fold(v, -v)
+    w = kernel.apply(GridFunction(kernel.grid, v + labels)).dense()
     t2 = time.perf_counter()
-
-    def sweep(u):
-        u1 = kernel.relax(u)
-        delta = u1.dense() - u.dense()
-        lo, hi = float(delta.min()), float(delta.max())
-        return u1, (lo, hi), max(abs(lo), abs(hi))
-
-    cycles = info["critical_cycles"]
-    one_class = _one_critical_class(howard_kernel, g, bias, cycles)
-    if one_class:
-        lift = float((v.dense() - bias.dense()).max())
-        u, step, residual = sweep(GridFunction(kernel.grid,
-                                               bias.dense() + lift))
-        log = [step]
-    if not one_class or residual >= tol:
-        u, log = v, []
-        for _ in range(max_iters):
-            u, step, residual = sweep(u)
-            log.append(step)
-            if residual < tol:
-                break
-        else:
-            raise NonConvergenceError("weak-KAM iteration did not converge",
-                                      history=log)
+    seeds = _aubry_seeds(howard_kernel, bias, float(g.min()))
+    lift = w - v
+    labels, n_b = kernel.reduced_fold(
+        v, np.where(seeds, lift, lift.max()), fresh=seeds)
+    u = GridFunction(kernel.grid, v + labels)
+    residual = float(np.abs(kernel.apply(u).dense() - u.dense()).max())
     timings = {"howard": t1 - t0, "stage_a": t2 - t1,
                "stage_b": time.perf_counter() - t2}
     return WeakKamSolution(
         u=u, c=kernel.c, residual=residual, phi_bar=kernel.phi_bar,
-        iteration_log=log, lipschitz=u.discrete_lipschitz(),
-        stage_a_sweeps=n_a, eigenvalue_refinement=refinement, howard=info,
-        aubry=_aubry_record(kernel.grid, cycles, one_class), timings=timings)
+        lipschitz=u.discrete_lipschitz(), stage_a_sweeps=n_a,
+        stage_b_sweeps=n_b, eigenvalue_refinement=refinement, howard=info,
+        aubry=_aubry_record(kernel.grid, info["critical_cycles"], seeds),
+        timings=timings)
 
 
 def _action_at(kernel: ActionKernel, nodes, n_steps, at, fields,

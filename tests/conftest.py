@@ -44,4 +44,4 @@ def medium_solution(model, cobound, medium_grid):
     c = 4.0 * max(1.0, phi.lipschitz_constant)
     kern = build_kernel(medium_grid, model, phi, c, 0.0,
                         medium_grid.spacings[2], 2.0)
-    return weak_kam_solve(kern, 1e-8), kern
+    return weak_kam_solve(kern), kern

@@ -17,8 +17,10 @@ from weakkam import (Grid, GridFunction, build_kernel, check_factorization,
                      pseudo_orbit_suite, regularize_all, verify_apriori,
                      verify_subaction, weak_kam_solve, weighted_action)
 from weakkam.charts import FlowBox
-from weakkam.laxoleinik import ergodic_value
+from weakkam.laxoleinik import _aubry_seeds, ergodic_value
 from weakkam.regularize import default_cover
+
+from test_laxoleinik import _stage_a
 
 
 def _report(num, ok, msg):
@@ -41,7 +43,7 @@ def sol_cob(model, cobound, acc_grid):
     phi, _ = cobound
     c = 4.0 * max(1.0, phi.lipschitz_constant)
     kern = build_kernel(acc_grid, model, phi, c, 0.0, acc_grid.spacings[2])
-    return weak_kam_solve(kern, 1e-8), kern
+    return weak_kam_solve(kern), kern
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +58,7 @@ def sol_dist2(model, acc_grid):
     phi = distance_squared_observable(model)
     c = 4.0 * max(1.0, phi.lipschitz_constant)
     kern = build_kernel(acc_grid, model, phi, c, 0.0, acc_grid.spacings[2])
-    return phi, weak_kam_solve(kern, 1e-8), kern
+    return phi, weak_kam_solve(kern), kern
 
 
 def test_criterion_01_coboundary_roundtrip(model, cobound, acc_grid, sol_cob,
@@ -121,11 +123,20 @@ def test_criterion_04_weak_kam_fixed_point(cobound, sol_cob, acc_grid):
     sol, kern = sol_cob
     scale = max(1.0, phi.sup_bound)
     res_ok = sol.residual <= 1e-6 * scale
-    mono_ok = all(lo >= -1e-9 for lo, _ in sol.iteration_log)
+    # the least fixed point above Stage A's w*: w* on the seed nodes and
+    # above it everywhere, within rounding
+    w_star = _stage_a(kern.with_phi_bar(sol.phi_bar))[0].dense()
+    g, bias, _ = kern.solve_additive_eigenvalue()
+    seeds = _aubry_seeds(kern, bias, float(g.min()))
+    ulp = 4 * np.spacing(max(1.0, np.abs(w_star).max()))
+    gap = sol.u.dense() - w_star
+    seed_gap, below = float(np.abs(gap[seeds]).max()), float(-gap.min())
+    least_ok = seed_gap <= ulp and below <= ulp
     lip_ok = sol.lipschitz <= kern.c * (1.0 + acc_grid.diagonal)
-    ok = res_ok and mono_ok and lip_ok
+    ok = res_ok and least_ok and lip_ok
     _report(4, ok, f"residual {sol.residual:.2e}<={1e-6 * scale:.1e}, "
-            f"Stage-B monotone within 1e-9, "
+            f"|u - w*| on {int(seeds.sum())} seed nodes {seed_gap:.1e} and "
+            f"w* - u {below:.1e}, both <={ulp:.1e}, "
             f"Lip(u)={sol.lipschitz:.2f}<={kern.c * (1 + acc_grid.diagonal):.2f}")
 
 

@@ -50,3 +50,23 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_it():
     assert after.keys() == before.keys()
     changed = [k for k in before if after[k] is not before[k]]
     assert not changed, changed
+
+
+def test_layer_metrics_read_a_traced_solve(small_kernel):
+    """``layer_metrics`` reads the attributes the tracer keeps off a solve
+    (``stage_a_sweeps``), so renaming them fails here."""
+    from weakkam import laxoleinik
+
+    rec = tracing.SpanRecorder("tier1")
+    uninstall = tracing.install(rec)
+    try:
+        sol = laxoleinik.weak_kam_solve(small_kernel)
+    finally:
+        uninstall()
+    m = tracing.layer_metrics(rec, 1.0)
+    assert m["laxoleinik.weak_kam_solve.calls"] == 1
+    assert m["kernel.howard.calls"] == 1
+    assert m["kernel.howard.iterations"] == sol.howard["iterations"]
+    # w* = T z and the residual: the two applies inside the solve
+    assert m["laxoleinik.stage_a.sweeps"] + m["laxoleinik.stage_b.sweeps"] \
+        == m["kernel.apply.calls"] == 2

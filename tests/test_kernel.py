@@ -163,35 +163,41 @@ def test_sweeps_match_per_offset_loop_bitwise(model, cobound, medium_grid,
         assert fwd.offset == rev.offset == u.offset
 
 
-def _loop_relax(kernel, u):
-    """Unpruned Gauss-Seidel sweep: layer k is the per-offset loop apply of
-    the field whose layers 0..k-1 this sweep has already replaced."""
-    vals = u.values.copy()
-    for k in range(kernel.grid.shape[2]):
-        field = GridFunction(kernel.grid, vals)
-        vals[:, :, k] = _loop_apply(kernel, field)[:, :, k]
-    return vals
+def _jacobi_fold(kernel, v, labels):
+    """The clamped fold of ``ActionKernel.reduced_fold`` unpruned, Jacobi,
+    offset by offset: every label from the last pass's labels."""
+    sweep = kernel._forward
+    L = labels.copy()
+    while True:
+        PL = sweep.halo.pad(L)
+        PB = sweep.halo.pad(L + v + kernel._hphi)
+        new = L.copy()
+        for d, w in enumerate(sweep.windows):
+            cand = PB[w] + kernel.c * kernel.devs[d] if d else PB[w].copy()
+            new = np.minimum(new, np.maximum(PL[w], cand - v))
+        if np.array_equal(new, L):
+            return L
+        L = new
 
 
-@pytest.mark.parametrize("phi_bar,names", [
-    (0.05, ("random", "wide", "delta", "mixed")), (2.0, ("random", "wide"))])
-def test_relax_matches_per_layer_loop_bitwise(model, cobound, small_grid,
-                                              phi_bar, names):
-    phi, _ = cobound
-    kern = build_kernel(small_grid, model, phi, 4.0 * phi.lipschitz_constant,
-                        phi_bar, small_grid.spacings[2], 2.0)
-    fields = _fields(kern)
-    for name in names:
-        u = GridFunction(small_grid, fields[name], offset=0.25)
-        got = kern.relax(u)
-        assert got.values.tobytes() == _loop_relax(kern, u).tobytes(), name
-        assert got.offset == u.offset
-        if phi_bar == 2.0:
-            # h*(phi - phi_bar) < 0 at every node: the sweep's writes lower
-            # u + h*phi below the input's minimum, which the prune's lo must
-            # follow
-            hphi = kern.h * (kern.phi_nodes - phi_bar)
-            assert (got.values + hphi).min() < (u.values + hphi).min(), name
+@pytest.mark.parametrize("which", ["coboundary", "dist2"])
+def test_reduced_fold_matches_the_jacobi_fold_bitwise(howard_kernels,
+                                                      which):
+    """The fold's fixed point is the least value over paths, whatever the
+    order and the pruning: from -v, from random labels, and from the cap
+    lowered on a random half of the nodes, with only those fresh."""
+    kern = howard_kernels[which]
+    g, bias, _ = kern.solve_additive_eigenvalue()
+    refined = kern.with_phi_bar(kern.phi_bar + float(g.min()) / kern.h)
+    v = bias.dense()
+    rng = np.random.default_rng(5)
+    low = 10.0 * rng.random(v.shape)
+    half = rng.random(v.shape) < 0.5
+    for labels, fresh in ((-v, None), (low, None),
+                          (np.where(half, low, low.max()), half)):
+        got, passes = refined.reduced_fold(v, labels, fresh)
+        want = _jacobi_fold(refined, v, labels)
+        assert got.tobytes() == want.tobytes() and passes >= 1
 
 
 def test_sweeps_reject_nan(small_kernel):
@@ -202,8 +208,6 @@ def test_sweeps_reject_nan(small_kernel):
         small_kernel.apply(u)
     with pytest.raises(ValueError, match="NaN"):
         small_kernel.apply_reverse(u)
-    with pytest.raises(ValueError, match="NaN"):
-        small_kernel.relax(u)
     # the pair fold checks the whole stack, not only the entries it reads
     stack = np.stack([np.zeros_like(vals), vals], axis=-1)
     for reverse in (False, True):
@@ -265,7 +269,7 @@ def test_with_phi_bar_keeps_the_sweeps(model, cobound, medium_grid):
     fresh = build_kernel(medium_grid, model, phi, 4.0, phi_bar, h, 2.0)
     assert refined._forward is kern._forward
     assert refined._reverse is kern._reverse
-    for sweep in ("apply", "apply_reverse", "relax"):
+    for sweep in ("apply", "apply_reverse"):
         got = getattr(refined, sweep)(u).values
         assert got.tobytes() == getattr(fresh, sweep)(u).values.tobytes()
     (g1, b1, info1), (g2, b2, info2) = (k.solve_additive_eigenvalue()
@@ -639,7 +643,7 @@ def test_deduplicated_sweeps_match_full_stencil_bitwise(model, cobound,
     full = _full_stencil(kern)
     for name, vals in _fields(kern).items():
         u = GridFunction(small_grid, vals, offset=0.25)
-        for sweep in ("apply", "apply_reverse", "relax"):
+        for sweep in ("apply", "apply_reverse"):
             got = getattr(kern, sweep)(u).values
             want = getattr(full, sweep)(u).values
             assert got.tobytes() == want.tobytes(), (name, sweep)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from weakkam import (ActionKernel, DriftError, Grid, GridFunction,
-                     NonConvergenceError, Observable, build_kernel,
-                     constant_observable, distance_squared_observable,
-                     ergodic_value,
+from weakkam import (ActionKernel, Grid, GridFunction, NonConvergenceError,
+                     Observable, build_kernel, constant_observable,
+                     distance_squared_observable, ergodic_value,
                      verify_apriori, verify_integrated_subaction,
                      weak_kam_solve)
 from weakkam.cli import _build_common
@@ -24,7 +23,7 @@ def test_weak_kam_solve_rejects_unconverged_howard(small_kernel,
 
     monkeypatch.setattr(ActionKernel, "solve_additive_eigenvalue", stalled)
     with pytest.raises(NonConvergenceError):
-        weak_kam_solve(small_kernel, 1e-8)
+        weak_kam_solve(small_kernel)
 
 
 def test_ergodic_value_rejects_unconverged_howard(model, small_grid,
@@ -49,11 +48,10 @@ def test_howard_converges_on_dist2_centred_at_a_periodic_point(model,
     # and four policy cycles tie for the minimum gain.
     phi = distance_squared_observable(model, (0.5, 0.5))
     grid, h = discretization(model, small_grid)
-    sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0),
-                         1e-8)
+    sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0))
     assert sol.howard["converged"] and sol.howard["iterations"] == 13
     assert sol.residual < 1e-8 and sol.phi_bar > 0.0
-    assert sol.aubry["n_cycles"] == 4 and not sol.aubry["one_class"]
+    assert sol.aubry["n_cycles"] == 4
 
 
 def test_ergodic_value_constant_orbits(model):
@@ -102,7 +100,7 @@ def test_weak_kam_constant_observable(model, small_grid):
     phi = constant_observable(1.3)
     kern = build_kernel(small_grid, model, phi, 3.0, 0.0,
                         small_grid.spacings[2], 2.0)
-    sol = weak_kam_solve(kern, 1e-10)
+    sol = weak_kam_solve(kern)
     # after eigenvalue refinement the flow-following move is free, so the
     # zero function is an exact fixed point
     assert abs(sol.eigenvalue_refinement - 1.3) < 1e-13
@@ -123,102 +121,25 @@ def test_weak_kam_solution_properties(medium_solution):
     assert sol.stage_a_sweeps >= 1
 
 
-# Stage A as it stopped before the fixed-sweep rule: the min of the
-# push-forwards of 0 over at least three sampled diameters of travel time, and
-# on until no node had improved for a tuned window of sweeps.
+# The two stages the folds replaced, kept as the oracle.  Stage A: v = T 0,
+# then v <- min(v, T v) until a sweep leaves v unchanged, which is w* = min
+# over n >= 1 of T^n 0 bitwise.  Stage B: Jacobi sweeps u <- T u from w* until
+# the sup-change drops below tol.
 
 
-def _stall_window_stage_a(kernel, max_iters=3000):
-    """The old Stage A's v and the first sweep of its final stalled run."""
-    diam = kernel.model.diameter()
-    n_a = max(1, int(np.ceil(3.0 * diam /
-                             (kernel.model.sup_norm_bound * kernel.h))))
-    stall_window = max(12, kernel.grid.shape[2] // kernel.flow_steps + 2)
-    v, first_stall = None, None
-    cur = GridFunction.zeros(kernel.grid)
-    stall = sweeps = 0
-    while sweeps < n_a or (stall < stall_window and sweeps < max_iters):
-        cur = kernel.apply(cur)
-        sweeps += 1
-        if v is None:
-            v = cur.copy()
-            continue
-        new_v = v.minimum(cur)
-        stall = stall + 1 if np.array_equal(new_v.values, v.values) else 0
-        if stall == 1:
-            first_stall = sweeps
-        v = new_v
-    assert stall >= stall_window  # the oracle itself saturated
-    return v, first_stall
+def _stage_a(kernel):
+    """Stage A's w* and its sweep count, the last one fixed."""
+    v = kernel.apply(GridFunction.zeros(kernel.grid))
+    n_a = 1
+    while True:
+        w = v.minimum(kernel.apply(v))
+        n_a += 1
+        if np.array_equal(w.values, v.values):
+            return v, n_a
+        v = w
 
 
-def _cli_kernel(family):
-    """The kernel that ``weakkam --grid 16 16 10 --observable FAMILY solve``
-    builds."""
-    cfg = load_config(None, {"grid_shape": (16, 16, 10), "family": family})
-    model, phi, grid, h = _build_common(cfg)
-    return build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
-
-
-def _recorder(monkeypatch, method):
-    """Every call of the ActionKernel method as (kernel, field), in order."""
-    calls = []
-    sweep = getattr(ActionKernel, method)
-
-    def recorded(self, u):
-        calls.append((self, u))
-        return sweep(self, u)
-
-    monkeypatch.setattr(ActionKernel, method, recorded)
-    return calls
-
-
-@pytest.fixture
-def applies(monkeypatch):
-    return _recorder(monkeypatch, "apply")
-
-
-@pytest.fixture
-def relaxes(monkeypatch):
-    return _recorder(monkeypatch, "relax")
-
-
-@pytest.fixture
-def no_skip(monkeypatch):
-    """Stage B runs from w* whatever the critical graph is."""
-    monkeypatch.setattr(laxoleinik, "_one_critical_class",
-                        lambda *args: False)
-
-
-@pytest.mark.parametrize("which", ["small", "coboundary", "dist2"])
-def test_stage_a_stops_at_its_first_fixed_sweep(small_kernel, relaxes,
-                                                no_skip, which):
-    kern = small_kernel if which == "small" else _cli_kernel(which)
-    sol = weak_kam_solve(kern, 1e-8)
-    # Stage B's first sweep is relaxed from Stage A's v, on the refined kernel
-    refined, v = relaxes[0]
-    assert refined.phi_bar == sol.phi_bar
-    oracle_v, first_stall = _stall_window_stage_a(refined)
-    assert np.array_equal(v.values, oracle_v.values) and v.offset == 0.0
-    assert sol.stage_a_sweeps == first_stall
-    assert np.all(refined.apply(v).values >= v.values)
-    assert all(lo >= 0.0 for lo, _ in sol.iteration_log)
-
-
-def test_solve_applies_the_kernel_once_per_sweep(small_kernel, applies,
-                                                 relaxes):
-    # Stage A applies the kernel once per sweep and Stage B relaxes it once
-    # per sweep; Howard does neither
-    sol = weak_kam_solve(small_kernel, 1e-8)
-    assert len(applies) == sol.stage_a_sweeps
-    assert len(relaxes) == len(sol.iteration_log)
-
-
-# Stage B as it iterated before Gauss-Seidel sweeps: Jacobi sweeps u <- T u
-# from Stage A's v until the sup-change dropped below tol.
-
-
-def _jacobi_stage_b(kernel, v, tol, max_iters=3000):
+def _jacobi_stage_b(kernel, v, tol=1e-8, max_iters=3000):
     """The Jacobi Stage B's u and its last sup-change."""
     u = v
     for _ in range(max_iters):
@@ -230,6 +151,70 @@ def _jacobi_stage_b(kernel, v, tol, max_iters=3000):
     raise AssertionError("the Jacobi oracle did not converge")
 
 
+def _oracle(kernel):
+    """Stage A, then the Jacobi Stage B, on the refined kernel; the solution
+    and the refined kernel."""
+    sol = weak_kam_solve(kernel)
+    refined = kernel.with_phi_bar(sol.phi_bar)
+    u, _ = _jacobi_stage_b(refined, _stage_a(refined)[0])
+    return sol, refined, u.dense()
+
+
+def _ulps(a, b):
+    """max |a - b| in units of the spacing of the floats at max(1, |b|)."""
+    return float(np.abs(a - b).max()) / np.spacing(max(1.0, np.abs(b).max()))
+
+
+def _cli_kernel(family, shape=(16, 16, 10)):
+    """The kernel that ``weakkam --grid N1 N2 NS --observable FAMILY solve``
+    builds."""
+    cfg = load_config(None, {"grid_shape": shape, "family": family})
+    model, phi, grid, h = _build_common(cfg)
+    return build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """Every ``ActionKernel.apply`` call as (kernel, field, result)."""
+    calls = []
+    apply = ActionKernel.apply
+
+    def recorded(self, u):
+        out = apply(self, u)
+        calls.append((self, u, out))
+        return out
+
+    monkeypatch.setattr(ActionKernel, "apply", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["small", "coboundary", "dist2"])
+def test_stage_a_stops_at_its_first_fixed_sweep(small_kernel, applies,
+                                                which):
+    # pass 1's w* = T z is Stage A's answer, to rounding: the oracle's
+    # first fixed sweep
+    kern = small_kernel if which == "small" else _cli_kernel(which)
+    sol = weak_kam_solve(kern)
+    refined, _, w_star = applies[0]
+    assert refined.phi_bar == sol.phi_bar
+    oracle_v, n_a = _stage_a(refined)
+    assert n_a > 1 and oracle_v.offset == 0.0
+    assert _ulps(w_star.dense(), oracle_v.dense()) <= 4
+    # and pass 2 only raises it, to rounding
+    assert _ulps(np.minimum(sol.u.dense(), w_star.dense()),
+                 w_star.dense()) <= 4
+
+
+def test_solve_applies_the_kernel_twice(small_kernel, applies):
+    # once for w* = T z and once for the residual; Howard and the folds
+    # apply it never
+    sol = weak_kam_solve(small_kernel)
+    assert len(applies) == 2
+    (_, _, w_star), (refined, u, tu) = applies
+    assert u is sol.u and refined.phi_bar == sol.phi_bar
+    assert sol.residual == float(np.abs(tu.dense() - u.dense()).max())
+
+
 def _dist2_kernel(model, grid):
     """dist2 at the acceptance settings: h the s-spacing, c = 4 max(1, Lip)."""
     phi = distance_squared_observable(model)
@@ -237,38 +222,49 @@ def _dist2_kernel(model, grid):
     return build_kernel(grid, model, phi, c, 0.0, grid.spacings[2], 2.0)
 
 
-@pytest.mark.parametrize("which", ["small", "cli"])
-def test_stage_b_matches_jacobi_oracle_on_dist2(model, small_grid, relaxes,
-                                                no_skip, which):
-    kern = (_dist2_kernel(model, small_grid) if which == "small"
-            else _cli_kernel("dist2"))
-    sol = weak_kam_solve(kern, 1e-8)
-    refined, v = relaxes[0]
-    u, residual = _jacobi_stage_b(refined, v, 1e-8)
-    # both orders reach the same fixed point exactly, Gauss-Seidel in
-    # fewer sweeps
-    assert sol.u.values.tobytes() == u.values.tobytes()
-    assert sol.residual == residual == 0.0
-    assert len(sol.iteration_log) <= 12
-    assert all(lo >= 0.0 for lo, _ in sol.iteration_log)
+@pytest.mark.parametrize("which", ["small", "cli", "cli32"])
+def test_stage_b_matches_jacobi_oracle_on_dist2(model, small_grid, which):
+    kern = {"small": lambda: _dist2_kernel(model, small_grid),
+            "cli": lambda: _cli_kernel("dist2"),
+            "cli32": lambda: _cli_kernel("dist2", (32, 32, 16))}[which]()
+    sol, refined, u = _oracle(kern)
+    # one class: the cap is the answer, and each fold takes one pass
+    assert sol.stage_a_sweeps == sol.stage_b_sweeps == 1
+    assert _ulps(sol.u.dense(), u) <= 4
+    assert sol.residual < 1e-15
 
 
-@pytest.mark.parametrize("which", ["small", "cli"])
+@pytest.mark.parametrize("which", ["small", "cli", "cli32"])
 def test_stage_b_agrees_with_jacobi_oracle_on_the_coboundary(small_kernel,
-                                                             relaxes, which):
-    kern = small_kernel if which == "small" else _cli_kernel("coboundary")
-    tol = 1e-8
-    sol = weak_kam_solve(kern, tol)
-    refined, v = relaxes[0]
-    u, residual = _jacobi_stage_b(refined, v, tol)
-    # Stage A's w* is fixed up to rounding, so each order stops after one
-    # sweep and the two differ by at most that sweep's change
-    assert len(sol.iteration_log) == 1
-    assert max(sol.residual, residual) < 1e-15
-    gap = float(np.abs(sol.u.dense() - u.dense()).max())
-    assert gap <= max(sol.residual, residual)
+                                                             which):
+    kern = {"small": lambda: small_kernel,
+            "cli": lambda: _cli_kernel("coboundary"),
+            "cli32": lambda: _cli_kernel("coboundary", (32, 32, 16))}[which]()
+    sol, refined, u = _oracle(kern)
+    assert _ulps(sol.u.dense(), u) <= 4
+    assert sol.residual < 1e-15
     tu = refined.apply(sol.u)
-    assert (tu.dense() - sol.u.dense()).min() >= -tol
+    assert (tu.dense() - sol.u.dense()).min() >= -1e-15
+
+
+def test_critical_cycles_alone_do_not_seed_the_least_fixed_point(
+        monkeypatch):
+    # at 32x32x16 Howard's 59 critical cycles miss 192 nodes of the
+    # saturated graph's core; seeded from the cycles, pass 2 ends at a fixed
+    # point above the least one, which the residual cannot see
+    kern = _cli_kernel("coboundary", (32, 32, 16))
+    sol, refined, u = _oracle(kern)
+
+    def cycles_only(kernel, bias, gain):
+        seeds = np.zeros(kernel.grid.n_nodes, dtype=bool)
+        seeds[np.concatenate(sol.howard["critical_cycles"])] = True
+        return seeds.reshape(kernel.grid.shape)
+
+    monkeypatch.setattr(laxoleinik, "_aubry_seeds", cycles_only)
+    wrong = weak_kam_solve(kern)
+    assert wrong.aubry["n_nodes"] < sol.aubry["n_nodes"] == kern.grid.n_nodes
+    assert wrong.residual < 1e-15
+    assert float(np.abs(wrong.u.dense() - u).max()) > 0.05
 
 
 def _fibre(grid, i, j):
@@ -286,12 +282,12 @@ def test_aubry_set_of_dist2_at_a_fixed_point(shape, n_nodes):
     cfg = load_config(None, {"grid_shape": shape, "family": "dist2"})
     model, phi, grid, h = _build_common(cfg)
     kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
-    sol = weak_kam_solve(kern, cfg.solve_tol)
+    sol = weak_kam_solve(kern)
     assert sol.aubry == {"n_cycles": 1, "n_nodes": n_nodes,
-                         "base_points": [[0.0, 0.0]], "one_class": True}
+                         "base_points": [[0.0, 0.0]]}
     (cycle,) = sol.howard["critical_cycles"]
     assert sorted(cycle) == _fibre(grid, 0, 0).tolist()
-    assert len(sol.iteration_log) == 1
+    assert sol.stage_b_sweeps == 1
 
 
 # A period-3 orbit of A and dist2 to its nearest point: it vanishes exactly on
@@ -309,76 +305,36 @@ def test_aubry_set_of_dist2_to_a_periodic_orbit(model, small_grid):
     phi = Observable(evaluate=_orbit_dist2, lipschitz_constant=np.sqrt(2.0),
                      sup_bound=0.5)
     grid, h = discretization(model, small_grid)
-    sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0),
-                         1e-8)
+    sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0))
     assert sol.phi_bar == 0.0
     assert sol.aubry == {"n_cycles": 1, "n_nodes": 30,
-                         "base_points": [[0.0, 0.5], [0.5, 0.0], [0.5, 0.5]],
-                         "one_class": True}
+                         "base_points": [[0.0, 0.5], [0.5, 0.0], [0.5, 0.5]]}
     (cycle,) = sol.howard["critical_cycles"]
     fibres = np.concatenate([_fibre(grid, 4, 4), _fibre(grid, 4, 0),
                              _fibre(grid, 0, 4)])
     assert sorted(cycle) == sorted(fibres.tolist())
-    assert len(sol.iteration_log) == 1 and sol.residual < 1e-8
+    assert sol.stage_b_sweeps == 1 and sol.residual < 1e-8
 
 
-def test_coboundary_has_many_critical_cycles_and_runs_stage_b(
-        relaxes, monkeypatch):
-    # every orbit of a coboundary is minimizing: many cycles tie, so the
-    # one-class test folds no window and Stage B starts from w*
-    def no_fold(*args):
-        raise AssertionError("folded a window")
-
-    monkeypatch.setattr(ActionKernel, "saturated_edges", no_fold)
-    sol = weak_kam_solve(_cli_kernel("coboundary"), 1e-8)
-    assert sol.aubry["n_cycles"] > 1 and not sol.aubry["one_class"]
+def test_coboundary_has_many_critical_cycles_and_runs_stage_b():
+    # every orbit of a coboundary is minimizing: many cycles tie, every node
+    # seeds pass 2, and rounding noise on w* - v takes it several passes
+    sol = weak_kam_solve(_cli_kernel("coboundary"))
+    assert sol.aubry["n_cycles"] > 1 and sol.aubry["n_nodes"] == 2560
     assert len(sol.aubry["base_points"]) == 8
-    refined, v = relaxes[0]
-    assert np.all(refined.apply(v).values >= v.values)  # w*, not a bias
-    assert sol.stage_a_sweeps > 1 and len(relaxes) == len(sol.iteration_log)
+    assert sol.stage_a_sweeps > 1 and sol.stage_b_sweeps > 1
 
 
-@pytest.mark.parametrize("which", ["small", "cli"])
-def test_one_class_skip_matches_stage_b(model, small_grid, monkeypatch,
-                                        which):
-    kern = (_dist2_kernel(model, small_grid) if which == "small"
-            else _cli_kernel("dist2"))
-    tol = 1e-8
-    sol = weak_kam_solve(kern, tol)
-    monkeypatch.setattr(laxoleinik, "_one_critical_class",
-                        lambda *args: False)
-    stage_b = weak_kam_solve(kern, tol)
-    assert sol.aubry["one_class"] and len(sol.iteration_log) == 1
-    assert len(stage_b.iteration_log) > 1
-    # a fixed point within tol, and Stage B's u to 2 ulp
-    assert sol.residual < tol
-    tu = kern.with_phi_bar(sol.phi_bar).apply(sol.u)
-    assert np.abs(tu.dense() - sol.u.dense()).max() < tol
-    u, u_b = sol.u.dense(), stage_b.u.dense()
-    assert np.all(np.abs(u - u_b) <= 2 * np.spacing(np.abs(u_b)))
-
-
-def test_one_class_skip_falls_back_to_stage_b(monkeypatch):
-    # at 16x16x10 the skip's sweep moves u by 2.2e-16 while Stage B ends
-    # with a sweep that moves nothing: below that tol Stage B runs from w*
-    kern, tol = _cli_kernel("dist2"), 1e-16
-    sol = weak_kam_solve(kern, tol)
-    monkeypatch.setattr(laxoleinik, "_one_critical_class",
-                        lambda *args: False)
-    stage_b = weak_kam_solve(kern, tol)
-    assert sol.aubry["one_class"] and sol.residual == 0.0
-    assert sol.iteration_log == stage_b.iteration_log
-    assert sol.u.values.tobytes() == stage_b.u.values.tobytes()
-
-
-@pytest.mark.parametrize("cap", [1, 59])
-def test_stage_a_cap_before_its_fixed_sweep_raises(small_kernel, cap):
-    # on this kernel Stage A's first fixed sweep is sweep 60
-    assert weak_kam_solve(small_kernel, 1e-8,
-                          max_iters=60).stage_a_sweeps == 60
-    with pytest.raises(DriftError) as err:
-        weak_kam_solve(small_kernel, 1e-8, max_iters=cap)
-    assert err.value.drift < 0.0
+def test_control_answers_at_48x48x24(model, cobound):
+    # the ladder's third rung at its settings (h the s-spacing, c = 4
+    # max(1, Lip)), where Stage A found no fixed sweep in 3,000
+    phi, _ = cobound
+    grid = Grid((48, 48, 24), (1.0, 1.0, model.roof), model.base_matrix)
+    c = 4.0 * max(1.0, phi.lipschitz_constant)
+    kern = build_kernel(grid, model, phi, c, 0.0, grid.spacings[2])
+    sol = weak_kam_solve(kern)
+    assert sol.residual < 1e-8
+    assert sol.aubry["n_nodes"] == grid.n_nodes
 
 
 def test_weak_kam_drift_error_on_overestimated_gain(model, small_grid,
@@ -394,10 +350,10 @@ def test_weak_kam_drift_error_on_overestimated_gain(model, small_grid,
     kern = build_kernel(small_grid, model, phi, 3.0, 0.0,
                         small_grid.spacings[2], 2.0)
     # a reference value 0.5 above the ergodic value lowers every node by
-    # 0.5 per unit time, so Stage A never stops
-    with pytest.raises(DriftError) as err:
-        weak_kam_solve(kern, 1e-10, max_iters=60)
-    assert err.value.drift == pytest.approx(-0.5, rel=1e-9)
+    # 0.5 per unit time: the clamped folds still end, and T lowers their
+    # answer by 0.5 h
+    sol = weak_kam_solve(kern)
+    assert sol.residual == pytest.approx(0.5 * kern.h, rel=1e-9)
 
 
 def test_verify_apriori_small(model, cobound, small_grid):

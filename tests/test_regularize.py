@@ -451,7 +451,7 @@ def fixed_point(request, model, observable):
     c = 4.0 * max(1.0, observable.lipschitz_constant)
     kern = build_kernel(grid, model, observable, c, 0.0, grid.spacings[2],
                         2.0)
-    return weak_kam_solve(kern, 1e-8)
+    return weak_kam_solve(kern)
 
 
 def test_regularize_all_bitwise_matches_whole_table_pass(
