@@ -37,7 +37,13 @@ one, and fl(min_j x_j + C*dev) = min_j fl(x_j + C*dev).
 
 Howard policy iteration gives the exact additive eigenvalue.  Its policy
 evaluation loops over peel rounds and cycles of the policy graph, never over
-nodes.  Its bias pass stops before the first norm group with
+nodes.  It improves policies on the short stencil first, the norm groups
+within one grid diagonal, and widens once to the full stencil when a pass
+there changes nothing.  It stops only when a full-stencil pass changes no
+policy, the convergence test of Howard on the full stencil throughout, so
+the short stencil sets how fast the answer is reached, not which test it
+passes: on the CLI's kernels the gain is bitwise the full-stencil run's.
+Its bias pass stops before the first norm group with
 lo + C*dev > max(best_w), lo = min(v + h*phi): every later candidate is +inf
 (gain-masked) or fl(x + C*dev) >= fl(lo + C*dev) > best_w(q), which the
 strict improvement rule never takes, and best_w only falls as groups are
@@ -452,94 +458,136 @@ class ActionKernel:
         graph, by multichain policy iteration.  Returns (gain array, bias
         GridFunction, info dict); for the strongly connected kernels built
         here the optimal gain is constant and equals min_cycle mean cost.
-        ``info["offsets_folded"]`` lists the windows each bias pass folded.
 
-        Both improvement passes fold the stencil through the forward halo.
-        With t = ``_howard_tol``, the gain pass is skipped
-        when g.min() >= fl(g.max() - t) and g.max() <= fl(g.min() + t):
-        shifted gains and best_g lie in [g.min(), g.max()], so by monotone
-        rounding no node is improvable, fl(g - t) <= fl(g.max() - t) <=
-        best_g, and no offset is masked, shifted_g <= fl(g.min() + t) <=
-        fl(best_g + t).  The bias
-        pass stops before the first norm group with lo + C*dev > max(best_w),
-        lo = min(v + hphi): each later candidate is +inf (gain-masked) or
-        fl(x + C*dev) >= fl(lo + C*dev) > best_w(q) >= fl(best_w(q) - t), so
-        the strict improvement rule takes none of them, and best_w only falls
-        as groups are folded.  While some node has no candidate yet,
-        max(best_w) = inf and nothing is cut.  Each policy after the first
-        is evaluated from the previous bias (``_policy_eval``).
+        Policies are improved on the short stencil first: the leading
+        ``info["short_offsets"]`` offsets, the norm groups within one grid
+        diagonal (every group at c = 0, where no deviation is priced above
+        another).  When a pass there changes no policy, the stencil widens
+        once, for good, and the pass reruns on the full stencil from the
+        same gain and bias (``_improve``).  The answer cannot depend on the
+        short stencil: Howard returns only when a full-stencil pass, with
+        the same tolerance and tie rule as a run on the full stencil
+        throughout, changes no policy, and a policy that passes that test
+        has the optimal gain whichever policies were evaluated before it;
+        its bias then solves the optimality equations on the full stencil,
+        unique up to a constant where the critical classes are one.  The
+        short stencil only chooses the policies on the way there, and so
+        the speed.  ``_HOWARD_MAX_ITERS`` caps the evaluations on both
+        stencils together.  ``info["iterations"]`` counts every evaluation,
+        ``info["short_iterations"]`` those improved on the short stencil
+        first, and ``info["offsets_folded"]`` lists the windows each bias
+        pass folded, the widening pass included.  Each policy after the
+        first is evaluated from the previous bias (``_policy_eval``).
         ``info["critical_cycles"]`` lists the final policy's cycles of gain
         at most fl(g.min() + t), each as its flat nodes from its anchor."""
         grid = self.grid
         N = grid.n_nodes
         sweep = self._forward
-        halo, win, bounds = sweep.halo, sweep.windows, sweep.bounds
-        tots, nodes = sweep.tots, np.arange(N)
-        hphi = self._hphi
-        cdevs = self.c * self.devs
-
+        n_short = sweep.bounds[self._short_groups]
         policy = np.zeros(N, dtype=np.int64)  # start with flow-following (offset 0)
         # offset index 0 is the zero deviation (offsets are sorted by norm)
-        t = self._howard_tol
+        n_win, short_its = n_short, 0
         folded = []
         v = None
         for it in range(_HOWARD_MAX_ITERS):
-            succ = halo.read(nodes, tots[policy])
-            cost = hphi.reshape(-1)[succ] + cdevs[policy]
+            succ = sweep.halo.read(np.arange(N), sweep.tots[policy])
+            cost = self._hphi.reshape(-1)[succ] + self.c * self.devs[policy]
             g, v, cycles = self._policy_eval(succ, cost, v)
-            g3 = g.reshape(grid.shape)
-            v3 = v.reshape(grid.shape)
-            # Phase 1: gain improvement; Phase 2: bias improvement among
-            # gain-optimal offsets.
-            flat_gain = g.min() >= g.max() - t and g.max() <= g.min() + t
-            if flat_gain:
-                improvable = np.zeros(N, dtype=bool)
-            else:
-                shifted_g = halo.pad(g3)
-                best_g = shifted_g[win[0]].copy()
-                for w in win[1:]:
-                    np.minimum(best_g, shifted_g[w], out=best_g)
-                improvable = best_g.ravel() < g - t
-                gain_cut = best_g + t
-            best_w = np.full(grid.shape, np.inf)
-            thr = np.full(grid.shape, np.inf)  # best_w - t
-            best_d = policy.reshape(grid.shape).copy()
-            cand = np.empty(grid.shape)
-            take = np.empty(grid.shape, dtype=bool)
-            # gather(v + hphi) prices cost + bias together; the halo holds
-            # every node, so its minimum is min(v + hphi).
-            shifted_vb = halo.pad(v3 + hphi)
-            lo = shifted_vb.min()
-            n_folded = self.n_offsets
-            for grp, cdev in enumerate(sweep.cdevs):
-                if lo + cdev > best_w.max():
-                    n_folded = bounds[grp]
+            if n_win == n_short:
+                short_its = it + 1
+            # equals g + v under the evaluation equations
+            cur_w = cost + v[succ]
+            while True:
+                change, best_d, n_folded = self._improve(policy, g, v, cur_w,
+                                                         n_win)
+                folded.append(n_folded)
+                if change.any() or n_win == self.n_offsets:
                     break
-                for d_idx in range(bounds[grp], bounds[grp + 1]):
-                    w = win[d_idx]
-                    np.add(shifted_vb[w], cdevs[d_idx], out=cand)
-                    if not flat_gain:
-                        np.copyto(cand, np.inf,
-                                  where=~(shifted_g[w] <= gain_cut))
-                    np.less(cand, thr, out=take)
-                    if np.count_nonzero(take):
-                        np.copyto(best_w, cand, where=take)
-                        np.copyto(best_d, d_idx, where=take)
-                        np.subtract(cand, t, out=thr, where=take)
-            folded.append(n_folded)
-            best_w, best_d = best_w.ravel(), best_d.ravel()
-            cur_w = cost + v[succ]  # equals g + v under the evaluation equations
-            change = improvable | (best_w < cur_w - 10 * t)
+                n_win = self.n_offsets  # widen once, on the same g and v
             converged = not change.any()
             if converged:
                 break
             policy = np.where(change, best_d, policy)
+        t = self._howard_tol
         info = {"iterations": it + 1, "converged": converged,
+                "short_offsets": n_short, "short_iterations": short_its,
                 "gain_spread": float(g.max() - g.min()),
                 "offsets_folded": folded,
                 "critical_cycles": [c.tolist() for c in cycles
                                     if g[c[0]] <= g.min() + t]}
-        return g, GridFunction(grid, v3), info
+        return g, GridFunction(grid, v.reshape(grid.shape)), info
+
+    @cached_property
+    def _short_groups(self):
+        """The norm groups of Howard's short stencil: those within one grid
+        diagonal, with ``_deviation_offsets``'s tolerance, or all of them at
+        c = 0."""
+        if self.c == 0.0:
+            return len(self._forward.cdevs)
+        group_devs = self.devs[self._forward.bounds[:-1]]
+        return int(np.searchsorted(group_devs, self.grid.diagonal + 1e-12,
+                                   side="right"))
+
+    def _improve(self, policy, g, v, cur_w, n_win):
+        """One Howard improvement pass over the first ``n_win`` offsets
+        (whole norm groups) of the forward sweep, from gains g and bias v
+        (flat arrays); returns the nodes whose policy changes, their new
+        offsets, and the count of windows the bias pass folded.
+
+        Phase 1 improves the gain, phase 2 the bias among gain-optimal
+        offsets.  With t = ``_howard_tol``, the gain pass is skipped when
+        g.min() >= fl(g.max() - t) and g.max() <= fl(g.min() + t): shifted
+        gains and best_g lie in [g.min(), g.max()], so by monotone rounding
+        no node is improvable, fl(g - t) <= fl(g.max() - t) <= best_g, and no
+        offset is masked, shifted_g <= fl(g.min() + t) <= fl(best_g + t).
+        The bias pass stops before the first norm group with lo + C*dev >
+        max(best_w), lo = min(v + hphi): each later candidate is +inf
+        (gain-masked) or fl(x + C*dev) >= fl(lo + C*dev) > best_w(q) >=
+        fl(best_w(q) - t), so the strict improvement rule takes none of
+        them, and best_w only falls as groups are folded.  While some node
+        has no candidate yet, max(best_w) = inf and nothing is cut."""
+        grid, sweep, t = self.grid, self._forward, self._howard_tol
+        halo, win, bounds = sweep.halo, sweep.windows, sweep.bounds
+        cdevs = self.c * self.devs
+        flat_gain = g.min() >= g.max() - t and g.max() <= g.min() + t
+        if flat_gain:
+            improvable = np.zeros(g.size, dtype=bool)
+        else:
+            shifted_g = halo.pad(g.reshape(grid.shape))
+            best_g = shifted_g[win[0]].copy()
+            for w in win[1:n_win]:
+                np.minimum(best_g, shifted_g[w], out=best_g)
+            improvable = best_g.ravel() < g - t
+            gain_cut = best_g + t
+        best_w = np.full(grid.shape, np.inf)
+        thr = np.full(grid.shape, np.inf)  # best_w - t
+        best_d = policy.reshape(grid.shape).copy()
+        cand = np.empty(grid.shape)
+        take = np.empty(grid.shape, dtype=bool)
+        # gather(v + hphi) prices cost + bias together; the halo holds
+        # every node, so its minimum is min(v + hphi).
+        shifted_vb = halo.pad(v.reshape(grid.shape) + self._hphi)
+        lo = shifted_vb.min()
+        n_folded = n_win
+        for grp, cdev in enumerate(sweep.cdevs):
+            if bounds[grp] == n_win:
+                break
+            if lo + cdev > best_w.max():
+                n_folded = bounds[grp]
+                break
+            for d_idx in range(bounds[grp], bounds[grp + 1]):
+                w = win[d_idx]
+                np.add(shifted_vb[w], cdevs[d_idx], out=cand)
+                if not flat_gain:
+                    np.copyto(cand, np.inf,
+                              where=~(shifted_g[w] <= gain_cut))
+                np.less(cand, thr, out=take)
+                if np.count_nonzero(take):
+                    np.copyto(best_w, cand, where=take)
+                    np.copyto(best_d, d_idx, where=take)
+                    np.subtract(cand, t, out=thr, where=take)
+        change = improvable | (best_w.ravel() < cur_w - 10 * t)
+        return change, best_d.ravel(), n_folded
 
     @cached_property
     def _howard_tol(self):

@@ -8,6 +8,8 @@ from weakkam import (ActionKernel, AlignmentError, Grid, GridFunction,
                      distance_squared_observable)
 from weakkam.kernel import _deviation_offsets
 
+from test_laxoleinik import _cli_kernel
+
 
 def test_build_kernel_guards(model, cobound, small_grid):
     phi, _ = cobound
@@ -420,12 +422,16 @@ def test_policy_eval_matches_node_loop_bitwise(name):
             assert [c.tolist() for c in cycles] == cycles0, name
 
 
-def _oracle_howard(kernel, max_iters=200, tol=1e-13):
+def _oracle_howard(kernel, max_iters=200, tol=1e-13, one_stencil=False,
+                   evaluate=_oracle_policy_eval):
     """Howard with node-by-node evaluation, a gain pass on every iteration
-    and an unpruned bias pass over every window, kept as the reference for
-    the fast passes.  It records, per iteration, the first norm group whose
-    lo + C*dev exceeds max(best_w) as the count of windows the cutoff should
-    fold, and returns the successor array of every evaluated policy."""
+    and unpruned bias passes, kept as the reference for the fast passes.
+    Policies are improved on the offsets within one grid diagonal (all of
+    them at C = 0, or with ``one_stencil``) until a pass there changes
+    nothing, then, from the same gain and bias, on every offset.  It
+    records, per pass, the first norm group whose lo + C*dev exceeds
+    max(best_w) as the count of windows the cutoff should fold, and returns
+    the successor array of every evaluated policy."""
     grid = kernel.grid
     N = grid.n_nodes
     halo, win = kernel._forward.halo, kernel._forward.windows
@@ -433,29 +439,27 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
     hphi = kernel._hphi
     cdevs = kernel.c * kernel.devs
     starts = set(kernel._forward.bounds[:-1])
+    n_all = kernel.n_offsets
+    n_short = n_all if one_stencil or kernel.c == 0.0 else int(
+        np.count_nonzero(kernel.devs <= grid.diagonal + 1e-12))
     policy = np.zeros(N, dtype=np.int64)
     scale = max(1.0, float(np.abs(hphi).max()))
     folded, succs = [], []
-    v = None
-    for it in range(max_iters):
-        succ = halo.read(np.arange(N), tots[policy])
-        succs.append(succ)
-        cost = hphi.reshape(-1)[succ] + cdevs[policy]
-        g, v, cycles = _oracle_policy_eval(succ, cost, v)
-        g3 = g.reshape(grid.shape)
-        v3 = v.reshape(grid.shape)
-        shifted_g = halo.pad(g3)
+
+    def improve(g, v, cost, succ, n_win):
+        shifted_g = halo.pad(g.reshape(grid.shape))
         best_g = shifted_g[win[0]].copy()
-        for w in win[1:]:
+        for w in win[1:n_win]:
             np.minimum(best_g, shifted_g[w], out=best_g)
         improvable = best_g.ravel() < g - tol * scale
         gain_cut = best_g + tol * scale
         best_w = np.full(grid.shape, np.inf)
         best_d = policy.reshape(grid.shape).copy()
         cand = np.empty(grid.shape)
-        shifted_vb = halo.pad(v3 + hphi)
-        lo, n_folded = (v3 + hphi).min(), None
-        for d_idx, w in enumerate(win):
+        vb = v.reshape(grid.shape) + hphi
+        shifted_vb = halo.pad(vb)
+        lo, n_folded = vb.min(), None
+        for d_idx, w in enumerate(win[:n_win]):
             if (n_folded is None and d_idx in starts
                     and lo + cdevs[d_idx] > best_w.max()):
                 n_folded = d_idx
@@ -464,21 +468,34 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13):
             take = cand < best_w - tol * scale
             np.copyto(best_w, cand, where=take)
             best_d[take] = d_idx
-        folded.append(kernel.n_offsets if n_folded is None else n_folded)
-        best_w, best_d = best_w.ravel(), best_d.ravel()
+        folded.append(n_win if n_folded is None else n_folded)
         cur_w = cost + v[succ]
-        change = improvable | (best_w < cur_w - 10 * tol * scale)
-        critical = [c for c in cycles if g[c[0]] <= g.min() + tol * scale]
+        change = improvable | (best_w.ravel() < cur_w - 10 * tol * scale)
+        return change, best_d.ravel()
+
+    n_win, short_its = n_short, 0
+    v = None
+    for it in range(max_iters):
+        succ = halo.read(np.arange(N), tots[policy])
+        succs.append(succ)
+        cost = hphi.reshape(-1)[succ] + cdevs[policy]
+        g, v, cycles = evaluate(succ, cost, v)
+        if n_win == n_short:
+            short_its = it + 1
+        change, best_d = improve(g, v, cost, succ, n_win)
+        if not change.any() and n_win < n_all:
+            n_win = n_all
+            change, best_d = improve(g, v, cost, succ, n_win)
         if not change.any():
-            return g, v3, {"iterations": it + 1, "converged": True,
-                           "gain_spread": float(g.max() - g.min()),
-                           "offsets_folded": folded,
-                           "critical_cycles": critical}, succs
+            break
         policy = np.where(change, best_d, policy)
-    return g, v3, {"iterations": max_iters, "converged": False,
-                   "gain_spread": float(g.max() - g.min()),
-                   "offsets_folded": folded,
-                   "critical_cycles": critical}, succs
+    critical = [list(map(int, c)) for c in cycles
+                if g[c[0]] <= g.min() + tol * scale]
+    return g, v.reshape(grid.shape), {
+        "iterations": it + 1, "converged": not change.any(),
+        "short_offsets": n_short, "short_iterations": short_its,
+        "gain_spread": float(g.max() - g.min()),
+        "offsets_folded": folded, "critical_cycles": critical}, succs
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +554,47 @@ def test_howard_matches_loop_oracle_bitwise(which, howard_kernels):
         assert info["gain_spread"] == 0.0 and info["iterations"] > 10
         assert sum(info["offsets_folded"]) < (kern.n_offsets
                                               * info["iterations"])
+
+
+def _periodic_point_kernel(shape):
+    """dist2 centred at (0.5, 0.5), a point of period 3, at the CLI's kernel
+    settings: several critical classes tie for the minimum gain."""
+    kern = _cli_kernel("dist2", shape)
+    phi = distance_squared_observable(kern.model, (0.5, 0.5))
+    return build_kernel(kern.grid, kern.model, phi, kern.c, 0.0, kern.h,
+                        2.0)
+
+
+@pytest.mark.parametrize("family, shape, n_short", [
+    ("coboundary", (16, 16, 10), 31), ("dist2", (16, 16, 10), 31),
+    ("coboundary", (32, 32, 16), 39), ("dist2", (32, 32, 16), 39),
+    ("periodic", (8, 8, 10), 29), ("periodic", (20, 20, 10), 39)],
+    ids=["coboundary-16", "dist2-16", "coboundary-32", "dist2-32",
+         "periodic-8", "periodic-20"])
+def test_widened_howard_reaches_the_cold_gain(family, shape, n_short):
+    """Howard that improves on the offsets within one grid diagonal first
+    and then widens ends where Howard on the full stencil throughout (the
+    oracle's one-stencil mode) does: the gain bitwise and, where the
+    critical classes are one, the bias up to a constant and the critical
+    cycles as node sets.  The coboundary's evaluations do not rise."""
+    kern = _periodic_point_kernel(shape) if family == "periodic" \
+        else _cli_kernel(family, shape)
+    g, bias, info = kern.solve_additive_eigenvalue()
+    g0, v0, info0, _ = _oracle_howard(kern, one_stencil=True,
+                                      evaluate=ActionKernel._policy_eval)
+    assert info["converged"] and info0["converged"]
+    assert info["short_offsets"] == n_short < kern.n_offsets
+    assert info0["short_offsets"] == kern.n_offsets
+    assert g.tobytes() == g0.tobytes()
+    if family == "periodic":
+        return
+    shift = bias.values - v0
+    assert shift.max() - shift.min() <= 1e-15
+    assert ({frozenset(c) for c in info["critical_cycles"]}
+            == {frozenset(c) for c in info0["critical_cycles"]})
+    if family == "coboundary":
+        assert info["iterations"] == info0["iterations"] == \
+            {16: 1, 32: 36}[shape[0]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

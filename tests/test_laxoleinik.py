@@ -49,9 +49,38 @@ def test_howard_converges_on_dist2_centred_at_a_periodic_point(model,
     phi = distance_squared_observable(model, (0.5, 0.5))
     grid, h = discretization(model, small_grid)
     sol = weak_kam_solve(build_kernel(grid, model, phi, 4.0, 0.0, h, 2.0))
-    assert sol.howard["converged"] and sol.howard["iterations"] == 13
+    assert sol.howard["converged"] and sol.howard["iterations"] == 14
     assert sol.residual < 1e-8 and sol.phi_bar > 0.0
     assert sol.aubry["n_cycles"] == 4
+
+
+@pytest.mark.parametrize("below", [0, 1])
+def test_howard_cap_counts_evaluations_across_the_widening(monkeypatch,
+                                                           below):
+    """The cap bounds the policy evaluations on both stencils together:
+    capped at the evaluation whose short-stencil pass widened the stencil,
+    or one before, Howard stops there unconverged, and the solve raises."""
+    kern = _cli_kernel("dist2", (8, 8, 10))
+    _, _, full = kern.solve_additive_eigenvalue()
+    short = full["short_iterations"]
+    assert full["converged"] and short < full["iterations"]
+    evaluate, evaluated = ActionKernel._policy_eval, []
+
+    def counted(succ, cost, v_prev):
+        evaluated.append(succ)
+        return evaluate(succ, cost, v_prev)
+
+    monkeypatch.setattr(ActionKernel, "_policy_eval", staticmethod(counted))
+    monkeypatch.setattr("weakkam.kernel._HOWARD_MAX_ITERS", short - below)
+    _, _, info = kern.solve_additive_eigenvalue()
+    assert not info["converged"]
+    assert info["iterations"] == len(evaluated) == short - below
+    # capped at the widening evaluation, its widened pass is one more pass
+    assert len(info["offsets_folded"]) == info["iterations"] + (below == 0)
+    assert info["offsets_folded"][:short - below] \
+        == full["offsets_folded"][:short - below]
+    with pytest.raises(NonConvergenceError):
+        weak_kam_solve(kern)
 
 
 def test_ergodic_value_constant_orbits(model):
