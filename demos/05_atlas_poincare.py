@@ -37,10 +37,11 @@ cyc = next(c for c, period in chains if period >= 3)
 x, y = cyc[0], cyc[1]
 aff = affine_poincare(atlas, x, y)
 q = np.array([0.03, -0.05])
+image = aff.offset + aff.linear_part @ q
 flowed = poincare_map(atlas, x, y, q)
-print(f"\nPoincare map {x}->{y}: affine {aff(q)}, flowed {flowed}")
+print(f"\nPoincare map {x}->{y}: affine {image}, flowed {flowed}")
 print(f"linear part:\n{aff.linear_part}")
-assert np.abs(aff(q) - flowed).max() <= 1e-12
+assert np.abs(image - flowed).max() <= 1e-12
 
 # An affine map has no nonlinearity, so its hyperbolicity margins are exact:
 # coordinate 0 is unstable, 1 stable, and the adapted norm is the max-norm.

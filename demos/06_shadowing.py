@@ -9,8 +9,8 @@ K_Gamma times the summed pseudo-orbit error.
 
 import numpy as np
 
-from weakkam import (DiscretePseudoOrbit, SuspensionFlow, affine_poincare,
-                     build_atlas, pseudo_orbit_suite, shadow_periodic)
+from weakkam import (SuspensionFlow, affine_poincare, build_atlas,
+                     pseudo_orbit_suite, shadow_periodic)
 from weakkam.shadowing import k_gamma_from_maps, lattice_box_chains
 
 model = SuspensionFlow()
@@ -27,8 +27,7 @@ print(f"\nshadowing a noisy pseudo-orbit of length {len(cyc)} "
       f"(K_Gamma = {k_gamma_from_maps(maps):.3f})")
 rng = np.random.default_rng(0)
 pts = rng.uniform(-1e-3, 1e-3, (len(cyc), 2))
-orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
-res = shadow_periodic(orbit, maps)
+res = shadow_periodic(pts, maps, atlas.rho)
 print("one exact solve of the cyclic affine system, residual certified: "
       f"{res.residuals.max():.2e} after {res.newton_iterations} residual "
       "evaluations")

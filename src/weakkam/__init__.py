@@ -19,8 +19,7 @@ from .observables import (BUILTIN_FAMILIES, GluePotential,
                           distance_squared_observable, make_observable,
                           smoothstep, smoothstep_prime)
 from .grid import Grid, GridFunction
-from .kernel import (ActionKernel, AlignmentError, KernelConnectivityError,
-                     build_kernel)
+from .kernel import ActionKernel, AlignmentError, build_kernel
 from .laxoleinik import (NonConvergenceError, WeakKamSolution,
                          ergodic_value, verify_apriori,
                          verify_integrated_subaction, weak_kam_solve)
@@ -28,8 +27,8 @@ from .charts import (AtlasConstants, FlowBox, FlowBoxAtlas,
                      LocalHyperbolicMap, affine_poincare, build_atlas,
                      check_constants, default_hyper_constants, poincare_map,
                      return_time)
-from .shadowing import (ConstantsTooWeakError, DiscretePseudoOrbit,
-                        EscapeError, NewtonDivergenceError, ShadowingResult,
+from .shadowing import (ConstantsTooWeakError, EscapeError,
+                        NewtonDivergenceError, ShadowingResult,
                         estimate_k_gamma, k_gamma_from_maps,
                         lattice_box_chains, pseudo_orbit_suite,
                         shadow_periodic)

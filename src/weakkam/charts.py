@@ -268,10 +268,6 @@ class LocalHyperbolicMap:
 
     linear_part: np.ndarray
     offset: np.ndarray
-    rho: float
-
-    def __call__(self, q):
-        return self.offset + np.asarray(q, dtype=float) @ self.linear_part.T
 
 
 def affine_poincare(atlas: FlowBoxAtlas, x, y):
@@ -292,4 +288,4 @@ def affine_poincare(atlas: FlowBoxAtlas, x, y):
     db = image[:2] - cy[:2]
     db = db - np.round(db)
     offset = db @ model.eigen_frame_inv.T
-    return LocalHyperbolicMap(linear_part=linear, offset=offset, rho=atlas.rho)
+    return LocalHyperbolicMap(linear_part=linear, offset=offset)

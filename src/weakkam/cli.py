@@ -82,7 +82,8 @@ def _solve_and_certify(cfg, model, phi, grid, h):
     inside ``weak_kam_solve`` is the min-plus drift estimate of phi_bar:
     ``sol.phi_bar`` is the ergodic value and ``sol.howard`` its report.
     Also returns the wall seconds of the kernel build, the solve and the
-    smoothing, and of the solve's Howard, Stage A and Stage B.
+    smoothing, and of the solve's Howard and its two fold passes
+    (``stage_a``, ``stage_b``).
     """
     t0 = time.perf_counter()
     kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)

@@ -83,31 +83,28 @@ class Halo:
 
 @dataclass
 class Grid:
-    """Uniform periodic grid over T^2 x [0, roof), optionally roof-twisted.
-
-    ``twist`` is the integer base matrix A of the suspension, or None for a
-    plain periodic box.
+    """Uniform periodic grid over T^2 x [0, roof), roof-twisted: ``twist``
+    is the integer base matrix A of the suspension.
     """
 
     shape: tuple
-    lengths: tuple = (1.0, 1.0, 1.0)
-    twist: np.ndarray = None
+    lengths: tuple
+    twist: np.ndarray
 
     def __post_init__(self):
         self.shape = tuple(int(n) for n in self.shape)
         self.lengths = tuple(float(v) for v in self.lengths)
         if len(self.shape) != 3 or len(self.lengths) != 3:
             raise ValueError("grids are 3-dimensional")
-        if self.twist is not None:
-            self.twist = np.asarray(self.twist, dtype=np.int64)
-            if self.shape[0] != self.shape[1]:
-                raise ValueError("roof-twisted grids need equal base resolutions")
-            d = int(round(np.linalg.det(self.twist)))
-            if abs(d) != 1:
-                raise ValueError("twist matrix must be unimodular")
-            self._twist_inv = np.array(
-                [[self.twist[1, 1], -self.twist[0, 1]],
-                 [-self.twist[1, 0], self.twist[0, 0]]], dtype=np.int64) * d
+        self.twist = np.asarray(self.twist, dtype=np.int64)
+        if self.shape[0] != self.shape[1]:
+            raise ValueError("roof-twisted grids need equal base resolutions")
+        d = int(round(np.linalg.det(self.twist)))
+        if abs(d) != 1:
+            raise ValueError("twist matrix must be unimodular")
+        self._twist_inv = np.array(
+            [[self.twist[1, 1], -self.twist[0, 1]],
+             [-self.twist[1, 0], self.twist[0, 0]]], dtype=np.int64) * d
         self.spacings = tuple(L / n for L, n in zip(self.lengths, self.shape))
         self._base_cache = {}
         self._halo_cache = {}
@@ -139,17 +136,14 @@ class Grid:
                    for a in range(3))
         m, k = np.divmod(k, self.shape[2])
         i, j = np.mod(i, self.shape[0]), np.mod(j, self.shape[1])
-        if self.twist is not None:
-            for mv in np.unique(m[m != 0]):
-                sel = m == mv
-                I, J = self._base_index_map(int(mv))
-                i[sel], j[sel] = I[i[sel], j[sel]], J[i[sel], j[sel]]
+        for mv in np.unique(m[m != 0]):
+            sel = m == mv
+            I, J = self._base_index_map(int(mv))
+            i[sel], j[sel] = I[i[sel], j[sel]], J[i[sel], j[sel]]
         return tuple(x.reshape(shape) for x in (i, j, k))
 
     def _twist_pow(self, m):
-        """A^m, as an integer matrix (the identity on an untwisted grid)."""
-        if self.twist is None:
-            return np.eye(2, dtype=np.int64)
+        """A^m, as an integer matrix."""
         return np.linalg.matrix_power(
             self.twist if m > 0 else self._twist_inv, abs(int(m)))
 
@@ -218,9 +212,7 @@ class Grid:
 
     def _roof_wraps(self, s):
         """How many times the roof wrap carries each s-coordinate across the
-        gluing (0 everywhere on an untwisted grid, whose base it leaves)."""
-        if self.twist is None:
-            return np.zeros(np.shape(s), dtype=np.int64)
+        gluing."""
         return np.floor(np.asarray(s) / self.lengths[2]).astype(np.int64)
 
     def _wrap(self, points):

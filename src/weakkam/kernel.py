@@ -68,10 +68,6 @@ from .grid import Grid, GridFunction, Halo
 from .models import SuspensionFlow
 
 
-class KernelConnectivityError(RuntimeError):
-    pass
-
-
 class AlignmentError(ValueError):
     """Kernel step h must be an integer multiple of the s-spacing."""
 
@@ -231,7 +227,9 @@ class ActionKernel:
         """The fixed point of the clamped fold in the reduced costs of
         ``bias`` (v, grid-shaped) from ``labels`` (L), and its pass count:
         L(q) <- min(L(q), min_d max(L(p_d), fl(B(p_d) + c*dev_d) - v(q))),
-        B = fl(fl(L + v) + h*phi), until a pass changes no label.
+        B = fl(fl(L + v) + h*phi), until a pass changes no label.  NaN in
+        ``bias`` or ``labels`` raises ``ValueError``: it would spread
+        through the minima, and no pass would leave the labels unchanged.
 
         Each edge maps the label it reads to one at least as large, so a
         walk that closes a cycle ends no lower than it would without it.
@@ -257,6 +255,9 @@ class ActionKernel:
         win, bounds = sweep.windows, sweep.bounds
         v = np.asarray(bias, dtype=float)
         L = np.array(labels, dtype=float)
+        for name, x in (("bias", v), ("labels", L)):
+            if np.isnan(x.min()):
+                raise ValueError(f"reduced_fold {name} holds NaN")
         flat = L.reshape(-1)
         # offset 0 is the flow step: node q's flow edge reads pred[q]
         pred = sweep.halo.read(np.arange(grid.n_nodes), sweep.tots[0])
@@ -461,8 +462,7 @@ class ActionKernel:
 
         Policies are improved on the short stencil first: the leading
         ``info["short_offsets"]`` offsets, the norm groups within one grid
-        diagonal (every group at c = 0, where no deviation is priced above
-        another).  When a pass there changes no policy, the stencil widens
+        diagonal.  When a pass there changes no policy, the stencil widens
         once, for good, and the pass reruns on the full stencil from the
         same gain and bias (``_improve``).  The answer cannot depend on the
         short stencil: Howard returns only when a full-stencil pass, with
@@ -520,10 +520,7 @@ class ActionKernel:
     @cached_property
     def _short_groups(self):
         """The norm groups of Howard's short stencil: those within one grid
-        diagonal, with ``_deviation_offsets``'s tolerance, or all of them at
-        c = 0."""
-        if self.c == 0.0:
-            return len(self._forward.cdevs)
+        diagonal, with ``_deviation_offsets``'s tolerance."""
         group_devs = self.devs[self._forward.bounds[:-1]]
         return int(np.searchsorted(group_devs, self.grid.diagonal + 1e-12,
                                    side="right"))
@@ -640,12 +637,12 @@ def discretization(model, grid=None, h=None):
 
 def _flow_steps(model, grid, h):
     """The s-layers one kernel step h moves, under ``build_kernel``'s
-    conditions on h: at most roof/10, and an exact multiple of the grid's
-    s-spacing so the flow step is a lattice map."""
+    conditions on h: above 0 and at most roof/10, and an exact multiple of
+    the grid's s-spacing so the flow step is a lattice map."""
     # Negated comparison: NaN fails it too.
-    if not h <= model.roof / 10 + 1e-12:
-        raise ValueError(f"kernel step h = {h:g} must be a number at most "
-                         f"roof/10 = {model.roof / 10:g}")
+    if not 0 < h <= model.roof / 10 + 1e-12:
+        raise ValueError(f"kernel step h = {h:g} must be a number above 0 "
+                         f"and at most roof/10 = {model.roof / 10:g}")
     k = h / grid.spacings[2]
     if abs(k - round(k)) > 1e-9:
         raise AlignmentError(f"kernel step h = {h:g} must be an integer "
@@ -656,8 +653,8 @@ def _flow_steps(model, grid, h):
 def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
     """Build the one-step min-plus kernel; see module docstring for the cost.
 
-    Requires h <= roof/10 and h an exact multiple of the grid's s-spacing so
-    the flow step is a lattice map.
+    Requires 0 < h <= roof/10 and h an exact multiple of the grid's
+    s-spacing so the flow step is a lattice map.
     """
     if not isinstance(model, SuspensionFlow):
         raise NotImplementedError(
@@ -672,8 +669,6 @@ def build_kernel(grid, model, phi, c, phi_bar, h, reach_multiplier=2.0):
         raise ValueError("action weight c must be finite and non-negative")
     reach = reach_multiplier * (h * model.sup_norm_bound + grid.diagonal)
     offsets, devs = _deviation_offsets(grid, reach)
-    if offsets.shape[0] == 0:
-        raise KernelConnectivityError("empty kernel row: reach too small")
     phi_nodes = np.asarray(phi(grid.node_points()), dtype=float)
     if not np.isfinite(phi_nodes).all():
         raise ValueError("observable is not finite at every grid node")

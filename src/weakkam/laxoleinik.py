@@ -32,17 +32,6 @@ class WeakKamSolution:
     timings: dict
 
 
-def _converged_howard(kernel):
-    """Howard's gains, bias and report; NonConvergenceError if it did not
-    converge."""
-    g, bias, info = kernel.solve_additive_eigenvalue()
-    if not info["converged"]:
-        raise NonConvergenceError(
-            f"Howard policy iteration stopped after {info['iterations']} "
-            "iterations without converging")
-    return g, bias, info
-
-
 def _aubry_seeds(kernel, bias, gain):
     """The core of the critical graph, as a grid-shaped mask: the edges a
     converged Howard bias saturates (``saturated_edges``), peeled of the
@@ -75,41 +64,28 @@ def _aubry_record(grid, cycles, seeds):
             "base_points": (base * grid.spacings[:2]).tolist()}
 
 
-def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01,
-                  grid=None, h=None, c=None):
-    """Ergodic minimizing value of phi by one of two estimators.
-
-    ``periodic_orbits``: minimum Birkhoff average over enumerated periodic
-    orbits of the suspension.  ``minplus_drift``: per-unit-time additive
-    eigenvalue of a min-plus kernel built with reference value 0 (the drift
-    rate of unnormalized Lax-Oleinik iterates); a policy iteration that does
-    not converge raises NonConvergenceError.
+def ergodic_value(model, phi, method, *, max_period=6, quadrature_step=0.01):
+    """Ergodic minimizing value of phi by the ``periodic_orbits`` method: the
+    minimum Birkhoff average over enumerated periodic orbits of the
+    suspension.  The min-plus estimate of the same value is the ``phi_bar``
+    of ``weak_kam_solve`` on a kernel built at reference value 0.
     Returns (value, report dict).
     """
-    if method == "periodic_orbits":
-        orbits = periodic_orbits(model, max_period)
-        averages = []
-        for base, period in orbits:
-            x0 = np.array([base[0], base[1], 0.0])
-            avg = float(birkhoff_integral(model, phi, x0, period,
-                                          quadrature_step)) / period
-            averages.append(avg)
-        k = int(np.argmin(averages))
-        return float(averages[k]), {
-            "method": method, "n_orbits": len(orbits),
-            "argmin_base": orbits[k][0].tolist(), "argmin_period": orbits[k][1],
-            "averages": averages,
-        }
-    if method == "minplus_drift":
-        grid, h = discretization(model, grid, h)
-        if c is None:
-            c = 4.0 * max(1.0, phi.lipschitz_constant)
-        kern = build_kernel(grid, model, phi, c, 0.0, h)
-        g, _, info = _converged_howard(kern)
-        value = float(np.min(g)) / kern.h
-        return value, {"method": method, "howard": info, "h": kern.h,
-                       "c": float(c), "gain_spread": info["gain_spread"]}
-    raise ValueError(f"unknown method {method!r}")
+    if method != "periodic_orbits":
+        raise ValueError(f"unknown method {method!r}")
+    orbits = periodic_orbits(model, max_period)
+    averages = []
+    for base, period in orbits:
+        x0 = np.array([base[0], base[1], 0.0])
+        avg = float(birkhoff_integral(model, phi, x0, period,
+                                      quadrature_step)) / period
+        averages.append(avg)
+    k = int(np.argmin(averages))
+    return float(averages[k]), {
+        "method": method, "n_orbits": len(orbits),
+        "argmin_base": orbits[k][0].tolist(), "argmin_period": orbits[k][1],
+        "averages": averages,
+    }
 
 
 def weak_kam_solve(kernel: ActionKernel):
@@ -149,7 +125,11 @@ def weak_kam_solve(kernel: ActionKernel):
     residual).
     """
     t0 = time.perf_counter()
-    g, bias, info = _converged_howard(kernel)
+    g, bias, info = kernel.solve_additive_eigenvalue()
+    if not info["converged"]:
+        raise NonConvergenceError(
+            f"Howard policy iteration stopped after {info['iterations']} "
+            "iterations without converging")
     refinement = float(np.min(g)) / kernel.h
     howard_kernel = kernel
     if refinement != 0.0:

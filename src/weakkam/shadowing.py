@@ -54,19 +54,6 @@ def _ball_errors(Q, FQ, rho):
 
 
 @dataclass
-class DiscretePseudoOrbit:
-    """Cyclic chain: q_i in box i, f_i maps box i coordinates to box i+1."""
-
-    points: np.ndarray  # (N, 2) chart coordinates, q_N identified with q_0
-    rho: float
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise ValueError("points must be (N, 2)")
-
-
-@dataclass
 class ShadowingResult:
     orbit: np.ndarray
     residuals: np.ndarray
@@ -173,15 +160,19 @@ def k_gamma_from_maps(maps):
                             float(max(L[:, 0, 1].max(), L[:, 1, 0].max())))
 
 
-def shadow_periodic(orbit: DiscretePseudoOrbit, maps, k_gamma=None):
-    """Exact solve of the cyclic affine system; certifies the summed-error
-    bound.
+def shadow_periodic(points, maps, rho, k_gamma=None):
+    """Exact solve of the cyclic affine system through the chart points
+    ``points`` (N, 2), q_i in box i with q_N = q_0 and ``maps[i]`` from box
+    i to box i + 1; certifies the summed-error bound.
 
-    The one-orbit case of the chain solve.  Raises ValueError for points or
-    images outside B(rho/2), NewtonDivergenceError for a singular system or a
-    residual not below ``_TOL`` after the solve, EscapeError for an orbit
-    outside B(rho)."""
-    res = _shadow_chain(orbit.points[None], maps, orbit.rho, k_gamma)[0]
+    The one-orbit case of the chain solve.  Raises ValueError for points
+    not (N, 2) or with points or images outside B(rho/2),
+    NewtonDivergenceError for a singular system or a residual not below
+    ``_TOL`` after the solve, EscapeError for an orbit outside B(rho)."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("points must be (N, 2)")
+    res = _shadow_chain(points[None], maps, rho, k_gamma)[0]
     if isinstance(res, Exception):
         raise res
     return res

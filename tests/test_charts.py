@@ -71,6 +71,11 @@ def _oracle_linear_part(atlas, x, y):
     return np.column_stack(cols)
 
 
+def _apply(hmap, q):
+    """An affine map's image f(q) = offset + linear_part q."""
+    return hmap.offset + np.asarray(q, dtype=float) @ hmap.linear_part.T
+
+
 def _random_cases(atlas, n, seed):
     """(x, y, q, t_hint) draws over all box pairs and hints within a roof."""
     rng = np.random.default_rng(seed)
@@ -204,14 +209,14 @@ def test_affine_poincare_matches_bisection(model, atlas):
     assert np.abs(aff.offset).max() < 1e-12  # lattice-aligned pair
     rng = np.random.default_rng(2)
     for q in rng.uniform(-atlas.rho / 2, atlas.rho / 2, (10, 2)):
-        assert np.abs(aff(q) - _oracle_poincare_map(atlas, x, y, q)).max() \
-            < 1e-8
+        assert np.abs(_apply(aff, q)
+                      - _oracle_poincare_map(atlas, x, y, q)).max() < 1e-8
     assert np.abs(_oracle_linear_part(atlas, x, y)
                   - aff.linear_part).max() < 1e-6
     # off-lattice pairs at other levels: offset and linear part too
     for x, y, q, _ in _random_cases(atlas, 8, seed=4):
         aff = affine_poincare(atlas, x, y)
-        assert _torus_gap(model, aff(q),
+        assert _torus_gap(model, _apply(aff, q),
                           _oracle_poincare_map(atlas, x, y, q)) < 1e-8
         assert np.abs(_oracle_linear_part(atlas, x, y)
                       - aff.linear_part).max() < 1e-6
@@ -233,25 +238,17 @@ def test_chain_map_margins_meet_atlas_constants(model, atlas):
     assert abs(A[0, 0]) > 1.0 > abs(A[1, 1])
 
 
-class _CubicMap:
+def _cubic(q):
     """A map that is not affine: f(q) = 2 q + q^3, with linear part 2 I."""
-
-    linear_part = np.diag([2.0, 2.0])
-
-    def __init__(self, rho):
-        self.rho = rho
-
-    def __call__(self, q):
-        return 2.0 * q + q ** 3
+    return 2.0 * q + q ** 3
 
 
-def _oracle_nonlinearity(hmap, n_samples=200, seed=0):
+def _oracle_nonlinearity(f, A, rho, n_samples=200, seed=0):
     """The sampled Lipschitz constant of q -> f(q) - A q over random pairs in
     the ball of radius rho/2 that the hyperbolicity check used to measure."""
-    A = hmap.linear_part
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-hmap.rho / 2, hmap.rho / 2, (n_samples, 2))
-    vals = np.array([hmap(p) - A @ p for p in pts])
+    pts = rng.uniform(-rho / 2, rho / 2, (n_samples, 2))
+    vals = np.array([f(p) - A @ p for p in pts])
     lip = 0.0
     for _ in range(n_samples):
         i, j = rng.integers(0, n_samples, 2)
@@ -267,9 +264,12 @@ def test_affine_maps_have_no_sampled_nonlinearity(atlas):
              for cyc, _ in lattice_box_chains(atlas) for i in range(len(cyc))}
     assert len(pairs) > 10
     for x, y in sorted(pairs):
-        assert _oracle_nonlinearity(affine_poincare(atlas, x, y)) <= 1e-12
+        aff = affine_poincare(atlas, x, y)
+        assert _oracle_nonlinearity(lambda q: _apply(aff, q),
+                                    aff.linear_part, atlas.rho) <= 1e-12
     # the sampler does see the nonlinearity of a map that has some
-    assert _oracle_nonlinearity(_CubicMap(atlas.rho)) > 1e-3
+    assert _oracle_nonlinearity(_cubic, np.diag([2.0, 2.0]),
+                                atlas.rho) > 1e-3
 
 
 def test_adapted_norm_is_the_max_norm_bitwise():

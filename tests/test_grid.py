@@ -11,14 +11,10 @@ def oracle_gather(grid, arr, offset):
     """Independent reference for the roof-twisted gather, by explicit loops."""
     n1, n2, ns = grid.shape
     di, dj, dk = (int(v) for v in offset)
-    if grid.twist is None:
-        A = np.eye(2, dtype=np.int64)
-        Ainv = np.eye(2, dtype=np.int64)
-    else:
-        A = np.asarray(grid.twist, dtype=np.int64)
-        det = int(round(np.linalg.det(A)))
-        Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]],
-                        dtype=np.int64) * det
+    A = np.asarray(grid.twist, dtype=np.int64)
+    det = int(round(np.linalg.det(A)))
+    Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]],
+                    dtype=np.int64) * det
     out = np.empty_like(arr)
     for i in range(n1):
         for j in range(n2):
@@ -36,13 +32,20 @@ def oracle_gather(grid, arr, offset):
     return out
 
 
+# The identity twist: the roof gluing (b, roof) ~ (b, 0) of a plain
+# periodic box.
+IDENTITY = np.eye(2, dtype=np.int64)
+
+
 def test_grid_validation(model):
     with pytest.raises(ValueError):
-        Grid((4, 4), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        Grid((4, 6, 5), twist=model.base_matrix)  # unequal base resolutions
-    with pytest.raises(ValueError):
-        Grid((4, 4, 5), twist=np.array([[2, 0], [0, 2]]))  # det 4
+        Grid((4, 4), (1.0, 1.0), model.base_matrix)
+    with pytest.raises(ValueError):  # unequal base resolutions
+        Grid((4, 6, 5), (1.0, 1.0, 1.0), model.base_matrix)
+    with pytest.raises(ValueError):  # det 4
+        Grid((4, 4, 5), (1.0, 1.0, 1.0), np.array([[2, 0], [0, 2]]))
+    with pytest.raises(TypeError):  # lengths and twist are required
+        Grid((4, 4, 5))
 
 
 def test_gather_shift_matches_oracle(model):
@@ -56,7 +59,7 @@ def test_gather_shift_matches_oracle(model):
 
 
 def test_gather_shift_untwisted_is_roll():
-    grid = Grid((4, 5, 6))
+    grid = Grid((5, 5, 6), (1.0, 1.0, 1.0), IDENTITY)
     arr = np.random.default_rng(1).random(grid.shape)
     got = grid.gather_shift(arr, (1, 2, 3))
     assert np.array_equal(got, np.roll(arr, (1, 2, 3), axis=(0, 1, 2)))
@@ -121,7 +124,7 @@ def _check_reads_and_readers(grid, offs):
 def test_halo_windows_across_several_roof_wraps(model, twisted):
     ns = 4
     grid = Grid((5, 5, ns), (1.0, 1.0, model.roof),
-                model.base_matrix if twisted else None)
+                model.base_matrix if twisted else IDENTITY)
     offs = [(0, 0, 0), (1, -2, 2 * ns + 1), (-2, 0, -2 * ns), (0, 1, -3 * ns - 2),
             (2, 2, 3 * ns)]
     arr = np.random.default_rng(11).random(grid.shape)
@@ -154,7 +157,8 @@ def test_nearest_index_roof_wrap(model, small_grid):
         (A[1, 0] * bi + A[1, 1] * bj) % small_grid.shape[1], 0)
 
 
-@pytest.mark.parametrize("twist", [[[2, 1], [1, 1]], [[3, 2], [1, 1]], None],
+@pytest.mark.parametrize("twist", [[[2, 1], [1, 1]], [[3, 2], [1, 1]],
+                                   [[1, 0], [0, 1]]],
                          ids=["A211", "A3211", "untwisted"])
 def test_nearest_index_matches_per_point_formula(twist):
     # Each point rounds to (i, j, k) and then wraps m = floor(k / ns) roofs:
@@ -165,7 +169,7 @@ def test_nearest_index_matches_per_point_formula(twist):
     pts = rng.uniform(-1.5, 1.5, (600, 3))
     pts[:, 2] = rng.uniform(-3.0, 4.0, 600) * grid.lengths[2]
     got = grid.nearest_index(pts)
-    A = np.eye(2, dtype=np.int64) if twist is None else np.array(twist)
+    A = np.array(twist)
     Ainv = np.round(np.linalg.inv(A)).astype(np.int64)
     wraps = set()
     for p, node in zip(pts, zip(*got)):
@@ -204,15 +208,14 @@ def _oracle_interpolate(u, points):
     p = np.asarray(points, dtype=float)
     x = p.reshape(-1, 3).copy()
     ns_len = grid.lengths[2]
-    if grid.twist is not None:
-        m = np.floor(x[:, 2] / ns_len).astype(np.int64)
-        for mv in np.unique(m):
-            if mv == 0:
-                continue
-            M = grid._twist_pow(int(mv)).astype(float)
-            sel = m == mv
-            x[sel, :2] = x[sel, :2] @ M.T
-            x[sel, 2] -= mv * ns_len
+    m = np.floor(x[:, 2] / ns_len).astype(np.int64)
+    for mv in np.unique(m):
+        if mv == 0:
+            continue
+        M = grid._twist_pow(int(mv)).astype(float)
+        sel = m == mv
+        x[sel, :2] = x[sel, :2] @ M.T
+        x[sel, 2] -= mv * ns_len
     x[:, 0] = np.mod(x[:, 0], grid.lengths[0])
     x[:, 1] = np.mod(x[:, 1], grid.lengths[1])
     x[:, 2] = np.mod(x[:, 2], ns_len)
@@ -237,7 +240,7 @@ def _oracle_interpolate(u, points):
 @pytest.mark.parametrize("twisted", [True, False])
 def test_interpolation_matches_three_index_oracle(model, twisted):
     grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
-                model.base_matrix if twisted else None)
+                model.base_matrix if twisted else IDENTITY)
     rng = np.random.default_rng(11)
     u = GridFunction(grid, rng.standard_normal(grid.shape), offset=0.3)
     pts = rng.uniform(-2.0, 3.0, (4000, 3))
@@ -282,7 +285,7 @@ def _interpolate_lines(u, s, base, run):
 @pytest.mark.parametrize("case", ["crossing", "s_zero", "below_roof"])
 def test_interpolate_lines_matches_interpolate_bitwise(model, twisted, case):
     grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
-                model.base_matrix if twisted else None)
+                model.base_matrix if twisted else IDENTITY)
     rng = np.random.default_rng(12)
     u = GridFunction(grid, rng.standard_normal(grid.shape), offset=0.3)
     base = rng.random((50, 2))
@@ -366,15 +369,23 @@ def _path_distance(p, q, grid, radius):
     return float(row[np.ravel_multi_index(grid.nearest_index(q), grid.shape)])
 
 
-def test_path_distance_close_to_flat_metric():
-    grid = Grid((16, 16, 16))
+def test_path_distance_close_to_flat_metric(model):
+    # Pairs in one fundamental domain whose flat segment is shorter than the
+    # s-travel of any path that crosses the roof, so the twist cannot give a
+    # shortcut: the graph distance then follows the flat metric of T^2 x R.
+    grid = Grid((16, 16, 16), (1.0, 1.0, model.roof), model.base_matrix)
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        p = rng.random(3)
-        q = rng.random(3)
+    pairs = 0
+    while pairs < 10:
+        p = rng.random(3) * grid.lengths
+        q = rng.random(3) * grid.lengths
         d = p - q
-        d -= np.round(d)
+        d[:2] -= np.round(d[:2])
         flat = np.linalg.norm(d)
+        through_roof = model.roof - abs(d[2])
+        if flat + 2.0 * grid.diagonal > through_roof:
+            continue
+        pairs += 1
         pd = _path_distance(p, q, grid, radius=2)
         assert pd >= flat - 2.0 * grid.diagonal - 1e-9
         assert pd <= 1.1 * flat + 2.0 * grid.diagonal
@@ -430,7 +441,7 @@ def test_multi_source_distances_match_single_source_calls(model, shape):
     ((16, 16, 16), False)])
 def test_distance_fold_is_bitwise_dijkstra(model, shape, twisted, radius):
     grid = Grid(shape, (1.0, 1.0, model.roof),
-                model.base_matrix if twisted else None)
+                model.base_matrix if twisted else IDENTITY)
     sources = _sources(shape, 11)
     assert np.array_equal(grid.path_distance_field(sources, radius),
                           _oracle_distances(grid, sources, radius))
@@ -454,7 +465,8 @@ def test_distance_fold_needs_the_roof_crossing_slabs(model, monkeypatch):
 def test_distance_fold_rejects_a_radius_above_the_layers():
     # The roof-crossing slabs assume an edge crosses the roof at most once.
     with pytest.raises(ValueError, match="radius"):
-        Grid((4, 4, 1)).path_distance_field([(0, 0, 0)], radius=2)
+        Grid((4, 4, 1), (1.0, 1.0, 1.0), IDENTITY).path_distance_field(
+            [(0, 0, 0)], radius=2)
 
 
 def test_neighbor_graph_keeps_parallel_edges(model):

@@ -6,7 +6,7 @@ import pytest
 from weakkam import (ActionKernel, AlignmentError, Grid, GridFunction,
                      Observable, build_kernel, constant_observable,
                      distance_squared_observable)
-from weakkam.kernel import _deviation_offsets
+from weakkam.kernel import _deviation_offsets, discretization
 
 from test_laxoleinik import _cli_kernel
 
@@ -24,6 +24,12 @@ def test_build_kernel_guards(model, cobound, small_grid):
     with pytest.raises(ValueError):
         build_kernel(small_grid, model, phi, -1.0, 0.0,
                      small_grid.spacings[2], 2.0)
+    # a step h <= 0 would flow the kernel backwards, or not at all
+    for h in (0.0, -small_grid.spacings[2], -1.0):
+        with pytest.raises(ValueError, match="kernel step h"):
+            build_kernel(small_grid, model, phi, 1.0, 0.0, h, 2.0)
+        with pytest.raises(ValueError, match="kernel step h"):
+            discretization(model, small_grid, h)
 
 
 def test_build_kernel_rejects_nan_step(model, cobound, small_grid):
@@ -186,8 +192,12 @@ def _jacobi_fold(kernel, v, labels):
 def test_reduced_fold_matches_the_jacobi_fold_bitwise(howard_kernels,
                                                       which):
     """The fold's fixed point is the least value over paths, whatever the
-    order and the pruning: from -v, from random labels, and from the cap
-    lowered on a random half of the nodes, with only those fresh."""
+    order and the pruning: from -v, from random labels, from the cap
+    lowered on a random half of the nodes, with only those fresh, and from
+    a level L + v = c0 lowered at one node a to L(a) = -v(a) - 1.  There c0
+    is B(a) + C*dev of the second norm group + 0.025, so that group lies
+    within 0.05 of the pruning cutoff (lo + C*dev against hi, lo = B(a),
+    hi = c0) and the readers of a under it take their labels from it."""
     kern = howard_kernels[which]
     g, bias, _ = kern.solve_additive_eigenvalue()
     refined = kern.with_phi_bar(kern.phi_bar + float(g.min()) / kern.h)
@@ -195,8 +205,13 @@ def test_reduced_fold_matches_the_jacobi_fold_bitwise(howard_kernels,
     rng = np.random.default_rng(5)
     low = 10.0 * rng.random(v.shape)
     half = rng.random(v.shape) < 0.5
+    l_a = -v[0, 0, 0] - 1.0
+    b_a = (l_a + v[0, 0, 0]) + refined._hphi[0, 0, 0]
+    level = (b_a + refined._forward.cdevs[2] + 0.025) - v
+    level[0, 0, 0] = l_a
     for labels, fresh in ((-v, None), (low, None),
-                          (np.where(half, low, low.max()), half)):
+                          (np.where(half, low, low.max()), half),
+                          (level, None)):
         got, passes = refined.reduced_fold(v, labels, fresh)
         want = _jacobi_fold(refined, v, labels)
         assert got.tobytes() == want.tobytes() and passes >= 1
@@ -205,6 +220,12 @@ def test_reduced_fold_matches_the_jacobi_fold_bitwise(howard_kernels,
 def test_sweeps_reject_nan(small_kernel):
     vals = np.zeros(small_kernel.grid.shape)
     vals[1, 2, 3] = np.nan
+    # one NaN label or bias entry would keep the fold from ever settling
+    zeros = np.zeros_like(vals)
+    for name, bias, labels in (("bias", vals, zeros),
+                               ("labels", zeros, vals)):
+        with pytest.raises(ValueError, match=f"{name} holds NaN"):
+            small_kernel.reduced_fold(bias, labels)
     u = GridFunction(small_kernel.grid, vals)
     with pytest.raises(ValueError, match="NaN"):
         small_kernel.apply(u)
@@ -427,9 +448,8 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13, one_stencil=False,
     """Howard with node-by-node evaluation, a gain pass on every iteration
     and unpruned bias passes, kept as the reference for the fast passes.
     Policies are improved on the offsets within one grid diagonal (all of
-    them at C = 0, or with ``one_stencil``) until a pass there changes
-    nothing, then, from the same gain and bias, on every offset.  It
-    records, per pass, the first norm group whose lo + C*dev exceeds
+    them with ``one_stencil``) until a pass there changes nothing, then,
+    from the same gain and bias, on every offset.  It records, per pass, the first norm group whose lo + C*dev exceeds
     max(best_w) as the count of windows the cutoff should fold, and returns
     the successor array of every evaluated policy."""
     grid = kernel.grid
@@ -440,7 +460,7 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13, one_stencil=False,
     cdevs = kernel.c * kernel.devs
     starts = set(kernel._forward.bounds[:-1])
     n_all = kernel.n_offsets
-    n_short = n_all if one_stencil or kernel.c == 0.0 else int(
+    n_short = n_all if one_stencil else int(
         np.count_nonzero(kernel.devs <= grid.diagonal + 1e-12))
     policy = np.zeros(N, dtype=np.int64)
     scale = max(1.0, float(np.abs(hphi).max()))
@@ -501,7 +521,8 @@ def _oracle_howard(kernel, max_iters=200, tol=1e-13, one_stencil=False,
 @pytest.fixture(scope="module")
 def howard_kernels(model, small_grid, small_kernel):
     """Non-flat gain (coboundary), flat gain over 24 iterations (dist2), and
-    C = 0 with phi = 0, where every lo + C*dev equals max(best_w)."""
+    C = 0 with phi = 0, where every lo + C*dev equals max(best_w) and
+    Howard widens from the short stencil as on every other kernel."""
     def build(phi, c):
         return build_kernel(small_grid, model, phi, c, 0.0,
                             small_grid.spacings[2], 2.0)

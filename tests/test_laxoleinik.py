@@ -26,20 +26,6 @@ def test_weak_kam_solve_rejects_unconverged_howard(small_kernel,
         weak_kam_solve(small_kernel)
 
 
-def test_ergodic_value_rejects_unconverged_howard(model, small_grid,
-                                                 monkeypatch):
-    solve = ActionKernel.solve_additive_eigenvalue
-
-    def stalled(self, *args, **kwargs):
-        g, bias, info = solve(self, *args, **kwargs)
-        return g, bias, dict(info, converged=False)
-
-    monkeypatch.setattr(ActionKernel, "solve_additive_eigenvalue", stalled)
-    with pytest.raises(NonConvergenceError):
-        ergodic_value(model, constant_observable(2.5), "minplus_drift",
-                      grid=small_grid, h=small_grid.spacings[2], c=3.0)
-
-
 def test_howard_converges_on_dist2_centred_at_a_periodic_point(model,
                                                                small_grid):
     # (0.5, 0.5) has period 3 under A; the solve's own kernel settings.
@@ -90,20 +76,26 @@ def test_ergodic_value_constant_orbits(model):
     assert rep["n_orbits"] == 8  # 1 + 2 + 5 minimal orbits
 
 
+def _minplus_value(model, phi, grid, c=None):
+    """The min-plus estimate of the ergodic value, as ``weakkam solve``
+    reports it: ``weak_kam_solve``'s phi_bar on the kernel at reference
+    value 0, with h the s-spacing and c = 4 max(1, Lip phi) by default."""
+    if c is None:
+        c = 4.0 * max(1.0, phi.lipschitz_constant)
+    kern = build_kernel(grid, model, phi, c, 0.0, grid.spacings[2])
+    return weak_kam_solve(kern).phi_bar
+
+
 def test_ergodic_value_constant_drift(model, small_grid):
     phi = constant_observable(2.5)
-    v, rep = ergodic_value(model, phi, "minplus_drift", grid=small_grid,
-                           h=small_grid.spacings[2], c=3.0)
-    assert abs(v - 2.5) < 1e-12
-    assert rep["howard"]["converged"]
+    assert abs(_minplus_value(model, phi, small_grid, c=3.0) - 2.5) < 1e-12
 
 
 def test_ergodic_value_coboundary_estimators_agree(model, cobound, small_grid):
     phi, _ = cobound
     v_orb, _ = ergodic_value(model, phi, "periodic_orbits", max_period=4,
                              quadrature_step=0.002)
-    v_drift, _ = ergodic_value(model, phi, "minplus_drift", grid=small_grid,
-                               h=small_grid.spacings[2])
+    v_drift = _minplus_value(model, phi, small_grid)
     assert abs(v_orb) < 1e-3  # orbit averages of a flow derivative vanish
     assert abs(v_orb - v_drift) < 0.05  # coarse-grid discretization budget
 
@@ -113,8 +105,7 @@ def test_ergodic_value_dist2_cross_validated(model, small_grid):
     # so both estimators find the exact minimizing value 0
     phi = distance_squared_observable(model)
     v_orb, _ = ergodic_value(model, phi, "periodic_orbits")
-    v, _ = ergodic_value(model, phi, "minplus_drift", grid=small_grid,
-                         h=small_grid.spacings[2])
+    v = _minplus_value(model, phi, small_grid)
     assert abs(v) < 1e-10
     assert abs(v_orb - v) < 1e-10
 
@@ -123,6 +114,8 @@ def test_ergodic_value_unknown_method(model, cobound):
     phi, _ = cobound
     with pytest.raises(ValueError):
         ergodic_value(model, phi, "magic")
+    with pytest.raises(ValueError, match="minplus_drift"):
+        ergodic_value(model, phi, "minplus_drift")
 
 
 def test_weak_kam_constant_observable(model, small_grid):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from weakkam import (ConstantsTooWeakError, DiscretePseudoOrbit, EscapeError,
-                     LocalHyperbolicMap, NewtonDivergenceError,
+from weakkam import (ConstantsTooWeakError, EscapeError, LocalHyperbolicMap,
+                     NewtonDivergenceError,
                      affine_poincare, estimate_k_gamma, k_gamma_from_maps,
                      lattice_box_chains, pseudo_orbit_suite, shadow_periodic)
 from weakkam.shadowing import _cyclic_jacobian
@@ -57,8 +57,7 @@ def _chain_maps(atlas, min_len=3):
 
 def test_exact_orbit_shadows_itself(atlas):
     cyc, maps = _chain_maps(atlas)
-    orbit = DiscretePseudoOrbit(points=np.zeros((len(cyc), 2)), rho=atlas.rho)
-    res = shadow_periodic(orbit, maps)
+    res = shadow_periodic(np.zeros((len(cyc), 2)), maps, atlas.rho)
     assert res.passed
     assert np.abs(res.orbit).max() < 1e-12
     assert res.error_sum < 1e-14 and res.distance_sum < 1e-12
@@ -68,8 +67,7 @@ def test_noisy_orbit_is_shadowed(atlas):
     cyc, maps = _chain_maps(atlas)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1e-3, 1e-3, (len(cyc), 2))
-    orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
-    res = shadow_periodic(orbit, maps)
+    res = shadow_periodic(pts, maps, atlas.rho)
     assert res.passed
     assert res.distance_sum <= res.k_gamma * res.error_sum + 1e-14
     assert res.residuals.max() < 1e-10
@@ -78,12 +76,12 @@ def test_noisy_orbit_is_shadowed(atlas):
 
 def test_pseudo_orbit_validation(atlas):
     cyc, maps = _chain_maps(atlas)
-    with pytest.raises(ValueError):
-        DiscretePseudoOrbit(points=np.zeros((4, 3)), rho=atlas.rho)
+    for bad in (np.zeros((len(cyc), 3)), np.zeros(2 * len(cyc))):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            shadow_periodic(bad, maps, atlas.rho)
     far = np.full((len(cyc), 2), atlas.rho)  # outside B(rho/2)
-    orbit = DiscretePseudoOrbit(points=far, rho=atlas.rho)
     with pytest.raises(ValueError, match="must stay in B"):
-        shadow_periodic(orbit, maps)
+        shadow_periodic(far, maps, atlas.rho)
 
 
 def test_suite_all_pass(atlas):
@@ -109,12 +107,17 @@ def _draws(atlas, n_orbits, seed, noise_range=(1e-6, 1e-2), max_len=50):
         yield boxes, float(noise), rng.uniform(-noise, noise, (len(boxes), 2))
 
 
+def _image(hmap, q):
+    """An affine map's image f(q) = offset + linear_part q."""
+    return hmap.offset + q @ hmap.linear_part.T
+
+
 def _fd_jacobian(hmap, q, fd=1e-7):
     cols = []
     for k in range(2):
         e = np.zeros(2)
         e[k] = fd
-        cols.append((hmap(q + e) - hmap(q - e)) / (2 * fd))
+        cols.append((_image(hmap, q + e) - _image(hmap, q - e)) / (2 * fd))
     return np.column_stack(cols)
 
 
@@ -123,12 +126,13 @@ def _oracle_shadow(points, maps, rho, tol=1e-10, max_iters=25):
     reference for the chain solver.  Returns the suite's result dict."""
     n = len(points)
     assert np.abs(points).max() <= rho / 2 + 1e-12
-    assert all(np.abs(maps[i](points[i])).max() <= rho / 2 + 1e-9
+    assert all(np.abs(_image(maps[i], points[i])).max() <= rho / 2 + 1e-9
                for i in range(n))
     k_gamma = k_gamma_from_maps(maps)
     p = points.copy()
     for it in range(max_iters):
-        F = np.array([maps[i](p[i]) - p[(i + 1) % n] for i in range(n)])
+        F = np.array([_image(maps[i], p[i]) - p[(i + 1) % n]
+                      for i in range(n)])
         if np.abs(F).max() < tol:
             break
         J = np.zeros((2 * n, 2 * n))
@@ -140,10 +144,10 @@ def _oracle_shadow(points, maps, rho, tol=1e-10, max_iters=25):
         assert np.abs(p).max() <= rho
     else:
         raise AssertionError("oracle did not converge")
-    residuals = np.array([np.abs(maps[i](p[i]) - p[(i + 1) % n]).max()
-                          for i in range(n)])
-    errs = np.array([np.abs(maps[i](points[i]) - points[(i + 1) % n]).max()
-                     for i in range(n)])
+    residuals = np.array([np.abs(_image(maps[i], p[i])
+                                 - p[(i + 1) % n]).max() for i in range(n)])
+    errs = np.array([np.abs(_image(maps[i], points[i])
+                            - points[(i + 1) % n]).max() for i in range(n)])
     dist = float(np.abs(points - p).max(axis=1).sum())
     return {"distance_sum": dist, "error_sum": float(errs.sum()),
             "k_gamma": float(k_gamma), "max_residual": float(residuals.max()),
@@ -175,19 +179,18 @@ def test_last_newton_step_is_checked(atlas, monkeypatch):
 
     cyc, maps = _chain_maps(atlas)
     pts = np.random.default_rng(1).uniform(-1e-3, 1e-3, (len(cyc), 2))
-    orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
-    res = shadow_periodic(orbit, maps)
+    res = shadow_periodic(pts, maps, atlas.rho)
     assert res.passed and res.residuals.max() < 1e-15
     assert res.newton_iterations == 2
     monkeypatch.setattr(weakkam.shadowing, "_TOL", 0.0)
     with pytest.raises(NewtonDivergenceError, match="after the exact solve"):
-        shadow_periodic(orbit, maps)
+        shadow_periodic(pts, maps, atlas.rho)
 
 
-def _hand_map(rho, linear, offset=(0.0, 0.0)):
+def _hand_map(linear, offset=(0.0, 0.0)):
     """f(q) = offset + linear q."""
     return LocalHyperbolicMap(linear_part=np.asarray(linear, dtype=float),
-                              offset=np.asarray(offset, dtype=float), rho=rho)
+                              offset=np.asarray(offset, dtype=float))
 
 
 # (map factory, error, message, k_gamma) for each failure path:
@@ -196,13 +199,13 @@ def _hand_map(rho, linear, offset=(0.0, 0.0)):
 #  weak: an unstable rate of 1 gives no shadowing constant;
 #  outside: an offset of 0.2 puts every image outside B(rho/2).
 FAILURES = {
-    "escape": (lambda rho: _hand_map(rho, np.diag([1.2, 0.5]), (0.1, 0.0)),
+    "escape": (lambda: _hand_map(np.diag([1.2, 0.5]), (0.1, 0.0)),
                EscapeError, "escaped", None),
-    "singular": (lambda rho: _hand_map(rho, np.eye(2)),
+    "singular": (lambda: _hand_map(np.eye(2)),
                  NewtonDivergenceError, "singular", 1.0),
-    "weak": (lambda rho: _hand_map(rho, np.diag([1.0, 0.5])),
+    "weak": (lambda: _hand_map(np.diag([1.0, 0.5])),
              ConstantsTooWeakError, "too weak", None),
-    "outside": (lambda rho: _hand_map(rho, np.diag([2.0, 0.5]), (0.2, 0.0)),
+    "outside": (lambda: _hand_map(np.diag([2.0, 0.5]), (0.2, 0.0)),
                 ValueError, "image of point 0 leaves", None),
 }
 
@@ -211,9 +214,8 @@ FAILURES = {
 def test_shadow_periodic_failure_paths(case, atlas):
     make, error, message, k_gamma = FAILURES[case]
     pts = np.random.default_rng(2).uniform(-1e-2, 1e-2, (3, 2))
-    orbit = DiscretePseudoOrbit(points=pts, rho=atlas.rho)
     with pytest.raises(error, match=message):
-        shadow_periodic(orbit, [make(atlas.rho)] * 3, k_gamma=k_gamma)
+        shadow_periodic(pts, [make()] * 3, atlas.rho, k_gamma=k_gamma)
 
 
 @pytest.mark.parametrize("case", sorted(FAILURES))
@@ -225,7 +227,7 @@ def test_suite_error_names_the_first_failing_orbit(case, atlas, monkeypatch):
     real = weakkam.shadowing.affine_poincare
 
     def patched(atlas, x, y):
-        return make(atlas.rho) if x in bad_chain else real(atlas, x, y)
+        return make() if x in bad_chain else real(atlas, x, y)
 
     monkeypatch.setattr(weakkam.shadowing, "affine_poincare", patched)
     if k_gamma is not None:
