@@ -128,19 +128,17 @@ class Grid:
         return out
 
     def nearest_index(self, points):
-        """Nearest node multi-index; the roof wrap applies the base twist."""
+        """Nearest node multi-index; the roof wrap applies the base twist.
+        The rounded indices (i, j, k) name the node that reads node
+        (i mod n1, j mod n2, 0) under the offset (0, 0, k) (``readers``)."""
         p = np.asarray(points, dtype=float)
-        shape = p.shape[:-1]
-        flat = np.atleast_2d(p.reshape(-1, 3))
-        i, j, k = (np.round(flat[:, a] / self.spacings[a]).astype(np.int64)
+        i, j, k = (np.round(p[..., a] / self.spacings[a]).astype(np.int64)
                    for a in range(3))
-        m, k = np.divmod(k, self.shape[2])
-        i, j = np.mod(i, self.shape[0]), np.mod(j, self.shape[1])
-        for mv in np.unique(m[m != 0]):
-            sel = m == mv
-            I, J = self._base_index_map(int(mv))
-            i[sel], j[sel] = I[i[sel], j[sel]], J[i[sel], j[sel]]
-        return tuple(x.reshape(shape) for x in (i, j, k))
+        z = np.zeros_like(k)
+        node = np.ravel_multi_index((i % self.shape[0], j % self.shape[1], z),
+                                    self.shape)
+        return np.unravel_index(
+            self.readers(node, np.stack([z, z, k], axis=-1)), self.shape)
 
     def _twist_pow(self, m):
         """A^m, as an integer matrix."""
@@ -210,24 +208,18 @@ class Grid:
         return self._halo(np.abs(offs[:, :2]).max(), -offs[:, 2].max(),
                           self.shape[2] - offs[:, 2].min())
 
-    def _roof_wraps(self, s):
-        """How many times the roof wrap carries each s-coordinate across the
-        gluing."""
-        return np.floor(np.asarray(s) / self.lengths[2]).astype(np.int64)
-
     def _wrap(self, points):
-        """Points moved into the fundamental domain, shape (n, 3); the roof
-        wrap applies the base twist."""
+        """The roof wrap of points, shape (n, 3): s moved into [0, roof) and
+        the base through the twist of each crossing (``line_cells`` wraps
+        the base)."""
         x = points.reshape(-1, 3).copy()
         ns_len = self.lengths[2]
-        m = self._roof_wraps(x[:, 2])
+        m = np.floor(x[:, 2] / ns_len).astype(np.int64)
         for mv in np.unique(m[m != 0]):
             M = self._twist_pow(int(mv)).astype(float)
             sel = m == mv
             x[sel, :2] = x[sel, :2] @ M.T
             x[sel, 2] -= mv * ns_len
-        x[:, 0] = np.mod(x[:, 0], self.lengths[0])
-        x[:, 1] = np.mod(x[:, 1], self.lengths[1])
         x[:, 2] = np.mod(x[:, 2], ns_len)
         return x
 
@@ -238,38 +230,17 @@ class Grid:
         i0 = np.clip(np.floor(v).astype(np.int64), 0, self.shape[ax] - 1)
         return i0, v - i0
 
-    def line_rows(self, s, run):
-        """Rows of flow lines in groups that share their base cells.  Row r
-        is the line of run ``run[r]`` at s-coordinate ``s[r]``.  Rows of one
-        run share their base points (the lines cross no roof inside a run),
-        and a row's base cell follows its run and the twist of its own wrap,
-        so a group is a stretch of rows on which neither changes.  Returns
-        the group of each row, the first row of each group, and the s-cell
-        (k, tk) of each row.  ``trilinear_sum`` of the padded node values at
-        ``corner[group] + k``, with ``line_cells`` of each group's first row,
-        is then bitwise ``GridFunction.interpolate`` at every row's points.
-        """
-        s = np.asarray(s, dtype=float)
-        rows = np.zeros(s.shape + (3,))
-        rows[:, 2] = s
-        k = self._cell(self._wrap(rows)[:, 2], 2)
-        m = self._roof_wraps(s)
-        new_group = np.r_[False, (np.diff(run) != 0) | (np.diff(m) != 0)]
-        first = np.flatnonzero(np.r_[True, new_group[1:]])
-        return np.cumsum(new_group), first, k
-
-    def line_cells(self, s, base):
-        """``plane_terms`` of the base cells of points with base ``base[g, c]``
-        and s-coordinate ``s[g]``, where c runs over the middle axes of
-        ``base``, shape (groups, ..., 2), in the padded node array
-        (``GridFunction._padded``: one more node along every axis)."""
+    def line_cells(self, base):
+        """``plane_terms`` of the base cells of points with base ``base``
+        (..., 2) in the padded node array (``GridFunction._padded``: one more
+        node along every axis).  ``GridFunction.interpolate`` sums the
+        corners at ``corner + k`` with the s-cell (k, tk) of each wrapped
+        point (``_cell(s, 2)``).  A flow line's base is constant between roof
+        crossings and its s lies in [0, roof), so the cells of a run's base
+        serve every row of the run, at ``corner[run] + k``, bitwise."""
         base = np.asarray(base, dtype=float)
-        pts = np.empty(base.shape[:-1] + (3,))
-        pts[..., :2] = base
-        pts[..., 2] = np.reshape(s, (-1,) + (1,) * (base.ndim - 2))
-        x = self._wrap(pts)
-        ci, cj = (tuple(v.reshape(pts.shape[:-1])
-                        for v in self._cell(x[:, ax], ax)) for ax in range(2))
+        ci, cj = (self._cell(np.mod(base[..., ax], self.lengths[ax]), ax)
+                  for ax in range(2))
         return plane_terms(tuple(n + 1 for n in self.shape), ci, cj)
 
     def gather_shift(self, arr, offset):
@@ -364,21 +335,10 @@ class Grid:
             dist = new
 
 
-def trilinear(values, cells):
-    """Trilinear interpolation of a 3-axis array from the cells of its query
-    points: ``cells`` holds, per axis, the index of each point's lower
-    corner and its fraction, all broadcasting against each other.  It is
-    ``trilinear_sum`` of the (i, j) terms of ``plane_terms`` and the k cell,
-    so one point gives the same bits however its cells were found."""
-    (i, ti), (j, tj), (k, tk) = cells
-    corner, wab = plane_terms(values.shape, (i, ti), (j, tj))
-    return trilinear_sum(values, corner + k, wab, tk)
-
-
 def plane_terms(shape, ci, cj):
-    """The (i, j) part of ``trilinear`` in an array of ``shape`` (its last
-    two lengths may be given per point): the flat offset of each lower
-    (i, j) corner, and the weights wa * wb of the four (i, j) corners
+    """The (i, j) part of trilinear interpolation in an array of ``shape``
+    (its last two lengths may be given per point): the flat offset of each
+    lower (i, j) corner, and the weights wa * wb of the four (i, j) corners
     stacked as (4, ...) in corner order (a, b)."""
     (i, ti), (j, tj) = ci, cj
     s1 = shape[2]
@@ -464,8 +424,9 @@ class GridFunction:
         domain first (roof wrap applies the base twist)."""
         p = np.asarray(points, dtype=float)
         x = self.grid._wrap(p)
-        f = trilinear(self._padded(), [self.grid._cell(x[:, ax], ax)
-                                       for ax in range(3)])
+        corner, wab = self.grid.line_cells(x[:, :2])
+        k, tk = self.grid._cell(x[:, 2], 2)
+        f = trilinear_sum(self._padded(), corner + k, wab, tk)
         return (f + self.offset).reshape(p.shape[:-1])
 
     def __call__(self, points):

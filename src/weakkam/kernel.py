@@ -205,7 +205,9 @@ class ActionKernel:
         return best
 
     def _check_grid(self, u):
-        if u.grid is not self.grid and u.grid.shape != self.grid.shape:
+        a, b = u.grid, self.grid
+        if (a.shape, a.lengths, a.twist.tolist()) != (
+                b.shape, b.lengths, b.twist.tolist()):
             raise ValueError("grid mismatch")
 
     def _stack_hphi(self, stack):
@@ -309,6 +311,7 @@ class ActionKernel:
         if isinstance(w, np.ndarray):
             hphi = self._stack_hphi(w)
             return self._fold_all(w, self._reverse) + hphi
+        self._check_grid(w)
         best = self._fold_all(w.values, self._reverse) + self._hphi
         return GridFunction(self.grid, best, w.offset)
 

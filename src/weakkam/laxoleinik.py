@@ -275,10 +275,15 @@ def verify_integrated_subaction(u, model, phi, phi_bar, n_orbits, horizon,
                                 *, seed=0, slack=None):
     """Check u(f^t x) - u(x) <= int_0^t (phi - phi_bar) along random orbits.
 
-    Dyadic sub-horizons of ``horizon`` are all tested.  The default slack
+    Dyadic sub-horizons of ``horizon`` above four quadrature steps are all
+    tested; a horizon with none raises ValueError.  The default slack
     budgets interpolation error (Lipschitz of u times one grid diagonal, at
     both endpoints) plus a quadrature term.
     """
+    if not 4 * _QUAD_STEP < horizon < np.inf:  # NaN fails it too
+        raise ValueError(f"horizon must be finite and > {4 * _QUAD_STEP:g}")
+    if not n_orbits >= 1:
+        raise ValueError("n_orbits must be at least 1")
     rng = np.random.default_rng(seed)
     if slack is None:
         slack = 2.0 * u.discrete_lipschitz() * u.grid.diagonal \

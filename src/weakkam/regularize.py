@@ -169,11 +169,11 @@ class _Box:
     """The u-independent part of one box's pass.
 
     ``idx`` are the window nodes (flat, increasing), ``a`` alpha there and
-    ``live`` the mask of alpha > 0.  When some node is live, the live
-    columns of the chart table (``n_cols`` of them) carry u's line cells per
-    row group as ``plane_terms`` (``corner``, ``wab``) and phi~ (``pht``),
-    and ``w_terms`` holds the live nodes' ``trilinear_sum`` terms in the
-    table.
+    ``live`` the mask of alpha > 0.  When some node is live, the chunk's
+    rectangle of chart-table columns (``n_cols`` of them) carries u's line
+    cells per run as ``plane_terms`` (``corner``, ``wab``) and phi~
+    (``pht``), and ``w_terms`` holds the live nodes' ``trilinear_sum`` terms
+    in that rectangle.
     """
 
     idx: np.ndarray
@@ -207,7 +207,7 @@ class _Level:
     column, so the rows split into runs that share every column's base.
 
     Only the gather of u on a box's table reads u.  Its window nodes,
-    alpha and live nodes, its live columns and u's line cells on them
+    alpha and live nodes, its columns and u's line cells on them
     (``Grid.line_cells``), beta, phi~ along those columns, and the table
     cells of its live nodes are u-independent.  ``chunks`` computes them as
     ``_Box`` records for a chunk of boxes at a time (the windows box by box,
@@ -236,9 +236,8 @@ class _Level:
         r = np.flatnonzero(np.diff(self.run, prepend=-1))
         self.table_base = table[r][..., :2]
         self.shifts = shifts[:, r]
-        # Every box's lines share their row groups and s-cells.
-        self.group, g, (k, tk) = grid.line_rows(self.s, self.run)
-        self.group_s, self.group_run = self.s[g], self.run[g]
+        # flow_map puts every row's s in [0, roof): no row needs a re-wrap.
+        k, tk = grid._cell(self.s, 2)
         self.row_k, self.row_tk = k[:, None, None], tk[:, None, None]
         self.t_cell = _table_cell(self.t_nodes, self.t)
         self.beta = cover.bumps.beta(self.t_nodes)
@@ -269,41 +268,33 @@ class _Level:
                  zip(*(np.split(v, at) for v in (window[2], a, live)))]
         if not live.any():
             return window, boxes
-        # The live columns of each box with live nodes: the rectangle of
-        # q-cells around them, one row of cells beyond the last.
+        # One rectangle of columns for every box with live nodes: the q-cells
+        # around the chunk's live nodes, one row of cells beyond the last.  w
+        # is column-local, so a column no live node reads changes no value.
         of = box_of[live]
         has = np.flatnonzero(np.bincount(of))
-        start = np.searchsorted(of, has)
         (i1, f1), (i2, f2) = (_table_cell(self.q_nodes, uu[live, ax])
                               for ax in (0, 1))
-        lo1, lo2 = (np.minimum.reduceat(i, start) for i in (i1, i2))
-        c1, c2 = (np.maximum.reduceat(i, start) + 2 - lo
-                  for i, lo in ((i1, lo1), (i2, lo2)))
-        q = np.arange(N_Q)
-        cols = (((q >= lo1[:, None]) & (q < (lo1 + c1)[:, None]))[:, :, None]
-                & ((q >= lo2[:, None]) & (q < (lo2 + c2)[:, None]))[:, None])
+        q1, q2 = slice(i1.min(), i1.max() + 2), slice(i2.min(), i2.max() + 2)
         shifts = self.shifts[ks][has].swapaxes(0, 1)[:, :, None, None, :]
-        base = np.mod(self.table_base[:, None] + shifts, 1.0)[:, cols]
-        corner, wab = self.grid.line_cells(self.group_s, base[self.group_run])
-        pht = np.zeros((self.s.size, base.shape[1]))
-        pht[self.rows] = np.asarray(
-            phi.along_lines(self.s[self.rows], base, self.run[self.rows]),
-            dtype=float) - phi_bar
-        # Each live node's cells in its box's table, of shape (n_t, c1, c2).
-        live_at = np.r_[start, of.size]
-        h = np.repeat(np.arange(has.size), np.diff(live_at))
+        base = np.mod(self.table_base[:, None, q1, q2] + shifts, 1.0)
+        corner, wab = self.grid.line_cells(base)
+        # phi~ takes the lines as (runs, columns, 2), the layout of one table.
+        pht = np.zeros((self.s.size,) + base.shape[1:4])
+        pht.reshape(self.s.size, -1)[self.rows] = np.asarray(
+            phi.along_lines(self.s[self.rows],
+                            base.reshape(base.shape[0], -1, 2),
+                            self.run[self.rows]), dtype=float) - phi_bar
+        # Each live node's cells in the rectangle, of shape (n_t, c1, c2).
         it, ft = (v[node[live]] for v in self.t_cell)
-        w_corner, w_wab = plane_terms((None, c1[h], c2[h]), (it, ft),
-                                      (i1 - lo1[h], f1))
-        w_corner += i2 - lo2[h]
-        col_end = np.cumsum(c1 * c2)
+        w_corner, w_wab = plane_terms((None,) + base.shape[2:4], (it, ft),
+                                      (i1 - q1.start, f1))
+        w_corner += i2 - q2.start
+        live_at = np.r_[np.searchsorted(of, has), of.size]
         for n, k in enumerate(has):
             box = boxes[k]
-            cs = slice(col_end[n] - c1[n] * c2[n], col_end[n])
-            shape = (-1, c1[n], c2[n])
-            box.corner = corner[:, cs].reshape(shape)
-            box.wab = wab[:, :, cs].reshape((4,) + shape)
-            box.pht = pht[:, cs].reshape(shape)
+            box.corner, box.wab = corner[:, n], wab[:, :, n]
+            box.pht = pht[:, n]
             ls = slice(live_at[n], live_at[n + 1])
             box.w_terms = (w_corner[ls], w_wab[:, ls], f2[ls])
         return window, boxes
@@ -363,9 +354,8 @@ def _smooth_box(u, box, level):
     """
     w = np.zeros(box.idx.size)
     if box.pht is not None:
-        ut = trilinear_sum(u._padded(), box.corner[level.group]
-                           + level.row_k, box.wab[:, level.group],
-                           level.row_tk) + u.offset
+        ut = trilinear_sum(u._padded(), box.corner[level.run] + level.row_k,
+                           box.wab[:, level.run], level.row_tk) + u.offset
         wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0],
                               level.beta, ut, box.pht)
         w[box.live] = trilinear_sum(wt, *box.w_terms)

@@ -272,13 +272,13 @@ def _flow_lines(model, base, s0, times):
 def _interpolate_lines(u, s, base, run):
     """``u.interpolate`` along flow lines, as the smoothing gathers u: out[r,
     c] is u at the point with base ``base[run[r], c]`` and s-coordinate
-    ``s[r]``.  The base cells are found once per group of rows
-    (``Grid.line_rows``, ``Grid.line_cells``)."""
-    group, first, (k, tk) = u.grid.line_rows(s, run)
-    corner, wab = u.grid.line_cells(s[first], base[run[first]])
+    ``s[r]``, s in [0, roof).  The base cells are found once per run
+    (``Grid.line_cells``) and the s-cell once per row."""
+    corner, wab = u.grid.line_cells(base)
+    k, tk = u.grid._cell(s, 2)
     rows = (-1,) + (1,) * (corner.ndim - 1)
-    return trilinear_sum(u._padded(), corner[group] + k.reshape(rows),
-                         wab[:, group], tk.reshape(rows)) + u.offset
+    return trilinear_sum(u._padded(), corner[run] + k.reshape(rows),
+                         wab[:, run], tk.reshape(rows)) + u.offset
 
 
 @pytest.mark.parametrize("twisted", [True, False])
@@ -309,22 +309,6 @@ def test_interpolate_lines_matches_interpolate_bitwise(model, twisted, case):
     want = u.interpolate(table)
     assert got.shape == want.shape == table.shape[:2]
     assert got.tobytes() == want.tobytes()
-
-
-def test_interpolate_lines_wraps_each_row(model):
-    # Raw s outside [0, roof) inside one run: the rows' wraps differ, and
-    # each row's base goes through its own twist, as ``interpolate`` does.
-    grid = Grid((8, 8, 10), (1.0, 1.0, model.roof), model.base_matrix)
-    rng = np.random.default_rng(13)
-    u = GridFunction(grid, rng.standard_normal(grid.shape))
-    lines = rng.random((2, 3, 4, 2))
-    s = np.array([-0.3, 0.2, 0.95, 1.05, 2.4, 0.1, 0.7])
-    run = np.array([0, 0, 0, 0, 0, 1, 1])
-    pts = np.empty((7, 3, 4, 3))
-    pts[..., :2] = lines[run]
-    pts[..., 2] = s[:, None, None]
-    assert _interpolate_lines(u, s, lines, run).tobytes() \
-        == u.interpolate(pts).tobytes()
 
 
 def test_offset_arithmetic_is_exact(small_grid):

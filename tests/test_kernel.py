@@ -756,3 +756,22 @@ def test_deduplicated_howard_matches_full_stencil_bitwise(which, model,
     assert v.tobytes() == v0.tobytes()
     assert it == it0 and len(succs) == len(succs0)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(succs, succs0))
+
+
+def test_sweeps_reject_a_field_on_another_grid(model, small_kernel):
+    # a same-shape grid with another roof or twist would be folded through
+    # the kernel grid's windows
+    grid = small_kernel.grid
+    others = [Grid(grid.shape, (1.0, 1.0, 2.0), grid.twist),
+              Grid(grid.shape, grid.lengths, np.eye(2, dtype=np.int64)),
+              Grid(grid.shape, grid.lengths, [[3, 1], [2, 1]]),
+              Grid((8, 8, 12), grid.lengths, grid.twist)]
+    for other in others:
+        u = GridFunction.zeros(other)
+        for sweep in (small_kernel.apply, small_kernel.apply_reverse):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                sweep(u)
+    # an equal grid built apart is the kernel's grid
+    same = GridFunction.zeros(Grid(grid.shape, grid.lengths, grid.twist))
+    for sweep in (small_kernel.apply, small_kernel.apply_reverse):
+        assert sweep(same).grid is grid

@@ -586,3 +586,23 @@ def test_kernel_sweeps_reject_misshapen_stacks(small_kernel):
         small_kernel.apply(np.zeros(small_kernel.grid.shape))
     with pytest.raises(ValueError):
         small_kernel.apply_reverse(np.zeros((4, 4, 4, 2)))
+
+
+def test_verify_integrated_subaction_rejects_untestable_arguments(
+        model, cobound, medium_solution):
+    phi, _ = cobound
+    sol, _ = medium_solution
+    # at most four quadrature steps (0.02) no horizon is tested, and
+    # -10 u would pass with slack 0
+    for horizon in (0.02, 0.01, 0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            verify_integrated_subaction(sol.u, model, phi, sol.phi_bar, 64,
+                                        horizon, slack=0.0)
+    for n_orbits in (0, -3):
+        with pytest.raises(ValueError, match="n_orbits"):
+            verify_integrated_subaction(sol.u, model, phi, sol.phi_bar,
+                                        n_orbits, 1.0)
+    bad = GridFunction(sol.u.grid, -10.0 * sol.u.dense())
+    rep = verify_integrated_subaction(bad, model, phi, sol.phi_bar, 64, 0.5,
+                                      slack=0.0)
+    assert not rep["passed"] and rep["horizons"]

@@ -5,9 +5,10 @@ from weakkam.observables import smoothstep_prime
 
 from weakkam import (BumpPair, CoverGapError, Grid, GridFunction,
                      NotSubactionError, SuspensionFlow, build_kernel,
-                     default_cover, distance_squared_observable,
-                     lie_derivative_field, regularize_all, regularize_once,
-                     verify_subaction, weak_kam_solve)
+                     coboundary_observable, default_cover,
+                     distance_squared_observable, lie_derivative_field,
+                     regularize_all, regularize_once, verify_subaction,
+                     weak_kam_solve)
 from weakkam import regularize as regularize_mod
 from weakkam.charts import FlowBox
 from weakkam.regularize import (_CHUNK, EPS, N_Q, N_T, TAU, _corrected_table,
@@ -227,37 +228,47 @@ def _oracle_smooth_box(u, box, window, phi, phi_bar):
     return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
 
 
-def _live_columns(box, window):
-    """The table columns a pass must price: the rectangle of q-cells around
-    its window nodes with alpha > 0, one row of cells beyond the last, or
-    none without such nodes."""
+def _live_cells(box, window):
+    """The q-cells, shape (n, 2), of the window nodes of the one-box cover
+    ``box`` with alpha > 0 (``window`` as ``_chart_window`` returns it)."""
     _, uu, inside = window
     live = uu[inside][box.bumps.alpha(uu[inside]) > 0]
-    if live.size == 0:
-        return 0
     _, q_nodes = _table_axes()
-    c1, c2 = (np.ptp(_axis_cell(q_nodes, live[:, ax])[0]) + 2
-              for ax in (0, 1))
-    return int(c1 * c2)
+    return np.stack([_axis_cell(q_nodes, live[:, ax])[0] for ax in (0, 1)],
+                    axis=-1)
+
+
+def _live_columns(chunk):
+    """The table columns each box of a chunk must price: every box with
+    window nodes of alpha > 0 prices the rectangle of q-cells around the
+    live nodes of the whole chunk, one row of cells beyond the last, and
+    every other box none.  ``chunk`` pairs each box with its window."""
+    cells = [_live_cells(box, window) for box, window in chunk]
+    every = np.concatenate(cells)
+    size = int(np.prod(np.ptp(every, axis=0) + 2)) if every.size else 0
+    return [size if c.size else 0 for c in cells]
 
 
 def _oracle_passes(u0, cover, phi, phi_bar, core_margin):
     """``_smooth_cover`` box by box: every box charts all nodes itself and
     runs the whole-table pass.  Returns (u, core mask, uncovered mask, live
-    columns)."""
+    columns), the columns counted per chunk of ``_CHUNK`` boxes of a
+    level."""
     nodes = u0.grid.node_points().reshape(-1, 3)
     mask = np.zeros(nodes.shape[0], dtype=bool)
     uncovered = np.ones(nodes.shape[0], dtype=bool)
     u = u0
     n_cols = 0
-    for k in range(len(cover)):
-        box = cover[k]
-        window = _chart_window(box, nodes)
-        u = _oracle_smooth_box(u, box, window, phi, phi_bar)
-        n_cols += _live_columns(box, window)
-        t, uu, inside = window
-        mask |= inside & box.in_core(t, uu, margin=core_margin)
-        uncovered &= ~(inside & box.in_core(t, uu))
+    for level in cover.levels():
+        for k0 in range(0, len(level), _CHUNK):
+            chunk = [(level[k], _chart_window(level[k], nodes))
+                     for k in range(k0, min(k0 + _CHUNK, len(level)))]
+            n_cols += sum(_live_columns(chunk))
+            for box, window in chunk:
+                u = _oracle_smooth_box(u, box, window, phi, phi_bar)
+                t, uu, inside = window
+                mask |= inside & box.in_core(t, uu, margin=core_margin)
+                uncovered &= ~(inside & box.in_core(t, uu))
     return u, mask, uncovered, n_cols
 
 
@@ -472,6 +483,30 @@ def test_regularize_all_bitwise_matches_whole_table_pass(
         == want.report["table_columns_priced"] == len(cover) * 9 ** 2
 
 
+@pytest.mark.parametrize("roof", [1.3, 2.5])
+def test_smoothing_off_the_unit_roof_matches_whole_table_pass_bitwise(roof):
+    # the chart tables' s lies in [0, roof) on every level, so a run's rows
+    # share their base cells; every box prices the 9 x 9 columns
+    model = SuspensionFlow(roof=roof)
+    phi, pot = coboundary_observable(model)
+    grid = Grid((12, 12, 10), (1.0, 1.0, roof), model.base_matrix)
+    rng = np.random.default_rng(4)
+    u = GridFunction(grid, pot(grid.node_points())
+                     + 1e-2 * rng.standard_normal(grid.shape))
+    cover = default_cover(model)
+    for part in cover.levels():
+        level = _Level(part, grid)
+        assert np.all((level.s >= 0.0) & (level.s < roof))
+        assert all(box.n_cols == 81 for _, chunk in level.chunks(phi, 0.0)
+                   for box in chunk)
+    got = _smooth_cover(u, cover, phi, 0.0, 0.05)
+    want = _oracle_passes(u, cover, phi, 0.0, 0.05)
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3] == len(cover) * 81
+
+
 @pytest.mark.parametrize("boxes", ["70", "3:80", "one"])
 def test_partial_levels_match_whole_table_pass_bitwise(
         model, cobound, medium_solution, cover, boxes):
@@ -492,21 +527,26 @@ def test_partial_levels_match_whole_table_pass_bitwise(
 
 def test_uneven_live_columns_match_whole_table_pass_bitwise(model, cobound,
                                                             cover):
-    # at 6 x 6 x 10 the boxes of a chunk have live columns of different
-    # shapes and offsets
+    # at 6 x 6 x 10 the live nodes of the boxes of a chunk span q-cell
+    # rectangles of different shapes; every box prices its chunk's one
+    # rectangle, and the extra columns change no value at a live node
     phi, pot = cobound
     grid = Grid((6, 6, 10), (1.0, 1.0, model.roof), model.base_matrix)
     u = GridFunction(grid, pot(grid.node_points()))
+    nodes = grid.node_points().reshape(-1, 3)
     part = cover[:64]
-    level = _Level(part, grid)
-    shapes = {box.pht.shape for _, chunk in level.chunks(phi, 0.0)
-              for box in chunk if box.pht is not None}
-    assert len(shapes) > 1
+    spans = {tuple(np.ptp(cells, axis=0)) for cells in
+             (_live_cells(part[k], _chart_window(part[k], nodes))
+              for k in range(len(part))) if cells.size}
+    assert len(spans) > 1
+    for _, chunk in _Level(part, grid).chunks(phi, 0.0):
+        assert len({box.pht.shape for box in chunk
+                    if box.pht is not None}) == 1
     got = _smooth_cover(u, part, phi, 0.0, 0.05)
     want = _oracle_passes(u, part, phi, 0.0, 0.05)
     assert got[0].values.tobytes() == want[0].values.tobytes()
     assert np.array_equal(got[1], want[1])
-    assert got[3] == want[3]
+    assert got[3] == want[3] == 5184
 
 
 def test_regularize_once_is_a_one_box_level(model, cobound, medium_solution,
@@ -526,7 +566,8 @@ def test_regularize_once_is_a_one_box_level(model, cobound, medium_solution,
 @pytest.mark.parametrize("n", [6, 16])
 def test_each_box_prices_its_live_rectangle(model, cobound, cover, n):
     # every record of the default levels: a box prices phi and gathers u
-    # exactly when it has live nodes, on the rectangle of columns around them
+    # exactly when it has live nodes, on the rectangle of columns around the
+    # live nodes of its chunk
     phi, _ = cobound
     grid = Grid((n, n, 10), (1.0, 1.0, model.roof), model.base_matrix)
     nodes = grid.node_points().reshape(-1, 3)
@@ -534,10 +575,13 @@ def test_each_box_prices_its_live_rectangle(model, cobound, cover, n):
         boxes = [box for _, chunk in _Level(part, grid).chunks(phi, 0.0)
                  for box in chunk]
         assert len(boxes) == len(part)
-        for k, box in enumerate(boxes):
-            window = _chart_window(part[k], nodes)
+        windows = [(part[k], _chart_window(part[k], nodes))
+                   for k in range(len(part))]
+        want = [c for k0 in range(0, len(part), _CHUNK)
+                for c in _live_columns(windows[k0:k0 + _CHUNK])]
+        for box, cols in zip(boxes, want):
             assert (box.pht is None) == (not box.live.any())
-            assert box.n_cols == _live_columns(part[k], window)
+            assert box.n_cols == cols
 
 
 def test_box_without_live_nodes_prices_no_column(model, cobound, cover):
