@@ -84,8 +84,8 @@ class Halo:
 @dataclass
 class Grid:
     """Uniform periodic grid over T^2 x [0, roof), roof-twisted: ``twist``
-    is the integer base matrix A of the suspension.
-    """
+    is the integer base matrix A of the suspension.  Grids are equal when
+    their shapes, lengths and twists are."""
 
     shape: tuple
     lengths: tuple
@@ -109,6 +109,11 @@ class Grid:
         self._base_cache = {}
         self._halo_cache = {}
         self._graph_cache = {}
+
+    def __eq__(self, other):
+        return (isinstance(other, Grid) and self.shape == other.shape
+                and self.lengths == other.lengths
+                and np.array_equal(self.twist, other.twist))
 
     @property
     def n_nodes(self):
@@ -208,24 +213,9 @@ class Grid:
         return self._halo(np.abs(offs[:, :2]).max(), -offs[:, 2].max(),
                           self.shape[2] - offs[:, 2].min())
 
-    def _wrap(self, points):
-        """The roof wrap of points, shape (n, 3): s moved into [0, roof) and
-        the base through the twist of each crossing (``line_cells`` wraps
-        the base)."""
-        x = points.reshape(-1, 3).copy()
-        ns_len = self.lengths[2]
-        m = np.floor(x[:, 2] / ns_len).astype(np.int64)
-        for mv in np.unique(m[m != 0]):
-            M = self._twist_pow(int(mv)).astype(float)
-            sel = m == mv
-            x[sel, :2] = x[sel, :2] @ M.T
-            x[sel, 2] -= mv * ns_len
-        x[:, 2] = np.mod(x[:, 2], ns_len)
-        return x
-
     def _cell(self, x, ax):
-        """Lower-corner index along axis ``ax`` of wrapped coordinates x, and
-        the fractional offset from it."""
+        """Lower-corner index along axis ``ax`` of coordinates x in [0,
+        length), and the fractional offset from it."""
         v = x / self.spacings[ax]
         i0 = np.clip(np.floor(v).astype(np.int64), 0, self.shape[ax] - 1)
         return i0, v - i0
@@ -234,8 +224,8 @@ class Grid:
         """``plane_terms`` of the base cells of points with base ``base``
         (..., 2) in the padded node array (``GridFunction._padded``: one more
         node along every axis).  ``GridFunction.interpolate`` sums the
-        corners at ``corner + k`` with the s-cell (k, tk) of each wrapped
-        point (``_cell(s, 2)``).  A flow line's base is constant between roof
+        corners at ``corner + k`` with the s-cell (k, tk) of each point
+        (``_cell(s, 2)``).  A flow line's base is constant between roof
         crossings and its s lies in [0, roof), so the cells of a run's base
         serve every row of the run, at ``corner[run] + k``, bitwise."""
         base = np.asarray(base, dtype=float)
@@ -393,16 +383,9 @@ class GridFunction:
         return self.values + self.offset
 
     def __add__(self, c):
-        if isinstance(c, GridFunction):
-            return GridFunction(self.grid, self.values + c.dense(), self.offset)
         return GridFunction(self.grid, self.values, self.offset + float(c))
 
-    def __radd__(self, c):
-        return self.__add__(c)
-
     def __sub__(self, c):
-        if isinstance(c, GridFunction):
-            return GridFunction(self.grid, self.values - c.dense(), self.offset)
         return GridFunction(self.grid, self.values, self.offset - float(c))
 
     def minimum(self, other):
@@ -420,12 +403,18 @@ class GridFunction:
         return np.take(self.values, halo.index[1:, 1:])
 
     def interpolate(self, points):
-        """Multilinear interpolation; points are wrapped into the fundamental
-        domain first (roof wrap applies the base twist)."""
+        """Multilinear interpolation at points (..., 3) with s in [0, roof),
+        as ``SuspensionFlow.flow_map`` leaves them; the base wraps
+        periodically.  Raises ValueError for a point with any other s or a
+        non-finite coordinate."""
         p = np.asarray(points, dtype=float)
-        x = self.grid._wrap(p)
+        x = p.reshape(-1, 3)
+        s = x[:, 2]
+        if not (np.isfinite(x).all()
+                and ((0.0 <= s) & (s < self.grid.lengths[2])).all()):
+            raise ValueError("interpolate needs finite points, s in [0, roof)")
         corner, wab = self.grid.line_cells(x[:, :2])
-        k, tk = self.grid._cell(x[:, 2], 2)
+        k, tk = self.grid._cell(s, 2)
         f = trilinear_sum(self._padded(), corner + k, wab, tk)
         return (f + self.offset).reshape(p.shape[:-1])
 

@@ -205,9 +205,7 @@ class ActionKernel:
         return best
 
     def _check_grid(self, u):
-        a, b = u.grid, self.grid
-        if (a.shape, a.lengths, a.twist.tolist()) != (
-                b.shape, b.lengths, b.twist.tolist()):
+        if u.grid != self.grid:
             raise ValueError("grid mismatch")
 
     def _stack_hphi(self, stack):
@@ -624,13 +622,10 @@ class ActionKernel:
         return q, sweep.halo.read(q, sweep.tots[d])
 
 
-def discretization(model, grid=None, h=None):
-    """The grid and kernel step of a run, each defaulted when None: the
-    32x32x16 grid of the model's suspension, and h = roof/10 snapped down to
-    a multiple (at least one) of the s-spacing.  Raises ValueError when the
-    step breaks a condition of ``build_kernel``."""
-    if grid is None:
-        grid = Grid((32, 32, 16), (1.0, 1.0, model.roof), model.base_matrix)
+def discretization(model, grid, h=None):
+    """The grid and kernel step h of a run; h defaults to roof/10 snapped down
+    to a multiple (at least one) of the grid's s-spacing.  Raises ValueError
+    when h breaks a condition of ``build_kernel``."""
     if h is None:
         ds = grid.spacings[2]
         h = ds * max(1, int((model.roof / 10.0) / ds))

@@ -175,7 +175,7 @@ def _action_at(kernel: ActionKernel, nodes, n_steps, at, fields,
 _APRIORI_REACH, _GRAPH_RADIUS = 3.0, 2
 
 
-def verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None, seed=0,
+def verify_apriori(model, phi, c, t, n_pairs, *, grid, h=None, seed=0,
                    n_sources=8):
     """Check the pairwise-action estimates on random point tuples, for the
     kernel at reference value 0.

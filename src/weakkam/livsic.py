@@ -145,8 +145,8 @@ def compute_constants(atlas: FlowBoxAtlas, phi: Observable, k_tilde):
     """Evaluate all explicit action constants from the atlas data."""
     tau, eps = atlas.tau, atlas.eps
     lp = phi.lipschitz_constant
-    if lp <= 0:
-        raise ValueError("observable must have positive Lipschitz constant")
+    if not lp >= 0:  # NaN fails it too; Lip phi = 0 zeroes what it scales
+        raise ValueError(f"observable Lipschitz constant {lp} is not >= 0")
     lg = atlas.lip_gamma
     diam = atlas.diam_omega()
     ng = atlas.n_gamma

@@ -157,11 +157,14 @@ class SuspensionFlow:
         s_tot = x[..., 2] + t
         n = np.floor(s_tot / self.roof).astype(np.int64)
         s_new = s_tot - n * self.roof
-        # Guard against s_new == roof from rounding.
-        hit = s_new >= self.roof
-        if np.any(hit):
+        # Rounding can leave s_new at the roof, or below 0 when s_tot / roof
+        # rounds up: move it one roof, the low side first (it may hit roof).
+        low, hit = s_new < 0, s_new >= self.roof
+        if (low | hit).any():
+            s_new = np.where(low, s_new + self.roof, s_new)
+            hit = s_new >= self.roof
             s_new = np.where(hit, s_new - self.roof, s_new)
-            n = n + hit.astype(np.int64)
+            n = n - low + hit
         shape = np.broadcast_shapes(x[..., 0].shape, t.shape)
         b = self._apply_base(np.broadcast_to(x[..., :2], shape + (2,)), n)
         out = np.empty(shape + (3,))

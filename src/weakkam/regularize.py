@@ -149,13 +149,16 @@ class SubactionCertificate:
     fd_step: float
     report: dict = field(default_factory=dict)
 
+    # IEEE quotients: inf, or NaN for 0 / 0, when Lip(phi) = 0.
     @property
     def ratio_u(self):
-        return self.lip_u / self.lip_phi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(self.lip_u) / self.lip_phi)
 
     @property
     def ratio_lie(self):
-        return self.lip_lie / self.lip_phi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(self.lip_lie) / self.lip_phi)
 
 
 # Boxes per chunk of a level: their phi~ tables, N_T * N_Q**2 values each,
@@ -328,16 +331,6 @@ def _table_cell(nodes, x):
     return i, f - i
 
 
-def check_integrated_subaction(u, model, phi, phi_bar, slack=None, n_orbits=64,
-                               horizon=1.0):
-    report = verify_integrated_subaction(u, model, phi, phi_bar, n_orbits,
-                                         horizon, slack=slack)
-    if not report["passed"]:
-        raise NotSubactionError("input is not an integrated subaction within "
-                                "slack", witness=report["violations"][0])
-    return report
-
-
 def _check_finite(u, phi_bar):
     if not (np.all(np.isfinite(u.values)) and np.isfinite(u.offset)
             and np.isfinite(phi_bar)):
@@ -364,13 +357,10 @@ def _smooth_box(u, box, level):
     flat[box.idx] = (1.0 - box.a) * dense_here + box.a * w - u.offset
 
 
-def regularize_once(u: GridFunction, box: Cover, phi, phi_bar,
-                    check_precondition=True):
+def regularize_once(u: GridFunction, box: Cover, phi, phi_bar):
     """One smoothing pass over the one-box cover ``box`` (``cover[k]``), run
     as a level of one box; output equals u exactly outside D''."""
     _check_finite(u, phi_bar)
-    if check_precondition:
-        check_integrated_subaction(u, box.model, phi, phi_bar)
     level = _Level(box, u.grid)
     (_, (box,)), = level.chunks(phi, phi_bar)
     out = u.copy()
@@ -397,8 +387,7 @@ def lie_derivative_field(u, model, fd_step):
     """Backward flow-difference derivative of u at every grid node."""
     nodes = u.grid.node_points().reshape(-1, 3)
     back = model.flow_map(nodes, -fd_step)
-    vals = (np.asarray(u(nodes), dtype=float)
-            - np.asarray(u(back), dtype=float)) / fd_step
+    vals = (u(nodes) - u(back)) / fd_step
     return vals.reshape(u.grid.shape)
 
 
@@ -433,14 +422,19 @@ def regularize_all(u0: GridFunction, cover: Cover, phi, phi_bar, *,
 
     The certificate's region is the union of the cover's core boxes D_i,
     shrunk by min(one grid diagonal, eps/2, tau/4) so only interior nodes are
-    priced; the boundary layer of one-sided derivatives is excluded.
+    priced; the boundary layer of one-sided derivatives is excluded.  The
+    ``precheck`` raises NotSubactionError on a violation of
+    ``verify_integrated_subaction``.
     """
     grid = u0.grid
     model = cover.model
     _check_finite(u0, phi_bar)
     if precheck:
-        check_integrated_subaction(u0, model, phi, phi_bar,
-                                   slack=precheck_slack)
+        rep = verify_integrated_subaction(u0, model, phi, phi_bar, 64, 1.0,
+                                          slack=precheck_slack)
+        if not rep["passed"]:
+            raise NotSubactionError("input is not an integrated subaction "
+                                    "within slack", rep["violations"][0])
     nodes = grid.node_points().reshape(-1, 3)
     core_margin = min(grid.diagonal, EPS / 2.0, TAU / 4.0)
     u, mask, uncovered_all, n_cols = _smooth_cover(u0, cover, phi, phi_bar,
@@ -501,8 +495,7 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
         pts.extend(cand[keep][:target - len(pts)])
     pts = np.asarray(pts)
     back = model.flow_map(pts, -cert.fd_step)
-    lie = (np.asarray(u(pts), dtype=float)
-           - np.asarray(u(back), dtype=float)) / cert.fd_step
+    lie = (u(pts) - u(back)) / cert.fd_step
     margins = np.asarray(phi(pts), dtype=float) - phi_bar - lie
     worst = float(margins.min())
     bad = np.nonzero(margins < -cert.slack)[0]

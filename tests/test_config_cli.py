@@ -200,6 +200,14 @@ def test_cli_impossible_kernel_step_exit_2(tmp_path, grid, step):
     assert main(argv + ["verify", "semigroup", "--count", "1"]) == EXIT_USAGE
 
 
+def test_cli_grid_of_one_node_exit_2(tmp_path):
+    with pytest.raises(ConfigError, match="at least 2"):
+        load_config(None, {"grid_shape": (1, 1, 10)})
+    assert main(["--output", str(tmp_path / "o"), "--grid", "1", "1", "10",
+                 "verify", "semigroup", "--count", "1"]) == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_roof_too_short_for_smoothing_cover_exit_2(tmp_path):
     # the smoothing boxes span tau + 4 eps = 0.8 of flow time
     bad = _ini(tmp_path, "[model]\nroof = 0.5\n")
@@ -255,6 +263,33 @@ def test_cli_constants(tmp_path):
     assert main(["--output", out, "constants"]) == EXIT_PASS
     text = (Path(out) / "constants.csv").read_text()
     assert "c4" in text and "delta_lambda" in text
+
+
+def _rows(path, key):
+    with open(path, newline="") as f:
+        return {r[key]: r["value"] for r in csv.DictReader(f)}
+
+
+@pytest.mark.parametrize("value", ["0.0", "2.5"])
+def test_cli_constant_family(tmp_path, value):
+    # Lip phi = 0 is a Lipschitz constant: every constant it scales is 0, and
+    # the certificate's ratios over it are the IEEE quotients 0 / 0
+    cfg = _ini(tmp_path, f"[observable]\nfamily = constant\nvalue = {value}\n")
+    out, const = tmp_path / "o", tmp_path / "c"
+    assert main(["--config", cfg, "--output", str(out)] + SMALL
+                + ["solve"]) == EXIT_PASS
+    cert = _rows(out / "certificate.csv", "quantity")
+    assert cert["lip_phi"] == cert["lip_u"] == "0"
+    assert cert["ratio_u"] == cert["ratio_lie"] == "nan"
+    ergodic = _rows(out / "ergodic.csv", "method")
+    assert ergodic["minplus_drift"] == FLOAT_FMT % float(value)
+    assert main(["--config", cfg, "--output", str(const)] + SMALL
+                + ["constants"]) == EXIT_PASS
+    consts = _rows(const / "constants.csv", "name")
+    assert consts == _rows(out / "constants.csv", "name")
+    for name in ("a_star", "c1", "c2", "c3", "c4", "lip_phi"):
+        assert consts[name] == "0", name
+    assert float(consts["c_lambda_distortion"]) > 0
 
 
 def test_cli_verify_semigroup_deterministic(tmp_path):

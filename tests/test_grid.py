@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from weakkam import Grid, GridFunction, build_kernel, constant_observable
+from weakkam import (Grid, GridFunction, SuspensionFlow, build_kernel,
+                     constant_observable)
 from weakkam.grid import _primitive_offsets, trilinear_sum
 
 
@@ -46,6 +47,21 @@ def test_grid_validation(model):
         Grid((4, 4, 5), (1.0, 1.0, 1.0), np.array([[2, 0], [0, 2]]))
     with pytest.raises(TypeError):  # lengths and twist are required
         Grid((4, 4, 5))
+
+
+def test_grids_are_equal_by_value():
+    # two models, two twist arrays: equal grids all the same
+    a = Grid((8, 8, 10), (1, 1, 1), SuspensionFlow().base_matrix)
+    b = Grid((8, 8, 10), (1, 1, 1), SuspensionFlow().base_matrix)
+    assert a.twist is not b.twist
+    assert a == b and not a != b
+    for other in (Grid((6, 6, 10), (1, 1, 1), a.twist),
+                  Grid((8, 8, 12), (1, 1, 1), a.twist),
+                  Grid((8, 8, 10), (1, 1, 1.3), a.twist),
+                  Grid((8, 8, 10), (1, 1, 1), IDENTITY),
+                  Grid((8, 8, 10), (1, 1, 1), [[3, 2], [1, 1]])):
+        assert a != other and not a == other
+    assert a != (8, 8, 10)
 
 
 def test_gather_shift_matches_oracle(model):
@@ -198,27 +214,32 @@ def test_interpolation_respects_roof_gluing(model, small_grid):
     A = model.base_matrix.astype(float)
     at_roof = np.concatenate([b, np.full((20, 1), model.roof)], axis=1)
     at_zero = np.concatenate([np.mod(b @ A.T, 1.0), np.zeros((20, 1))], axis=1)
-    assert np.abs(u(at_roof) - u(at_zero)).max() < 1e-10
+    assert np.abs(u(model.flow_map(at_roof, 0.0)) - u(at_zero)).max() < 1e-10
+
+
+@pytest.mark.parametrize("s", [-1e-300, 1.0, 1e300, np.nan, np.inf],
+                         ids=["below_zero", "roof", "huge", "nan", "inf"])
+def test_interpolation_rejects_points_off_the_domain(model, small_grid, s):
+    u = GridFunction(small_grid, np.zeros(small_grid.shape))
+    pts = np.full((3, 3), 0.25)
+    pts[1, 2] = s * model.roof
+    with pytest.raises(ValueError, match="roof"):
+        u(pts)
+    pts[1] = (0.25, np.nan, 0.5)
+    with pytest.raises(ValueError):
+        u(pts)
 
 
 def _oracle_interpolate(u, points):
-    """The three-index interpolation: wrap, then index the padded array by
-    (i + a, j + b, k + c) for each of the eight corners."""
+    """The three-index interpolation of points with s in [0, roof): wrap the
+    base, then index the padded array by (i + a, j + b, k + c) for each of
+    the eight corners."""
     grid = u.grid
     p = np.asarray(points, dtype=float)
     x = p.reshape(-1, 3).copy()
-    ns_len = grid.lengths[2]
-    m = np.floor(x[:, 2] / ns_len).astype(np.int64)
-    for mv in np.unique(m):
-        if mv == 0:
-            continue
-        M = grid._twist_pow(int(mv)).astype(float)
-        sel = m == mv
-        x[sel, :2] = x[sel, :2] @ M.T
-        x[sel, 2] -= mv * ns_len
+    assert ((0.0 <= x[:, 2]) & (x[:, 2] < grid.lengths[2])).all()
     x[:, 0] = np.mod(x[:, 0], grid.lengths[0])
     x[:, 1] = np.mod(x[:, 1], grid.lengths[1])
-    x[:, 2] = np.mod(x[:, 2], ns_len)
     pad = grid._halo(1, 0, grid.shape[2] + 1).pad(u.values)[1:, 1:]
     t = np.empty((x.shape[0], 3))
     idx = np.empty((x.shape[0], 3), dtype=np.int64)
@@ -237,6 +258,16 @@ def _oracle_interpolate(u, points):
     return (f + u.offset).reshape(p.shape[:-1])
 
 
+def _roof_wrap(model, grid, points):
+    """Points moved into s in [0, roof) by ``flow_map(points, 0.0)``.  An
+    untwisted grid glues (b, roof) ~ (b, 0), so its points keep their base
+    and take only the wrapped s."""
+    out = model.flow_map(points, 0.0)
+    if np.array_equal(grid.twist, IDENTITY):
+        out[..., :2] = points[..., :2]
+    return out
+
+
 @pytest.mark.parametrize("twisted", [True, False])
 def test_interpolation_matches_three_index_oracle(model, twisted):
     grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
@@ -244,17 +275,21 @@ def test_interpolation_matches_three_index_oracle(model, twisted):
     rng = np.random.default_rng(11)
     u = GridFunction(grid, rng.standard_normal(grid.shape), offset=0.3)
     pts = rng.uniform(-2.0, 3.0, (4000, 3))
-    # s below 0, at and beyond the roof, across several wraps
+    # s below 0, at and beyond the roof, across several wraps, wrapped the
+    # way flow_map leaves its points
     pts[:1000, 2] = rng.uniform(0.0, model.roof, 1000)
     pts[1000:1500, 2] = rng.uniform(-3.5, 0.0, 500) * model.roof
     pts[1500:2000, 2] = rng.uniform(1.0, 4.5, 500) * model.roof
     pts[2000:2010, 2] = model.roof * np.arange(-5, 5)
     pts[2010:2020, :2] = rng.random((10, 2))
+    pts = _roof_wrap(model, grid, pts)
     got = u(pts.reshape(40, 100, 3))
     assert got.shape == (40, 100)
     assert np.array_equal(got.reshape(-1), _oracle_interpolate(u, pts))
-    # every s already in [0, roof): no roof wrap at all
-    assert np.array_equal(u(pts[:1000]), _oracle_interpolate(u, pts[:1000]))
+    # a base outside [0, 1) wraps periodically
+    raw = rng.uniform(-2.0, 3.0, (1000, 3))
+    raw[:, 2] = pts[:1000, 2]
+    assert np.array_equal(u(raw), _oracle_interpolate(u, raw))
 
 
 def _flow_lines(model, base, s0, times):

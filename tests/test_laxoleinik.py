@@ -485,7 +485,7 @@ def test_action_at_matches_action_fields_at_every_pair(model, cobound, shape,
         assert got.tobytes() == want.reshape(-1).tobytes(), reverse
 
 
-def _oracle_verify_apriori(model, phi, c, t, n_pairs, *, grid=None, h=None,
+def _oracle_verify_apriori(model, phi, c, t, n_pairs, *, grid, h=None,
                            phi_bar=0.0, seed=0, n_sources=8,
                            reach_multiplier=3.0, graph_radius=2):
     """``verify_apriori`` as it was when it swept the whole stacks and drew

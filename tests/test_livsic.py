@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +80,17 @@ def test_constants_hierarchy(constants):
     assert c.c1 > 0 and c.a_star > 0 and c.delta_lambda > 0
     assert c.c4 >= max(c.c2, c.c3)
     assert c.lip_gamma >= 1.0 and c.n_gamma > 0
+
+
+@pytest.mark.parametrize("lip", [-1.0, -1e-300, np.nan])
+def test_constants_reject_negative_or_nan_lipschitz(atlas, lip):
+    phi = constant_observable(0.0)
+    with pytest.raises(ValueError, match="is not >= 0"):
+        compute_constants(atlas, replace(phi, lipschitz_constant=lip), 2.0)
+    # Lip phi = 0 scales its constants to 0
+    zero = compute_constants(atlas, phi, 2.0)
+    assert zero.c1 == zero.c2 == zero.c3 == zero.c4 == zero.a_star == 0.0
+    assert zero.lip_phi == 0.0 and zero.delta_lambda > 0
 
 
 def test_classify_flow_following_is_pseudo(model, atlas, cobound, constants):

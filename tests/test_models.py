@@ -36,6 +36,27 @@ def test_flow_applies_base_map_at_roof(model):
     assert abs(q[2] - 0.1) < 1e-12
 
 
+@pytest.mark.parametrize("roof", [1.0, 1.3, 2.5])
+def test_flow_map_leaves_s_in_zero_to_roof(roof):
+    # s just below a multiple of the roof: s / roof can round up to the
+    # integer, and the rounding must not leave s below 0
+    model = SuspensionFlow(roof=roof)
+    rng = np.random.default_rng(7)
+    p = rng.random((4000, 3))
+    k = rng.integers(-20, 20, 4000)
+    p[:, 2] = np.nextafter(k * roof, -np.inf)
+    q = model.flow_map(p, 0.0)
+    assert ((0.0 <= q[:, 2]) & (q[:, 2] < roof)).all()
+    # the point left is the point reached by whole roofs: A^(k-1) on the base
+    # at s just below the roof, or A^k at s = 0
+    last = q[:, 2] > 0.5 * roof
+    want = model._apply_base(p[:, :2], k - last)
+    d = q[:, :2] - want
+    assert np.abs(d - np.round(d)).max() < 1e-6
+    assert np.abs(q[~last, 2]).max() < 1e-12 * roof * 20
+    assert np.abs(q[last, 2] - roof).max() < 1e-12 * roof * 20
+
+
 def test_velocity_is_unit_roof_direction(model):
     v = model.velocity(np.random.default_rng(2).random((5, 3)))
     assert np.allclose(v[:, :2], 0.0) and np.allclose(v[:, 2], 1.0)

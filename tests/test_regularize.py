@@ -4,16 +4,16 @@ import pytest
 from weakkam.observables import smoothstep_prime
 
 from weakkam import (BumpPair, CoverGapError, Grid, GridFunction,
-                     NotSubactionError, SuspensionFlow, build_kernel,
-                     coboundary_observable, default_cover,
+                     NotSubactionError, SubactionCertificate, SuspensionFlow,
+                     build_kernel, coboundary_observable, default_cover,
                      distance_squared_observable, lie_derivative_field,
-                     regularize_all, regularize_once, verify_subaction,
+                     regularize_all, regularize_once,
+                     verify_integrated_subaction, verify_subaction,
                      weak_kam_solve)
 from weakkam import regularize as regularize_mod
 from weakkam.charts import FlowBox
 from weakkam.regularize import (_CHUNK, EPS, N_Q, N_T, TAU, _corrected_table,
-                                _Level, _smooth_box, _smooth_cover,
-                                check_integrated_subaction)
+                                _Level, _smooth_box, _smooth_cover)
 
 
 def _bump_check(bumps, n_samples=200, seed=0):
@@ -115,8 +115,7 @@ def test_regularize_once_is_local(model, cobound, medium_solution, cover):
     phi, _ = cobound
     sol, _ = medium_solution
     box = cover[17]
-    out = regularize_once(sol.u, box, phi, sol.phi_bar,
-                          check_precondition=False)
+    out = regularize_once(sol.u, box, phi, sol.phi_bar)
     nodes = sol.u.grid.node_points().reshape(-1, 3)
     _, _, inside = _chart_window(box, nodes)
     outside = ~inside.reshape(sol.u.grid.shape)
@@ -133,7 +132,7 @@ def test_regularize_once_near_identity_on_exact_data(model, cobound, cover):
     from weakkam import Grid
     grid = Grid((16, 16, 10), (1.0, 1.0, model.roof), model.base_matrix)
     u = GridFunction(grid, pot(grid.node_points()))
-    out = regularize_once(u, cover[5], phi, 0.0, check_precondition=False)
+    out = regularize_once(u, cover[5], phi, 0.0)
     assert np.abs(out.dense() - u.dense()).max() < 2e-2
 
 
@@ -144,6 +143,16 @@ def test_regularize_all_certificate(certificate):
     assert cert.lip_u > 0 and cert.lip_lie > 0 and cert.lip_phi > 0
     assert cert.ratio_u > 0 and cert.ratio_lie > 0
     assert cert.report["n_region_nodes"] > 0
+
+
+def test_certificate_ratios_are_ieee_quotients():
+    cert = SubactionCertificate(u=None, region_mask=None, margin=0.0,
+                                lip_u=2.0, lip_lie=0.0, lip_phi=0.0,
+                                slack=0.0, phi_bar=0.0, fd_step=0.1)
+    assert cert.ratio_u == np.inf and np.isnan(cert.ratio_lie)
+    cert.lip_phi = 4.0
+    assert cert.ratio_u == 0.5 and cert.ratio_lie == 0.0
+    assert type(cert.ratio_u) is float
 
 
 def test_verify_subaction_offgrid(model, cobound, certificate):
@@ -397,8 +406,7 @@ def test_regularize_all_flows_once_per_level(cobound, medium_solution, cover,
     assert len(calls) == 6
 
 
-_NON_FINITE = [(bad, entry) for entry in ("regularize_all", "regularize_once",
-                                          "regularize_once_unchecked")
+_NON_FINITE = [(bad, entry) for entry in ("regularize_all", "regularize_once")
                for bad in ("nan_u", "inf_u", "inf_offset", "nan_phi_bar")]
 
 
@@ -424,8 +432,7 @@ def test_regularize_all_rejects_non_finite_input(cobound, medium_solution,
         if entry == "regularize_all":
             regularize_all(u, cover, phi, phi_bar)
         else:
-            regularize_once(u, cover[17], phi, phi_bar,
-                            check_precondition=entry == "regularize_once")
+            regularize_once(u, cover[17], phi, phi_bar)
 
 
 def test_precheck_rejects_non_subaction(model, cobound, medium_solution,
@@ -443,9 +450,9 @@ def test_sign_flip_falsifies_subaction(model, cobound, medium_solution):
     sol, _ = medium_solution
     flipped = GridFunction(sol.u.grid, -sol.u.dense())
     # the negated fixed point violates the integrated inequality somewhere
-    with pytest.raises(NotSubactionError):
-        check_integrated_subaction(flipped, model, phi, sol.phi_bar,
-                                   slack=0.05, n_orbits=256, horizon=4.0)
+    rep = verify_integrated_subaction(flipped, model, phi, sol.phi_bar, 256,
+                                      4.0, slack=0.05)
+    assert not rep["passed"] and rep["worst_margin"] < -0.05
 
 
 @pytest.fixture(scope="module", params=["coboundary", "dist2"])
@@ -555,8 +562,7 @@ def test_regularize_once_is_a_one_box_level(model, cobound, medium_solution,
     sol, _ = medium_solution
     nodes = sol.u.grid.node_points().reshape(-1, 3)
     for box in (cover[0], cover[77], cover[255]):
-        got = regularize_once(sol.u, box, phi, sol.phi_bar,
-                              check_precondition=False)
+        got = regularize_once(sol.u, box, phi, sol.phi_bar)
         want = _oracle_smooth_box(sol.u, box, _chart_window(box, nodes), phi,
                                   sol.phi_bar)
         assert got.values.tobytes() == want.values.tobytes()
@@ -613,3 +619,27 @@ def test_box_without_live_nodes_prices_no_column(model, cobound, cover):
     oracle = _oracle_passes(u, part, phi, 0.0, 0.05)
     assert passes[0].values.tobytes() == oracle[0].values.tobytes()
     assert passes[3] == oracle[3]
+
+
+def test_chunk_without_live_nodes_returns_early(model, cobound, cover):
+    # at 2 x 2 x 10 a quarter of the chunks hold window nodes but none with
+    # alpha > 0: such a chunk prices no column of any of its boxes
+    phi, pot = cobound
+    grid = Grid((2, 2, 10), (1.0, 1.0, model.roof), model.base_matrix)
+    rng = np.random.default_rng(8)
+    u = GridFunction(grid, pot(grid.node_points())
+                     + 1e-2 * rng.standard_normal(grid.shape))
+    dead = 0
+    for part in cover.levels():
+        for (_, _, nodes), chunk in _Level(part, grid).chunks(phi, 0.0):
+            if not any(box.live.any() for box in chunk):
+                assert nodes.size > 0
+                assert all(box.pht is None for box in chunk)
+                dead += 1
+    assert dead == 8
+    got = _smooth_cover(u, cover, phi, 0.0, 0.05)
+    want = _oracle_passes(u, cover, phi, 0.0, 0.05)
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+    assert got[3] == want[3] > 0
