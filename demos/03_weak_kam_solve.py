@@ -31,7 +31,7 @@ print(f"discrete Lipschitz constant of u: {sol.lipschitz:.3f} (weight C = {c:.2f
 # For a coboundary observable the weak-KAM solution recovers the generating
 # potential up to an additive constant and discretization error.
 u0 = np.asarray(pot(grid.node_points()))
-diff = sol.u.dense() - u0
+diff = sol.u.values - u0
 print(f"deviation from the closed-form potential (mean-adjusted): "
       f"{np.abs(diff - diff.mean()).max():.4f}")
 

@@ -355,46 +355,17 @@ def trilinear_sum(values, corner, wab, tk):
 
 
 class GridFunction:
-    """Scalar field on a Grid with multilinear interpolation.
+    """Scalar field on a Grid with multilinear interpolation."""
 
-    Carries an exact additive ``offset`` separate from the node values, so
-    that adding a constant never touches (or re-rounds) the value array; the
-    min-plus operator propagates the offset unchanged, which makes additive
-    equivariance of the discrete Lax-Oleinik operator exact in floating point.
-    """
-
-    def __init__(self, grid: Grid, values, offset=0.0):
+    def __init__(self, grid: Grid, values):
         self.grid = grid
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError("value array shape must match grid shape")
         self.values = values
-        self.offset = float(offset)
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
 
     def copy(self):
-        return GridFunction(self.grid, self.values.copy(), self.offset)
-
-    def dense(self):
-        """Values with the offset folded in."""
-        return self.values + self.offset
-
-    def __add__(self, c):
-        return GridFunction(self.grid, self.values, self.offset + float(c))
-
-    def __sub__(self, c):
-        return GridFunction(self.grid, self.values, self.offset - float(c))
-
-    def minimum(self, other):
-        """Pointwise minimum.  Exact (bitwise) when both offsets are zero."""
-        if self.offset == other.offset:
-            return GridFunction(self.grid, np.minimum(self.values, other.values),
-                                self.offset)
-        return GridFunction(self.grid,
-                            np.minimum(self.dense(), other.dense()), 0.0)
+        return GridFunction(self.grid, self.values.copy())
 
     def _padded(self):
         """Node values on the closed box: one more base row and column
@@ -416,7 +387,7 @@ class GridFunction:
         corner, wab = self.grid.line_cells(x[:, :2])
         k, tk = self.grid._cell(s, 2)
         f = trilinear_sum(self._padded(), corner + k, wab, tk)
-        return (f + self.offset).reshape(p.shape[:-1])
+        return f.reshape(p.shape[:-1])
 
     def __call__(self, points):
         return self.interpolate(points)

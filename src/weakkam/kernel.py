@@ -221,7 +221,25 @@ class ActionKernel:
             return self._fold_all(u + self._stack_hphi(u), self._forward)
         self._check_grid(u)
         best = self._fold_all(u.values + self._hphi, self._forward)
-        return GridFunction(self.grid, best, u.offset)
+        return GridFunction(self.grid, best)
+
+    def equivariance_bound(self, u, c):
+        """A bound on max |T(u + c) - fl(T u + c)|, u + c rounded as
+        ``u.values + c``: 2 gamma_3 M = 6e / (1 - 3e) * M, e = 2**-53,
+        M = max|u| + |c| + max|h*(phi - phi_bar)| + C * max dev.
+
+        Both sides are minima, over the same candidates, of a sum of u(p), c,
+        h*(phi(p) - phi_bar) and C*dev rounded three times: on the left
+        ((u + c) + h*phi) + C*dev; on the right (u + h*phi) + C*dev, with c
+        added after the minimum, and fl(min x + c) = min fl(x + c).  Each
+        such sum is within gamma_3 M of the exact one (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2002, eq. 4.4; a subnormal sum
+        is exact), so the two minima are within 2 gamma_3 M.  Rounding M
+        and the product moves the bound by a relative few e."""
+        e = 2.0 ** -53
+        m = (np.abs(u.values).max() + abs(c) + np.abs(self._hphi).max()
+             + self.c * self.devs.max())
+        return 6.0 / (1.0 - 3.0 * e) * e * float(m)
 
     def reduced_fold(self, bias, labels, fresh=None):
         """The fixed point of the clamped fold in the reduced costs of
@@ -311,7 +329,7 @@ class ActionKernel:
             return self._fold_all(w, self._reverse) + hphi
         self._check_grid(w)
         best = self._fold_all(w.values, self._reverse) + self._hphi
-        return GridFunction(self.grid, best, w.offset)
+        return GridFunction(self.grid, best)
 
     def row(self, nodes, reverse=False):
         """``apply`` (``apply_reverse``) of the stack of delta fields at the
@@ -601,7 +619,7 @@ class ActionKernel:
         folded, since by monotone rounding none of their candidates is
         saturated."""
         sweep = self._forward
-        v = bias.dense()
+        v = bias.values
         thr = v + (gain + 10 * self._howard_tol)
         shifted = sweep.halo.pad(v + self._hphi)
         lo, top = shifted.min(), thr.max()

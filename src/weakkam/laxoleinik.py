@@ -134,17 +134,17 @@ def weak_kam_solve(kernel: ActionKernel):
     howard_kernel = kernel
     if refinement != 0.0:
         kernel = kernel.with_phi_bar(kernel.phi_bar + refinement)
-    v = bias.dense()
+    v = bias.values
     t1 = time.perf_counter()
     labels, n_a = kernel.reduced_fold(v, -v)
-    w = kernel.apply(GridFunction(kernel.grid, v + labels)).dense()
+    w = kernel.apply(GridFunction(kernel.grid, v + labels)).values
     t2 = time.perf_counter()
     seeds = _aubry_seeds(howard_kernel, bias, float(g.min()))
     lift = w - v
     labels, n_b = kernel.reduced_fold(
         v, np.where(seeds, lift, lift.max()), fresh=seeds)
     u = GridFunction(kernel.grid, v + labels)
-    residual = float(np.abs(kernel.apply(u).dense() - u.dense()).max())
+    residual = float(np.abs(kernel.apply(u).values - u.values).max())
     timings = {"howard": t1 - t0, "stage_a": t2 - t1,
                "stage_b": time.perf_counter() - t2}
     return WeakKamSolution(

@@ -332,8 +332,7 @@ def _table_cell(nodes, x):
 
 
 def _check_finite(u, phi_bar):
-    if not (np.all(np.isfinite(u.values)) and np.isfinite(u.offset)
-            and np.isfinite(phi_bar)):
+    if not (np.all(np.isfinite(u.values)) and np.isfinite(phi_bar)):
         raise ValueError("u and phi_bar must be finite")
 
 
@@ -348,13 +347,12 @@ def _smooth_box(u, box, level):
     w = np.zeros(box.idx.size)
     if box.pht is not None:
         ut = trilinear_sum(u._padded(), box.corner[level.run] + level.row_k,
-                           box.wab[:, level.run], level.row_tk) + u.offset
+                           box.wab[:, level.run], level.row_tk)
         wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0],
                               level.beta, ut, box.pht)
         w[box.live] = trilinear_sum(wt, *box.w_terms)
     flat = u.values.reshape(-1)
-    dense_here = flat[box.idx] + u.offset
-    flat[box.idx] = (1.0 - box.a) * dense_here + box.a * w - u.offset
+    flat[box.idx] = (1.0 - box.a) * flat[box.idx] + box.a * w
 
 
 def regularize_once(u: GridFunction, box: Cover, phi, phi_bar):
@@ -502,8 +500,7 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
     witnesses = [{"point": pts[b].tolist(), "margin": float(margins[b])}
                  for b in bad[:10]]
     # Action floor on random orbit-like sampled paths.
-    dense = u.dense()
-    half_osc = 0.5 * float(dense.max() - dense.min())
+    half_osc = 0.5 * float(u.values.max() - u.values.min())
     c_path = max(cert.lip_u, 1e-9)
     # Every path is drawn first, then all are flowed in one call; the noise
     # moves the base only, so its wrap is the base's mod 1.

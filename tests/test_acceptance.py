@@ -17,6 +17,7 @@ from weakkam import (Grid, GridFunction, build_kernel, check_factorization,
                      pseudo_orbit_suite, regularize_all, verify_apriori,
                      verify_subaction, weak_kam_solve, weighted_action)
 from weakkam.charts import FlowBox
+from weakkam.kernel import ActionKernel
 from weakkam.laxoleinik import _aubry_seeds, ergodic_value
 from weakkam.regularize import default_cover
 
@@ -67,7 +68,7 @@ def test_criterion_01_coboundary_roundtrip(model, cobound, acc_grid, sol_cob,
     sol, kern = sol_cob
     phi_bar_ok = abs(sol.phi_bar) <= 1e-3
     u0 = GridFunction(acc_grid, pot(acc_grid.node_points()))
-    diff = sol.u.dense() - u0.dense()
+    diff = sol.u.values - u0.values
     dev = float(np.abs(diff - diff.mean()).max())
     bound = 5.0 * acc_grid.diagonal * pot.lipschitz_estimate()
     margin_ok = cert_cob.margin >= -cert_cob.slack
@@ -77,25 +78,46 @@ def test_criterion_01_coboundary_roundtrip(model, cobound, acc_grid, sol_cob,
             f"certificate margin {cert_cob.margin:.3f}>=-{cert_cob.slack:.3f}")
 
 
-def test_criterion_02_minplus_laws_exact(small_kernel):
+def _minplus_laws(kernel, n_trials=100):
+    """Monotonicity and inf-commutation, bitwise, and additive equivariance
+    within ``ActionKernel.equivariance_bound``, on random inputs: whether
+    each law held on every trial."""
     rng = np.random.default_rng(0)
-    grid = small_kernel.grid
-    ok = True
-    for _ in range(100):
+    grid = kernel.grid
+    mono = equiv = inf_comm = True
+    for _ in range(n_trials):
         u = GridFunction(grid, rng.standard_normal(grid.shape))
         v = GridFunction(grid, u.values + np.abs(rng.standard_normal(grid.shape)))
         cshift = float(rng.standard_normal())
-        tu = small_kernel.apply(u)
-        tv = small_kernel.apply(v)
-        mono = bool(np.all(tu.values <= tv.values))
-        tc = small_kernel.apply(u + cshift)
-        equiv = bool(np.array_equal(tc.values, tu.values)
-                     and tc.offset == tu.offset + cshift)
-        tm = small_kernel.apply(u.minimum(v))
-        inf_comm = bool(np.array_equal(tm.values, tu.minimum(tv).values))
-        ok &= mono and equiv and inf_comm
-    _report(2, ok, "monotone / additive-equivariant / inf-commuting, "
-            "zero tolerance, 100 random inputs")
+        tu, tv = kernel.apply(u), kernel.apply(v)
+        mono &= bool(np.all(tu.values <= tv.values))
+        tc = kernel.apply(GridFunction(grid, u.values + cshift))
+        equiv &= bool(np.abs(tc.values - (tu.values + cshift)).max()
+                      <= kernel.equivariance_bound(u, cshift))
+        tm = kernel.apply(GridFunction(grid, np.minimum(u.values, v.values)))
+        inf_comm &= np.array_equal(tm.values, np.minimum(tu.values, tv.values))
+    return mono, equiv, inf_comm
+
+
+def test_criterion_02_minplus_laws_exact(small_kernel):
+    mono, equiv, inf_comm = _minplus_laws(small_kernel)
+    _report(2, mono and equiv and inf_comm,
+            f"monotone {mono} / inf-commuting {inf_comm} with zero tolerance, "
+            f"additive-equivariant {equiv} within the rounding bound, "
+            "100 random inputs")
+
+
+def test_criterion_02_fails_on_a_fold_that_is_not_equivariant(small_kernel,
+                                                              monkeypatch):
+    """A fold scaled by 1 + 2**-30 stays monotone and inf-commuting, but
+    T(u + c) moves by c * 2**-30 from T u + c, far above the bound."""
+    fold = ActionKernel._fold_all
+
+    def scaled(self, B, sweep):
+        return fold(self, B, sweep) * (1.0 + 2.0 ** -30)
+
+    monkeypatch.setattr(ActionKernel, "_fold_all", scaled)
+    assert _minplus_laws(small_kernel) == (True, False, True)
 
 
 def test_criterion_03_semigroup_consistency(model, cobound):
@@ -111,7 +133,7 @@ def test_criterion_03_semigroup_consistency(model, cobound):
         k_h = build_kernel(grid, model, phi, c, 0.0, h)
         k_2h = build_kernel(grid, model, phi, c, 0.0, 2 * h)
         twice, once = k_h.apply(k_h.apply(u)), k_2h.apply(u)
-        defects.append(float(np.abs(twice.dense() - once.dense()).max()))
+        defects.append(float(np.abs(twice.values - once.values).max()))
     ratios = [defects[i] / defects[i + 1] for i in range(3)]
     ok = all(3.0 <= r <= 5.0 for r in ratios)
     _report(3, ok, "defect ratios across three halvings: "
@@ -125,11 +147,11 @@ def test_criterion_04_weak_kam_fixed_point(cobound, sol_cob, acc_grid):
     res_ok = sol.residual <= 1e-6 * scale
     # the least fixed point above Stage A's w*: w* on the seed nodes and
     # above it everywhere, within rounding
-    w_star = _stage_a(kern.with_phi_bar(sol.phi_bar))[0].dense()
+    w_star = _stage_a(kern.with_phi_bar(sol.phi_bar))[0].values
     g, bias, _ = kern.solve_additive_eigenvalue()
     seeds = _aubry_seeds(kern, bias, float(g.min()))
     ulp = 4 * np.spacing(max(1.0, np.abs(w_star).max()))
-    gap = sol.u.dense() - w_star
+    gap = sol.u.values - w_star
     seed_gap, below = float(np.abs(gap[seeds]).max()), float(-gap.min())
     least_ok = seed_gap <= ulp and below <= ulp
     lip_ok = sol.lipschitz <= kern.c * (1.0 + acc_grid.diagonal)

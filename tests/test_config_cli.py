@@ -300,6 +300,28 @@ def test_cli_verify_semigroup_deterministic(tmp_path):
     csv1 = (Path(out1) / "semigroup.csv").read_bytes()
     csv2 = (Path(out2) / "semigroup.csv").read_bytes()
     assert csv1 == csv2  # repeat runs are byte-identical
+    summary = json.loads((Path(out1) / "summary.json").read_text())
+    assert list(summary) == ["command", "equivariance_bound",
+                             "equivariance_gap", "n_trials", "passed",
+                             "suite"]
+    assert 0.0 < summary["equivariance_gap"] <= summary["equivariance_bound"]
+
+
+def test_cli_verify_semigroup_fails_on_a_fold_that_is_not_equivariant(
+        tmp_path, monkeypatch):
+    # a fold scaled by 1 + 2**-30 stays monotone and inf-commuting; only
+    # additive equivariance fails, on every trial
+    fold = ActionKernel._fold_all
+    monkeypatch.setattr(ActionKernel, "_fold_all", lambda self, B, sweep:
+                        fold(self, B, sweep) * (1.0 + 2.0 ** -30))
+    out = tmp_path / "o"
+    assert main(["--output", str(out)] + SMALL
+                + ["--seed", "3", "verify", "semigroup"]) == EXIT_FAIL
+    with open(out / "semigroup.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 100
+    assert all(r["monotone"] == r["inf_commutes"] == "True" for r in rows)
+    assert all(r["additive_equivariant"] == "False" for r in rows)
 
 
 def test_cli_verify_apriori(tmp_path):
@@ -312,6 +334,15 @@ def test_cli_verify_apriori(tmp_path):
     assert summary["n_checked"] == 50 and summary["violations"] == 0
     assert list(summary["timings"]) == ["build_kernel", "distances",
                                         "fields", "pairs"]
+
+
+def test_cli_verify_livsic_prices_at_the_ergodic_value(tmp_path):
+    # phi = -1 has ergodic value -1: the scan prices phi - phi_bar = 0, not
+    # phi itself, whose action along a flow path is minus its duration,
+    # below the floor 0 (Lip phi = 0)
+    cfg = _ini(tmp_path, "[observable]\nfamily = constant\nvalue = -1\n")
+    assert main(["--config", cfg, "--output", str(tmp_path / "o")] + SMALL
+                + ["--seed", "0", "verify", "livsic"]) == EXIT_PASS
 
 
 def test_cli_verify_livsic_flags_weak_weight(tmp_path):

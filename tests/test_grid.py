@@ -255,7 +255,7 @@ def _oracle_interpolate(u, points):
         for (b, wb) in ((0, 1 - tj), (1, tj)):
             for (c, wc) in ((0, 1 - tk), (1, tk)):
                 f += wa * wb * wc * pad[i + a, j + b, k + c]
-    return (f + u.offset).reshape(p.shape[:-1])
+    return f.reshape(p.shape[:-1])
 
 
 def _roof_wrap(model, grid, points):
@@ -273,7 +273,7 @@ def test_interpolation_matches_three_index_oracle(model, twisted):
     grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
                 model.base_matrix if twisted else IDENTITY)
     rng = np.random.default_rng(11)
-    u = GridFunction(grid, rng.standard_normal(grid.shape), offset=0.3)
+    u = GridFunction(grid, rng.standard_normal(grid.shape))
     pts = rng.uniform(-2.0, 3.0, (4000, 3))
     # s below 0, at and beyond the roof, across several wraps, wrapped the
     # way flow_map leaves its points
@@ -313,7 +313,7 @@ def _interpolate_lines(u, s, base, run):
     k, tk = u.grid._cell(s, 2)
     rows = (-1,) + (1,) * (corner.ndim - 1)
     return trilinear_sum(u._padded(), corner[run] + k.reshape(rows),
-                         wab[:, run], tk.reshape(rows)) + u.offset
+                         wab[:, run], tk.reshape(rows))
 
 
 @pytest.mark.parametrize("twisted", [True, False])
@@ -322,7 +322,7 @@ def test_interpolate_lines_matches_interpolate_bitwise(model, twisted, case):
     grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
                 model.base_matrix if twisted else IDENTITY)
     rng = np.random.default_rng(12)
-    u = GridFunction(grid, rng.standard_normal(grid.shape), offset=0.3)
+    u = GridFunction(grid, rng.standard_normal(grid.shape))
     base = rng.random((50, 2))
     base[:5] = 0.0  # lines through grid nodes
     below = np.nextafter(model.roof, 0.0)
@@ -344,28 +344,6 @@ def test_interpolate_lines_matches_interpolate_bitwise(model, twisted, case):
     want = u.interpolate(table)
     assert got.shape == want.shape == table.shape[:2]
     assert got.tobytes() == want.tobytes()
-
-
-def test_offset_arithmetic_is_exact(small_grid):
-    rng = np.random.default_rng(5)
-    u = GridFunction(small_grid, rng.random(small_grid.shape))
-    w = ((u + 0.1) + 0.2) - 0.3
-    # adding constants never touches the value array
-    assert w.values is u.values or np.array_equal(w.values, u.values)
-    assert abs(w.offset - (0.1 + 0.2 - 0.3)) < 1e-18
-    v = u.minimum(u + 0.0)
-    assert np.array_equal(v.values, u.values)
-
-
-def test_minimum_and_sup_diff(small_grid):
-    rng = np.random.default_rng(6)
-    a = GridFunction(small_grid, rng.random(small_grid.shape))
-    b = GridFunction(small_grid, rng.random(small_grid.shape), offset=0.5)
-    m = a.minimum(b)
-    assert np.abs(m.dense() - np.minimum(a.dense(), b.dense())).max() == 0.0
-    assert float(np.abs(a.dense() - a.dense()).max()) == 0.0
-    assert abs(float(np.abs((a + 1.0).dense() - a.dense()).max()) - 1.0) \
-        < 1e-15
 
 
 def test_discrete_lipschitz_linear_field(small_grid):

@@ -127,7 +127,7 @@ def test_weak_kam_constant_observable(model, small_grid):
     # zero function is an exact fixed point
     assert abs(sol.eigenvalue_refinement - 1.3) < 1e-13
     assert sol.residual < 1e-12
-    assert float(np.ptp(sol.u.dense())) < 1e-12
+    assert float(np.ptp(sol.u.values)) < 1e-12
 
 
 def test_weak_kam_solution_properties(medium_solution):
@@ -135,7 +135,7 @@ def test_weak_kam_solution_properties(medium_solution):
     assert sol.residual < 1e-8
     # fixed point up to tolerance, and never decreased by the operator
     tu = kern.with_phi_bar(sol.phi_bar).apply(sol.u)
-    delta = tu.dense() - sol.u.dense()
+    delta = tu.values - sol.u.values
     assert delta.min() > -1e-8
     assert abs(delta).max() < 1e-7
     # a-priori Lipschitz bound: the fixed point is C-Lipschitz
@@ -151,10 +151,11 @@ def test_weak_kam_solution_properties(medium_solution):
 
 def _stage_a(kernel):
     """Stage A's w* and its sweep count, the last one fixed."""
-    v = kernel.apply(GridFunction.zeros(kernel.grid))
+    grid = kernel.grid
+    v = kernel.apply(GridFunction(grid, np.zeros(grid.shape)))
     n_a = 1
     while True:
-        w = v.minimum(kernel.apply(v))
+        w = GridFunction(grid, np.minimum(v.values, kernel.apply(v).values))
         n_a += 1
         if np.array_equal(w.values, v.values):
             return v, n_a
@@ -166,7 +167,7 @@ def _jacobi_stage_b(kernel, v, tol=1e-8, max_iters=3000):
     u = v
     for _ in range(max_iters):
         u1 = kernel.apply(u)
-        residual = float(np.abs(u1.dense() - u.dense()).max())
+        residual = float(np.abs(u1.values - u.values).max())
         u = u1
         if residual < tol:
             return u, residual
@@ -179,7 +180,7 @@ def _oracle(kernel):
     sol = weak_kam_solve(kernel)
     refined = kernel.with_phi_bar(sol.phi_bar)
     u, _ = _jacobi_stage_b(refined, _stage_a(refined)[0])
-    return sol, refined, u.dense()
+    return sol, refined, u.values
 
 
 def _ulps(a, b):
@@ -220,11 +221,11 @@ def test_stage_a_stops_at_its_first_fixed_sweep(small_kernel, applies,
     refined, _, w_star = applies[0]
     assert refined.phi_bar == sol.phi_bar
     oracle_v, n_a = _stage_a(refined)
-    assert n_a > 1 and oracle_v.offset == 0.0
-    assert _ulps(w_star.dense(), oracle_v.dense()) <= 4
+    assert n_a > 1
+    assert _ulps(w_star.values, oracle_v.values) <= 4
     # and pass 2 only raises it, to rounding
-    assert _ulps(np.minimum(sol.u.dense(), w_star.dense()),
-                 w_star.dense()) <= 4
+    assert _ulps(np.minimum(sol.u.values, w_star.values),
+                 w_star.values) <= 4
 
 
 def test_solve_applies_the_kernel_twice(small_kernel, applies):
@@ -234,7 +235,7 @@ def test_solve_applies_the_kernel_twice(small_kernel, applies):
     assert len(applies) == 2
     (_, _, w_star), (refined, u, tu) = applies
     assert u is sol.u and refined.phi_bar == sol.phi_bar
-    assert sol.residual == float(np.abs(tu.dense() - u.dense()).max())
+    assert sol.residual == float(np.abs(tu.values - u.values).max())
 
 
 def _dist2_kernel(model, grid):
@@ -252,7 +253,7 @@ def test_stage_b_matches_jacobi_oracle_on_dist2(model, small_grid, which):
     sol, refined, u = _oracle(kern)
     # one class: the cap is the answer, and each fold takes one pass
     assert sol.stage_a_sweeps == sol.stage_b_sweeps == 1
-    assert _ulps(sol.u.dense(), u) <= 4
+    assert _ulps(sol.u.values, u) <= 4
     assert sol.residual < 1e-15
 
 
@@ -263,10 +264,10 @@ def test_stage_b_agrees_with_jacobi_oracle_on_the_coboundary(small_kernel,
             "cli": lambda: _cli_kernel("coboundary"),
             "cli32": lambda: _cli_kernel("coboundary", (32, 32, 16))}[which]()
     sol, refined, u = _oracle(kern)
-    assert _ulps(sol.u.dense(), u) <= 4
+    assert _ulps(sol.u.values, u) <= 4
     assert sol.residual < 1e-15
     tu = refined.apply(sol.u)
-    assert (tu.dense() - sol.u.dense()).min() >= -1e-15
+    assert (tu.values - sol.u.values).min() >= -1e-15
 
 
 def test_critical_cycles_alone_do_not_seed_the_least_fixed_point(
@@ -286,7 +287,7 @@ def test_critical_cycles_alone_do_not_seed_the_least_fixed_point(
     wrong = weak_kam_solve(kern)
     assert wrong.aubry["n_nodes"] < sol.aubry["n_nodes"] == kern.grid.n_nodes
     assert wrong.residual < 1e-15
-    assert float(np.abs(wrong.u.dense() - u).max()) > 0.05
+    assert float(np.abs(wrong.u.values - u).max()) > 0.05
 
 
 def _fibre(grid, i, j):
@@ -401,7 +402,7 @@ def test_verify_integrated_subaction_detects_violation(model, cobound,
     # adding a term increasing along the flow makes u(f^t x) - u(x) exceed
     # the observable integral on every orbit segment that avoids the roof
     nodes = kern.grid.node_points()
-    bad = GridFunction(kern.grid, sol.u.dense() + 2.0 * nodes[..., 2])
+    bad = GridFunction(kern.grid, sol.u.values + 2.0 * nodes[..., 2])
     rep = verify_integrated_subaction(bad, model, phi, sol.phi_bar, 64, 4.0,
                                       seed=3, slack=0.1)
     assert not rep["passed"]
@@ -602,7 +603,7 @@ def test_verify_integrated_subaction_rejects_untestable_arguments(
         with pytest.raises(ValueError, match="n_orbits"):
             verify_integrated_subaction(sol.u, model, phi, sol.phi_bar,
                                         n_orbits, 1.0)
-    bad = GridFunction(sol.u.grid, -10.0 * sol.u.dense())
+    bad = GridFunction(sol.u.grid, -10.0 * sol.u.values)
     rep = verify_integrated_subaction(bad, model, phi, sol.phi_bar, 64, 0.5,
                                       slack=0.0)
     assert not rep["passed"] and rep["horizons"]

@@ -133,7 +133,7 @@ def test_regularize_once_near_identity_on_exact_data(model, cobound, cover):
     grid = Grid((16, 16, 10), (1.0, 1.0, model.roof), model.base_matrix)
     u = GridFunction(grid, pot(grid.node_points()))
     out = regularize_once(u, cover[5], phi, 0.0)
-    assert np.abs(out.dense() - u.dense()).max() < 2e-2
+    assert np.abs(out.values - u.values).max() < 2e-2
 
 
 def test_regularize_all_certificate(certificate):
@@ -231,10 +231,8 @@ def _oracle_smooth_box(u, box, window, phi, phi_bar):
     a = box.bumps.alpha(uu[idx])
     w_vals = _interp_table(t_nodes, q_nodes, wt, t[idx], uu[idx])
     flat = u.values.reshape(-1).copy()
-    dense_here = flat[idx] + u.offset
-    new_dense = (1.0 - a) * dense_here + a * w_vals
-    flat[idx] = new_dense - u.offset
-    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
+    flat[idx] = (1.0 - a) * flat[idx] + a * w_vals
+    return GridFunction(u.grid, flat.reshape(u.grid.shape))
 
 
 def _live_cells(box, window):
@@ -302,8 +300,8 @@ def _oracle_regularize_once(u, box, phi, phi_bar, window):
     a = box.bumps.alpha(uu[idx])
     w_vals = _interp_table(t_nodes, q_nodes, wt, t[idx], uu[idx])
     flat = u.values.reshape(-1).copy()
-    flat[idx] = (1.0 - a) * (flat[idx] + u.offset) + a * w_vals - u.offset
-    return GridFunction(u.grid, flat.reshape(u.grid.shape), u.offset)
+    flat[idx] = (1.0 - a) * flat[idx] + a * w_vals
+    return GridFunction(u.grid, flat.reshape(u.grid.shape))
 
 
 def _oracle_regularize_all(u0, cover, phi, phi_bar):
@@ -330,7 +328,7 @@ def test_regularize_all_matches_per_box_oracle(cobound, medium_solution,
     phi, _ = cobound
     sol, _ = medium_solution
     u, mask, margin = _oracle_regularize_all(sol.u, cover, phi, sol.phi_bar)
-    assert np.abs(certificate.u.dense() - u.dense()).max() <= 1e-14
+    assert np.abs(certificate.u.values - u.values).max() <= 1e-14
     assert np.array_equal(certificate.region_mask, mask)
     assert abs(certificate.margin - margin) <= 1e-14
 
@@ -407,7 +405,7 @@ def test_regularize_all_flows_once_per_level(cobound, medium_solution, cover,
 
 
 _NON_FINITE = [(bad, entry) for entry in ("regularize_all", "regularize_once")
-               for bad in ("nan_u", "inf_u", "inf_offset", "nan_phi_bar")]
+               for bad in ("nan_u", "inf_u", "nan_phi_bar")]
 
 
 @pytest.mark.parametrize(
@@ -418,16 +416,14 @@ def test_regularize_all_rejects_non_finite_input(cobound, medium_solution,
                                                  cover, bad, entry):
     phi, _ = cobound
     sol, _ = medium_solution
-    values, offset, phi_bar = sol.u.values.copy(), sol.u.offset, sol.phi_bar
+    values, phi_bar = sol.u.values.copy(), sol.phi_bar
     if bad == "nan_u":
         values[3, 4, 5] = np.nan
     elif bad == "inf_u":
         values[0, 0, 0] = np.inf
-    elif bad == "inf_offset":
-        offset = -np.inf
     else:
         phi_bar = np.nan
-    u = GridFunction(sol.u.grid, values, offset)
+    u = GridFunction(sol.u.grid, values)
     with pytest.raises(ValueError):
         if entry == "regularize_all":
             regularize_all(u, cover, phi, phi_bar)
@@ -440,7 +436,7 @@ def test_precheck_rejects_non_subaction(model, cobound, medium_solution,
     phi, _ = cobound
     sol, kern = medium_solution
     nodes = kern.grid.node_points()
-    bad = GridFunction(kern.grid, sol.u.dense() + 2.0 * nodes[..., 2])
+    bad = GridFunction(kern.grid, sol.u.values + 2.0 * nodes[..., 2])
     with pytest.raises(NotSubactionError):
         regularize_all(bad, cover, phi, sol.phi_bar, precheck_slack=0.1)
 
@@ -448,7 +444,7 @@ def test_precheck_rejects_non_subaction(model, cobound, medium_solution,
 def test_sign_flip_falsifies_subaction(model, cobound, medium_solution):
     phi, _ = cobound
     sol, _ = medium_solution
-    flipped = GridFunction(sol.u.grid, -sol.u.dense())
+    flipped = GridFunction(sol.u.grid, -sol.u.values)
     # the negated fixed point violates the integrated inequality somewhere
     rep = verify_integrated_subaction(flipped, model, phi, sol.phi_bar, 256,
                                       4.0, slack=0.05)
@@ -481,7 +477,6 @@ def test_regularize_all_bitwise_matches_whole_table_pass(
     want = regularize_all(sol.u, cover, observable, sol.phi_bar,
                           precheck=False)
     assert cert.u.values.tobytes() == want.u.values.tobytes()
-    assert cert.u.offset == want.u.offset
     assert np.array_equal(cert.region_mask, want.region_mask)
     assert cert.margin == want.margin and cert.slack == want.slack
     # only the columns around nodes with alpha > 0: 9 x 9 of 13 x 13
@@ -566,7 +561,6 @@ def test_regularize_once_is_a_one_box_level(model, cobound, medium_solution,
         want = _oracle_smooth_box(sol.u, box, _chart_window(box, nodes), phi,
                                   sol.phi_bar)
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.offset == want.offset
 
 
 @pytest.mark.parametrize("n", [6, 16])
