@@ -82,8 +82,9 @@ def _solve_and_certify(cfg, model, phi, grid, h):
     inside ``weak_kam_solve`` is the min-plus drift estimate of phi_bar:
     ``sol.phi_bar`` is the ergodic value and ``sol.howard`` its report.
     Also returns the wall seconds of the kernel build, the solve and the
-    smoothing, and of the solve's Howard and its two fold passes
-    (``stage_a``, ``stage_b``).
+    smoothing, of the solve's Howard and its two fold passes (``stage_a``,
+    ``stage_b``), and of the smoothing's u-independent chunks and ordered
+    passes (``regularize_chunks``, ``regularize_passes``).
     """
     t0 = time.perf_counter()
     kern = build_kernel(grid, model, phi, cfg.c, 0.0, h, cfg.reach_multiplier)
@@ -93,7 +94,9 @@ def _solve_and_certify(cfg, model, phi, grid, h):
     cert = regularize_all(sol.u, default_cover(model), phi, sol.phi_bar,
                           precheck=False)
     timings = {"build_kernel": t1 - t0, "weak_kam_solve": t2 - t1,
-               "regularize_all": time.perf_counter() - t2, **sol.timings}
+               "regularize_all": time.perf_counter() - t2, **sol.timings,
+               **{"regularize_" + k: v
+                  for k, v in cert.report["timings"].items()}}
     return sol, cert, timings
 
 

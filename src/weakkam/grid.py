@@ -220,18 +220,40 @@ class Grid:
         i0 = np.clip(np.floor(v).astype(np.int64), 0, self.shape[ax] - 1)
         return i0, v - i0
 
-    def line_cells(self, base):
+    def _pad_nodes(self):
+        """The flat node of every entry of the padded node array: one more
+        base row and column (periodic) and the roof plane (glued to layer 0
+        through A)."""
+        return self._halo(1, 0, self.shape[2] + 1).index[1:, 1:]
+
+    def _plane_cells(self, base):
         """``plane_terms`` of the base cells of points with base ``base``
-        (..., 2) in the padded node array (``GridFunction._padded``: one more
-        node along every axis).  ``GridFunction.interpolate`` sums the
-        corners at ``corner + k`` with the s-cell (k, tk) of each point
-        (``_cell(s, 2)``).  A flow line's base is constant between roof
-        crossings and its s lies in [0, roof), so the cells of a run's base
-        serve every row of the run, at ``corner[run] + k``, bitwise."""
+        (..., 2) in the padded node array, on layer 0; the base wraps
+        periodically."""
         base = np.asarray(base, dtype=float)
         ci, cj = (self._cell(np.mod(base[..., ax], self.lengths[ax]), ax)
                   for ax in range(2))
         return plane_terms(tuple(n + 1 for n in self.shape), ci, cj)
+
+    def line_cells(self, base, s, run):
+        """The cells of ``line_sum`` along flow lines in the padded node
+        array: row r of the lines is the point with base ``base[run[r],
+        ...]`` (runs on axis 0, base on the last axis) and s-coordinate
+        ``s[r]`` in [0, roof).  A flow line's base is constant between roof
+        crossings, so a run's base cells serve every row of the run; only
+        the s-cell (k, t) changes by row.  Returns ``plane_terms`` (axis 1
+        the (run, layer) pairs the rows touch, in increasing order) and the
+        rows' s-cells ``(lo, hi, t)``: the pairs of layers k and k + 1 of
+        each row's run, and its fraction t."""
+        k, t = self._cell(np.asarray(s, dtype=float), 2)
+        n_layers = self.shape[2] + 1
+        key = np.asarray(run) * n_layers + k
+        pairs, at_pair = np.unique(np.r_[key, key + 1], return_inverse=True)
+        pair_run, layer = np.divmod(pairs, n_layers)
+        at, wab = self._plane_cells(base)
+        at = at.take(pair_run, axis=1)
+        at += layer.reshape((-1,) + (1,) * (at.ndim - 2))
+        return at, wab.take(pair_run, axis=1), (*np.split(at_pair, 2), t)
 
     def gather_shift(self, arr, offset):
         """Return S with S[q] = arr[node at (point(q) - offset_phys)].
@@ -326,32 +348,61 @@ class Grid:
 
 
 def plane_terms(shape, ci, cj):
-    """The (i, j) part of trilinear interpolation in an array of ``shape``
-    (its last two lengths may be given per point): the flat offset of each
-    lower (i, j) corner, and the weights wa * wb of the four (i, j) corners
-    stacked as (4, ...) in corner order (a, b)."""
+    """The (i, j) part of trilinear interpolation in an array of ``shape``:
+    the flat indices of the four (i, j) corners of each point's cell on
+    layer 0 and their weights wa * wb, both stacked as (4, ...) in corner
+    order (a, b) = (0, 0), (0, 1), (1, 0), (1, 1).  Layer c of the cell is
+    ``at + c``."""
     (i, ti), (j, tj) = ci, cj
     s1 = shape[2]
-    wab = np.stack([wa * wb for wa in (1 - ti, ti) for wb in (1 - tj, tj)])
-    return shape[1] * s1 * i + s1 * j, wab
+    s0 = shape[1] * s1
+    corner = s0 * np.asarray(i) + s1 * np.asarray(j)
+    at = corner + np.array([0, s1, s0, s0 + s1]).reshape(
+        (4,) + (1,) * corner.ndim)
+    wab = np.stack([1 - ti, ti])[:, None] * np.stack([1 - tj, tj])[None]
+    return at, wab.reshape((4,) + wab.shape[2:])
 
 
-def trilinear_sum(values, corner, wab, tk):
-    """Trilinear interpolation of ``values`` from the flat index of each
-    point's lower corner, its (i, j) corner weights (``plane_terms``) and
-    its fraction tk along the last axis.  Corner (a, b, c) is read through
-    one flat index with the weight wab * wc, and the eight terms are summed
-    in that fixed order."""
-    s1 = values.shape[2]
-    s0 = values.shape[1] * s1
-    flat = values.ravel()
-    f = np.zeros(np.broadcast_shapes(np.shape(corner), np.shape(wab)[1:],
-                                     np.shape(tk)))
-    wcs = ((0, 1 - tk), (1, tk))
-    for w, (a, b) in zip(wab, ((0, 0), (0, 1), (1, 0), (1, 1))):
-        for c, wc in wcs:
-            f += w * wc * flat.take(corner + (a * s0 + b * s1 + c))
+def plane_sum(flat, at, wab):
+    """The base-plane step of trilinear interpolation on one layer:
+    P = sum_ab wab[ab] * flat[at[ab]], ``at`` and ``wab`` of one shape, the
+    four terms added in corner order to a 0.0 start (an exact zero is
+    +0.0)."""
+    p = np.zeros(at.shape[1:])
+    for i, w in zip(at, wab):
+        p += w * flat.take(i)
+    return p
+
+
+def layer_lerp(p0, p1, t):
+    """The step along the last axis: (1 - t) p0 + t p1 between the plane
+    sums p0, p1 of a cell's two layers, t broadcast against them, added to
+    a 0.0 start."""
+    f = np.zeros(np.shape(p0))
+    f += (1 - t) * p0
+    f += t * p1
     return f
+
+
+def trilinear_sum(flat, at, wab, t):
+    """Trilinear interpolation of a raveled array at points: the plane sums
+    on each point's lower layer (``at``, ``wab`` as ``plane_terms`` gives
+    them) and on the next (``at + 1``: the last axis has stride 1), then
+    ``layer_lerp`` at the fraction t along the last axis."""
+    return layer_lerp(plane_sum(flat, at, wab), plane_sum(flat, at + 1, wab),
+                      t)
+
+
+def line_sum(flat, at, wab, s_cells):
+    """Trilinear interpolation of a raveled array along flow lines
+    (``Grid.line_cells``): one plane sum per (run, layer) pair, axis 1 of
+    ``at`` and ``wab``, then ``layer_lerp`` of each row between its two
+    pairs, ``s_cells = (lo, hi, t)``.  Each row sees the operations and
+    inputs of ``trilinear_sum`` at its point, so the two agree bitwise."""
+    lo, hi, t = s_cells
+    p = plane_sum(flat, at, wab)
+    t = np.reshape(t, (-1,) + (1,) * (p.ndim - 1))
+    return layer_lerp(p.take(lo, axis=0), p.take(hi, axis=0), t)
 
 
 class GridFunction:
@@ -367,12 +418,6 @@ class GridFunction:
     def copy(self):
         return GridFunction(self.grid, self.values.copy())
 
-    def _padded(self):
-        """Node values on the closed box: one more base row and column
-        (periodic) and the roof plane (glued to layer 0 through A)."""
-        halo = self.grid._halo(1, 0, self.grid.shape[2] + 1)
-        return np.take(self.values, halo.index[1:, 1:])
-
     def interpolate(self, points):
         """Multilinear interpolation at points (..., 3) with s in [0, roof),
         as ``SuspensionFlow.flow_map`` leaves them; the base wraps
@@ -384,9 +429,10 @@ class GridFunction:
         if not (np.isfinite(x).all()
                 and ((0.0 <= s) & (s < self.grid.lengths[2])).all()):
             raise ValueError("interpolate needs finite points, s in [0, roof)")
-        corner, wab = self.grid.line_cells(x[:, :2])
+        at, wab = self.grid._plane_cells(x[:, :2])
         k, tk = self.grid._cell(s, 2)
-        f = trilinear_sum(self._padded(), corner + k, wab, tk)
+        padded = np.take(self.values, self.grid._pad_nodes()).ravel()
+        f = trilinear_sum(padded, at + k, wab, tk)
         return f.reshape(p.shape[:-1])
 
     def __call__(self, points):

@@ -17,12 +17,13 @@ Lipschitz integrated subaction into one with a Lipschitz flow derivative.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charts import FlowBox, adapted_norm, lattice_centers
-from .grid import GridFunction, plane_terms, trilinear_sum
+from .grid import GridFunction, line_sum, plane_terms, trilinear_sum
 from .laxoleinik import verify_integrated_subaction
 from .livsic import PathSample, _flow_tracks, _path_actions
 from .models import SuspensionFlow
@@ -161,10 +162,12 @@ class SubactionCertificate:
             return float(np.float64(self.lip_lie) / self.lip_phi)
 
 
-# Boxes per chunk of a level: their phi~ tables, N_T * N_Q**2 values each,
-# fill about 2**19 bytes.  Larger chunks batch more numpy calls, but raise
-# the peak memory and spill the caches.
-_CHUNK = max(1, 2 ** 19 // (8 * N_T * N_Q ** 2))
+# Boxes per chunk of a level.  Each box prices the chunk's rectangle of
+# table columns, N_T x 81 values with the default cover (not N_T * N_Q**2),
+# so a chunk's phi~ tables fill about 8 * 48 * 81 * 8 bytes = 243 KiB.
+# Larger chunks batch more numpy calls, but raise the peak memory and spill
+# the caches.
+_CHUNK = 8
 
 
 @dataclass
@@ -173,17 +176,18 @@ class _Box:
 
     ``idx`` are the window nodes (flat, increasing), ``a`` alpha there and
     ``live`` the mask of alpha > 0.  When some node is live, the chunk's
-    rectangle of chart-table columns (``n_cols`` of them) carries u's line
-    cells per run as ``plane_terms`` (``corner``, ``wab``) and phi~
-    (``pht``), and ``w_terms`` holds the live nodes' ``trilinear_sum`` terms
-    in that rectangle.
+    rectangle of chart-table columns (``n_cols`` of them) carries u's
+    ``line_sum`` cells (``Grid.line_cells``: ``at`` as u's flat nodes,
+    ``wab`` and ``s_cells``) and phi~ (``pht``), and ``w_terms`` holds the
+    live nodes' ``trilinear_sum`` terms in that rectangle.
     """
 
     idx: np.ndarray
     a: np.ndarray
     live: np.ndarray
-    corner: np.ndarray = None
+    at: np.ndarray = None
     wab: np.ndarray = None
+    s_cells: tuple = None
     pht: np.ndarray = None
     w_terms: tuple = None
 
@@ -211,8 +215,9 @@ class _Level:
 
     Only the gather of u on a box's table reads u.  Its window nodes,
     alpha and live nodes, its columns and u's line cells on them
-    (``Grid.line_cells``), beta, phi~ along those columns, and the table
-    cells of its live nodes are u-independent.  ``chunks`` computes them as
+    (``Grid.line_cells``, read through to u's own nodes), beta, phi~ along
+    those columns, and the table cells of its live nodes are
+    u-independent.  ``chunks`` computes them as
     ``_Box`` records for a chunk of boxes at a time (the windows box by box,
     keeping only their nodes), so that the pass that must follow the cover's
     order (``_smooth_box``) only gathers u, corrects the table and blends.
@@ -240,8 +245,7 @@ class _Level:
         self.table_base = table[r][..., :2]
         self.shifts = shifts[:, r]
         # flow_map puts every row's s in [0, roof): no row needs a re-wrap.
-        k, tk = grid._cell(self.s, 2)
-        self.row_k, self.row_tk = k[:, None, None], tk[:, None, None]
+        self.pad_nodes = grid._pad_nodes().ravel()
         self.t_cell = _table_cell(self.t_nodes, self.t)
         self.beta = cover.bumps.beta(self.t_nodes)
         self.rows = self.beta > 0
@@ -281,7 +285,10 @@ class _Level:
         q1, q2 = slice(i1.min(), i1.max() + 2), slice(i2.min(), i2.max() + 2)
         shifts = self.shifts[ks][has].swapaxes(0, 1)[:, :, None, None, :]
         base = np.mod(self.table_base[:, None, q1, q2] + shifts, 1.0)
-        corner, wab = self.grid.line_cells(base)
+        # u's cells per (run, layer) pair, box-major, read through to nodes.
+        at, wab, s_cells = self.grid.line_cells(base, self.s, self.run)
+        at = self.pad_nodes.take(np.moveaxis(at, 2, 0))
+        wab = np.ascontiguousarray(np.moveaxis(wab, 2, 0))
         # phi~ takes the lines as (runs, columns, 2), the layout of one table.
         pht = np.zeros((self.s.size,) + base.shape[1:4])
         pht.reshape(self.s.size, -1)[self.rows] = np.asarray(
@@ -290,16 +297,16 @@ class _Level:
                             self.run[self.rows]), dtype=float) - phi_bar
         # Each live node's cells in the rectangle, of shape (n_t, c1, c2).
         it, ft = (v[node[live]] for v in self.t_cell)
-        w_corner, w_wab = plane_terms((None,) + base.shape[2:4], (it, ft),
-                                      (i1 - q1.start, f1))
-        w_corner += i2 - q2.start
+        w_at, w_wab = plane_terms((None,) + base.shape[2:4], (it, ft),
+                                  (i1 - q1.start, f1))
+        w_at += i2 - q2.start
         live_at = np.r_[np.searchsorted(of, has), of.size]
         for n, k in enumerate(has):
             box = boxes[k]
-            box.corner, box.wab = corner[:, n], wab[:, :, n]
+            box.at, box.wab, box.s_cells = at[n], wab[n], s_cells
             box.pht = pht[:, n]
             ls = slice(live_at[n], live_at[n + 1])
-            box.w_terms = (w_corner[ls], w_wab[:, ls], f2[ls])
+            box.w_terms = (w_at[:, ls], w_wab[:, ls], f2[ls])
         return window, boxes
 
 
@@ -345,13 +352,12 @@ def _smooth_box(u, box, level):
     columns only, along the flow lines, at the cells ``level`` found.
     """
     w = np.zeros(box.idx.size)
+    flat = u.values.reshape(-1)
     if box.pht is not None:
-        ut = trilinear_sum(u._padded(), box.corner[level.run] + level.row_k,
-                           box.wab[:, level.run], level.row_tk)
+        ut = line_sum(flat, box.at, box.wab, box.s_cells)
         wt = _corrected_table(level.t_nodes[1] - level.t_nodes[0],
                               level.beta, ut, box.pht)
-        w[box.live] = trilinear_sum(wt, *box.w_terms)
-    flat = u.values.reshape(-1)
+        w[box.live] = trilinear_sum(wt.reshape(-1), *box.w_terms)
     flat[box.idx] = (1.0 - box.a) * flat[box.idx] + box.a * w
 
 
@@ -392,26 +398,33 @@ def lie_derivative_field(u, model, fd_step):
 def _smooth_cover(u0, cover, phi, phi_bar, core_margin):
     """The passes over the cover in its order, level by level.  Returns
     the smoothed u, the mask of nodes in some core shrunk by
-    ``core_margin``, the mask of nodes in no core, and the number of table
-    columns priced."""
+    ``core_margin``, the mask of nodes in no core, the number of table
+    columns priced, and the wall seconds of the two phases: ``passes``, the
+    ordered passes, and ``chunks``, the rest (the levels, their chunks and
+    the core masks, all u-independent)."""
+    t0 = time.perf_counter()
     n_nodes = u0.grid.n_nodes
     mask = np.zeros(n_nodes, dtype=bool)
     uncovered = np.ones(n_nodes, dtype=bool)
     u = u0.copy()
     n_cols = 0
+    passes = 0.0
     for boxes in cover.levels():
         level = _Level(boxes, u.grid)
         for (t, uu, nodes), boxes in level.chunks(phi, phi_bar):
+            t1 = time.perf_counter()
             for box in boxes:
                 _smooth_box(u, box, level)
                 n_cols += box.n_cols
+            passes += time.perf_counter() - t1
             # Both cores lie inside the windows: price the window pairs only.
             mask[nodes[cover.in_core(t, uu, core_margin)]] = True
             uncovered[nodes[cover.in_core(t, uu)]] = False
             # Free this chunk before the next one is built.
             del t, uu, nodes, boxes, box
         del level
-    return u, mask, uncovered, n_cols
+    timings = {"chunks": time.perf_counter() - t0 - passes, "passes": passes}
+    return u, mask, uncovered, n_cols, timings
 
 
 def regularize_all(u0: GridFunction, cover: Cover, phi, phi_bar, *,
@@ -422,7 +435,8 @@ def regularize_all(u0: GridFunction, cover: Cover, phi, phi_bar, *,
     shrunk by min(one grid diagonal, eps/2, tau/4) so only interior nodes are
     priced; the boundary layer of one-sided derivatives is excluded.  The
     ``precheck`` raises NotSubactionError on a violation of
-    ``verify_integrated_subaction``.
+    ``verify_integrated_subaction``.  ``report["timings"]`` holds the wall
+    seconds of the smoothing's two phases (``_smooth_cover``).
     """
     grid = u0.grid
     model = cover.model
@@ -435,8 +449,8 @@ def regularize_all(u0: GridFunction, cover: Cover, phi, phi_bar, *,
                                     "within slack", rep["violations"][0])
     nodes = grid.node_points().reshape(-1, 3)
     core_margin = min(grid.diagonal, EPS / 2.0, TAU / 4.0)
-    u, mask, uncovered_all, n_cols = _smooth_cover(u0, cover, phi, phi_bar,
-                                                   core_margin)
+    u, mask, uncovered_all, n_cols, timings = _smooth_cover(
+        u0, cover, phi, phi_bar, core_margin)
     if not mask.any():
         raise CoverGapError("no grid node lies in any core box",
                             witness=nodes[0])
@@ -464,7 +478,8 @@ def regularize_all(u0: GridFunction, cover: Cover, phi, phi_bar, *,
                 "table_columns_priced": n_cols,
                 "table_columns": len(cover) * N_Q ** 2,
                 "worst_node_margin": float(margins.min()),
-                "median_node_margin": float(np.median(margins))})
+                "median_node_margin": float(np.median(margins)),
+                "timings": timings})
 
 
 # Time step of verify_subaction's sampled paths.
@@ -478,8 +493,16 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
     Off-grid points are drawn inside the certified region; the flow derivative
     is recomputed there by the same backward difference.  The path check
     evaluates the weighted action with C = Lip(u) on random sampled paths and
-    compares against -2 inf_c ||u - c||_inf.
+    compares against -2 inf_c ||u - c||_inf.  Raises ValueError unless
+    ``n_samples`` and ``n_paths`` are at least 1 and the certificate's
+    ``region_mask`` holds a node to draw around.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if not np.any(cert.region_mask):
+        raise ValueError("cert.region_mask holds no node to sample")
     rng = np.random.default_rng(seed)
     u = cert.u
     grid = u.grid
@@ -515,9 +538,8 @@ def verify_subaction(cert: SubactionCertificate, phi, phi_bar, n_samples,
         noise[:, :2] = 10 ** rng.uniform(-4, -2) * rng.standard_normal((n, 2))
         draws.append((times, np.broadcast_to(start, (n, 3)), times, noise))
     paths = [PathSample(t, p, model, max_step=2 * _PATH_STEP)
-             for t, p in zip(*_flow_tracks(model, draws))] if draws else []
-    path_worst = np.min(_path_actions(paths, phi, c_path, phi_bar),
-                        initial=np.inf)
+             for t, p in zip(*_flow_tracks(model, draws))]
+    path_worst = np.min(_path_actions(paths, phi, c_path, phi_bar))
     path_floor = -2.0 * half_osc
     passed = len(witnesses) == 0 and path_worst >= path_floor - cert.slack
     return {"n_samples": int(n_samples), "worst_margin": worst,

@@ -409,10 +409,15 @@ def test_cli_solve_small(tmp_path, monkeypatch):
     assert summary["table_columns_priced"] == 256 * 9 ** 2
     assert sorted(summary["timings"]) == ["build_kernel", "constants",
                                           "ergodic_value", "howard",
-                                          "regularize_all", "stage_a",
+                                          "regularize_all",
+                                          "regularize_chunks",
+                                          "regularize_passes", "stage_a",
                                           "stage_b", "weak_kam_solve",
                                           "write"]
     assert all(v > 0 for v in summary["timings"].values())
+    timings = summary["timings"]
+    assert timings["regularize_chunks"] + timings["regularize_passes"] \
+        < timings["regularize_all"]
     assert not {"stage_a_sweeps", "timings"} & set(summary["checks"])
     for name in ("ergodic.csv", "solution.csv", "certificate.csv",
                  "constants.csv"):

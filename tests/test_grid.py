@@ -5,7 +5,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from weakkam import (Grid, GridFunction, SuspensionFlow, build_kernel,
                      constant_observable)
-from weakkam.grid import _primitive_offsets, trilinear_sum
+from weakkam import grid as grid_mod
+from weakkam.grid import _primitive_offsets, line_sum
 
 
 def oracle_gather(grid, arr, offset):
@@ -230,13 +231,12 @@ def test_interpolation_rejects_points_off_the_domain(model, small_grid, s):
         u(pts)
 
 
-def _oracle_interpolate(u, points):
-    """The three-index interpolation of points with s in [0, roof): wrap the
-    base, then index the padded array by (i + a, j + b, k + c) for each of
-    the eight corners."""
+def _three_index_cells(u, points):
+    """The padded node array and, for points with s in [0, roof), each
+    point's lower corner (i, j, k) in it and its fractions along the three
+    axes; the base wraps."""
     grid = u.grid
-    p = np.asarray(points, dtype=float)
-    x = p.reshape(-1, 3).copy()
+    x = np.asarray(points, dtype=float).reshape(-1, 3).copy()
     assert ((0.0 <= x[:, 2]) & (x[:, 2] < grid.lengths[2])).all()
     x[:, 0] = np.mod(x[:, 0], grid.lengths[0])
     x[:, 1] = np.mod(x[:, 1], grid.lengths[1])
@@ -248,14 +248,63 @@ def _oracle_interpolate(u, points):
         i0 = np.clip(np.floor(v).astype(np.int64), 0, grid.shape[ax] - 1)
         idx[:, ax] = i0
         t[:, ax] = v - i0
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-    ti, tj, tk = t[:, 0], t[:, 1], t[:, 2]
-    f = np.zeros(x.shape[0])
+    return pad, idx.T, t.T
+
+
+def _oracle_interpolate(u, points):
+    """The three-index interpolation of points with s in [0, roof): index
+    the padded array by (i + a, j + b, k + c).  On each layer c the plane
+    sum of the four (a, b) corners in the order (0, 0), (0, 1), (1, 0),
+    (1, 1), then the two plane sums along s; each sum starts at 0.0."""
+    pad, (i, j, k), (ti, tj, tk) = _three_index_cells(u, points)
+    plane = []
+    for c in (0, 1):
+        p = np.zeros(i.size)
+        for (a, wa) in ((0, 1 - ti), (1, ti)):
+            for (b, wb) in ((0, 1 - tj), (1, tj)):
+                p += wa * wb * pad[i + a, j + b, k + c]
+        plane.append(p)
+    f = np.zeros(i.size)
+    f += (1 - tk) * plane[0]
+    f += tk * plane[1]
+    return f.reshape(np.shape(points)[:-1])
+
+
+def _eight_term_interpolate(u, points):
+    """The interpolation in the order before the plane sums: the eight
+    terms ((wa * wb) * wc) * U, corners (a, b, c) in lexicographic order,
+    added to a 0.0 start."""
+    pad, (i, j, k), (ti, tj, tk) = _three_index_cells(u, points)
+    f = np.zeros(i.size)
     for (a, wa) in ((0, 1 - ti), (1, ti)):
         for (b, wb) in ((0, 1 - tj), (1, tj)):
             for (c, wc) in ((0, 1 - tk), (1, tk)):
                 f += wa * wb * wc * pad[i + a, j + b, k + c]
-    return f.reshape(p.shape[:-1])
+    return f.reshape(np.shape(points)[:-1])
+
+
+def _order_bound(u):
+    """A bound on |interpolate - _eight_term_interpolate| at any point:
+    (gamma_10 + gamma_7) (1 + e)^3 M, gamma_n = n e / (1 - n e),
+    e = 2**-53, M = max|u|; about 17 e M.
+
+    Both orders round the same one-axis weights w (1 - t, computed, or t),
+    so both approximate E = sum_abc wa wb wc U_abc (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, lemma 3.1 and eq. 4.4).  The
+    eight-term sum rounds each term three times (wa wb, times wc, times U)
+    and adds eight terms to 0.0 (exact, then seven roundings): within
+    gamma_10 sum |wa wb wc U| of E.  The plane sums round each term twice
+    and add four to 0.0 (three roundings); the step along s multiplies
+    each by wc and adds the two to 0.0 (two more): within gamma_7 of the
+    same sum.  And sum |wa wb wc U| <= M (w0 + w1)^3 <= (1 + e)^3 M, as
+    fl(1 - t) + t <= 1 + e.  No term is subnormal at these values."""
+    e = 2.0 ** -53
+
+    def gamma(n):
+        return n * e / (1.0 - n * e)
+
+    return (gamma(10) + gamma(7)) * (1.0 + e) ** 3 \
+        * float(np.abs(u.values).max())
 
 
 def _roof_wrap(model, grid, points):
@@ -307,13 +356,12 @@ def _flow_lines(model, base, s0, times):
 def _interpolate_lines(u, s, base, run):
     """``u.interpolate`` along flow lines, as the smoothing gathers u: out[r,
     c] is u at the point with base ``base[run[r], c]`` and s-coordinate
-    ``s[r]``, s in [0, roof).  The base cells are found once per run
-    (``Grid.line_cells``) and the s-cell once per row."""
-    corner, wab = u.grid.line_cells(base)
-    k, tk = u.grid._cell(s, 2)
-    rows = (-1,) + (1,) * (corner.ndim - 1)
-    return trilinear_sum(u._padded(), corner[run] + k.reshape(rows),
-                         wab[:, run], tk.reshape(rows))
+    ``s[r]``, s in [0, roof).  ``line_sum`` adds the plane sums once per
+    run and layer (``Grid.line_cells``), read through to u's own nodes, and
+    each row interpolates between its two layers."""
+    at, wab, s_cells = u.grid.line_cells(base, s, run)
+    nodes = u.grid._pad_nodes().ravel().take(at)
+    return line_sum(u.values.reshape(-1), nodes, wab, s_cells)
 
 
 @pytest.mark.parametrize("twisted", [True, False])
@@ -344,6 +392,42 @@ def test_interpolate_lines_matches_interpolate_bitwise(model, twisted, case):
     want = u.interpolate(table)
     assert got.shape == want.shape == table.shape[:2]
     assert got.tobytes() == want.tobytes()
+
+
+def _order_points(model, grid, rng):
+    """4,000 points with s in [0, roof): nodes, s = 0, s just below the
+    roof, and bases inside and outside [0, 1)."""
+    pts = rng.uniform(-2.0, 3.0, (4000, 3))
+    pts[:, 2] = rng.uniform(0.0, model.roof, 4000)
+    nodes = grid.node_points().reshape(-1, 3)
+    pts[:640] = nodes[rng.permutation(nodes.shape[0])[:640]]
+    pts[640:1140, 2] = 0.0
+    pts[1140:1640, 2] = np.nextafter(model.roof, 0.0)
+    pts[1640:2140, :2] = rng.random((500, 2))
+    pts[2140:2240, :2] = rng.integers(-2, 3, (100, 2))
+    return pts
+
+
+@pytest.mark.parametrize("twisted", [True, False])
+def test_plane_order_within_its_rounding_bound(model, twisted, monkeypatch):
+    grid = Grid((8, 8, 10), (1.0, 1.0, model.roof),
+                model.base_matrix if twisted else IDENTITY)
+    rng = np.random.default_rng(13)
+    u = GridFunction(grid, 3.0 + rng.standard_normal(grid.shape))
+    pts = _order_points(model, grid, rng)
+    old = _eight_term_interpolate(u, pts)
+    bound = _order_bound(u)
+    assert 0.0 < np.abs(u(pts) - old).max() <= bound
+    assert bound < 18 * 2.0 ** -53 * np.abs(u.values).max()
+    # a plane weight off by one part in 2**30 breaks the bound
+    plane_sum = grid_mod.plane_sum
+
+    def mutant(flat, at, wab):
+        return plane_sum(flat, at, np.concatenate([wab[:1] * (1 + 2.0 ** -30),
+                                                   wab[1:]]))
+
+    monkeypatch.setattr(grid_mod, "plane_sum", mutant)
+    assert np.abs(u(pts) - old).max() > bound
 
 
 def test_discrete_lipschitz_linear_field(small_grid):

@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -163,6 +166,36 @@ def test_verify_subaction_offgrid(model, cobound, certificate):
     assert rep["path_min_action"] >= rep["path_floor"] - certificate.slack
 
 
+@pytest.mark.parametrize("n_samples,n_paths,name", [
+    (0, 30, "n_samples"), (-1, 30, "n_samples"),
+    (500, 0, "n_paths"), (500, -2, "n_paths")])
+def test_verify_subaction_rejects_empty_draws(model, cobound, certificate,
+                                              n_samples, n_paths, name):
+    # no sample has no worst margin; no path would pass the path check as
+    # an infinite action
+    phi, _ = cobound
+    with pytest.raises(ValueError, match=name):
+        verify_subaction(certificate, phi, certificate.phi_bar, n_samples,
+                         model, n_paths=n_paths)
+
+
+def test_verify_subaction_rejects_an_empty_region(model, cobound,
+                                                  certificate):
+    # the sampler draws until enough points land in the region: with no
+    # node in it, it would never stop
+    phi, _ = cobound
+    empty = dataclasses.replace(
+        certificate, region_mask=np.zeros_like(certificate.region_mask))
+    with pytest.raises(ValueError, match="region_mask"):
+        verify_subaction(empty, phi, empty.phi_bar, 10, model, n_paths=1)
+
+
+def test_report_times_the_two_phases(certificate):
+    timings = certificate.report["timings"]
+    assert list(timings) == ["chunks", "passes"]
+    assert all(v > 0 for v in timings.values())
+
+
 def test_cover_gap_detected(model, cobound, medium_solution, cover):
     phi, _ = cobound
     sol, _ = medium_solution
@@ -178,18 +211,23 @@ def _axis_cell(nodes, x):
 
 
 def _interp_table(t_nodes, q_nodes, table, t, u):
-    """Trilinear interpolation of a whole chart table at (t, u) queries."""
+    """Trilinear interpolation of a whole chart table at (t, u) queries in
+    two steps: on each of the two q2-layers of the cell, the (t, q1) plane
+    sum of its four corners in the order (0, 0), (0, 1), (1, 0), (1, 1),
+    then the interpolation between the two along q2; each sum starts at
+    0.0."""
     i0, f0 = _axis_cell(t_nodes, t)
     i1, f1 = _axis_cell(q_nodes, u[..., 0])
     i2, f2 = _axis_cell(q_nodes, u[..., 1])
-    out = 0.0
-    for d0 in (0, 1):
-        for d1 in (0, 1):
-            for d2 in (0, 1):
-                w = (f0 if d0 else 1 - f0) * (f1 if d1 else 1 - f1) \
-                    * (f2 if d2 else 1 - f2)
-                out = out + w * table[i0 + d0, i1 + d1, i2 + d2]
-    return out
+    plane = []
+    for d2 in (0, 1):
+        p = 0.0
+        for d0 in (0, 1):
+            for d1 in (0, 1):
+                w = (f0 if d0 else 1 - f0) * (f1 if d1 else 1 - f1)
+                p = p + w * table[i0 + d0, i1 + d1, i2 + d2]
+        plane.append(p)
+    return 0.0 + (1 - f2) * plane[0] + f2 * plane[1]
 
 
 def _table_axes():
@@ -259,8 +297,9 @@ def _live_columns(chunk):
 def _oracle_passes(u0, cover, phi, phi_bar, core_margin):
     """``_smooth_cover`` box by box: every box charts all nodes itself and
     runs the whole-table pass.  Returns (u, core mask, uncovered mask, live
-    columns), the columns counted per chunk of ``_CHUNK`` boxes of a
-    level."""
+    columns, timings), the columns counted per chunk of ``_CHUNK`` boxes of
+    a level; no part is u-independent, so every second is a pass."""
+    t0 = time.perf_counter()
     nodes = u0.grid.node_points().reshape(-1, 3)
     mask = np.zeros(nodes.shape[0], dtype=bool)
     uncovered = np.ones(nodes.shape[0], dtype=bool)
@@ -276,7 +315,8 @@ def _oracle_passes(u0, cover, phi, phi_bar, core_margin):
                 t, uu, inside = window
                 mask |= inside & box.in_core(t, uu, margin=core_margin)
                 uncovered &= ~(inside & box.in_core(t, uu))
-    return u, mask, uncovered, n_cols
+    timings = {"chunks": 0.0, "passes": time.perf_counter() - t0}
+    return u, mask, uncovered, n_cols, timings
 
 
 def _oracle_regularize_once(u, box, phi, phi_bar, window):
